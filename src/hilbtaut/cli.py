@@ -42,6 +42,7 @@ from .symrep import antiinv_dims_R, antiinv_dims_rho, verify_omega, verify_sym_m
 from .tautops import (
     EXPONENT_RULES,
     graded_dims,
+    graded_totals,
     kernel_nullity,
     verify_filtration,
     verify_invariant_local_formula,
@@ -271,10 +272,7 @@ def cmd_graded(cfg: RunConfig) -> int:
     _require(cfg, "n", "k", "max_degree")
     _gate_range(cfg)
     pieces = graded_dims(cfg.n, cfg.k, cfg.max_degree, exponent_rule=cfg.rule)
-    totals = [
-        sum(dims[d] for dims in pieces.values())
-        for d in range(cfg.max_degree + 1)
-    ]
+    totals = list(graded_totals(pieces))
     payload = {
         "command": "graded",
         "n": cfg.n,

@@ -15,7 +15,9 @@ turns I_A^m into the monomial ideal (u, v)^m, so membership in degree
 <= D is a finite set of linear conditions: the coefficients of all
 substituted monomials of u-v-degree below m must vanish.  No Groebner
 bases, and every condition is homogeneous in total degree, which lets
-all dimension counts run degree by degree.
+all dimension counts run degree by degree.  When the last point is
+pinned at the origin, the ideals of pairs ending there are already
+monomial (pinned_jet_conditions).
 
 The symmetric group acts by permuting point labels; symmetrize applies
 sigma_* (x_i goes to x_{sigma^-1(i)}) to a polynomial, or the induced
@@ -252,6 +254,27 @@ def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
         if row:
             out.append(row)
     return out
+
+
+def pinned_jet_conditions(a: int, order: int, ring: PolyRing) -> list:
+    """Jet conditions of the pair (a, n + 1) with point n + 1 at the origin.
+
+    With that point pinned, the diagonal ideal becomes the monomial ideal
+    (x_a, y_a), and its order-th power is cut out by the vanishing of
+    every monomial coefficient of (x_a, y_a)-degree below the order.
+    Functionals have the shape of jet_conditions and come ordered by
+    degree.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if not 1 <= a <= ring.n:
+        raise ValueError("point index out of range")
+    ix, iy = a - 1, ring.n + a - 1
+    return [
+        {e: Fraction(1)}
+        for e in ring.monomials_up_to()
+        if e[ix] + e[iy] < order
+    ]
 
 
 def evaluate_functional(functional: dict, p: TruncPoly) -> Fraction:

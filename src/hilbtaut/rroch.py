@@ -134,6 +134,8 @@ def load_surface(source) -> SurfaceModel:
     else:
         with open(source) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("surface model must be a JSON object")
     try:
         return SurfaceModel(
             name=str(data["name"]),

@@ -11,6 +11,23 @@ decreasing chain of subspaces; the final step models the pushforward of
 the k-th symmetric power, and its dimensions are compared, degree by
 degree, with spaces of symmetrized sections of ideal-power twists.
 
+The conditions see the points only through the diagonal ideals I_A,
+which are generated by differences of coordinates, so they are blind to
+translating every point at once.  In the coordinates x_n, y_n and
+x_a - x_n, y_a - y_n (a < n) the ring splits as Q[x_n, y_n] tensor the
+ring of the relative coordinates, and every I_A^m is extended from the
+second factor; for a pair (a, n) it is the monomial ideal
+(x_a - x_n, y_a - y_n)^m.  The full kernel is therefore Q[x_n, y_n]
+tensor K0 (the centre of mass serves as well as point n), where K0 is
+the same system with point n pinned at the origin, solved on n - 1
+points.  Taking Hilbert series,
+
+    dim K_d = sum over j of (j + 1) * dim K0_(d - j),
+
+at every number of stacked blocks.  The invariant systems are solved on
+all n points, since pinning a point breaks the relabeling action their
+column orbits rely on.
+
 The linear algebra is exact throughout.  Matrix sizes are bounded by a
 cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
@@ -40,6 +57,7 @@ from .polyjet import (
     jet_conditions,
     intersect_ideal_powers,
     permute_composition,
+    pinned_jet_conditions,
     symmetrize,
 )
 
@@ -49,7 +67,18 @@ EXPONENT_RULES = ("uniform_2m_mu", "per_pair_2mu")
 
 
 def _max_entries() -> int:
-    return int(os.environ.get("HILBTAUT_MAX_MATRIX_ENTRIES", _DEFAULT_MAX_ENTRIES))
+    raw = os.environ.get("HILBTAUT_MAX_MATRIX_ENTRIES")
+    if raw is None:
+        return _DEFAULT_MAX_ENTRIES
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(
+            f"HILBTAUT_MAX_MATRIX_ENTRIES must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 def _check_cap(nrows: int, ncols: int, context: str) -> None:
@@ -179,7 +208,8 @@ def _condition_rows(ring: PolyRing, level: int, pairs):
 
     Each row maps (composition, exponent) keys to rational weights; a
     tuple satisfies the block when every row pairs to zero against its
-    coefficients.
+    coefficients.  A pair ending one point past the ring's last point
+    refers to a point pinned at the origin.
     """
     order = level + 1
     by_degree: dict = {}
@@ -187,7 +217,10 @@ def _condition_rows(ring: PolyRing, level: int, pairs):
     for mu, A in pairs:
         jets = jets_cache.get(A)
         if jets is None:
-            jets = jet_conditions(A, order, ring)
+            if A[1] > ring.n:
+                jets = pinned_jet_conditions(A[0], order, ring)
+            else:
+                jets = jet_conditions(A, order, ring)
             jets_cache[A] = jets
         support = _difference_support(mu, A[0], A[1], order)
         for functional in jets:
@@ -251,12 +284,20 @@ def _nullity_profile(
     """Per-degree nullities of the stacked systems with the first l blocks.
 
     stops lists the values of l to report; l = 0 means no conditions.
-    The result maps each stop to a list indexed by total degree.
+    The result maps each stop to a list indexed by total degree.  Full
+    systems are solved with point n pinned at the origin, then tensored
+    with Q[x_n, y_n] (see the module docstring).
     """
-    ring = PolyRing(n, max_deg)
     comps = enumerate_compositions(n, k)
     stops = sorted(set(stops))
     top = stops[-1] if stops else 0
+    if invariant:
+        ring = PolyRing(n, max_deg)
+    elif n == 1:
+        # No pairs: every tuple of polynomials in x_1, y_1 is a solution.
+        return {l: [(d + 1) * len(comps) for d in range(max_deg + 1)] for l in stops}
+    else:
+        ring = PolyRing(n - 1, max_deg)
     if invariant and not use_all_pairs:
         pair_lists = [_rep_pairs(n, k, level) for level in range(top)]
     else:
@@ -291,7 +332,12 @@ def _nullity_profile(
                 else:
                     rank = 0
                 profile[level].append(ncols - rank)
-    return profile
+    if invariant:
+        return profile
+    return {
+        l: [sum((j + 1) * dims[d - j] for j in range(d + 1)) for d in range(max_deg + 1)]
+        for l, dims in profile.items()
+    }
 
 
 def _cumulative(values) -> tuple:
@@ -390,6 +436,11 @@ def graded_dims(
     return out
 
 
+def graded_totals(pieces: dict) -> tuple:
+    """Degree-by-degree sum of the graded_dims pieces."""
+    return tuple(sum(column) for column in zip(*pieces.values()))
+
+
 # ---------------------------------------------------------------------------
 # filtration report
 
@@ -420,11 +471,7 @@ class FiltrationReport:
         return not self.mismatches
 
     def graded_totals(self) -> tuple:
-        totals = [0] * (self.max_deg + 1)
-        for dims in self.graded.values():
-            for d, v in enumerate(dims):
-                totals[d] += v
-        return tuple(totals)
+        return graded_totals(self.graded)
 
 
 def verify_filtration(
@@ -463,10 +510,7 @@ def verify_filtration(
                     f"invariant nullity exceeds the full one at block {l}, degree {d}"
                 )
     graded = graded_dims(n, k, max_deg, exponent_rule=exponent_rule)
-    totals = [0] * (max_deg + 1)
-    for dims in graded.values():
-        for d, v in enumerate(dims):
-            totals[d] += v
+    totals = graded_totals(graded)
     kernel = inv_rows[k - 1]
     mismatches = tuple(
         (d, kernel[d], totals[d])

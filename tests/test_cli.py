@@ -85,6 +85,16 @@ def test_chi_loads_surface_model_from_json(capsys, tmp_path):
     assert json.loads(out)["rows"][0]["chi"] == json.loads(out2)["rows"][0]["chi"]
 
 
+def test_chi_rejects_non_object_surface_json(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    rc, _, err = run(capsys, "chi", "--surface", str(path), "--n", "2",
+                     "--k", "2", "--L", "1", "--A", "0")
+    assert rc == 2
+    assert err.count("\n") == 1 and "must be a JSON object" in err
+    assert "Traceback" not in err
+
+
 # --- kernel / graded ---------------------------------------------------
 
 

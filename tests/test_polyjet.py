@@ -24,6 +24,7 @@ from hilbtaut.polyjet import (
     jet_conditions,
     membership,
     permute_composition,
+    pinned_jet_conditions,
     symmetrize,
 )
 
@@ -108,6 +109,10 @@ def test_jet_conditions_validate_order():
     ring = PolyRing(2, 2)
     with pytest.raises(ValueError):
         jet_conditions((1, 2), 0, ring)
+    with pytest.raises(ValueError):
+        pinned_jet_conditions(1, 0, ring)
+    with pytest.raises(ValueError):
+        pinned_jet_conditions(3, 1, ring)
 
 
 def test_conditions_are_degree_homogeneous():

@@ -15,11 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbtaut.combinat import enumerate_compositions
+from hilbtaut.linalg import fraction_rows_to_int, sparse_int_rank
 from hilbtaut.polyjet import PolyRing, TruncPoly, membership, symmetrize
 from hilbtaut.tautops import (
     FiltrationReport,
     SectionTuple,
+    _all_pairs,
     _column_orbits,
+    _condition_rows,
     _match_constant,
     _nullity_profile,
     graded_dims,
@@ -133,6 +137,35 @@ def brute_kernel_dims_n2(k, max_deg, invariant):
     return tuple(out)
 
 
+def unpinned_full_profile(n, k, max_deg, stops):
+    """Per-degree nullities of the full stacked systems on all n points.
+
+    Every pair keeps its jet conditions in the original coordinates and
+    no point is pinned, so the centre of mass is solved for explicitly
+    rather than factored out.
+    """
+    ring = PolyRing(n, max_deg)
+    comps = enumerate_compositions(n, k)
+    blocks = [
+        _condition_rows(ring, level, _all_pairs(n, k, level))
+        for level in range(max(stops))
+    ]
+    out = {}
+    for l in stops:
+        dims = []
+        for d in range(max_deg + 1):
+            cols = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
+            rows = [
+                {cols[key]: v for key, v in row.items()}
+                for block in blocks[:l]
+                for row in block.get(d, [])
+            ]
+            rank = sparse_int_rank(fraction_rows_to_int(rows)) if rows else 0
+            dims.append(len(cols) - rank)
+        out[l] = dims
+    return out
+
+
 def graded_count_n2(k, j, d):
     """Exact-degree dimension of the two-slot graded piece (k - j, j).
 
@@ -218,6 +251,30 @@ def test_kernel_resource_cap(monkeypatch):
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "10")
     with pytest.raises(RuntimeError, match="cap"):
         kernel_nullity(2, 3, 3, invariant=False)
+
+
+@pytest.mark.parametrize("raw", ["lots", "2.5", "", "0", "-3"])
+def test_kernel_cap_rejects_bad_value(monkeypatch, raw):
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", raw)
+    with pytest.raises(ValueError, match=f"HILBTAUT_MAX_MATRIX_ENTRIES.*{raw!r}"):
+        kernel_nullity(2, 3, 3, invariant=False)
+
+
+@pytest.mark.parametrize(
+    "n,k,max_deg",
+    [(2, k, 4) for k in range(7)]
+    + [(3, 3, 3), (3, 4, 3), (4, 3, 2), (1, 0, 3), (1, 1, 3), (1, 3, 3), (3, 0, 2), (3, 1, 2)],
+)
+def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
+    stops = list(range(max(k, 1)))
+    assert _nullity_profile(n, k, max_deg, False, stops) == unpinned_full_profile(
+        n, k, max_deg, stops
+    )
+
+
+def test_full_kernel_past_the_unpinned_cap():
+    # Unpinned, this system is 3345 x 1890 at degree 4, over the default cap.
+    assert kernel_nullity(3, 4, 4, invariant=False) == (1, 9, 48, 188, 600)
 
 
 # ---------------------------------------------------------------------------
