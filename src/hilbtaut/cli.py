@@ -4,8 +4,10 @@ Toeplitz and representation queries, and the verification suites.
 Machine-readable by default in spirit: every command renders to csv, json
 or text from the same computed payload, enumeration orders are fixed by
 the library, and randomized sweeps take an explicit seed which is echoed
-back in the output.  Identical invocations produce identical bytes, with
-the one caveat that verification reports carry wall-clock timings.
+back in the output.  Verification cases run one after another in this
+process and are reported sorted by key, each with its own wall-clock
+seconds.  Identical invocations produce identical bytes, with the one
+caveat that verification reports carry those timings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -17,7 +19,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -588,10 +589,9 @@ _SUITE_BUILDERS = {
 
 
 def _run_cases(cases):
-    """Run every case, in parallel, and report sorted by case key."""
-
-    def run(pair):
-        key, thunk = pair
+    """Run every case in turn, timing each, and report sorted by case key."""
+    results = []
+    for key, thunk in cases:
         start = time.perf_counter()
         try:
             detail = thunk() or {}
@@ -599,10 +599,7 @@ def _run_cases(cases):
         except Exception as exc:
             detail = {"error": str(exc)}
             ok = False
-        return key, ok, detail, time.perf_counter() - start
-
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cases)))) as pool:
-        results = list(pool.map(run, cases))
+        results.append((key, ok, detail, time.perf_counter() - start))
     results.sort(key=lambda r: r[0])
     return results
 

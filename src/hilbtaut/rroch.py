@@ -126,8 +126,9 @@ def load_surface(source) -> SurfaceModel:
     """Build a SurfaceModel from a JSON file path or an already-parsed dict.
 
     Expected object: {"name": str, "rank": int, "intersection": [[int]],
-    "K": [int], "chiO": int, "c2": int}.  Noether violations are
-    rejected here, at load time.
+    "K": [int], "chiO": int, "c2": int}.  A missing or wrongly typed
+    field, such as a float, null or string for an int, raises ValueError
+    naming it.  Noether violations are rejected here, at load time.
     """
     if isinstance(source, dict):
         data = source
@@ -137,16 +138,28 @@ def load_surface(source) -> SurfaceModel:
         if not isinstance(data, dict):
             raise ValueError("surface model must be a JSON object")
     try:
-        return SurfaceModel(
-            name=str(data["name"]),
-            rank=int(data["rank"]),
-            intersection=tuple(tuple(int(x) for x in row) for row in data["intersection"]),
-            K=tuple(int(x) for x in data["K"]),
-            chiO=int(data["chiO"]),
-            c2=int(data["c2"]),
-        )
+        fields = {f: _typed(data[f], want, f) for f, want in _MODEL_FIELDS.items()}
     except KeyError as missing:
         raise ValueError(f"surface model missing field {missing}") from None
+    return SurfaceModel(**fields)
+
+
+_MODEL_FIELDS = {"name": str, "rank": int, "intersection": [[int]], "K": [int],
+                 "chiO": int, "c2": int}
+
+
+def _typed(value, want, field: str):
+    """value checked against want, a type or [type] for a list of them.
+    Types match exactly, since int() would take a bool, float or string."""
+    if not isinstance(want, list):
+        if type(value) is not want:
+            raise ValueError(
+                f"surface model field {field!r} must be {want.__name__}, got {value!r}"
+            )
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"surface model field {field!r} must be a list, got {value!r}")
+    return tuple(_typed(x, want[0], field) for x in value)
 
 
 # ---------------------------------------------------------------------------

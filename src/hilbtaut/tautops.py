@@ -28,8 +28,12 @@ at every number of stacked blocks.  The invariant systems are solved on
 all n points, since pinning a point breaks the relabeling action their
 column orbits rely on.
 
-The linear algebra is exact throughout.  Matrix sizes are bounded by a
-cap (override with the environment variable
+The graded pieces are nullities too: jet conditions of their ideal powers
+over columns folded into stabilizer orbits.  One engine, _nullities,
+solves the kernel and graded systems alike.
+
+The linear algebra is exact throughout.  Matrix sizes, kernel and graded
+alike, are bounded by a cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
 fast instead of grinding.
 """
@@ -39,11 +43,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import comb, factorial
 
 from .combinat import (
-    composition_stabilizer,
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
@@ -55,7 +58,6 @@ from .polyjet import (
     PolyRing,
     TruncPoly,
     jet_conditions,
-    intersect_ideal_powers,
     permute_composition,
     pinned_jet_conditions,
     symmetrize,
@@ -273,51 +275,19 @@ def _column_orbits(n: int, comps, monos):
     return count, index
 
 
-def _nullity_profile(
-    n: int,
-    k: int,
-    max_deg: int,
-    invariant: bool,
-    stops,
-    use_all_pairs: bool = False,
-):
-    """Per-degree nullities of the stacked systems with the first l blocks.
+def _nullities(blocks, columns, max_deg: int, stops, context: str) -> dict:
+    """Per-degree nullities of stacked row blocks, each matrix capped.
 
-    stops lists the values of l to report; l = 0 means no conditions.
-    The result maps each stop to a list indexed by total degree.  Full
-    systems are solved with point n pinned at the origin, then tensored
-    with Q[x_n, y_n] (see the module docstring).
+    blocks map a degree to rows keyed like the columns; columns(d) gives
+    (ncols, colmap), and keys sharing a column add up.  Each stop l, at
+    most len(blocks), imposes the first l blocks; the result maps it to
+    nullities by degree.  context names the system in the cap error.
     """
-    comps = enumerate_compositions(n, k)
-    stops = sorted(set(stops))
-    top = stops[-1] if stops else 0
-    if invariant:
-        ring = PolyRing(n, max_deg)
-    elif n == 1:
-        # No pairs: every tuple of polynomials in x_1, y_1 is a solution.
-        return {l: [(d + 1) * len(comps) for d in range(max_deg + 1)] for l in stops}
-    else:
-        ring = PolyRing(n - 1, max_deg)
-    if invariant and not use_all_pairs:
-        pair_lists = [_rep_pairs(n, k, level) for level in range(top)]
-    else:
-        pair_lists = [_all_pairs(n, k, level) for level in range(top)]
-    blocks = [
-        _condition_rows(ring, level, pair_lists[level]) for level in range(top)
-    ]
     profile = {l: [] for l in stops}
     for d in range(max_deg + 1):
-        monos = ring.monomials(d)
-        if invariant:
-            ncols, colmap = _column_orbits(n, comps, monos)
-        else:
-            colmap = {}
-            for lam in comps:
-                for e in monos:
-                    colmap[(lam, e)] = len(colmap)
-            ncols = len(colmap)
+        ncols, colmap = columns(d)
         accumulated: list = []
-        for level in range(top + 1):
+        for level in range(len(blocks) + 1):
             if level > 0:
                 for row in blocks[level - 1].get(d, []):
                     mapped: dict = {}
@@ -327,26 +297,48 @@ def _nullity_profile(
                     accumulated.append({c: v for c, v in mapped.items() if v})
             if level in profile:
                 if accumulated:
-                    _check_cap(len(accumulated), ncols, f"kernel system ({n},{k})")
+                    _check_cap(len(accumulated), ncols, context)
                     rank = sparse_int_rank(fraction_rows_to_int(accumulated))
                 else:
                     rank = 0
                 profile[level].append(ncols - rank)
+    return profile
+
+
+def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool, stops):
+    """Per-degree nullities of the stacked systems with the first l blocks.
+
+    stops lists the values of l to report; l = 0 means no conditions.
+    The result maps each stop to a list indexed by total degree.  Full
+    systems are solved with point n pinned at the origin, then tensored
+    with Q[x_n, y_n] (see the module docstring).
+    """
+    comps = enumerate_compositions(n, k)
+    top = max(stops, default=0)
+    if invariant:
+        ring = PolyRing(n, max_deg)
+        pairs = _rep_pairs
+    elif n == 1:
+        # No pairs: every tuple of polynomials in x_1, y_1 is a solution.
+        return {l: [(d + 1) * len(comps) for d in range(max_deg + 1)] for l in stops}
+    else:
+        ring = PolyRing(n - 1, max_deg)
+        pairs = _all_pairs
+    blocks = [_condition_rows(ring, level, pairs(n, k, level)) for level in range(top)]
+
+    def columns(d):
+        if invariant:
+            return _column_orbits(n, comps, ring.monomials(d))
+        colmap = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
+        return len(colmap), colmap
+
+    profile = _nullities(blocks, columns, max_deg, stops, f"kernel system ({n},{k})")
     if invariant:
         return profile
     return {
         l: [sum((j + 1) * dims[d - j] for j in range(d + 1)) for d in range(max_deg + 1)]
         for l, dims in profile.items()
     }
-
-
-def _cumulative(values) -> tuple:
-    out = []
-    total = 0
-    for v in values:
-        total += v
-        out.append(total)
-    return tuple(out)
 
 
 def kernel_nullity(
@@ -365,7 +357,7 @@ def kernel_nullity(
         raise ValueError("need n >= 1, k >= 0, max_deg >= 0")
     final = max(k - 1, 0)
     profile = _nullity_profile(n, k, max_deg, invariant, [final])
-    return _cumulative(profile[final])
+    return tuple(accumulate(profile[final]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +368,6 @@ def graded_dims(
     n: int,
     k: int,
     max_deg: int,
-    order: str = "refined",
     exponent_rule: str = "uniform_2m_mu",
 ) -> dict:
     """Per-partition dimensions of symmetrized ideal-power sections.
@@ -390,12 +381,13 @@ def graded_dims(
     index.  The two rules agree whenever every part below the top is
     minimal, in particular through weight four.
 
-    Keys appear in refined order; that order is the only one supported
-    here, and through weight five it agrees with the length-first order
-    used for coarser comparisons.
+    Each piece is the nullity, by the kernels' engine and under their
+    entry cap, of its jet conditions over the columns (padded mu,
+    exponent) folded into relabeling orbits.  Those orbits meet padded mu
+    in the stabilizer orbits of exponents, and the space is stable under
+    the stabilizer, so the nullity is the dimension of its fixed part.
+    Keys appear in refined order.
     """
-    if order != "refined":
-        raise ValueError("only the refined order is supported")
     if exponent_rule not in EXPONENT_RULES:
         raise ValueError(f"exponent_rule must be one of {EXPONENT_RULES}")
     if n < 1 or k < 0 or max_deg < 0:
@@ -405,34 +397,23 @@ def graded_dims(
     for mu in enumerate_partitions(k, n):
         r = len(mu)
         mu_bar = tuple(mu) + (0,) * (n - r)
-        pairs = []
+        rows: dict = {}
         for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
                 if exponent_rule == "uniform_2m_mu":
                     e = 2 * m_mu(mu)
                 else:
                     e = 2 * mu[j - 1]
-                pairs.append(((i, j), e))
-        basis = intersect_ideal_powers(pairs, ring)
-        stab = composition_stabilizer(mu_bar)
-        per_degree = []
-        for d in range(max_deg + 1):
-            monos = ring.monomials(d)
-            index = {e: i for i, e in enumerate(monos)}
-            rows = []
-            for b in basis:
-                if b.degree() != d:
-                    continue
-                avg = b.ring.zero()
-                for sigma in stab:
-                    avg = avg + symmetrize(b, sigma)
-                if not avg.is_zero():
-                    rows.append({index[e]: c for e, c in avg.coeffs.items()})
-            if rows:
-                per_degree.append(sparse_int_rank(fraction_rows_to_int(rows)))
-            else:
-                per_degree.append(0)
-        out[tuple(mu)] = _cumulative(per_degree)
+                for functional in jet_conditions((i, j), e, ring):
+                    degree = sum(next(iter(functional)))
+                    row = {(mu_bar, ex): c for ex, c in functional.items()}
+                    rows.setdefault(degree, []).append(row)
+
+        def columns(d):
+            return _column_orbits(n, [mu_bar], ring.monomials(d))
+
+        piece = _nullities([rows], columns, max_deg, [1], f"graded piece {mu} ({n},{k})")
+        out[tuple(mu)] = tuple(accumulate(piece[1]))
     return out
 
 
@@ -495,8 +476,8 @@ def verify_filtration(
     stops = list(range(k))
     inv = _nullity_profile(n, k, max_deg, True, stops)
     full = _nullity_profile(n, k, max_deg, False, stops)
-    inv_rows = tuple(_cumulative(inv[l]) for l in stops)
-    full_rows = tuple(_cumulative(full[l]) for l in stops)
+    inv_rows = tuple(tuple(accumulate(inv[l])) for l in stops)
+    full_rows = tuple(tuple(accumulate(full[l])) for l in stops)
     for l in range(1, k):
         for d in range(max_deg + 1):
             if inv_rows[l][d] > inv_rows[l - 1][d] or full_rows[l][d] > full_rows[l - 1][d]:

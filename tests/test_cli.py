@@ -95,6 +95,28 @@ def test_chi_rejects_non_object_surface_json(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("c2", None),
+    ("K", -3),
+    ("intersection", [1]),
+    ("rank", 1.5),
+    ("chiO", True),
+    ("c2", "3"),
+    ("name", 7),
+])
+def test_chi_rejects_wrongly_typed_surface_json(capsys, tmp_path, field, value):
+    model = {"name": "plane", "rank": 1, "intersection": [[1]], "K": [-3],
+             "chiO": 1, "c2": 3}
+    model[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    rc, out, err = run(capsys, "chi", "--surface", str(path), "--n", "2",
+                       "--k", "2", "--L", "1", "--A", "0")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and repr(field) in err
+    assert "Traceback" not in err
+
+
 # --- kernel / graded ---------------------------------------------------
 
 

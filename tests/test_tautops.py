@@ -4,27 +4,41 @@ The two-slot cases are validated against a self-contained brute-force
 oracle that expands the gluing conditions in its own coordinates
 (slot-one variables plus offsets) and row-reduces with Fractions,
 sharing no code with the package internals.  Graded dimensions for two
-slots are validated against closed-form monomial counts.
+slots are validated against closed-form monomial counts, and on a grid
+of sizes against the Reynolds average of an explicit ideal-power basis.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut.combinat import enumerate_compositions
+from hilbtaut.combinat import (
+    composition_stabilizer,
+    enumerate_compositions,
+    enumerate_partitions,
+    m_mu,
+)
 from hilbtaut.linalg import fraction_rows_to_int, sparse_int_rank
-from hilbtaut.polyjet import PolyRing, TruncPoly, membership, symmetrize
+from hilbtaut.polyjet import (
+    PolyRing,
+    TruncPoly,
+    intersect_ideal_powers,
+    membership,
+    symmetrize,
+)
 from hilbtaut.tautops import (
+    EXPONENT_RULES,
     FiltrationReport,
     SectionTuple,
     _all_pairs,
     _column_orbits,
     _condition_rows,
     _match_constant,
+    _nullities,
     _nullity_profile,
     graded_dims,
     higher_difference,
@@ -150,19 +164,44 @@ def unpinned_full_profile(n, k, max_deg, stops):
         _condition_rows(ring, level, _all_pairs(n, k, level))
         for level in range(max(stops))
     ]
+
+    def columns(d):
+        cols = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
+        return len(cols), cols
+
+    return _nullities(blocks, columns, max_deg, stops, "unpinned full system")
+
+
+def reynolds_graded_dims(n, k, max_deg, exponent_rule):
+    """Graded pieces by averaging an explicit basis over the stabilizer.
+
+    Each ideal-power intersection gets a rational basis; every basis
+    vector is averaged over the stabilizer of the padded partition, and
+    the averages are ranked degree by degree.
+    """
+    ring = PolyRing(n, max_deg)
     out = {}
-    for l in stops:
+    for mu in enumerate_partitions(k, n):
+        r = len(mu)
+        pairs = [
+            ((i, j), 2 * m_mu(mu) if exponent_rule == "uniform_2m_mu" else 2 * mu[j - 1])
+            for i in range(1, r + 1)
+            for j in range(i + 1, r + 1)
+        ]
+        basis = intersect_ideal_powers(pairs, ring)
+        stab = composition_stabilizer(tuple(mu) + (0,) * (n - r))
         dims = []
         for d in range(max_deg + 1):
-            cols = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
-            rows = [
-                {cols[key]: v for key, v in row.items()}
-                for block in blocks[:l]
-                for row in block.get(d, [])
-            ]
-            rank = sparse_int_rank(fraction_rows_to_int(rows)) if rows else 0
-            dims.append(len(cols) - rank)
-        out[l] = dims
+            index = {e: i for i, e in enumerate(ring.monomials(d))}
+            rows = []
+            for b in basis:
+                if b.degree() == d:
+                    avg = ring.zero()
+                    for sigma in stab:
+                        avg = avg + symmetrize(b, sigma)
+                    rows.append({index[e]: c for e, c in avg.coeffs.items()})
+            dims.append(sparse_int_rank(fraction_rows_to_int(rows)))
+        out[tuple(mu)] = tuple(accumulate(dims))
     return out
 
 
@@ -214,9 +253,20 @@ def test_invariant_never_exceeds_full():
 def test_condition_orbit_representatives_suffice():
     for n, k, max_deg in [(2, 4, 2), (3, 3, 2)]:
         stops = [max(k - 1, 0)]
-        reduced = _nullity_profile(n, k, max_deg, True, stops)
-        complete = _nullity_profile(n, k, max_deg, True, stops, use_all_pairs=True)
-        assert reduced == complete
+        ring = PolyRing(n, max_deg)
+        comps = enumerate_compositions(n, k)
+        blocks = [
+            _condition_rows(ring, level, _all_pairs(n, k, level))
+            for level in range(stops[0])
+        ]
+        complete = _nullities(
+            blocks,
+            lambda d: _column_orbits(n, comps, ring.monomials(d)),
+            max_deg,
+            stops,
+            "all-pairs invariant system",
+        )
+        assert _nullity_profile(n, k, max_deg, True, stops) == complete
 
 
 def test_column_orbits_match_relabeling_action():
@@ -318,8 +368,19 @@ def test_exponent_rules_separate_at_weight_five():
 def test_graded_rejects_unknown_rule():
     with pytest.raises(ValueError):
         graded_dims(2, 2, 2, exponent_rule="cubic")
-    with pytest.raises(ValueError):
-        graded_dims(2, 2, 2, order="colex")
+
+
+# (3, 5, 4) is where the two rules first separate, at (2, 2, 1) in degree 4.
+@pytest.mark.parametrize(
+    "n,k,max_deg",
+    [(1, 3, 3), (2, 0, 3), (3, 0, 2), (2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3),
+     (3, 4, 3), (3, 5, 4), (4, 3, 3)],
+)
+def test_graded_matches_reynolds_average(n, k, max_deg):
+    for rule in EXPONENT_RULES:
+        assert graded_dims(n, k, max_deg, exponent_rule=rule) == reynolds_graded_dims(
+            n, k, max_deg, rule
+        )
 
 
 def test_graded_keys_in_refined_order():
