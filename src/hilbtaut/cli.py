@@ -9,7 +9,9 @@ process and are reported sorted by key, each with its own wall-clock
 seconds.  Identical invocations produce identical bytes, with the one
 caveat that verification reports carry those timings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(a one-line message; exceeding the matrix entry cap counts here), 3
+internal fault (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .rroch import (
 from .symrep import antiinv_dims_R, antiinv_dims_rho, verify_omega, verify_sym_map
 from .tautops import (
     EXPONENT_RULES,
+    EntryCapError,
     graded_dims,
     graded_totals,
     kernel_nullity,
@@ -760,12 +763,15 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _HANDLERS[cfg.command](cfg)
-    except UsageError as exc:
+    except (UsageError, ValueError, EntryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        # Imported only on this path: it adds to every start-up otherwise.
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

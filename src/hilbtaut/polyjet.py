@@ -15,9 +15,11 @@ turns I_A^m into the monomial ideal (u, v)^m, so membership in degree
 <= D is a finite set of linear conditions: the coefficients of all
 substituted monomials of u-v-degree below m must vanish.  No Groebner
 bases, and every condition is homogeneous in total degree, which lets
-all dimension counts run degree by degree.  When the last point is
-pinned at the origin, the ideals of pairs ending there are already
-monomial (pinned_jet_conditions).
+all dimension counts run degree by degree.  The conditions carry integer
+weights: the substitution divides each of them by one power of two,
+fixed by the condition, and scaling it away leaves the kernel as it is.
+When the last point is pinned at the origin, the ideals of pairs ending
+there are already monomial (pinned_jet_conditions).
 
 The symmetric group acts by permuting point labels; symmetrize applies
 sigma_* (x_i goes to x_{sigma^-1(i)}) to a polynomial, or the induced
@@ -212,11 +214,15 @@ def _resolve(A, ring):
 def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
     """Linear functionals whose common kernel is I_A^order, truncated.
 
-    Each functional is a dict pairing exponent vectors with rational
+    Each functional is a dict pairing exponent vectors with integer
     weights; a polynomial lies in the ideal power exactly when every
     functional evaluates to zero on its coefficients.  Functionals are
     indexed by substituted-basis monomials of u-v-degree below the
-    requested order and are homogeneous in total degree.
+    requested order and are homogeneous in total degree.  The
+    substitution puts one denominator under every weight of a functional,
+    2 to the total exponent of its key monomial on the two points of the
+    pair; the weights here are the rational ones times that constant,
+    which leaves the kernel unchanged.
     """
     (a0, a1), ring = _resolve(A, ring)
     if order < 1:
@@ -227,7 +233,6 @@ def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
     rows: dict = {}
     for old in ring.monomials_up_to():
         p0, p1, q0, q1 = old[ix0], old[ix1], old[iy0], old[iy1]
-        denom = 2 ** (p0 + p1 + q0 + q1)
         for i0 in range(p0 + 1):
             for i1 in range(p1 + 1):
                 udeg = i0 + i1
@@ -246,7 +251,7 @@ def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
                         new[iy1] = q0 + q1 - j0 - j1
                         key = tuple(new)
                         row = rows.setdefault(key, {})
-                        row[old] = row.get(old, 0) + Fraction(cu * cv, denom)
+                        row[old] = row.get(old, 0) + cu * cv
     ordered = sorted(rows, key=lambda e: (sum(e), e))
     out = []
     for key in ordered:
@@ -271,7 +276,7 @@ def pinned_jet_conditions(a: int, order: int, ring: PolyRing) -> list:
         raise ValueError("point index out of range")
     ix, iy = a - 1, ring.n + a - 1
     return [
-        {e: Fraction(1)}
+        {e: 1}
         for e in ring.monomials_up_to()
         if e[ix] + e[iy] < order
     ]

@@ -32,10 +32,13 @@ The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
 solves the kernel and graded systems alike.
 
-The linear algebra is exact throughout.  Matrix sizes, kernel and graded
-alike, are bounded by a cap (override with the environment variable
-``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
-fast instead of grinding.
+The linear algebra is exact throughout, and in integers end to end: jet
+conditions carry integer weights, condition rows and column sums stay
+integers, and the elimination takes them as they are.  Matrix sizes,
+kernel and graded alike, are bounded by a cap (override with the
+environment variable ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in
+the arguments fails fast instead of grinding; exceeding it raises
+EntryCapError.
 """
 
 from __future__ import annotations
@@ -53,12 +56,11 @@ from .combinat import (
     quotient_A,
     quotient_B,
 )
-from .linalg import fraction_rows_to_int, sparse_int_rank
+from .linalg import sparse_int_rank
 from .polyjet import (
     PolyRing,
     TruncPoly,
     jet_conditions,
-    permute_composition,
     pinned_jet_conditions,
     symmetrize,
 )
@@ -83,10 +85,14 @@ def _max_entries() -> int:
     return cap
 
 
+class EntryCapError(RuntimeError):
+    """A condition matrix would exceed the entry cap."""
+
+
 def _check_cap(nrows: int, ncols: int, context: str) -> None:
     cap = _max_entries()
     if nrows * ncols > cap:
-        raise RuntimeError(
+        raise EntryCapError(
             f"{context}: {nrows} x {ncols} matrix exceeds the entry cap {cap}; "
             "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it"
         )
@@ -109,7 +115,8 @@ class SectionTuple:
         missing = [lam for lam in expected if lam not in self.components]
         if missing:
             raise ValueError(f"missing components {missing}")
-        extra = [lam for lam in self.components if tuple(lam) not in set(expected)]
+        expected_set = set(expected)
+        extra = [lam for lam in self.components if tuple(lam) not in expected_set]
         if extra:
             raise ValueError(f"unexpected components {extra}")
         rings = {p.ring for p in self.components.values()}
@@ -208,7 +215,7 @@ def _rep_pairs(n: int, k: int, level: int):
 def _condition_rows(ring: PolyRing, level: int, pairs):
     """Rows of the level-th condition block, grouped by total degree.
 
-    Each row maps (composition, exponent) keys to rational weights; a
+    Each row maps (composition, exponent) keys to integer weights; a
     tuple satisfies the block when every row pairs to zero against its
     coefficients.  A pair ending one point past the ring's last point
     refers to a point pinned at the origin.
@@ -235,44 +242,23 @@ def _condition_rows(ring: PolyRing, level: int, pairs):
     return by_degree
 
 
-def _permute_exponent(e, sigma, n: int):
-    return tuple(e[sigma[j] - 1] for j in range(n)) + tuple(
-        e[n + sigma[j] - 1] for j in range(n)
-    )
-
-
 def _column_orbits(n: int, comps, monos):
     """Orbits of (composition, exponent) columns under slot relabeling.
 
     The relabeling action sends the coefficient of x_lam at e to the
     coefficient of x_(lam o sigma) at the sigma-permuted exponent, with
-    no sign; an invariant tuple is constant on each orbit.
+    no sign; an invariant tuple is constant on each orbit.  Since sigma
+    permutes the slots of lam, of the x-block and of the y-block of e
+    together, the sorted triples (lam_i, e_i, e_(n+i)) name the orbit.
+    Orbits are numbered by first appearance, lam outer and e inner.
     """
-    transpositions = []
-    for i in range(1, n):
-        sigma = list(range(1, n + 1))
-        sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-        transpositions.append(tuple(sigma))
+    ids: dict = {}
     index: dict = {}
-    count = 0
     for lam in comps:
         for e in monos:
-            if (lam, e) in index:
-                continue
-            stack = [(lam, e)]
-            index[(lam, e)] = count
-            while stack:
-                clam, ce = stack.pop()
-                for sigma in transpositions:
-                    nxt = (
-                        permute_composition(clam, sigma),
-                        _permute_exponent(ce, sigma, n),
-                    )
-                    if nxt not in index:
-                        index[nxt] = count
-                        stack.append(nxt)
-            count += 1
-    return count, index
+            key = tuple(sorted(zip(lam, e[:n], e[n:])))
+            index[(lam, e)] = ids.setdefault(key, len(ids))
+    return len(ids), index
 
 
 def _nullities(blocks, columns, max_deg: int, stops, context: str) -> dict:
@@ -293,12 +279,12 @@ def _nullities(blocks, columns, max_deg: int, stops, context: str) -> dict:
                     mapped: dict = {}
                     for key, val in row.items():
                         col = colmap[key]
-                        mapped[col] = mapped.get(col, Fraction(0)) + val
+                        mapped[col] = mapped.get(col, 0) + val
                     accumulated.append({c: v for c, v in mapped.items() if v})
             if level in profile:
                 if accumulated:
                     _check_cap(len(accumulated), ncols, context)
-                    rank = sparse_int_rank(fraction_rows_to_int(accumulated))
+                    rank = sparse_int_rank(accumulated)
                 else:
                     rank = 0
                 profile[level].append(ncols - rank)

@@ -227,6 +227,26 @@ def test_unknown_suite_flag_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_internal_fault_exits_three_with_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "kernel_nullity", broken)
+    rc, out, err = run(capsys, "kernel", "--n", "2", "--k", "3",
+                       "--max-degree", "3")
+    assert rc == 3 and out == ""
+    assert "Traceback" in err and "RecursionError" in err
+
+
+def test_entry_cap_exits_two_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "10")
+    rc, out, err = run(capsys, "kernel", "--n", "2", "--k", "3",
+                       "--max-degree", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+    assert err.count("\n") == 1
+
+
 # --- determinism -------------------------------------------------------
 
 

@@ -27,7 +27,9 @@ from hilbtaut.polyjet import (
     PolyRing,
     TruncPoly,
     intersect_ideal_powers,
+    jet_conditions,
     membership,
+    pinned_jet_conditions,
     symmetrize,
 )
 from hilbtaut.tautops import (
@@ -40,6 +42,7 @@ from hilbtaut.tautops import (
     _match_constant,
     _nullities,
     _nullity_profile,
+    _rep_pairs,
     graded_dims,
     higher_difference,
     kernel_nullity,
@@ -288,13 +291,54 @@ def test_column_orbits_match_relabeling_action():
                 lam: folded[lam] + term[lam] for lam in folded
             }
     monos = ring.monomials(2)
-    _, index = _column_orbits(3, comps, monos)
+    count, index = _column_orbits(3, comps, monos)
     orbit_values = {}
     for lam in comps:
         for e in monos:
             v = folded[lam].coeffs.get(e, Fraction(0))
             oid = index[(lam, e)]
             assert orbit_values.setdefault(oid, v) == v
+
+    def image(lam, e, sigma):
+        return (
+            tuple(lam[s - 1] for s in sigma),
+            tuple(e[s - 1] for s in sigma) + tuple(e[3 + s - 1] for s in sigma),
+        )
+
+    s3 = [(1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 3, 2), (2, 3, 1), (3, 1, 2)]
+    orbits = set()
+    for lam in comps:
+        for e in monos:
+            images = {image(lam, e, sigma) for sigma in s3}
+            assert {index[col] for col in images} == {index[(lam, e)]}
+            orbits.add(frozenset(images))
+    assert count == len(orbits)
+
+    mu_bar = (2, 0, 0)
+    stab = composition_stabilizer(mu_bar)
+    stab_orbits = {
+        frozenset(image(mu_bar, e, sigma)[1] for sigma in stab) for e in monos
+    }
+    graded_count, _ = _column_orbits(3, [mu_bar], monos)
+    assert graded_count == len(stab_orbits)
+
+
+def test_condition_rows_have_integer_weights():
+    n, k, max_deg = 3, 4, 3
+    ring, pinned = PolyRing(n, max_deg), PolyRing(n - 1, max_deg)
+    functionals = []
+    for order in range(1, k):
+        for A in [(1, 2), (1, 3), (2, 3)]:
+            functionals += jet_conditions(A, order, ring)
+        for a in range(1, n):
+            functionals += pinned_jet_conditions(a, order, pinned)
+    for shape, pairs in [(ring, _rep_pairs), (pinned, _all_pairs)]:
+        for level in range(k - 1):
+            for rows in _condition_rows(shape, level, pairs(n, k, level)).values():
+                functionals += rows
+    assert functionals
+    for functional in functionals:
+        assert all(type(c) is int for c in functional.values())
 
 
 def test_kernel_resource_cap(monkeypatch):
