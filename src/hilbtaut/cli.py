@@ -10,8 +10,10 @@ seconds.  Identical invocations produce identical bytes, with the one
 caveat that verification reports carry those timings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
-(a one-line message; exceeding the matrix entry cap counts here), 3
-internal fault (the traceback goes to stderr).
+(a one-line message; a bad HILBTAUT_MAX_MATRIX_ENTRIES and exceeding the
+matrix entry cap count here), 3 internal fault, including any ValueError
+the library raises past the up-front checks (the traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .symrep import antiinv_dims_R, antiinv_dims_rho, verify_omega, verify_sym_m
 from .tautops import (
     EXPONENT_RULES,
     EntryCapError,
+    _max_entries,
     graded_dims,
     graded_totals,
     kernel_nullity,
@@ -744,6 +747,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fields["A"] = tuple(_parse_vec(v) for v in args.A)
     cfg = RunConfig(**fields)
     cfg.validate()
+    try:
+        _max_entries()
+    except ValueError as exc:
+        raise UsageError(str(exc))
     return cfg
 
 
@@ -763,7 +770,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _HANDLERS[cfg.command](cfg)
-    except (UsageError, ValueError, EntryCapError) as exc:
+    except (UsageError, EntryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -11,6 +11,9 @@ orders in closed form.
 
 A capped brute-force orbit enumerator is included; it exists so tests can
 cross-check the closed-form counts against an independent computation.
+It names each orbit by a canonical key read off the whole group (the
+least sorted image tuple over all relabellings of the points), and
+composition stabilizers are likewise filtered out of all of S_n.
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
 length m with p[i-1] = p(i).
@@ -22,18 +25,22 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import sub
 
 BRUTE_FORCE_GROUP_CAP = 100_000
 
 
 @lru_cache(maxsize=None)
 def _compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    if n == 1:
-        return ((k,),)
-    out = []
-    for first in range(k, -1, -1):
-        out.extend((first,) + rest for rest in _compositions(n - 1, k - first))
-    return tuple(out)
+    """Compositions of k into n parts, reverse lexicographic.
+
+    The partial sums c1, c1 + c2, ... of the first n - 1 parts run over
+    the weakly increasing tuples in 0..k, and in lexicographic order they
+    give the compositions in lexicographic order.  Iterative, so n is
+    not bounded by the recursion limit.
+    """
+    sums = list(itertools.combinations_with_replacement(range(k + 1), n - 1))
+    return tuple(tuple(map(sub, cuts + (k,), (0,) + cuts)) for cuts in reversed(sums))
 
 
 def enumerate_compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -353,25 +360,11 @@ def sign_epsilon(i: int, J) -> int:
 def composition_stabilizer(c) -> list[tuple[int, ...]]:
     """All sigma in S_n with c o sigma = c, as explicit permutations.
 
-    These are the products of permutations of equal-value positions
-    (zero positions included).
+    Read off by filtering the whole of S_n, so the list comes out in
+    lexicographic order.
     """
     c = tuple(c)
-    n = len(c)
-    blocks: dict[int, list[int]] = {}
-    for pos, v in enumerate(c, start=1):
-        blocks.setdefault(v, []).append(pos)
-    perms = [tuple(range(1, n + 1))]
-    for positions in blocks.values():
-        new = []
-        for base in perms:
-            for reordering in itertools.permutations(positions):
-                p = list(base)
-                for src, dst in zip(positions, reordering):
-                    p[src - 1] = base[dst - 1]
-                new.append(tuple(p))
-        perms = new
-    return sorted(set(perms))
+    return [p for p in all_permutations(len(c)) if tuple(c[v - 1] for v in p) == c]
 
 
 def all_permutations(m: int) -> list[tuple[int, ...]]:
@@ -436,49 +429,26 @@ def enumerate_multiindex_maps(n: int, k: int, l: int | None = None) -> list[Mult
 def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMap]]:
     """Brute-force orbit partition of I^l under H or G x H.
 
-    Uses adjacent transpositions as generators and a breadth-first sweep,
-    entirely independent of the label-set constructions above.  Hard
-    error when n! * k! exceeds the cap: this enumeration exists only as
-    a test oracle.
+    H permutes slots, so the sorted tuple of a map's images names its
+    H-orbit.  G x H also relabels points, so the least such tuple over
+    all sigma in S_n, images taken as bitmasks, names its G x H-orbit.
+    The key comes from the group action alone, entirely independent of
+    the label-set constructions above.  Orbits are listed in order of
+    their first member, members in enumeration order.  Hard error when
+    n! * k! exceeds the cap: this enumeration exists only as a test
+    oracle.
     """
     if factorial(n) * factorial(k) > BRUTE_FORCE_GROUP_CAP:
         raise ValueError("group too large for brute-force enumeration")
     if group not in ("H", "GxH"):
         raise ValueError("group must be 'H' or 'GxH'")
-    maps = enumerate_multiindex_maps(n, k, l)
-    index = {a: i for i, a in enumerate(maps)}
-
-    gens = []
-    ident_n = tuple(range(1, n + 1))
-    ident_k = tuple(range(1, k + 1))
-    for i in range(1, k):
-        tau = list(ident_k)
-        tau[i - 1], tau[i] = tau[i], tau[i - 1]
-        gens.append((None, tuple(tau)))
-    if group == "GxH":
-        for i in range(1, n):
-            sig = list(ident_n)
-            sig[i - 1], sig[i] = sig[i], sig[i - 1]
-            gens.append((tuple(sig), None))
-
-    seen = [False] * len(maps)
-    out = []
-    for start in range(len(maps)):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [maps[start]]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for sigma, tau in gens:
-                    b = act(a, sigma, tau)
-                    j = index[b]
-                    if not seen[j]:
-                        seen[j] = True
-                        orbit.append(j)
-                        nxt.append(b)
-            frontier = nxt
-        out.append([maps[j] for j in sorted(orbit)])
-    return out
+    sigmas = all_permutations(n) if group == "GxH" else [tuple(range(1, n + 1))]
+    pool = _subset_pool(n)
+    # one lookup per sigma: subset -> bitmask of its sigma-image
+    relabel = [{s: sum(1 << sigma[j - 1] for j in s) for s in pool}.__getitem__
+               for sigma in sigmas]
+    classes: dict[tuple[int, ...], list[MultiIndexMap]] = {}
+    for a in enumerate_multiindex_maps(n, k, l):
+        key = min([tuple(sorted(map(f, a.images))) for f in relabel])
+        classes.setdefault(key, []).append(a)
+    return list(classes.values())

@@ -30,21 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
+from .combinat import _compositions
 from .linalg import nullspace
-
-
-@lru_cache(maxsize=None)
-def _exponents(nvars: int, total: int) -> tuple:
-    if nvars == 1:
-        return ((total,),)
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _exponents(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return tuple(out)
 
 
 class PolyRing:
@@ -60,11 +49,11 @@ class PolyRing:
         self.nvars = 2 * n
 
     def monomials(self, degree: int) -> tuple:
-        """All exponent vectors of one exact total degree, in a fixed
-        lexicographic order."""
+        """All exponent vectors of one exact total degree, in reverse
+        lexicographic order (the composition order of combinat)."""
         if not 0 <= degree <= self.max_deg:
             raise ValueError(f"degree {degree} outside truncation")
-        return _exponents(self.nvars, degree)
+        return _compositions(self.nvars, degree)
 
     def monomials_up_to(self, degree: int | None = None):
         if degree is None:

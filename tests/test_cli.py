@@ -247,6 +247,41 @@ def test_entry_cap_exits_two_with_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_library_value_error_exits_three_with_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("library fault")
+
+    monkeypatch.setattr(cli, "kernel_nullity", broken)
+    rc, out, err = run(capsys, "kernel", "--n", "2", "--k", "3",
+                       "--max-degree", "3")
+    assert rc == 3 and out == ""
+    assert "Traceback" in err and "ValueError: library fault" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--n", "2", "--k", "3", "--max-degree", "3"),
+    ("verify", "--suite", "kernel-vs-graded"),
+])
+def test_bad_cap_value_exits_two_with_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "lots")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: HILBTAUT_MAX_MATRIX_ENTRIES") and "'lots'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,key,want", [
+    (("kernel", "--n", "600", "--k", "1", "--max-degree", "0"), "cumulative", [1]),
+    (("kernel", "--n", "600", "--k", "1", "--max-degree", "0", "--full"),
+     "cumulative", [600]),
+    (("graded", "--n", "600", "--k", "1", "--max-degree", "0"), "totals", [1]),
+])
+def test_six_hundred_points_at_degree_zero(capsys, argv, key, want):
+    # enumerations deeper than the recursion limit must still answer
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)[key] == want
+
+
 # --- determinism -------------------------------------------------------
 
 

@@ -35,6 +35,7 @@ from hilbtaut.combinat import (
     sign_epsilon,
     stabilizer_order,
 )
+from hilbtaut.polyjet import PolyRing
 
 
 # --- oracles -----------------------------------------------------------
@@ -50,6 +51,52 @@ def stab_order_direct(a, group):
             if act(a, sigma, tau) == a:
                 count += 1
     return count
+
+
+def bfs_orbits(n, k, l, group):
+    """The breadth-first orbit search over adjacent transpositions that
+    the canonical-key orbits replaced, rebuilt on the public action."""
+    maps = enumerate_multiindex_maps(n, k, l)
+    index = {a: i for i, a in enumerate(maps)}
+    gens = []
+    for i in range(1, k):
+        tau = list(range(1, k + 1))
+        tau[i - 1], tau[i] = tau[i], tau[i - 1]
+        gens.append((None, tuple(tau)))
+    if group == "GxH":
+        for i in range(1, n):
+            sigma = list(range(1, n + 1))
+            sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
+            gens.append((tuple(sigma), None))
+    seen = [False] * len(maps)
+    out = []
+    for start in range(len(maps)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        frontier = [maps[start]]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for sigma, tau in gens:
+                    b = act(a, sigma, tau)
+                    j = index[b]
+                    if not seen[j]:
+                        seen[j] = True
+                        orbit.append(j)
+                        nxt.append(b)
+            frontier = nxt
+        out.append([maps[j] for j in sorted(orbit)])
+    return out
+
+
+def recursive_compositions(n, k):
+    """The recursive enumeration the partial-sum one replaced."""
+    if n == 1:
+        return [(k,)]
+    return [(first,) + rest for first in range(k, -1, -1)
+            for rest in recursive_compositions(n - 1, k - first)]
 
 
 def mmap(n, *sets):
@@ -70,6 +117,17 @@ def test_composition_counts_and_order():
 def test_composition_order_is_rlex():
     cs = enumerate_compositions(3, 3)
     assert cs == sorted(cs, reverse=True)
+
+
+def test_compositions_match_recursive_order():
+    for n, kmax in [(2, 8), (4, 6), (6, 5), (8, 5)]:
+        for k in range(0, kmax + 1):
+            assert enumerate_compositions(n, k) == recursive_compositions(n, k)
+    for n, d in [(1, 5), (2, 4), (3, 3), (4, 2)]:
+        assert list(PolyRing(n, d).monomials(d)) == recursive_compositions(2 * n, d)
+    # deeper than the recursion limit
+    assert len(enumerate_compositions(600, 1)) == 600
+    assert enumerate_compositions(600, 0) == [(0,) * 600]
 
 
 def test_partition_enumeration():
@@ -183,6 +241,14 @@ def test_quotients_match_orbit_counts(n, k):
             assert stabilizer_order(rep, "H") * len(orb) == factorial(k)
 
 
+@pytest.mark.parametrize("n,kmax", [(1, 5), (2, 5), (3, 5), (4, 3)])
+def test_orbits_match_bfs_search(n, kmax):
+    for k in range(1, kmax + 1):
+        for l in range(0, k + 1):
+            for group in ("H", "GxH"):
+                assert orbits(n, k, l, group) == bfs_orbits(n, k, l, group)
+
+
 def test_psi_label_classifies_H_orbits():
     for orb in orbits(3, 4, 2, "H"):
         labels = {psi(a) for a in orb}
@@ -280,6 +346,16 @@ def test_composition_stabilizer():
         assert tuple((1, 1, 0)[sigma.index(i + 1)] for i in range(3)) == (1, 1, 0)
     assert len(composition_stabilizer((2, 0, 0, 0))) == 6
     assert len(composition_stabilizer((3, 2, 1))) == 1
+    for n in range(1, 5):
+        for k in range(0, 5):
+            for c in enumerate_compositions(n, k):
+                stab = composition_stabilizer(c)
+                blocks = 1
+                for v in set(c):
+                    blocks *= factorial(c.count(v))
+                assert len(stab) == blocks
+                for sigma in stab:
+                    assert tuple(c[sigma.index(i + 1)] for i in range(n)) == c
 
 
 def test_nu_of_composition():
