@@ -10,10 +10,11 @@ seconds.  Identical invocations produce identical bytes, with the one
 caveat that verification reports carry those timings.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
-(a one-line message; a bad HILBTAUT_MAX_MATRIX_ENTRIES and exceeding the
-matrix entry cap count here), 3 internal fault, including any ValueError
-the library raises past the up-front checks (the traceback goes to
-stderr).
+(a one-line message; bad arguments, a bad HILBTAUT_MAX_MATRIX_ENTRIES and
+exceeding the matrix entry cap count here, inside a verification case
+too), 3 internal fault, including any ValueError the library raises past
+the up-front checks and any exception in a verification case other than
+a failed check (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -73,6 +74,13 @@ FORMATS = ("text", "csv", "json")
 
 class UsageError(Exception):
     """Bad parameters or config; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, not SystemExit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -387,8 +395,9 @@ def cmd_reps(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-# each case is (key, thunk); thunks return a detail dict and raise on
-# failure, so a suite result is reproducible and sortable by key
+# each case is (key, thunk); thunks return a detail dict and raise one of
+# _CHECK_FAILURES on failure, so a suite result is reproducible and
+# sortable by key
 
 
 def _suite_toeplitz(cfg: RunConfig):
@@ -594,6 +603,11 @@ _SUITE_BUILDERS = {
 }
 
 
+# What the verify_* functions and the case thunks raise when a check
+# fails; the entry cap and internal faults propagate to main instead.
+_CHECK_FAILURES = (AssertionError, ValueError, ArithmeticError)
+
+
 def _run_cases(cases):
     """Run every case in turn, timing each, and report sorted by case key."""
     results = []
@@ -602,7 +616,7 @@ def _run_cases(cases):
         try:
             detail = thunk() or {}
             ok = True
-        except Exception as exc:
+        except _CHECK_FAILURES as exc:
             detail = {"error": str(exc)}
             ok = False
         results.append((key, ok, detail, time.perf_counter() - start))
@@ -656,7 +670,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbtaut",
         description="Exact tables and checks for symmetric powers of "
         "tautological bundles.",
@@ -675,9 +689,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chi.add_argument("--n", type=int, required=True)
     p_chi.add_argument("--k", type=int, required=True)
     p_chi.add_argument("--L", action="append", required=True,
-                       help="line bundle class, ints joined by ':' (repeatable)")
+                       help="line bundle class, ints joined by ':' "
+                       "(repeatable; write a negative one as --L=-1:0)")
     p_chi.add_argument("--A", action="append", required=True,
-                       help="twist class, same shape as --L (repeatable)")
+                       help="twist class, same shape as --L "
+                       "(repeatable; write a negative one as --A=-1:0)")
 
     p_ker = sub.add_parser("kernel", help="cumulative kernel dimensions",
         parents=[fmt_parent])
@@ -765,10 +781,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(_build_parser().parse_args(argv))
         return _HANDLERS[cfg.command](cfg)
     except (UsageError, EntryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

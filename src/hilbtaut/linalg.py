@@ -63,14 +63,19 @@ def _reduce_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def sparse_int_rank(rows) -> int:
-    """Rank of a sparse integer matrix given as dicts {column: value}.
+def sparse_int_rank(rows, pivots: dict | None = None) -> int:
+    """Rank that rows, dicts {column: value}, add to a pivot dict.
 
     Incremental elimination keyed by pivot column with integer
     cross-multiplication; rows are gcd-reduced after each combination to
-    keep entries small.  Exact.
+    keep entries small.  Exact.  Each new pivot row is stored in pivots,
+    so rows fed in chunks into one dict are eliminated once each, and the
+    increments sum to the rank of all of them; with no dict given, a
+    fresh one is used and the result is the plain rank of rows.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    if pivots is None:
+        pivots = {}
+    before = len(pivots)
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
         while row:
@@ -86,7 +91,7 @@ def sparse_int_rank(rows) -> int:
             for col, v in p.items():
                 merged[col] = merged.get(col, 0) - v * rc
             row = _reduce_row({col: v for col, v in merged.items() if v})
-    return len(pivots)
+    return len(pivots) - before
 
 
 def int_rank(matrix) -> int:

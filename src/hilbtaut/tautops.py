@@ -30,15 +30,19 @@ column orbits rely on.
 
 The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
-solves the kernel and graded systems alike.
+solves the kernel and graded systems alike.  The stacked systems are
+nested, block l only adding rows, so the engine runs one elimination per
+degree: it feeds the blocks in order into a single pivot dict and reads
+every level's nullity on the way, eliminating each row once.
 
 The linear algebra is exact throughout, and in integers end to end: jet
 conditions carry integer weights, condition rows and column sums stay
-integers, and the elimination takes them as they are.  Matrix sizes,
-kernel and graded alike, are bounded by a cap (override with the
-environment variable ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in
-the arguments fails fast instead of grinding; exceeding it raises
-EntryCapError.
+integers, and the elimination takes them as they are.  Sizes are bounded
+by a cap (override with the environment variable
+``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
+fast instead of grinding: each degree's full stack of rows times its
+columns, kernel and graded alike, and the column orbit key table,
+columns times points.  Exceeding it raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -251,7 +255,10 @@ def _column_orbits(n: int, comps, monos):
     permutes the slots of lam, of the x-block and of the y-block of e
     together, the sorted triples (lam_i, e_i, e_(n+i)) name the orbit.
     Orbits are numbered by first appearance, lam outer and e inner.
+    The keys, n triples per column, are a table under the entry cap,
+    checked before any key is built.
     """
+    _check_cap(len(comps) * len(monos), n, "column orbit keys")
     ids: dict = {}
     index: dict = {}
     for lam in comps:
@@ -261,56 +268,64 @@ def _column_orbits(n: int, comps, monos):
     return len(ids), index
 
 
-def _nullities(blocks, columns, max_deg: int, stops, context: str) -> dict:
-    """Per-degree nullities of stacked row blocks, each matrix capped.
+def _nullities(blocks, columns, max_deg: int, context: str) -> list:
+    """Per-degree nullities at every level of a stack of row blocks.
 
     blocks map a degree to rows keyed like the columns; columns(d) gives
-    (ncols, colmap), and keys sharing a column add up.  Each stop l, at
-    most len(blocks), imposes the first l blocks; the result maps it to
-    nullities by degree.  context names the system in the cap error.
+    (ncols, colmap), and keys sharing a column add up.  Level l imposes
+    the first l blocks.  Each degree keeps one pivot dict and feeds it
+    the blocks in order, so every row is eliminated once and level l is
+    read off right after block l.  The result is indexed by level, 0
+    through len(blocks), then by degree.  The cap is checked once per
+    degree, on the full stack, before any elimination; context names the
+    system in the cap error.
     """
-    profile = {l: [] for l in stops}
+    profile: list = [[] for _ in range(len(blocks) + 1)]
     for d in range(max_deg + 1):
         ncols, colmap = columns(d)
-        accumulated: list = []
-        for level in range(len(blocks) + 1):
-            if level > 0:
-                for row in blocks[level - 1].get(d, []):
-                    mapped: dict = {}
-                    for key, val in row.items():
-                        col = colmap[key]
-                        mapped[col] = mapped.get(col, 0) + val
-                    accumulated.append({c: v for c, v in mapped.items() if v})
-            if level in profile:
-                if accumulated:
-                    _check_cap(len(accumulated), ncols, context)
-                    rank = sparse_int_rank(accumulated)
-                else:
-                    rank = 0
-                profile[level].append(ncols - rank)
+        nrows = sum(len(block.get(d, ())) for block in blocks)
+        if nrows:
+            _check_cap(nrows, ncols, context)
+        pivots: dict = {}
+        rank = 0
+        profile[0].append(ncols)
+        for level, block in enumerate(blocks, start=1):
+            rows = []
+            for row in block.get(d, ()):
+                mapped: dict = {}
+                for key, val in row.items():
+                    col = colmap[key]
+                    mapped[col] = mapped.get(col, 0) + val
+                rows.append({c: v for c, v in mapped.items() if v})
+            rank += sparse_int_rank(rows, pivots)
+            profile[level].append(ncols - rank)
     return profile
 
 
-def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool, stops):
-    """Per-degree nullities of the stacked systems with the first l blocks.
+def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
+    """Per-degree nullities of the stacked kernel systems, at every level.
 
-    stops lists the values of l to report; l = 0 means no conditions.
-    The result maps each stop to a list indexed by total degree.  Full
-    systems are solved with point n pinned at the origin, then tensored
-    with Q[x_n, y_n] (see the module docstring).
+    Level l imposes the condition blocks of orders 1 through l, for l up
+    to max(k - 1, 0); l = 0 means no conditions.  The result is indexed
+    by level, then by total degree.  Full systems are solved with point
+    n pinned at the origin, then tensored with Q[x_n, y_n] (see the
+    module docstring).
     """
     comps = enumerate_compositions(n, k)
-    top = max(stops, default=0)
+    levels = max(k - 1, 0)
     if invariant:
         ring = PolyRing(n, max_deg)
         pairs = _rep_pairs
     elif n == 1:
         # No pairs: every tuple of polynomials in x_1, y_1 is a solution.
-        return {l: [(d + 1) * len(comps) for d in range(max_deg + 1)] for l in stops}
+        return [
+            [(d + 1) * len(comps) for d in range(max_deg + 1)]
+            for _ in range(levels + 1)
+        ]
     else:
         ring = PolyRing(n - 1, max_deg)
         pairs = _all_pairs
-    blocks = [_condition_rows(ring, level, pairs(n, k, level)) for level in range(top)]
+    blocks = [_condition_rows(ring, level, pairs(n, k, level)) for level in range(levels)]
 
     def columns(d):
         if invariant:
@@ -318,13 +333,13 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool, stops):
         colmap = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
         return len(colmap), colmap
 
-    profile = _nullities(blocks, columns, max_deg, stops, f"kernel system ({n},{k})")
+    profile = _nullities(blocks, columns, max_deg, f"kernel system ({n},{k})")
     if invariant:
         return profile
-    return {
-        l: [sum((j + 1) * dims[d - j] for j in range(d + 1)) for d in range(max_deg + 1)]
-        for l, dims in profile.items()
-    }
+    return [
+        [sum((j + 1) * dims[d - j] for j in range(d + 1)) for d in range(max_deg + 1)]
+        for dims in profile
+    ]
 
 
 def kernel_nullity(
@@ -341,9 +356,7 @@ def kernel_nullity(
     """
     if n < 1 or k < 0 or max_deg < 0:
         raise ValueError("need n >= 1, k >= 0, max_deg >= 0")
-    final = max(k - 1, 0)
-    profile = _nullity_profile(n, k, max_deg, invariant, [final])
-    return tuple(accumulate(profile[final]))
+    return tuple(accumulate(_nullity_profile(n, k, max_deg, invariant)[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +411,7 @@ def graded_dims(
         def columns(d):
             return _column_orbits(n, [mu_bar], ring.monomials(d))
 
-        piece = _nullities([rows], columns, max_deg, [1], f"graded piece {mu} ({n},{k})")
+        piece = _nullities([rows], columns, max_deg, f"graded piece {mu} ({n},{k})")
         out[tuple(mu)] = tuple(accumulate(piece[1]))
     return out
 
@@ -459,11 +472,12 @@ def verify_filtration(
     if k < 1:
         raise ValueError("the comparison needs k >= 1")
     exploratory = not (n <= 2 or k <= 4)
-    stops = list(range(k))
-    inv = _nullity_profile(n, k, max_deg, True, stops)
-    full = _nullity_profile(n, k, max_deg, False, stops)
-    inv_rows = tuple(tuple(accumulate(inv[l])) for l in stops)
-    full_rows = tuple(tuple(accumulate(full[l])) for l in stops)
+    inv_rows = tuple(
+        tuple(accumulate(dims)) for dims in _nullity_profile(n, k, max_deg, True)
+    )
+    full_rows = tuple(
+        tuple(accumulate(dims)) for dims in _nullity_profile(n, k, max_deg, False)
+    )
     for l in range(1, k):
         for d in range(max_deg + 1):
             if inv_rows[l][d] > inv_rows[l - 1][d] or full_rows[l][d] > full_rows[l - 1][d]:

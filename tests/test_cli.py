@@ -221,10 +221,52 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 
 def test_unknown_suite_flag_exits_two(capsys):
+    rc, out, err = run(capsys, "verify", "--suite", "nonsense")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "nonsense" in err
+    assert err.count("\n") == 1
+
+
+def test_missing_argument_exits_two_with_one_line(capsys):
+    rc, out, err = run(capsys, "kernel", "--n", "2", "--k", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--max-degree" in err
+    assert err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "nonsense"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+        cli.main(["kernel", "--help"])
+    assert exc.value.code == 0
+    assert "--max-degree" in capsys.readouterr().out
+
+
+def test_negative_bundle_class_after_equals_sign(capsys):
+    rc, out, _ = run(capsys, "chi", "--surface", "p1xp1", "--n", "2", "--k", "2",
+                     "--L=-1:2", "--A=0:-1", "--format", "json")
+    assert rc == 0
+    row = json.loads(out)["rows"][0]
+    assert row["L"] == [-1, 2] and row["A"] == [0, -1]
+
+
+def test_verify_entry_cap_exits_two_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "10")
+    rc, out, err = run(capsys, "verify", "--suite", "kernel-vs-graded")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+    assert err.count("\n") == 1
+
+
+def test_verify_internal_fault_exits_three_with_traceback(capsys, monkeypatch):
+    def broken(cfg):
+        def boom():
+            raise TypeError("internal fault")
+        return [("broken case", boom)]
+
+    monkeypatch.setitem(cli._SUITE_BUILDERS, "toeplitz", broken)
+    rc, out, err = run(capsys, "verify", "--suite", "toeplitz")
+    assert rc == 3 and out == ""
+    assert "Traceback" in err and "TypeError: internal fault" in err
 
 
 def test_internal_fault_exits_three_with_traceback(capsys, monkeypatch):
@@ -267,6 +309,15 @@ def test_bad_cap_value_exits_two_with_one_line(capsys, monkeypatch, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("error: HILBTAUT_MAX_MATRIX_ENTRIES") and "'lots'" in err
+    assert err.count("\n") == 1
+
+
+def test_orbit_keys_over_the_cap_exit_two(capsys):
+    # 720,000 columns keyed by 600 triples each: refused before keying
+    rc, out, err = run(capsys, "kernel", "--n", "600", "--k", "1",
+                       "--max-degree", "1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: column orbit keys") and "cap" in err
     assert err.count("\n") == 1
 
 

@@ -201,6 +201,26 @@ def test_rank_independent_of_column_order():
     assert r1 == r2
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5, 17])
+def test_rank_increments_sum_to_rank(chunk):
+    ring = PolyRing(3, 3)
+    index = {e: i for i, e in enumerate(ring.monomials_up_to())}
+    rows = [
+        {index[e]: c for e, c in row.items()}
+        for pair in [(1, 2), (1, 3), (2, 3)]
+        for order in (1, 2, 3)
+        for row in jet_conditions(pair, order, ring)
+    ]
+    pivots = {}
+    increments = [
+        sparse_int_rank(rows[i : i + chunk], pivots)
+        for i in range(0, len(rows), chunk)
+    ]
+    assert min(increments) == 0 < max(increments)
+    assert sum(increments) == len(pivots) == sparse_int_rank(rows)
+    assert sparse_int_rank(rows, pivots) == 0
+
+
 def test_symmetrize_on_variables():
     ring = PolyRing(2, 3)
     swap = (2, 1)

@@ -34,6 +34,7 @@ from hilbtaut.polyjet import (
 )
 from hilbtaut.tautops import (
     EXPONENT_RULES,
+    EntryCapError,
     FiltrationReport,
     SectionTuple,
     _all_pairs,
@@ -154,7 +155,7 @@ def brute_kernel_dims_n2(k, max_deg, invariant):
     return tuple(out)
 
 
-def unpinned_full_profile(n, k, max_deg, stops):
+def unpinned_full_profile(n, k, max_deg):
     """Per-degree nullities of the full stacked systems on all n points.
 
     Every pair keeps its jet conditions in the original coordinates and
@@ -165,14 +166,56 @@ def unpinned_full_profile(n, k, max_deg, stops):
     comps = enumerate_compositions(n, k)
     blocks = [
         _condition_rows(ring, level, _all_pairs(n, k, level))
-        for level in range(max(stops))
+        for level in range(max(k - 1, 0))
     ]
 
     def columns(d):
         cols = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
         return len(cols), cols
 
-    return _nullities(blocks, columns, max_deg, stops, "unpinned full system")
+    return _nullities(blocks, columns, max_deg, "unpinned full system")
+
+
+def restacked_profile(n, k, max_deg, invariant):
+    """Every level of _nullity_profile, each ranked from scratch.
+
+    Level l stacks the rows of the first l condition blocks and ranks
+    them with a fresh sparse_int_rank, so no pivot is shared between
+    levels.  Systems are set up as in _nullity_profile: invariant ones
+    over column orbits on n points, full ones pinned on n - 1 points and
+    tensored with Q[x_n, y_n].
+    """
+    comps = enumerate_compositions(n, k)
+    ring = PolyRing(n if invariant else n - 1, max_deg)
+    pairs = _rep_pairs if invariant else _all_pairs
+    blocks = [
+        _condition_rows(ring, level, pairs(n, k, level)) for level in range(max(k - 1, 0))
+    ]
+    profile = []
+    for level in range(len(blocks) + 1):
+        dims = []
+        for d in range(max_deg + 1):
+            if invariant:
+                ncols, colmap = _column_orbits(n, comps, ring.monomials(d))
+            else:
+                keys = product(comps, ring.monomials(d))
+                colmap = {key: i for i, key in enumerate(keys)}
+                ncols = len(colmap)
+            rows = []
+            for block in blocks[:level]:
+                for row in block.get(d, []):
+                    mapped = {}
+                    for key, val in row.items():
+                        mapped[colmap[key]] = mapped.get(colmap[key], 0) + val
+                    rows.append(mapped)
+            dims.append(ncols - sparse_int_rank(rows))
+        if not invariant:
+            dims = [
+                sum((j + 1) * dims[d - j] for j in range(d + 1))
+                for d in range(max_deg + 1)
+            ]
+        profile.append(dims)
+    return profile
 
 
 def reynolds_graded_dims(n, k, max_deg, exponent_rule):
@@ -255,21 +298,19 @@ def test_invariant_never_exceeds_full():
 
 def test_condition_orbit_representatives_suffice():
     for n, k, max_deg in [(2, 4, 2), (3, 3, 2)]:
-        stops = [max(k - 1, 0)]
         ring = PolyRing(n, max_deg)
         comps = enumerate_compositions(n, k)
         blocks = [
             _condition_rows(ring, level, _all_pairs(n, k, level))
-            for level in range(stops[0])
+            for level in range(k - 1)
         ]
         complete = _nullities(
             blocks,
             lambda d: _column_orbits(n, comps, ring.monomials(d)),
             max_deg,
-            stops,
             "all-pairs invariant system",
         )
-        assert _nullity_profile(n, k, max_deg, True, stops) == complete
+        assert _nullity_profile(n, k, max_deg, True) == complete
 
 
 def test_column_orbits_match_relabeling_action():
@@ -347,6 +388,24 @@ def test_kernel_resource_cap(monkeypatch):
         kernel_nullity(2, 3, 3, invariant=False)
 
 
+def test_filtration_resource_cap(monkeypatch):
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "10")
+    with pytest.raises(EntryCapError, match="cap"):
+        verify_filtration(2, 3, 3)
+
+
+def test_column_orbit_keys_are_capped(monkeypatch):
+    # 6 compositions x 6 monomials of degree 1, keyed by 3 triples each
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
+    ring = PolyRing(3, 1)
+    comps = enumerate_compositions(3, 2)
+    assert _column_orbits(3, comps, ring.monomials(0))[0] == 2
+    with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
+        _column_orbits(3, comps, ring.monomials(1))
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
+    assert _column_orbits(3, comps, ring.monomials(1))[0] > 0
+
+
 @pytest.mark.parametrize("raw", ["lots", "2.5", "", "0", "-3"])
 def test_kernel_cap_rejects_bad_value(monkeypatch, raw):
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", raw)
@@ -360,9 +419,26 @@ def test_kernel_cap_rejects_bad_value(monkeypatch, raw):
     + [(3, 3, 3), (3, 4, 3), (4, 3, 2), (1, 0, 3), (1, 1, 3), (1, 3, 3), (3, 0, 2), (3, 1, 2)],
 )
 def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
-    stops = list(range(max(k, 1)))
-    assert _nullity_profile(n, k, max_deg, False, stops) == unpinned_full_profile(
-        n, k, max_deg, stops
+    assert _nullity_profile(n, k, max_deg, False) == unpinned_full_profile(
+        n, k, max_deg
+    )
+
+
+# The five kernel-vs-graded configurations and the first exploratory size
+# (3, 5, 4) in both modes, and a four-point system; full (4, 3, 3) is over
+# the default cap.
+@pytest.mark.parametrize(
+    "n,k,max_deg,invariant",
+    [
+        (n, k, max_deg, invariant)
+        for n, k, max_deg in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3), (3, 5, 4)]
+        for invariant in (True, False)
+    ]
+    + [(4, 3, 3, True)],
+)
+def test_every_level_matches_restacked_ranks(n, k, max_deg, invariant):
+    assert _nullity_profile(n, k, max_deg, invariant) == restacked_profile(
+        n, k, max_deg, invariant
     )
 
 
