@@ -51,6 +51,7 @@ from .tautops import (
     _max_entries,
     graded_dims,
     graded_totals,
+    in_proven_range,
     kernel_nullity,
     verify_filtration,
     verify_invariant_local_formula,
@@ -108,25 +109,15 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}")
         for name in ("n", "k", "max_degree", "l", "j"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
-        if self.n is not None and self.n == 0:
+        # --n counts points here; toeplitz's T matrices take n = 0
+        if self.n == 0 and self.command in ("chi", "kernel", "graded"):
             raise UsageError("--n must be at least 1")
         if self.m is not None and self.m < 1:
             raise UsageError("--m must be at least 1")
-        if self.suite not in SUITES:
-            raise UsageError(f"suite must be one of {SUITES}")
-        if self.rule not in EXPONENT_RULES:
-            raise UsageError(f"rule must be one of {EXPONENT_RULES}")
-
-    def in_proven_range(self) -> bool:
-        return (self.n is not None and self.n <= 2) or (
-            self.k is not None and self.k <= 4
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +177,7 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _gate_range(cfg: RunConfig) -> None:
-    if not cfg.in_proven_range() and not cfg.exploratory:
+    if not in_proven_range(cfg.n, cfg.k) and not cfg.exploratory:
         raise UsageError(
             f"(n, k) = ({cfg.n}, {cfg.k}) is outside the established range "
             "(n <= 2 or k <= 4); pass --exploratory to compute anyway"
@@ -198,12 +189,9 @@ def _gate_range(cfg: RunConfig) -> None:
 
 
 def cmd_chi(cfg: RunConfig) -> int:
-    _require(cfg, "n", "k")
-    if not cfg.L or not cfg.A:
-        raise UsageError("--L and --A are required (repeat for a batch)")
     s = _load(cfg)
     graded = cfg.n == 2
-    half = (cfg.k or 0) // 2
+    half = cfg.k // 2
     header = "surface,n,k,L,A,chi"
     if graded:
         header += "," + ",".join(f"gr_{j}" for j in range(half + 1))
@@ -253,9 +241,9 @@ def cmd_chi(cfg: RunConfig) -> int:
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
-    _require(cfg, "n", "k", "max_degree")
     _gate_range(cfg)
     dims = kernel_nullity(cfg.n, cfg.k, cfg.max_degree, invariant=cfg.invariant)
+    conjectural = not in_proven_range(cfg.n, cfg.k)
     payload = {
         "command": "kernel",
         "n": cfg.n,
@@ -264,13 +252,13 @@ def cmd_kernel(cfg: RunConfig) -> int:
         "invariant": cfg.invariant,
         "cumulative": list(dims),
     }
-    if not cfg.in_proven_range():
+    if conjectural:
         payload["conjectural"] = True
     mode = "invariant" if cfg.invariant else "full"
     text = (
         f"kernel n={cfg.n} k={cfg.k} {mode} cumulative by degree: {list(dims)}"
     )
-    if not cfg.in_proven_range():
+    if conjectural:
         text += " (conjectural)"
     header = "n,k,invariant," + ",".join(
         f"deg_{d}" for d in range(cfg.max_degree + 1)
@@ -284,10 +272,10 @@ def cmd_kernel(cfg: RunConfig) -> int:
 
 
 def cmd_graded(cfg: RunConfig) -> int:
-    _require(cfg, "n", "k", "max_degree")
     _gate_range(cfg)
     pieces = graded_dims(cfg.n, cfg.k, cfg.max_degree, exponent_rule=cfg.rule)
     totals = list(graded_totals(pieces))
+    conjectural = not in_proven_range(cfg.n, cfg.k)
     payload = {
         "command": "graded",
         "n": cfg.n,
@@ -300,7 +288,7 @@ def cmd_graded(cfg: RunConfig) -> int:
         ],
         "totals": totals,
     }
-    if not cfg.in_proven_range():
+    if conjectural:
         payload["conjectural"] = True
     header = "mu," + ",".join(f"deg_{d}" for d in range(cfg.max_degree + 1))
     csv_lines = [header]
@@ -310,7 +298,7 @@ def cmd_graded(cfg: RunConfig) -> int:
         text_lines.append(f"  mu={_vec_str(mu)}: {list(dims)}")
     csv_lines.append("total," + ",".join(str(t) for t in totals))
     text_lines.append(f"  total: {totals}")
-    if not cfg.in_proven_range():
+    if conjectural:
         text_lines.append("  (conjectural)")
     _emit(cfg, payload, text_lines, csv_lines)
     return 0
@@ -368,7 +356,6 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
 
 
 def cmd_reps(cfg: RunConfig) -> int:
-    _require(cfg, "k")
     if cfg.k < 1:
         raise UsageError("--k must be at least 1")
     rho = antiinv_dims_rho(cfg.k)

@@ -30,19 +30,22 @@ column orbits rely on.
 
 The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
-solves the kernel and graded systems alike.  The stacked systems are
-nested, block l only adding rows, so the engine runs one elimination per
-degree: it feeds the blocks in order into a single pivot dict and reads
-every level's nullity on the way, eliminating each row once.
+solves the kernel and graded systems alike: it takes row blocks and
+builds its own (composition, exponent) columns, folded into relabeling
+orbits or not.  The stacked systems are nested, block l only adding
+rows, so the engine runs one elimination per degree: it feeds the blocks
+in order into a single pivot dict and reads every level's nullity on the
+way, eliminating each row once.
 
 The linear algebra is exact throughout, and in integers end to end: jet
 conditions carry integer weights, condition rows and column sums stay
 integers, and the elimination takes them as they are.  Sizes are bounded
 by a cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
-fast instead of grinding: each degree's full stack of rows times its
-columns, kernel and graded alike, and the column orbit key table,
-columns times points.  Exceeding it raises EntryCapError.
+fast instead of grinding.  Every system's column key table, keys times
+points, is checked from its size before any column is built, folded or
+not; then each degree's full stack of rows times its columns is checked
+before it is eliminated.  Exceeding either raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -216,6 +219,19 @@ def _rep_pairs(n: int, k: int, level: int):
     return out
 
 
+def _jet_rows(by_degree: dict, jets, support) -> None:
+    """Append one row per jet functional to by_degree, under its degree.
+
+    A functional maps exponents e to integer weights c; its row puts
+    cf * c on the key (lam, e) for every (lam, cf) in support.
+    """
+    for functional in jets:
+        degree = sum(next(iter(functional)))
+        by_degree.setdefault(degree, []).append(
+            {(lam, e): cf * c for lam, cf in support for e, c in functional.items()}
+        )
+
+
 def _condition_rows(ring: PolyRing, level: int, pairs):
     """Rows of the level-th condition block, grouped by total degree.
 
@@ -235,54 +251,54 @@ def _condition_rows(ring: PolyRing, level: int, pairs):
             else:
                 jets = jet_conditions(A, order, ring)
             jets_cache[A] = jets
-        support = _difference_support(mu, A[0], A[1], order)
-        for functional in jets:
-            degree = sum(next(iter(functional)))
-            row = {}
-            for e, c in functional.items():
-                for lam, cf in support:
-                    row[(lam, e)] = cf * c
-            by_degree.setdefault(degree, []).append(row)
+        _jet_rows(by_degree, jets, _difference_support(mu, A[0], A[1], order))
     return by_degree
 
 
-def _column_orbits(n: int, comps, monos):
-    """Orbits of (composition, exponent) columns under slot relabeling.
+def _columns(comps, ring: PolyRing, d: int, fold: bool):
+    """(ncols, index): the column of every key (lam, e), lam in comps and
+    e a degree-d monomial of ring.
 
-    The relabeling action sends the coefficient of x_lam at e to the
-    coefficient of x_(lam o sigma) at the sigma-permuted exponent, with
+    Unfolded, each key is its own column.  Folded, keys are grouped into
+    orbits under slot relabeling, which sends the coefficient of x_lam
+    at e to that of x_(lam o sigma) at the sigma-permuted exponent, with
     no sign; an invariant tuple is constant on each orbit.  Since sigma
-    permutes the slots of lam, of the x-block and of the y-block of e
-    together, the sorted triples (lam_i, e_i, e_(n+i)) name the orbit.
-    Orbits are numbered by first appearance, lam outer and e inner.
-    The keys, n triples per column, are a table under the entry cap,
-    checked before any key is built.
+    permutes the slots of lam and of both blocks of e together, the
+    sorted triples (lam_i, e_i, e_(n+i)) name the orbit.  Columns are
+    numbered by first appearance, lam outer and e inner.  The key table,
+    keys times points (the slots of lam), is checked against the entry
+    cap from its size, before any monomial or key is built.
     """
-    _check_cap(len(comps) * len(monos), n, "column orbit keys")
+    keys = len(comps) * comb(ring.nvars + d - 1, d)
+    _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
+    cols = product(comps, ring.monomials(d))
+    if not fold:
+        index = {key: i for i, key in enumerate(cols)}
+        return len(index), index
+    n = ring.n
     ids: dict = {}
-    index: dict = {}
-    for lam in comps:
-        for e in monos:
-            key = tuple(sorted(zip(lam, e[:n], e[n:])))
-            index[(lam, e)] = ids.setdefault(key, len(ids))
+    index = {}
+    for lam, e in cols:
+        key = tuple(sorted(zip(lam, e[:n], e[n:])))
+        index[(lam, e)] = ids.setdefault(key, len(ids))
     return len(ids), index
 
 
-def _nullities(blocks, columns, max_deg: int, context: str) -> list:
+def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     """Per-degree nullities at every level of a stack of row blocks.
 
-    blocks map a degree to rows keyed like the columns; columns(d) gives
-    (ncols, colmap), and keys sharing a column add up.  Level l imposes
-    the first l blocks.  Each degree keeps one pivot dict and feeds it
-    the blocks in order, so every row is eliminated once and level l is
-    read off right after block l.  The result is indexed by level, 0
-    through len(blocks), then by degree.  The cap is checked once per
-    degree, on the full stack, before any elimination; context names the
-    system in the cap error.
+    blocks map a degree to rows keyed as in _columns(comps, ring, d,
+    fold), and keys sharing a column add up.  Level l imposes the first
+    l blocks.  Each degree through ring.max_deg keeps one pivot dict and
+    feeds it the blocks in order, so every row is eliminated once and
+    level l is read off right after block l.  The result is indexed by
+    level, 0 through len(blocks), then by degree.  After the key table,
+    the cap is checked once per degree on the full stack, rows times
+    columns, before any elimination; context names the system then.
     """
     profile: list = [[] for _ in range(len(blocks) + 1)]
-    for d in range(max_deg + 1):
-        ncols, colmap = columns(d)
+    for d in range(ring.max_deg + 1):
+        ncols, colmap = _columns(comps, ring, d, fold)
         nrows = sum(len(block.get(d, ())) for block in blocks)
         if nrows:
             _check_cap(nrows, ncols, context)
@@ -326,14 +342,7 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
         ring = PolyRing(n - 1, max_deg)
         pairs = _all_pairs
     blocks = [_condition_rows(ring, level, pairs(n, k, level)) for level in range(levels)]
-
-    def columns(d):
-        if invariant:
-            return _column_orbits(n, comps, ring.monomials(d))
-        colmap = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
-        return len(colmap), colmap
-
-    profile = _nullities(blocks, columns, max_deg, f"kernel system ({n},{k})")
+    profile = _nullities(blocks, comps, ring, invariant, f"kernel system ({n},{k})")
     if invariant:
         return profile
     return [
@@ -403,15 +412,8 @@ def graded_dims(
                     e = 2 * m_mu(mu)
                 else:
                     e = 2 * mu[j - 1]
-                for functional in jet_conditions((i, j), e, ring):
-                    degree = sum(next(iter(functional)))
-                    row = {(mu_bar, ex): c for ex, c in functional.items()}
-                    rows.setdefault(degree, []).append(row)
-
-        def columns(d):
-            return _column_orbits(n, [mu_bar], ring.monomials(d))
-
-        piece = _nullities([rows], columns, max_deg, f"graded piece {mu} ({n},{k})")
+                _jet_rows(rows, jet_conditions((i, j), e, ring), [(mu_bar, 1)])
+        piece = _nullities([rows], [mu_bar], ring, True, f"graded piece {mu} ({n},{k})")
         out[tuple(mu)] = tuple(accumulate(piece[1]))
     return out
 
@@ -454,6 +456,11 @@ class FiltrationReport:
         return graded_totals(self.graded)
 
 
+def in_proven_range(n: int, k: int) -> bool:
+    """Whether kernel = graded is established for (n, k): n <= 2 or k <= 4."""
+    return n <= 2 or k <= 4
+
+
 def verify_filtration(
     n: int,
     k: int,
@@ -471,7 +478,7 @@ def verify_filtration(
     """
     if k < 1:
         raise ValueError("the comparison needs k >= 1")
-    exploratory = not (n <= 2 or k <= 4)
+    exploratory = not in_proven_range(n, k)
     inv_rows = tuple(
         tuple(accumulate(dims)) for dims in _nullity_profile(n, k, max_deg, True)
     )

@@ -4,11 +4,17 @@ Everything runs in-process through cli.main so exit codes and emitted
 bytes are asserted exactly.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbtaut import cli
+from hilbtaut.rroch import BUILTIN_SURFACES
+from hilbtaut.tautops import EXPONENT_RULES
 
 
 def run(capsys, *argv):
@@ -181,6 +187,24 @@ def test_toeplitz_rank_and_domain(capsys):
     assert rc == 2 and "empty matrix" in err
 
 
+@pytest.mark.parametrize("parity", ["--even", "--odd"])
+def test_toeplitz_takes_zero_n(capsys, parity):
+    rc, out, _ = run(capsys, "toeplitz", "--kind", "T", parity, "--n", "0",
+                     "--m", "3")
+    assert rc == 0 and "det = 1" in out
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("chi", ("--L", "1", "--A", "0")),
+    ("kernel", ("--max-degree", "1")),
+    ("graded", ("--max-degree", "1")),
+])
+def test_zero_points_exit_two(capsys, command, extra):
+    rc, out, err = run(capsys, command, "--n", "0", "--k", "2", *extra)
+    assert rc == 2 and out == ""
+    assert err == "error: --n must be at least 1\n"
+
+
 def test_reps_series(capsys):
     rc, out, _ = run(capsys, "reps", "--k", "3")
     assert rc == 0
@@ -321,6 +345,27 @@ def test_orbit_keys_over_the_cap_exit_two(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    # 718,800 unfolded keys of 600 slots at degree 1, refused unbuilt
+    (("kernel", "--full", "--n", "600", "--k", "1", "--max-degree", "2"),
+     "error: column keys: 718800 x 600"),
+    # the degree-2 monomials of 1,200 variables are never enumerated
+    (("graded", "--n", "600", "--k", "1", "--max-degree", "2"),
+     "error: column orbit keys: 720600 x 600"),
+])
+def test_column_keys_over_the_cap_exit_two(capsys, argv, prefix):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(prefix) and "cap" in err
+    assert err.count("\n") == 1
+
+
+def test_unfolded_columns_under_the_cap_answer(capsys):
+    rc, out, _ = run(capsys, "kernel", "--full", "--n", "30", "--k", "1",
+                     "--max-degree", "2", "--format", "json")
+    assert rc == 0 and json.loads(out)["cumulative"] == [30, 1830, 56730]
+
+
 @pytest.mark.parametrize("argv,key,want", [
     (("kernel", "--n", "600", "--k", "1", "--max-degree", "0"), "cumulative", [1]),
     (("kernel", "--n", "600", "--k", "1", "--max-degree", "0", "--full"),
@@ -348,3 +393,62 @@ def test_identical_config_identical_bytes(capsys, argv):
     rc2, out2, _ = run(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# --- argv fuzz ---------------------------------------------------------
+
+_CHEAP_SUITES = ("toeplitz", "reps", "chi-consistency")
+_SMALL = st.integers(-2, 4)
+_OFTEN = st.sampled_from((True,) * 7 + (False,))
+_STRAY = ("--bogus", "--format=xml", "--rule=cubic", "--kind=Q",
+          "--suite=nonsense", "--surface=no-such.json", "--m=2")
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for cli.main: a subcommand, most of its own flags with
+    small values, and sometimes a bogus value or a flag it does not take."""
+    command = draw(st.sampled_from(sorted(cli._HANDLERS)))
+    ints = {
+        "chi": ("n", "k"),
+        "kernel": ("n", "k", "max-degree"),
+        "graded": ("n", "k", "max-degree"),
+        "toeplitz": ("n", "m", "l", "k", "j"),
+        "reps": ("k",),
+        "verify": ("seed", "max-degree"),
+    }[command]
+    groups = {
+        "chi": [[f"--surface={name}" for name in sorted(BUILTIN_SURFACES) + ["enriques"]]],
+        "kernel": [["--full", "--invariant"], ["--exploratory"]],
+        "graded": [[f"--rule={rule}" for rule in EXPONENT_RULES], ["--exploratory"]],
+        "toeplitz": [["--kind=T", "--kind=R"], ["--even", "--odd"], ["--det", "--minors"]],
+    }.get(command, [])
+    flags = [f"--{name}={draw(_SMALL)}" for name in ints if draw(_OFTEN)]
+    for group in groups:
+        flags += draw(st.lists(st.sampled_from(group), max_size=1))
+    if command == "verify":
+        # always name a suite: the default, all, takes seconds
+        flags.append(f"--suite={draw(st.sampled_from(_CHEAP_SUITES))}")
+    if command == "chi":
+        vec = st.lists(_SMALL, min_size=1, max_size=2).map(
+            lambda v: ":".join(map(str, v)))
+        for name in ("L", "A"):
+            flags += [f"--{name}={v}" for v in draw(st.lists(vec, min_size=1, max_size=2))]
+    if draw(st.booleans()):
+        flags.append(f"--format={draw(st.sampled_from(cli.FORMATS))}")
+    if not draw(_OFTEN):
+        flags.append(draw(st.sampled_from(_STRAY)))
+    return [command] + draw(st.permutations(flags))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert err.getvalue().startswith("error:"), argv
+    else:
+        assert rc == 0 or (rc == 1 and argv[0] == "verify"), (argv, err.getvalue())

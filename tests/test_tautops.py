@@ -9,7 +9,7 @@ of sizes against the Reynolds average of an explicit ideal-power basis.
 """
 
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -38,13 +38,14 @@ from hilbtaut.tautops import (
     FiltrationReport,
     SectionTuple,
     _all_pairs,
-    _column_orbits,
+    _columns,
     _condition_rows,
     _match_constant,
     _nullities,
     _nullity_profile,
     _rep_pairs,
     graded_dims,
+    graded_totals,
     higher_difference,
     kernel_nullity,
     spectral_scale,
@@ -168,12 +169,7 @@ def unpinned_full_profile(n, k, max_deg):
         _condition_rows(ring, level, _all_pairs(n, k, level))
         for level in range(max(k - 1, 0))
     ]
-
-    def columns(d):
-        cols = {key: i for i, key in enumerate(product(comps, ring.monomials(d)))}
-        return len(cols), cols
-
-    return _nullities(blocks, columns, max_deg, "unpinned full system")
+    return _nullities(blocks, comps, ring, False, "unpinned full system")
 
 
 def restacked_profile(n, k, max_deg, invariant):
@@ -195,12 +191,7 @@ def restacked_profile(n, k, max_deg, invariant):
     for level in range(len(blocks) + 1):
         dims = []
         for d in range(max_deg + 1):
-            if invariant:
-                ncols, colmap = _column_orbits(n, comps, ring.monomials(d))
-            else:
-                keys = product(comps, ring.monomials(d))
-                colmap = {key: i for i, key in enumerate(keys)}
-                ncols = len(colmap)
+            ncols, colmap = _columns(comps, ring, d, invariant)
             rows = []
             for block in blocks[:level]:
                 for row in block.get(d, []):
@@ -304,12 +295,7 @@ def test_condition_orbit_representatives_suffice():
             _condition_rows(ring, level, _all_pairs(n, k, level))
             for level in range(k - 1)
         ]
-        complete = _nullities(
-            blocks,
-            lambda d: _column_orbits(n, comps, ring.monomials(d)),
-            max_deg,
-            "all-pairs invariant system",
-        )
+        complete = _nullities(blocks, comps, ring, True, "all-pairs invariant system")
         assert _nullity_profile(n, k, max_deg, True) == complete
 
 
@@ -332,7 +318,7 @@ def test_column_orbits_match_relabeling_action():
                 lam: folded[lam] + term[lam] for lam in folded
             }
     monos = ring.monomials(2)
-    count, index = _column_orbits(3, comps, monos)
+    count, index = _columns(comps, ring, 2, True)
     orbit_values = {}
     for lam in comps:
         for e in monos:
@@ -360,7 +346,7 @@ def test_column_orbits_match_relabeling_action():
     stab_orbits = {
         frozenset(image(mu_bar, e, sigma)[1] for sigma in stab) for e in monos
     }
-    graded_count, _ = _column_orbits(3, [mu_bar], monos)
+    graded_count, _ = _columns([mu_bar], ring, 2, True)
     assert graded_count == len(stab_orbits)
 
 
@@ -399,11 +385,32 @@ def test_column_orbit_keys_are_capped(monkeypatch):
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
     ring = PolyRing(3, 1)
     comps = enumerate_compositions(3, 2)
-    assert _column_orbits(3, comps, ring.monomials(0))[0] == 2
+    assert _columns(comps, ring, 0, True)[0] == 2
     with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
-        _column_orbits(3, comps, ring.monomials(1))
+        _columns(comps, ring, 1, True)
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
-    assert _column_orbits(3, comps, ring.monomials(1))[0] > 0
+    assert _columns(comps, ring, 1, True)[0] > 0
+
+
+def test_unfolded_column_keys_are_capped(monkeypatch):
+    # the same key table as above, unfolded: one rule, folded or not
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
+    ring = PolyRing(3, 1)
+    comps = enumerate_compositions(3, 2)
+    assert _columns(comps, ring, 0, False)[0] == 6
+    with pytest.raises(EntryCapError, match="column keys: 36 x 3"):
+        _columns(comps, ring, 1, False)
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
+    assert _columns(comps, ring, 1, False)[0] == 36
+
+
+def test_full_columns_count_every_slot(monkeypatch):
+    # pinned full systems key n-slot compositions over n - 1 points
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "35")
+    with pytest.raises(EntryCapError, match="column keys: 12 x 3"):
+        kernel_nullity(3, 1, 1, invariant=False)
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "36")
+    assert kernel_nullity(3, 1, 1, invariant=False) == (3, 21)
 
 
 @pytest.mark.parametrize("raw", ["lots", "2.5", "", "0", "-3"])
@@ -483,6 +490,19 @@ def test_exponent_rules_separate_at_weight_five():
     for pair in [(1, 2), (1, 3), (2, 3)]:
         assert membership(w, pair, 2, ring)
     assert not membership(w, (1, 2), 4, ring)
+
+
+def test_exponent_rules_split_at_3_5_4():
+    # The first exploratory size where the rules part: the invariant kernel
+    # follows per_pair_2mu, and uniform_2m_mu is one over at degree 4.
+    kernel = (1, 5, 21, 69, 196)
+    assert kernel_nullity(3, 5, 4) == kernel
+    assert graded_totals(graded_dims(3, 5, 4, exponent_rule="per_pair_2mu")) == kernel
+    report = verify_filtration(3, 5, 4)
+    assert report.exploratory
+    assert report.invariant_nullities[-1] == kernel
+    assert report.graded_totals() == (1, 5, 21, 69, 197)
+    assert report.mismatches == ((4, 196, 197),)
 
 
 def test_graded_rejects_unknown_rule():
