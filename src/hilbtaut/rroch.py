@@ -128,13 +128,17 @@ def load_surface(source) -> SurfaceModel:
     Expected object: {"name": str, "rank": int, "intersection": [[int]],
     "K": [int], "chiO": int, "c2": int}.  A missing or wrongly typed
     field, such as a float, null or string for an int, raises ValueError
-    naming it.  Noether violations are rejected here, at load time.
+    naming it, and so does a file nested too deeply for the JSON decoder.
+    Noether violations are rejected here, at load time.
     """
     if isinstance(source, dict):
         data = source
     else:
         with open(source) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("surface model JSON is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("surface model must be a JSON object")
     try:

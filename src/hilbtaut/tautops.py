@@ -30,12 +30,17 @@ column orbits rely on.
 
 The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
-solves the kernel and graded systems alike: it takes row blocks and
-builds its own (composition, exponent) columns, folded into relabeling
-orbits or not.  The stacked systems are nested, block l only adding
-rows, so the engine runs one elimination per degree: it feeds the blocks
-in order into a single pivot dict and reads every level's nullity on the
-way, eliminating each row once.
+solves the kernel and graded systems alike: it takes blocks of
+conditions (pair, order, support) and builds their rows and its own
+(composition, exponent) columns, folded into relabeling orbits or not.
+Every row is bihomogeneous in (x-degree, y-degree), so degree d splits
+into d + 1 blocks of x-degree g sharing no column, and swapping x and y,
+which fixes every diagonal ideal, gives blocks g and d - g equal rank:
+only 2g >= d is solved, and the mirror counted.  The stacked systems are
+nested, block l only adding rows, so the engine runs one elimination per
+(degree, x-degree): it feeds the blocks in order, each one's rows
+shortest first, into that pair's pivot dict and reads every level's
+nullity on the way, eliminating each row once.
 
 The linear algebra is exact throughout, and in integers end to end: jet
 conditions carry integer weights, condition rows and column sums stay
@@ -44,8 +49,9 @@ by a cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
 fast instead of grinding.  Every system's column key table, keys times
 points, is checked from its size before any column is built, folded or
-not; then each degree's full stack of rows times its columns is checked
-before it is eliminated.  Exceeding either raises EntryCapError.
+not; then each degree's full stack of rows times its columns, the rows
+counted from sizes.  Every degree passes both before any row is built.
+Exceeding either raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -219,6 +225,31 @@ def _rep_pairs(n: int, k: int, level: int):
     return out
 
 
+def _difference_block(level: int, pairs) -> list:
+    """The level-th condition block: one (pair, order, support) per label.
+
+    A label (mu, A) asks the order-th difference along A, shifted by mu,
+    to lie in I_A^order, with order = level + 1.
+    """
+    order = level + 1
+    return [(A, order, _difference_support(mu, A[0], A[1], order)) for mu, A in pairs]
+
+
+def _jet_count(ring: PolyRing, order: int, d: int) -> int:
+    """How many degree-d rows one condition of this order contributes.
+
+    jet_conditions(A, order, ring) has one functional per degree-d
+    monomial whose degree in the first point of A is below the order, and
+    so has pinned_jet_conditions: a point's two variables carry degree s
+    in s + 1 ways, and the other nvars - 2 variables take the rest.
+    """
+    rest = ring.nvars - 2
+    return sum(
+        (s + 1) * (comb(rest + d - s - 1, d - s) if rest else int(s == d))
+        for s in range(min(order, d + 1))
+    )
+
+
 def _jet_rows(by_degree: dict, jets, support) -> None:
     """Append one row per jet functional to by_degree, under its degree.
 
@@ -232,26 +263,27 @@ def _jet_rows(by_degree: dict, jets, support) -> None:
         )
 
 
-def _condition_rows(ring: PolyRing, level: int, pairs):
-    """Rows of the level-th condition block, grouped by total degree.
+def _condition_rows(ring: PolyRing, block):
+    """Rows of a condition block, grouped by total degree.
 
-    Each row maps (composition, exponent) keys to integer weights; a
-    tuple satisfies the block when every row pairs to zero against its
+    The block lists conditions (A, order, support): the jet functionals
+    of I_A^order, each times the support's composition weights.  Each
+    row maps (composition, exponent) keys to integer weights; a tuple
+    satisfies the block when every row pairs to zero against its
     coefficients.  A pair ending one point past the ring's last point
     refers to a point pinned at the origin.
     """
-    order = level + 1
     by_degree: dict = {}
     jets_cache: dict = {}
-    for mu, A in pairs:
-        jets = jets_cache.get(A)
+    for A, order, support in block:
+        jets = jets_cache.get((A, order))
         if jets is None:
             if A[1] > ring.n:
                 jets = pinned_jet_conditions(A[0], order, ring)
             else:
                 jets = jet_conditions(A, order, ring)
-            jets_cache[A] = jets
-        _jet_rows(by_degree, jets, _difference_support(mu, A[0], A[1], order))
+            jets_cache[(A, order)] = jets
+        _jet_rows(by_degree, jets, support)
     return by_degree
 
 
@@ -285,35 +317,55 @@ def _columns(comps, ring: PolyRing, d: int, fold: bool):
 
 
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
-    """Per-degree nullities at every level of a stack of row blocks.
+    """Per-degree nullities at every level of a stack of condition blocks.
 
-    blocks map a degree to rows keyed as in _columns(comps, ring, d,
-    fold), and keys sharing a column add up.  Level l imposes the first
-    l blocks.  Each degree through ring.max_deg keeps one pivot dict and
-    feeds it the blocks in order, so every row is eliminated once and
-    level l is read off right after block l.  The result is indexed by
-    level, 0 through len(blocks), then by degree.  After the key table,
-    the cap is checked once per degree on the full stack, rows times
-    columns, before any elimination; context names the system then.
+    blocks are lists of conditions as in _condition_rows, whose rows are
+    keyed as in _columns(comps, ring, d, fold); keys sharing a column add
+    up.  Level l imposes the first l blocks.  The result is indexed by
+    level, 0 through len(blocks), then by degree through ring.max_deg.
+
+    Every degree is checked against the cap before any row is built:
+    first its key table, then its full stack, rows times columns, with
+    the rows counted from sizes (_jet_count); context names the system.
+
+    Every row is bihomogeneous, so degree d splits into blocks of
+    x-degree g = 0..d that share no column, folded or not (an orbit key
+    keeps the x-degree of its triples).  Swapping x and y fixes every
+    diagonal ideal and maps the rows of g onto those of d - g, so the two
+    have equal rank: only 2g >= d is eliminated, and 2g > d counts twice.
+    Each (d, g) keeps one pivot dict and is fed the blocks in order, each
+    block's rows shortest first, so every row is eliminated once and
+    level l is read off right after block l.
     """
-    profile: list = [[] for _ in range(len(blocks) + 1)]
+    n = ring.n
+    degrees = []
     for d in range(ring.max_deg + 1):
         ncols, colmap = _columns(comps, ring, d, fold)
-        nrows = sum(len(block.get(d, ())) for block in blocks)
+        nrows = sum(_jet_count(ring, order, d) for block in blocks for _, order, _ in block)
         if nrows:
             _check_cap(nrows, ncols, context)
+        degrees.append((ncols, colmap))
+    block_rows = [_condition_rows(ring, block) for block in blocks]
+    profile: list = [[] for _ in range(len(blocks) + 1)]
+    for d, (ncols, colmap) in enumerate(degrees):
         pivots: dict = {}
         rank = 0
         profile[0].append(ncols)
-        for level, block in enumerate(blocks, start=1):
-            rows = []
-            for row in block.get(d, ()):
+        for level, by_degree in enumerate(block_rows, start=1):
+            by_g: dict = {}
+            for row in by_degree.get(d, ()):
+                g = sum(next(iter(row))[1][:n])
+                if 2 * g < d:
+                    continue
                 mapped: dict = {}
                 for key, val in row.items():
                     col = colmap[key]
                     mapped[col] = mapped.get(col, 0) + val
-                rows.append({c: v for c, v in mapped.items() if v})
-            rank += sparse_int_rank(rows, pivots)
+                by_g.setdefault(g, []).append({c: v for c, v in mapped.items() if v})
+            for g, rows in by_g.items():
+                rows.sort(key=len)
+                gained = sparse_int_rank(rows, pivots.setdefault(g, {}))
+                rank += gained if 2 * g == d else 2 * gained
             profile[level].append(ncols - rank)
     return profile
 
@@ -341,7 +393,7 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     else:
         ring = PolyRing(n - 1, max_deg)
         pairs = _all_pairs
-    blocks = [_condition_rows(ring, level, pairs(n, k, level)) for level in range(levels)]
+    blocks = [_difference_block(level, pairs(n, k, level)) for level in range(levels)]
     profile = _nullities(blocks, comps, ring, invariant, f"kernel system ({n},{k})")
     if invariant:
         return profile
@@ -405,15 +457,15 @@ def graded_dims(
     for mu in enumerate_partitions(k, n):
         r = len(mu)
         mu_bar = tuple(mu) + (0,) * (n - r)
-        rows: dict = {}
+        block = []
         for i in range(1, r + 1):
             for j in range(i + 1, r + 1):
                 if exponent_rule == "uniform_2m_mu":
                     e = 2 * m_mu(mu)
                 else:
                     e = 2 * mu[j - 1]
-                _jet_rows(rows, jet_conditions((i, j), e, ring), [(mu_bar, 1)])
-        piece = _nullities([rows], [mu_bar], ring, True, f"graded piece {mu} ({n},{k})")
+                block.append(((i, j), e, [(mu_bar, 1)]))
+        piece = _nullities([block], [mu_bar], ring, True, f"graded piece {mu} ({n},{k})")
         out[tuple(mu)] = tuple(accumulate(piece[1]))
     return out
 
@@ -456,6 +508,20 @@ class FiltrationReport:
         return graded_totals(self.graded)
 
 
+def _translation_free(dims) -> tuple:
+    """Per-degree dimensions deconvolved by (1 - t)^2.
+
+    Translating every point at once commutes with relabeling, so each
+    invariant kernel is Q[x_bar, y_bar] tensor the invariant part of K0
+    (see the module docstring), and its Hilbert series is that of K0's
+    invariant part over (1 - t)^2.  Multiplying dims by (1 - t)^2 thus
+    gives the per-degree dimensions of that part, which are never
+    negative.
+    """
+    padded = [0, 0] + list(dims)
+    return tuple(padded[d + 2] - 2 * padded[d + 1] + padded[d] for d in range(len(dims)))
+
+
 def in_proven_range(n: int, k: int) -> bool:
     """Whether kernel = graded is established for (n, k): n <= 2 or k <= 4."""
     return n <= 2 or k <= 4
@@ -473,15 +539,15 @@ def verify_filtration(
     a disagreement raises with the offending degree.  Anything else is
     reported as exploratory and returned without raising, whatever the
     outcome.  Structural sanity (nullities weakly decreasing in the
-    number of blocks, invariant counts no larger than full ones) is
-    enforced unconditionally.
+    number of blocks, invariant counts no larger than full ones, and
+    invariant counts that are Q[x_bar, y_bar] tensor a space graded by
+    degree, see _translation_free) is enforced unconditionally.
     """
     if k < 1:
         raise ValueError("the comparison needs k >= 1")
     exploratory = not in_proven_range(n, k)
-    inv_rows = tuple(
-        tuple(accumulate(dims)) for dims in _nullity_profile(n, k, max_deg, True)
-    )
+    inv_profile = _nullity_profile(n, k, max_deg, True)
+    inv_rows = tuple(tuple(accumulate(dims)) for dims in inv_profile)
     full_rows = tuple(
         tuple(accumulate(dims)) for dims in _nullity_profile(n, k, max_deg, False)
     )
@@ -496,6 +562,13 @@ def verify_filtration(
             if inv_rows[l][d] > full_rows[l][d]:
                 raise AssertionError(
                     f"invariant nullity exceeds the full one at block {l}, degree {d}"
+                )
+    for l, dims in enumerate(inv_profile):
+        for d, b in enumerate(_translation_free(dims)):
+            if b < 0:
+                raise AssertionError(
+                    f"invariant nullities at block {l} deconvolve by (1 - t)^2 "
+                    f"to {b} < 0 at degree {d}"
                 )
     graded = graded_dims(n, k, max_deg, exponent_rule=exponent_rule)
     totals = graded_totals(graded)

@@ -123,6 +123,76 @@ def test_chi_rejects_wrongly_typed_surface_json(capsys, tmp_path, field, value):
     assert "Traceback" not in err
 
 
+def test_chi_rejects_deeply_nested_surface_json(capsys, tmp_path):
+    # the JSON decoder recurses once per bracket
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    rc, out, err = run(capsys, "chi", "--surface", str(path), "--n", "2",
+                       "--k", "2", "--L", "1", "--A", "0")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+_PLANE = {"name": "plane", "rank": 1, "intersection": [[1]], "K": [-3],
+          "chiO": 1, "c2": 3}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _surface_models(draw):
+    """Any JSON value, or a valid model with one field retyped, a ragged or
+    resized matrix, a K of the wrong length, c2 off Noether, a field
+    dropped or an extra key."""
+    model = draw(st.sampled_from([
+        _PLANE,
+        {"name": "quadric", "rank": 2, "intersection": [[0, 1], [1, 0]],
+         "K": [-2, -2], "chiO": 1, "c2": 4},
+    ]))
+    model = json.loads(json.dumps(model))
+    kind = draw(st.sampled_from(
+        ["any", "retype", "ragged", "K", "noether", "drop", "extra", "valid"]))
+    field = draw(st.sampled_from(sorted(model)))
+    if kind == "any":
+        return draw(_JSON)
+    if kind == "retype":
+        model[field] = draw(_JSON)
+    elif kind == "ragged":
+        row = draw(st.integers(0, len(model["intersection"]) - 1))
+        model["intersection"][row] = draw(st.lists(st.integers(-3, 3), max_size=3))
+    elif kind == "K":
+        model["K"] = draw(st.lists(st.integers(-3, 3), max_size=3))
+    elif kind == "noether":
+        model["c2"] += draw(st.integers(-5, 5))
+    elif kind == "drop":
+        del model[field]
+    elif kind == "extra":
+        model[draw(st.text(max_size=3))] = draw(_JSON)
+    return model
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(model=_surface_models(), n=st.integers(0, 3), k=st.integers(0, 3),
+       vec=st.sampled_from(["1", "0:1", "-1"]))
+def test_fuzzed_surface_json_exits_cleanly(tmp_path_factory, model, n, k, vec):
+    path = tmp_path_factory.mktemp("surface") / "model.json"
+    path.write_text(json.dumps(model))
+    argv = ["chi", "--surface", str(path), "--n", str(n), "--k", str(k),
+            "--L", vec, "--A", vec]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    if rc == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, model
+        assert err.getvalue().startswith("error:"), model
+    else:
+        assert rc == 0, (model, argv, err.getvalue())
+
+
 # --- kernel / graded ---------------------------------------------------
 
 
@@ -357,6 +427,15 @@ def test_column_keys_over_the_cap_exit_two(capsys, argv, prefix):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith(prefix) and "cap" in err
+    assert err.count("\n") == 1
+
+
+def test_row_stack_over_the_cap_exits_two_before_building(capsys):
+    # 136,800 rows by 7,980 columns at degree 1, counted from sizes
+    rc, out, err = run(capsys, "kernel", "--full", "--n", "20", "--k", "2",
+                       "--max-degree", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: kernel system (20,2): 136800 x 7980") and "cap" in err
     assert err.count("\n") == 1
 
 

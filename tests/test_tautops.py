@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbtaut import tautops
 from hilbtaut.combinat import (
     composition_stabilizer,
     enumerate_compositions,
@@ -40,10 +41,13 @@ from hilbtaut.tautops import (
     _all_pairs,
     _columns,
     _condition_rows,
+    _difference_block,
+    _jet_count,
     _match_constant,
     _nullities,
     _nullity_profile,
     _rep_pairs,
+    _translation_free,
     graded_dims,
     graded_totals,
     higher_difference,
@@ -166,7 +170,7 @@ def unpinned_full_profile(n, k, max_deg):
     ring = PolyRing(n, max_deg)
     comps = enumerate_compositions(n, k)
     blocks = [
-        _condition_rows(ring, level, _all_pairs(n, k, level))
+        _difference_block(level, _all_pairs(n, k, level))
         for level in range(max(k - 1, 0))
     ]
     return _nullities(blocks, comps, ring, False, "unpinned full system")
@@ -185,7 +189,8 @@ def restacked_profile(n, k, max_deg, invariant):
     ring = PolyRing(n if invariant else n - 1, max_deg)
     pairs = _rep_pairs if invariant else _all_pairs
     blocks = [
-        _condition_rows(ring, level, pairs(n, k, level)) for level in range(max(k - 1, 0))
+        _condition_rows(ring, _difference_block(level, pairs(n, k, level)))
+        for level in range(max(k - 1, 0))
     ]
     profile = []
     for level in range(len(blocks) + 1):
@@ -292,7 +297,7 @@ def test_condition_orbit_representatives_suffice():
         ring = PolyRing(n, max_deg)
         comps = enumerate_compositions(n, k)
         blocks = [
-            _condition_rows(ring, level, _all_pairs(n, k, level))
+            _difference_block(level, _all_pairs(n, k, level))
             for level in range(k - 1)
         ]
         complete = _nullities(blocks, comps, ring, True, "all-pairs invariant system")
@@ -361,11 +366,91 @@ def test_condition_rows_have_integer_weights():
             functionals += pinned_jet_conditions(a, order, pinned)
     for shape, pairs in [(ring, _rep_pairs), (pinned, _all_pairs)]:
         for level in range(k - 1):
-            for rows in _condition_rows(shape, level, pairs(n, k, level)).values():
+            block = _difference_block(level, pairs(n, k, level))
+            for rows in _condition_rows(shape, block).values():
                 functionals += rows
     assert functionals
     for functional in functionals:
         assert all(type(c) is int for c in functional.values())
+
+
+def _graded_block(n, k, mu):
+    """The uniform-rule condition block of the graded piece mu, as graded_dims
+    builds it, with its padded composition."""
+    mu_bar = tuple(mu) + (0,) * (n - len(mu))
+    pairs = [(i, j) for i in range(1, len(mu) + 1) for j in range(i + 1, len(mu) + 1)]
+    return [(A, 2 * m_mu(mu), [(mu_bar, 1)]) for A in pairs], mu_bar
+
+
+@pytest.mark.parametrize(
+    "n,k,max_deg,invariant",
+    [(2, 3, 4, True), (2, 4, 4, False), (3, 3, 3, True), (3, 4, 3, False), (4, 3, 2, True)],
+)
+def test_row_counts_from_sizes_match_built_rows(n, k, max_deg, invariant):
+    ring = PolyRing(n if invariant else n - 1, max_deg)
+    pairs = _rep_pairs if invariant else _all_pairs
+    blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
+    if invariant:
+        blocks.append(_graded_block(n, k, (2,) + (1,) * (k - 2))[0])
+    for block in blocks:
+        rows = _condition_rows(ring, block)
+        for d in range(max_deg + 1):
+            counted = sum(_jet_count(ring, order, d) for _, order, _ in block)
+            assert len(rows.get(d, ())) == counted, (block[0], d)
+    for points in (1, 2, 3):
+        ring = PolyRing(points, 4)
+        for order in range(1, 5):
+            for jets in [pinned_jet_conditions(points, order, ring)] + (
+                [jet_conditions((1, points), order, ring)] if points > 1 else []
+            ):
+                degrees = [sum(next(iter(f))) for f in jets]
+                for d in range(5):
+                    assert degrees.count(d) == _jet_count(ring, order, d)
+
+
+def test_row_cap_refuses_before_rows_are_built(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("rows built before the cap was checked")
+
+    monkeypatch.setattr(tautops, "_condition_rows", unbuilt)
+    with pytest.raises(EntryCapError, match="15840 x 1716"):
+        kernel_nullity(12, 2, 2, invariant=False)
+
+
+# Every level ranked from rows built here, per x-degree block: invariant and
+# pinned full (3, 4, 3), unpinned (3, 3, 3), one graded piece at (3, 4, 4).
+@pytest.mark.parametrize("system", ["invariant", "pinned", "unpinned", "graded"])
+def test_x_degree_blocks_are_independent_and_mirror(system):
+    if system == "graded":
+        block, mu_bar = _graded_block(3, 4, (2, 1, 1))
+        ring, comps, fold, blocks = PolyRing(3, 4), [mu_bar], True, [block]
+    else:
+        n, k = (3, 3) if system == "unpinned" else (3, 4)
+        ring = PolyRing(n - 1 if system == "pinned" else n, 3)
+        pairs = _rep_pairs if system == "invariant" else _all_pairs
+        comps, fold = enumerate_compositions(n, k), system == "invariant"
+        blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
+    built = [_condition_rows(ring, block) for block in blocks]
+    for d in range(ring.max_deg + 1):
+        _, colmap = _columns(comps, ring, d, fold)
+        for level in range(1, len(built) + 1):
+            by_g = {}
+            for rows in built[:level]:
+                for row in rows.get(d, ()):
+                    xdegs = {sum(e[: ring.n]) for _, e in row}
+                    assert len(xdegs) == 1
+                    mapped = {}
+                    for key, val in row.items():
+                        mapped[colmap[key]] = mapped.get(colmap[key], 0) + val
+                    by_g.setdefault(xdegs.pop(), []).append(mapped)
+            cols = {g: {c for row in rows for c in row} for g, rows in by_g.items()}
+            for g in cols:
+                for h in cols:
+                    assert g == h or not cols[g] & cols[h]
+            ranks = {g: sparse_int_rank(rows) for g, rows in by_g.items()}
+            for g in range(d + 1):
+                assert ranks.get(g, 0) == ranks.get(d - g, 0), (system, d, level, g)
+            assert any(ranks.values())
 
 
 def test_kernel_resource_cap(monkeypatch):
@@ -432,8 +517,8 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
 
 
 # The five kernel-vs-graded configurations and the first exploratory size
-# (3, 5, 4) in both modes, and a four-point system; full (4, 3, 3) is over
-# the default cap.
+# (3, 5, 4) in both modes, a four-point system (full (4, 3, 3) is over the
+# default cap) and the kernel workload's (2, 6, 6) in both modes.
 @pytest.mark.parametrize(
     "n,k,max_deg,invariant",
     [
@@ -441,7 +526,7 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
         for n, k, max_deg in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3), (3, 5, 4)]
         for invariant in (True, False)
     ]
-    + [(4, 3, 3, True)],
+    + [(4, 3, 3, True), (2, 6, 6, True), (2, 6, 6, False)],
 )
 def test_every_level_matches_restacked_ranks(n, k, max_deg, invariant):
     assert _nullity_profile(n, k, max_deg, invariant) == restacked_profile(
@@ -542,6 +627,24 @@ def test_filtration_agreement(n, k, max_deg):
         for d in range(max_deg + 1):
             assert report.invariant_nullities[l][d] <= report.invariant_nullities[l - 1][d]
             assert report.invariant_nullities[l][d] <= report.full_nullities[l][d]
+
+
+def test_invariant_profile_is_plane_times_nonnegative_series():
+    # the invariant kernel is Q[x_bar, y_bar] tensor the invariant part of K0
+    profile = _nullity_profile(3, 5, 4, True)
+    assert all(min(_translation_free(dims)) >= 0 for dims in profile)
+    assert _translation_free(profile[-1]) == (1, 2, 9, 20, 47)
+    assert _translation_free([(d + 1) * 3 for d in range(4)]) == (3, 0, 0, 0)
+
+
+def test_filtration_rejects_invariant_series_not_over_the_plane(monkeypatch):
+    # weakly decreasing and below the full counts, but 1 - 2t + ... at degree 1
+    def profile(n, k, max_deg, invariant):
+        return [[1] * (max_deg + 1) if invariant else [9] * (max_deg + 1)] * k
+
+    monkeypatch.setattr(tautops, "_nullity_profile", profile)
+    with pytest.raises(AssertionError, match=r"deconvolve by \(1 - t\)\^2 to -1 < 0 at degree 1"):
+        verify_filtration(2, 2, 2)
 
 
 def test_filtration_exploratory_mode():
