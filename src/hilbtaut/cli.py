@@ -188,6 +188,21 @@ def _gate_range(cfg: RunConfig) -> None:
 # table commands
 
 
+def _printable(value: int, name: str) -> int:
+    """value, if the interpreter can convert it to a decimal string.
+
+    The limit came with Python 3.11 (and late 3.10 patch releases); 0
+    means none.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(value) >= 10**limit:
+        raise UsageError(
+            f"{name} has more than {limit} digits, the interpreter's limit "
+            "for printing an integer"
+        )
+    return value
+
+
 def cmd_chi(cfg: RunConfig) -> int:
     s = _load(cfg)
     graded = cfg.n == 2
@@ -208,11 +223,12 @@ def cmd_chi(cfg: RunConfig) -> int:
                 "k": cfg.k,
                 "L": list(L),
                 "A": list(A),
-                "chi": value,
+                "chi": _printable(value, "chi"),
             }
             if graded:
                 row["gr"] = [
-                    chi_graded_piece_n2(s, cfg.k, j, L, A) for j in range(half + 1)
+                    _printable(chi_graded_piece_n2(s, cfg.k, j, L, A), f"gr_{j}")
+                    for j in range(half + 1)
                 ]
             rows.append(row)
     csv_lines = [header]

@@ -9,11 +9,13 @@ of a multi-index map, builds the label sets B(k,l), A(k,l), A0(k,l) that
 index every direct-sum decomposition downstream, and evaluates stabilizer
 orders in closed form.
 
-A capped brute-force orbit enumerator is included; it exists so tests can
-cross-check the closed-form counts against an independent computation.
-It names each orbit by a canonical key read off the whole group (the
-least sorted image tuple over all relabellings of the points), and
-composition stabilizers are likewise filtered out of all of S_n.
+A capped brute-force orbit enumerator is included, so that the tests
+and `verify --suite combinatorics` can cross-check the closed-form
+counts against an independent computation.  It closes each orbit in one
+walk over the maps: the first member of an orbit hands its id to the
+sorted image tuples of all its relabellings by S_n, and every later map
+finds its orbit by one lookup of its own sorted image tuple.
+Composition stabilizers are likewise filtered out of all of S_n.
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
 length m with p[i-1] = p(i).
@@ -372,7 +374,7 @@ def all_permutations(m: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force orbit enumeration (test oracle)
+# brute-force orbit enumeration (cross-check of the closed forms)
 
 
 def _subset_pool(n: int) -> list[frozenset[int]]:
@@ -429,14 +431,17 @@ def enumerate_multiindex_maps(n: int, k: int, l: int | None = None) -> list[Mult
 def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMap]]:
     """Brute-force orbit partition of I^l under H or G x H.
 
-    H permutes slots, so the sorted tuple of a map's images names its
-    H-orbit.  G x H also relabels points, so the least such tuple over
-    all sigma in S_n, images taken as bitmasks, names its G x H-orbit.
-    The key comes from the group action alone, entirely independent of
-    the label-set constructions above.  Orbits are listed in order of
-    their first member, members in enumeration order.  Hard error when
-    n! * k! exceeds the cap: this enumeration exists only as a test
-    oracle.
+    H permutes slots, so the sorted tuple of a map's images, taken as
+    bitmasks, names its H-orbit.  G x H also relabels points, and I^l is
+    stable under it (l(a) and k(a) are invariants), so every relabelling
+    of an enumerated map is enumerated too.  The orbits are therefore
+    closed in one walk: a map whose H-key is unseen opens a new orbit,
+    whose id goes to the H-keys of all its relabellings by sigma in
+    S_n.  The partition comes from the group action alone, entirely
+    independent of the label-set constructions above.  Orbits are
+    listed in order of their first member, members in enumeration order.
+    Hard error when n! * k! exceeds the cap; `verify --suite
+    combinatorics` and the tests run it against the closed forms.
     """
     if factorial(n) * factorial(k) > BRUTE_FORCE_GROUP_CAP:
         raise ValueError("group too large for brute-force enumeration")
@@ -447,8 +452,15 @@ def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMa
     # one lookup per sigma: subset -> bitmask of its sigma-image
     relabel = [{s: sum(1 << sigma[j - 1] for j in s) for s in pool}.__getitem__
                for sigma in sigmas]
-    classes: dict[tuple[int, ...], list[MultiIndexMap]] = {}
+    identity = relabel[0]  # all_permutations lists the identity first
+    orbit_of: dict[tuple[int, ...], int] = {}
+    out: list[list[MultiIndexMap]] = []
     for a in enumerate_multiindex_maps(n, k, l):
-        key = min([tuple(sorted(map(f, a.images))) for f in relabel])
-        classes.setdefault(key, []).append(a)
-    return list(classes.values())
+        i = orbit_of.get(tuple(sorted(map(identity, a.images))))
+        if i is None:
+            i = len(out)
+            out.append([])
+            for f in relabel:
+                orbit_of.setdefault(tuple(sorted(map(f, a.images))), i)
+        out[i].append(a)
+    return out

@@ -99,7 +99,8 @@ class TruncPoly:
     def __init__(self, ring: PolyRing, coeffs: dict):
         clean = {}
         for e, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if not c:
                 continue
             if len(e) != ring.nvars:

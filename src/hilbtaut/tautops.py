@@ -263,7 +263,7 @@ def _jet_rows(by_degree: dict, jets, support) -> None:
         )
 
 
-def _condition_rows(ring: PolyRing, block):
+def _condition_rows(ring: PolyRing, block, upper_half: bool = False):
     """Rows of a condition block, grouped by total degree.
 
     The block lists conditions (A, order, support): the jet functionals
@@ -271,17 +271,24 @@ def _condition_rows(ring: PolyRing, block):
     row maps (composition, exponent) keys to integer weights; a tuple
     satisfies the block when every row pairs to zero against its
     coefficients.  A pair ending one point past the ring's last point
-    refers to a point pinned at the origin.
+    refers to a point pinned at the origin.  With upper_half, only the
+    rows _nullities eliminates are built: those of x-degree g with
+    2g >= d.  A row's x-degree is its functional's, as the support
+    changes only the composition.
     """
+    n = ring.n
     by_degree: dict = {}
     jets_cache: dict = {}
     for A, order, support in block:
         jets = jets_cache.get((A, order))
         if jets is None:
-            if A[1] > ring.n:
+            if A[1] > n:
                 jets = pinned_jet_conditions(A[0], order, ring)
             else:
                 jets = jet_conditions(A, order, ring)
+            if upper_half:
+                jets = [f for f in jets
+                        if 2 * sum(next(iter(f))[:n]) >= sum(next(iter(f)))]
             jets_cache[(A, order)] = jets
         _jet_rows(by_degree, jets, support)
     return by_degree
@@ -332,10 +339,10 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     x-degree g = 0..d that share no column, folded or not (an orbit key
     keeps the x-degree of its triples).  Swapping x and y fixes every
     diagonal ideal and maps the rows of g onto those of d - g, so the two
-    have equal rank: only 2g >= d is eliminated, and 2g > d counts twice.
-    Each (d, g) keeps one pivot dict and is fed the blocks in order, each
-    block's rows shortest first, so every row is eliminated once and
-    level l is read off right after block l.
+    have equal rank: only the rows of 2g >= d are built and eliminated,
+    and 2g > d counts twice.  Each (d, g) keeps one pivot dict and is fed
+    the blocks in order, each block's rows shortest first, so every row
+    is eliminated once and level l is read off right after block l.
     """
     n = ring.n
     degrees = []
@@ -345,7 +352,7 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
         if nrows:
             _check_cap(nrows, ncols, context)
         degrees.append((ncols, colmap))
-    block_rows = [_condition_rows(ring, block) for block in blocks]
+    block_rows = [_condition_rows(ring, block, upper_half=True) for block in blocks]
     profile: list = [[] for _ in range(len(blocks) + 1)]
     for d, (ncols, colmap) in enumerate(degrees):
         pivots: dict = {}
@@ -355,8 +362,6 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
             by_g: dict = {}
             for row in by_degree.get(d, ()):
                 g = sum(next(iter(row))[1][:n])
-                if 2 * g < d:
-                    continue
                 mapped: dict = {}
                 for key, val in row.items():
                     col = colmap[key]

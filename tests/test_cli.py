@@ -6,6 +6,7 @@ bytes are asserted exactly.
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -121,6 +122,44 @@ def test_chi_rejects_wrongly_typed_surface_json(capsys, tmp_path, field, value):
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and repr(field) in err
     assert "Traceback" not in err
+
+
+# Python's limit on converting an int to a decimal string; 0 means none.
+STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_str_limit = pytest.mark.skipif(
+    STR_DIGITS != 4300, reason="needs the default integer string limit")
+
+
+@needs_str_limit
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_chi_too_long_to_print_is_a_usage_error(capsys, fmt):
+    rc, out, err = run(capsys, "chi", "--surface", "p2", "--n", "2", "--k", "4",
+                       "--L", "9" * 1200, "--A", "0", "--format", fmt)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "more than 4300 digits" in err
+
+
+@needs_str_limit
+def test_chi_too_long_to_print_from_surface_json(capsys, tmp_path):
+    model = {"name": "huge", "rank": 1, "intersection": [[2 * (10**4000 - 1)]],
+             "K": [0], "chiO": 0, "c2": 0}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(model))
+    rc, out, err = run(capsys, "chi", "--surface", str(path), "--n", "2",
+                       "--k", "4", "--L", "1", "--A", "0")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "more than 4300 digits" in err
+
+
+@needs_str_limit
+def test_printable_limit_is_exact():
+    limit = STR_DIGITS
+    assert cli._printable(-(10**limit - 1), "chi") == -(10**limit - 1)
+    str(10**limit - 1)
+    with pytest.raises(cli.UsageError, match=f"gr_0 has more than {limit} digits"):
+        cli._printable(10**limit, "gr_0")
+    with pytest.raises(ValueError):
+        str(10**limit)
 
 
 def test_chi_rejects_deeply_nested_surface_json(capsys, tmp_path):

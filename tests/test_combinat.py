@@ -91,6 +91,21 @@ def bfs_orbits(n, k, l, group):
     return out
 
 
+def min_key_orbits(n, k, l, group):
+    """The orbits the closure replaced: each map keyed by the least
+    sorted bitmask image tuple over all relabellings of its points."""
+    sigmas = all_permutations(n) if group == "GxH" else [tuple(range(1, n + 1))]
+    pool = [frozenset(s) for m in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), m)]
+    relabel = [{s: sum(1 << sigma[j - 1] for j in s) for s in pool}.__getitem__
+               for sigma in sigmas]
+    classes = {}
+    for a in enumerate_multiindex_maps(n, k, l):
+        key = min(tuple(sorted(map(f, a.images))) for f in relabel)
+        classes.setdefault(key, []).append(a)
+    return list(classes.values())
+
+
 def recursive_compositions(n, k):
     """The recursive enumeration the partial-sum one replaced."""
     if n == 1:
@@ -247,6 +262,15 @@ def test_orbits_match_bfs_search(n, kmax):
         for l in range(0, k + 1):
             for group in ("H", "GxH"):
                 assert orbits(n, k, l, group) == bfs_orbits(n, k, l, group)
+
+
+def test_orbits_match_min_key_orbits():
+    # the whole grid of verify --suite combinatorics
+    for n in range(1, 5):
+        for k in range(1, 6):
+            for l in range(0, k + 1):
+                for group in ("H", "GxH"):
+                    assert orbits(n, k, l, group) == min_key_orbits(n, k, l, group)
 
 
 def test_psi_label_classifies_H_orbits():

@@ -314,6 +314,15 @@ def test_truncation_drops_overflow():
     assert q.coeffs == {(1, 1): Fraction(2)}
 
 
+def test_coefficients_are_stored_as_fractions():
+    ring = PolyRing(1, 3)
+    p = TruncPoly(ring, {(1, 0): 3, (0, 1): Fraction(1, 2), (0, 0): "2/3"})
+    assert p.coeffs == {(1, 0): 3, (0, 1): Fraction(1, 2), (0, 0): Fraction(2, 3)}
+    for q in (p, p + p, p - ring.one(), p * p, p * 2, 2 * p, -p):
+        assert q.coeffs
+        assert all(type(c) is Fraction for c in q.coeffs.values())
+
+
 def test_evaluate_functional_pairing():
     ring = PolyRing(2, 3)
     u = ring.x(1) - ring.x(2)

@@ -417,6 +417,25 @@ def test_row_cap_refuses_before_rows_are_built(monkeypatch):
         kernel_nullity(12, 2, 2, invariant=False)
 
 
+@pytest.mark.parametrize("system", ["invariant", "full", "graded"])
+def test_nullities_build_only_the_upper_half(monkeypatch, system):
+    built = []
+    build = tautops._jet_rows
+
+    def checked(by_degree, jets, support):
+        for functional in jets:
+            e = next(iter(functional))
+            built.append(2 * sum(e[: len(e) // 2]) >= sum(e))
+        build(by_degree, jets, support)
+
+    monkeypatch.setattr(tautops, "_jet_rows", checked)
+    if system == "graded":
+        graded_dims(3, 4, 4)
+    else:
+        kernel_nullity(3, 4, 3, invariant=system == "invariant")
+    assert built and all(built)
+
+
 # Every level ranked from rows built here, per x-degree block: invariant and
 # pinned full (3, 4, 3), unpinned (3, 3, 3), one graded piece at (3, 4, 4).
 @pytest.mark.parametrize("system", ["invariant", "pinned", "unpinned", "graded"])
