@@ -15,7 +15,10 @@ turns I_A^m into the monomial ideal (u, v)^m, so membership in degree
 <= D is a finite set of linear conditions: the coefficients of all
 substituted monomials of u-v-degree below m must vanish.  No Groebner
 bases, and every condition is homogeneous in total degree, which lets
-all dimension counts run degree by degree.  The conditions carry integer
+all dimension counts run degree by degree.  The substitution acts on the
+x and y exponents of the pair separately, so each condition is read off
+its key as the product of an x and a y binomial weight table, with no
+monomial expanded (jet_conditions).  The conditions carry integer
 weights: the substitution divides each of them by one power of two,
 fixed by the condition, and scaling it away leaves the kernel as it is.
 When the last point is pinned at the origin, the ideals of pairs ending
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .combinat import _compositions
@@ -198,7 +202,28 @@ def _resolve(A, ring):
     a0, a1 = sorted(A)
     if ring is None:
         raise ValueError("a plain pair needs an explicit ring")
+    if not (1 <= a0 < a1 <= ring.n):
+        raise ValueError("pair must satisfy 1 <= a0 < a1 <= n")
     return (a0, a1), ring
+
+
+@lru_cache(maxsize=None)
+def _jet_weights(P: int, r: int) -> tuple:
+    """The weight table K(P, r): the pairs (p0, K) for p0 = 0..P with K,
+    the coefficient of z^r in (1+z)^p0 (1-z)^(P-p0), nonzero.
+
+    Up to the factor 2^P, K is the coefficient of u^r s^(P-r) in
+    x_{a0}^p0 x_{a1}^(P-p0) after x_{a0} = (s+u)/2, x_{a1} = (s-u)/2.
+    """
+    out = []
+    for p0 in range(P + 1):
+        k = sum(
+            comb(p0, i) * comb(P - p0, r - i) * (-1) ** (r - i)
+            for i in range(min(p0, r) + 1)
+        )
+        if k:
+            out.append((p0, k))
+    return tuple(out)
 
 
 def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
@@ -208,11 +233,19 @@ def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
     weights; a polynomial lies in the ideal power exactly when every
     functional evaluates to zero on its coefficients.  Functionals are
     indexed by substituted-basis monomials of u-v-degree below the
-    requested order and are homogeneous in total degree.  The
-    substitution puts one denominator under every weight of a functional,
-    2 to the total exponent of its key monomial on the two points of the
-    pair; the weights here are the rational ones times that constant,
-    which leaves the kernel unchanged.
+    requested order, come ordered by total degree and then by key, and
+    are homogeneous in total degree.  A key e stands for u^r s^(P-r)
+    v^s t^(Q-s) times its other variables, where r and P - r are the
+    exponents of x_{a0} and x_{a1} in e, and s and Q - s those of
+    y_{a0} and y_{a1}.  Its functional is
+    read off it as the product of the x and y weight tables: the
+    monomial with the key's other exponents and pair exponents
+    (p0, P-p0), (q0, Q-q0) gets the weight of p0 in _jet_weights(P, r)
+    times that of q0 in _jet_weights(Q, s), and zero weights are left
+    out.  The substitution puts one denominator under every weight of a
+    functional, 2 to the total exponent of its key monomial on the two
+    points of the pair; the weights here are the rational ones times
+    that constant, which leaves the kernel unchanged.
     """
     (a0, a1), ring = _resolve(A, ring)
     if order < 1:
@@ -220,33 +253,26 @@ def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
     n = ring.n
     ix0, ix1 = a0 - 1, a1 - 1
     iy0, iy1 = n + a0 - 1, n + a1 - 1
-    rows: dict = {}
-    for old in ring.monomials_up_to():
-        p0, p1, q0, q1 = old[ix0], old[ix1], old[iy0], old[iy1]
-        for i0 in range(p0 + 1):
-            for i1 in range(p1 + 1):
-                udeg = i0 + i1
-                if udeg >= order:
-                    continue
-                cu = comb(p0, i0) * comb(p1, i1) * (-1) ** i1
-                for j0 in range(q0 + 1):
-                    for j1 in range(q1 + 1):
-                        if udeg + j0 + j1 >= order:
-                            continue
-                        cv = comb(q0, j0) * comb(q1, j1) * (-1) ** j1
-                        new = list(old)
-                        new[ix0] = udeg
-                        new[ix1] = p0 + p1 - udeg
-                        new[iy0] = j0 + j1
-                        new[iy1] = q0 + q1 - j0 - j1
-                        key = tuple(new)
-                        row = rows.setdefault(key, {})
-                        row[old] = row.get(old, 0) + cu * cv
-    ordered = sorted(rows, key=lambda e: (sum(e), e))
     out = []
-    for key in ordered:
-        row = {e: c for e, c in rows[key].items() if c}
-        if row:
+    for d in range(ring.max_deg + 1):
+        monos = ring.monomials(d)
+        # Rows share the ring's cached monomial tuples: fresh copies
+        # would each hold memory for as long as the rows live.
+        same = dict(zip(monos, monos))
+        # Monomials come in reverse lexicographic order, keys go sorted.
+        for key in reversed(monos):
+            r, s = key[ix0], key[iy0]
+            if r + s >= order:
+                continue
+            P, Q = r + key[ix1], s + key[iy1]
+            wy = _jet_weights(Q, s)
+            old = list(key)
+            row = {}
+            for p0, cx in _jet_weights(P, r):
+                old[ix0], old[ix1] = p0, P - p0
+                for q0, cy in wy:
+                    old[iy0], old[iy1] = q0, Q - q0
+                    row[same[tuple(old)]] = cx * cy
             out.append(row)
     return out
 
@@ -280,9 +306,16 @@ def evaluate_functional(functional: dict, p: TruncPoly) -> Fraction:
 
 
 def membership(p: TruncPoly, A, order: int, ring: PolyRing | None = None) -> bool:
-    """Is p in the order-th power of the diagonal ideal of A?"""
+    """Is p in the order-th power of the diagonal ideal of A?
+
+    The ideal's ring must match p's: the functionals read coefficients
+    on the monomials of the ideal's ring, so a polynomial of another ring
+    would be judged on the wrong ones (for another n, on none at all).
+    """
     if isinstance(A, DiagonalIdeal):
         ring = A.ring
+    if ring is not None and (ring.n, ring.max_deg) != (p.ring.n, p.ring.max_deg):
+        raise ValueError(f"polynomial of {p.ring} tested against an ideal of {ring}")
     return all(
         evaluate_functional(row, p) == 0
         for row in jet_conditions(A, order, ring)

@@ -19,6 +19,8 @@ from hilbtaut.polyjet import (
     DiagonalIdeal,
     PolyRing,
     TruncPoly,
+    _jet_weights,
+    _resolve,
     evaluate_functional,
     intersect_ideal_powers,
     jet_conditions,
@@ -113,6 +115,108 @@ def test_jet_conditions_validate_order():
         pinned_jet_conditions(1, 0, ring)
     with pytest.raises(ValueError):
         pinned_jet_conditions(3, 1, ring)
+    ring = PolyRing(3, 2)
+    for pair in [(0, 2), (1, 1), (-1, 2), (1, 5)]:
+        with pytest.raises(ValueError):
+            jet_conditions(pair, 1, ring)
+
+
+def test_membership_refuses_another_ring():
+    p = PolyRing(3, 2).one()
+    with pytest.raises(ValueError):
+        membership(p, (1, 2), 1, PolyRing(2, 2))
+    with pytest.raises(ValueError):
+        membership(p, DiagonalIdeal(PolyRing(2, 2), (1, 2)), 1)
+    with pytest.raises(ValueError):
+        membership(p, (1, 2), 1, PolyRing(3, 3))
+    # an equal ring built separately is the same ring
+    assert not membership(p, (1, 2), 1, PolyRing(3, 2))
+    assert not membership(p, DiagonalIdeal(PolyRing(3, 2), (1, 2)), 1)
+
+
+def expanded_jet_conditions(A, order, ring=None):
+    """Reference: jet conditions by expanding every monomial of the ring.
+
+    Each monomial x_{a0}^p0 x_{a1}^p1 y_{a0}^q0 y_{a1}^q1 (times the other
+    variables) is expanded binomially in u, s, v, t, and every term of
+    u-v-degree below the order adds its weight to the functional keyed
+    by the substituted monomial; functionals come sorted by degree, then
+    key, with zero weights and empty functionals dropped.
+    """
+    (a0, a1), ring = _resolve(A, ring)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    n = ring.n
+    ix0, ix1 = a0 - 1, a1 - 1
+    iy0, iy1 = n + a0 - 1, n + a1 - 1
+    rows: dict = {}
+    for old in ring.monomials_up_to():
+        p0, p1, q0, q1 = old[ix0], old[ix1], old[iy0], old[iy1]
+        for i0 in range(p0 + 1):
+            for i1 in range(p1 + 1):
+                udeg = i0 + i1
+                if udeg >= order:
+                    continue
+                cu = comb(p0, i0) * comb(p1, i1) * (-1) ** i1
+                for j0 in range(q0 + 1):
+                    for j1 in range(q1 + 1):
+                        if udeg + j0 + j1 >= order:
+                            continue
+                        cv = comb(q0, j0) * comb(q1, j1) * (-1) ** j1
+                        new = list(old)
+                        new[ix0] = udeg
+                        new[ix1] = p0 + p1 - udeg
+                        new[iy0] = j0 + j1
+                        new[iy1] = q0 + q1 - j0 - j1
+                        key = tuple(new)
+                        row = rows.setdefault(key, {})
+                        row[old] = row.get(old, 0) + cu * cv
+    ordered = sorted(rows, key=lambda e: (sum(e), e))
+    out = []
+    for key in ordered:
+        row = {e: c for e, c in rows[key].items() if c}
+        if row:
+            out.append(row)
+    return out
+
+
+def test_jet_conditions_match_expansion():
+    # Equal under ==, list order included, on every pair and every order
+    # up to two past the truncation, where no key is left out any more.
+    for n, max_deg in [(2, 8), (3, 6), (4, 4), (5, 3)]:
+        ring = PolyRing(n, max_deg)
+        for a0 in range(1, n + 1):
+            for a1 in range(a0 + 1, n + 1):
+                for order in range(1, max_deg + 3):
+                    assert jet_conditions((a0, a1), order, ring) == (
+                        expanded_jet_conditions((a0, a1), order, ring)
+                    ), (n, max_deg, (a0, a1), order)
+    ring = PolyRing(3, 4)
+    for order in range(1, 6):
+        expected = expanded_jet_conditions((1, 2), order, ring)
+        assert jet_conditions((2, 1), order, ring) == expected
+        assert jet_conditions(DiagonalIdeal(ring, (1, 2)), order) == expected
+
+
+def test_jet_weights_closed_form():
+    # K(P, r)[p0] is the coefficient of z^r in (1+z)^p0 (1-z)^(P-p0),
+    # here expanded by multiplying out coefficient lists.
+    def times(poly, sign):
+        return [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+
+    for P in range(9):
+        for r in range(P + 1):
+            expected = {}
+            for p0 in range(P + 1):
+                poly = [1]
+                for _ in range(p0):
+                    poly = times(poly, 1)
+                for _ in range(P - p0):
+                    poly = times(poly, -1)
+                if poly[r]:
+                    expected[p0] = poly[r]
+            assert dict(_jet_weights(P, r)) == expected, (P, r)
+    assert _jet_weights(2, 1) == ((0, -2), (2, 2))
 
 
 def test_conditions_are_degree_homogeneous():
