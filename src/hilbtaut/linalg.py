@@ -4,7 +4,9 @@ Everything downstream that claims a dimension or a determinant routes
 through here.  Three tools: fraction-free Bareiss determinants for dense
 integer matrices, a sparse integer elimination for ranks of the large
 stacked condition systems, and a small rational row-echelon pass when an
-explicit nullspace basis is wanted.  No floating point anywhere.
+explicit nullspace basis is wanted.  No floating point anywhere.  The
+sparse elimination keeps its pivots primitive with a positive leading
+entry and reduces each row in place, one gcd-scaled step per pivot.
 """
 
 from __future__ import annotations
@@ -52,24 +54,27 @@ def leading_principal_minors(matrix) -> list[int]:
     ]
 
 
-def _reduce_row(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+def _divide_content(row: dict[int, int], sign: int = 1) -> None:
+    """Divide row, nonempty, in place by its content times sign (1 or -1)."""
+    g = gcd(*row.values()) * sign
+    if g != 1:
+        for col, v in row.items():
+            row[col] = v // g
 
 
 def sparse_int_rank(rows, pivots: dict | None = None) -> int:
     """Rank that rows, dicts {column: value}, add to a pivot dict.
 
-    Incremental elimination keyed by pivot column with integer
-    cross-multiplication; rows are gcd-reduced after each combination to
-    keep entries small.  Exact.  Each new pivot row is stored in pivots,
-    so rows fed in chunks into one dict are eliminated once each, and the
+    Incremental elimination keyed by pivot column, exact.  Each row is
+    copied once without its zeros, so the caller's dicts never change,
+    and reduced in place.  Against the pivot p at its leading column c,
+    with g = gcd(p[c], row[c]), the row is scaled by p[c] // g when that
+    is not 1 (and then divided by its content), and row[c] // g times p
+    is subtracted entry by entry, deleting entries that cancel.  A row
+    left with a free leading column is stored there as a new pivot,
+    divided by its content and signed so its leading entry is positive.
+    So whenever p[c] divides row[c] a step touches only the entries of p.
+    Rows fed in chunks into one dict are eliminated once each, and the
     increments sum to the rank of all of them; with no dict given, a
     fresh one is used and the result is the plain rank of rows.
     """
@@ -80,17 +85,25 @@ def sparse_int_rank(rows, pivots: dict | None = None) -> int:
         row = {c: v for c, v in raw.items() if v}
         while row:
             c = min(row)
-            if c not in pivots:
-                pivots[c] = _reduce_row(row)
+            p = pivots.get(c)
+            if p is None:
+                _divide_content(row, -1 if row[c] < 0 else 1)
+                pivots[c] = row
                 break
-            p = pivots[c]
             pc, rc = p[c], row[c]
-            merged = {}
-            for col, v in row.items():
-                merged[col] = v * pc
+            g = gcd(pc, rc)
+            a, b = pc // g, rc // g
+            if a != 1:
+                for col, v in row.items():
+                    row[col] = v * a
             for col, v in p.items():
-                merged[col] = merged.get(col, 0) - v * rc
-            row = _reduce_row({col: v for col, v in merged.items() if v})
+                w = row.get(col, 0) - b * v
+                if w:
+                    row[col] = w
+                else:
+                    del row[col]
+            if a != 1 and row:
+                _divide_content(row)
     return len(pivots) - before
 
 

@@ -197,7 +197,14 @@ class DiagonalIdeal:
 
 
 def _resolve(A, ring):
+    """The pair and ring of A, a DiagonalIdeal or a plain pair with ring.
+
+    A ring given with an ideal must match the ideal's ring in n and
+    max_deg: the functionals are read on the monomials of one ring.
+    """
     if isinstance(A, DiagonalIdeal):
+        if ring is not None and (ring.n, ring.max_deg) != (A.ring.n, A.ring.max_deg):
+            raise ValueError(f"ideal of {A.ring} given with another ring {ring}")
         return A.pair, A.ring
     a0, a1 = sorted(A)
     if ring is None:
@@ -312,9 +319,8 @@ def membership(p: TruncPoly, A, order: int, ring: PolyRing | None = None) -> boo
     on the monomials of the ideal's ring, so a polynomial of another ring
     would be judged on the wrong ones (for another n, on none at all).
     """
-    if isinstance(A, DiagonalIdeal):
-        ring = A.ring
-    if ring is not None and (ring.n, ring.max_deg) != (p.ring.n, p.ring.max_deg):
+    _, ring = _resolve(A, ring)
+    if (ring.n, ring.max_deg) != (p.ring.n, p.ring.max_deg):
         raise ValueError(f"polynomial of {p.ring} tested against an ideal of {ring}")
     return all(
         evaluate_functional(row, p) == 0

@@ -134,6 +134,18 @@ def test_membership_refuses_another_ring():
     assert not membership(p, DiagonalIdeal(PolyRing(3, 2), (1, 2)), 1)
 
 
+def test_ideal_refuses_another_ring():
+    ideal = DiagonalIdeal(PolyRing(2, 2), (1, 2))
+    for ring in (PolyRing(3, 3), PolyRing(3, 2), PolyRing(2, 3)):
+        with pytest.raises(ValueError, match="another ring"):
+            jet_conditions(ideal, 1, ring)
+        with pytest.raises(ValueError, match="another ring"):
+            membership(ideal.ring.one(), ideal, 1, ring)
+    # an equal ring built separately is the same ring
+    assert jet_conditions(ideal, 1, PolyRing(2, 2)) == jet_conditions(ideal, 1)
+    assert not membership(ideal.ring.one(), ideal, 1, PolyRing(2, 2))
+
+
 def expanded_jet_conditions(A, order, ring=None):
     """Reference: jet conditions by expanding every monomial of the ring.
 
