@@ -15,7 +15,6 @@ counts against an independent computation.  It closes each orbit in one
 walk over the maps: the first member of an orbit hands its id to the
 sorted image tuples of all its relabellings by S_n, and every later map
 finds its orbit by one lookup of its own sorted image tuple.
-Composition stabilizers are likewise filtered out of all of S_n.
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
 length m with p[i-1] = p(i).
@@ -356,17 +355,7 @@ def sign_epsilon(i: int, J) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stabilizers of compositions inside G, and plain permutation helpers
-
-
-def composition_stabilizer(c) -> list[tuple[int, ...]]:
-    """All sigma in S_n with c o sigma = c, as explicit permutations.
-
-    Read off by filtering the whole of S_n, so the list comes out in
-    lexicographic order.
-    """
-    c = tuple(c)
-    return [p for p in all_permutations(len(c)) if tuple(c[v - 1] for v in p) == c]
+# plain permutation helpers
 
 
 def all_permutations(m: int) -> list[tuple[int, ...]]:

@@ -12,7 +12,7 @@ entry and reduces each row in place, one gcd-scaled step per pivot.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def bareiss_det(matrix) -> int:
@@ -112,17 +112,6 @@ def int_rank(matrix) -> int:
     return sparse_int_rank(
         {c: v for c, v in enumerate(row) if v} for row in matrix
     )
-
-
-def fraction_rows_to_int(rows):
-    """Clear denominators row by row: dicts of Fractions -> dicts of ints."""
-    out = []
-    for row in rows:
-        denom = 1
-        for v in row.values():
-            denom = lcm(denom, Fraction(v).denominator)
-        out.append({c: int(Fraction(v) * denom) for c, v in row.items() if v})
-    return out
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:

@@ -37,7 +37,6 @@ from functools import lru_cache
 from math import comb
 
 from .combinat import _compositions
-from .linalg import nullspace
 
 
 class PolyRing:
@@ -326,40 +325,6 @@ def membership(p: TruncPoly, A, order: int, ring: PolyRing | None = None) -> boo
         evaluate_functional(row, p) == 0
         for row in jet_conditions(A, order, ring)
     )
-
-
-def intersect_ideal_powers(pairs, ring: PolyRing) -> list:
-    """Exact basis of the intersection of diagonal-ideal powers.
-
-    pairs is a list of (A, exponent); exponent 0 contributes nothing.
-    The basis comes out homogeneous, ordered by degree, each vector from
-    the deterministic nullspace of the stacked jet conditions in that
-    degree.
-    """
-    conditions = []
-    for A, e in pairs:
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        if e == 0:
-            continue
-        conditions.extend(jet_conditions(A, e, ring))
-    by_degree: dict = {}
-    for row in conditions:
-        d = sum(next(iter(row)))
-        by_degree.setdefault(d, []).append(row)
-    basis = []
-    for d in range(ring.max_deg + 1):
-        monos = ring.monomials(d)
-        index = {e: i for i, e in enumerate(monos)}
-        rows = [
-            {index[e]: c for e, c in row.items()}
-            for row in by_degree.get(d, [])
-        ]
-        for vec in nullspace(rows, len(monos)):
-            basis.append(
-                TruncPoly(ring, {monos[i]: c for i, c in enumerate(vec) if c})
-            )
-    return basis
 
 
 def permute_composition(lam, sigma):

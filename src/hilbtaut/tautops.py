@@ -31,12 +31,13 @@ column orbits rely on.
 The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
 solves the kernel and graded systems alike: it takes blocks of
-conditions (pair, order, support) and builds their rows and its own
-(composition, exponent) columns, folded into relabeling orbits or not.
-Every row is bihomogeneous in (x-degree, y-degree), so degree d splits
-into d + 1 blocks of x-degree g sharing no column, and swapping x and y,
-which fixes every diagonal ideal, gives blocks g and d - g equal rank:
-only 2g >= d is solved, and the mirror counted.  The stacked systems are
+conditions (pair, order, support) and maps each jet functional straight
+onto its own (composition, exponent) columns, folded into relabeling
+orbits or not.  Every row is bihomogeneous in (x-degree, y-degree), so
+degree d splits into d + 1 blocks of x-degree g sharing no column, and
+swapping x and y, which fixes every diagonal ideal, gives blocks g and
+d - g equal rank: only the columns and rows of 2g >= d are built and
+solved, and the mirror counted.  The stacked systems are
 nested, block l only adding rows, so the engine runs one elimination per
 (degree, x-degree): it feeds the blocks in order, each one's rows
 shortest first, into that pair's pivot dict and reads every level's
@@ -250,86 +251,56 @@ def _jet_count(ring: PolyRing, order: int, d: int) -> int:
     )
 
 
-def _jet_rows(by_degree: dict, jets, support) -> None:
-    """Append one row per jet functional to by_degree, under its degree.
-
-    A functional maps exponents e to integer weights c; its row puts
-    cf * c on the key (lam, e) for every (lam, cf) in support.
-    """
-    for functional in jets:
-        degree = sum(next(iter(functional)))
-        by_degree.setdefault(degree, []).append(
-            {(lam, e): cf * c for lam, cf in support for e, c in functional.items()}
-        )
-
-
-def _condition_rows(ring: PolyRing, block, upper_half: bool = False):
-    """Rows of a condition block, grouped by total degree.
-
-    The block lists conditions (A, order, support): the jet functionals
-    of I_A^order, each times the support's composition weights.  Each
-    row maps (composition, exponent) keys to integer weights; a tuple
-    satisfies the block when every row pairs to zero against its
-    coefficients.  A pair ending one point past the ring's last point
-    refers to a point pinned at the origin.  With upper_half, only the
-    rows _nullities eliminates are built: those of x-degree g with
-    2g >= d.  A row's x-degree is its functional's, as the support
-    changes only the composition.
-    """
-    n = ring.n
-    by_degree: dict = {}
-    jets_cache: dict = {}
-    for A, order, support in block:
-        jets = jets_cache.get((A, order))
-        if jets is None:
-            if A[1] > n:
-                jets = pinned_jet_conditions(A[0], order, ring)
-            else:
-                jets = jet_conditions(A, order, ring)
-            if upper_half:
-                jets = [f for f in jets
-                        if 2 * sum(next(iter(f))[:n]) >= sum(next(iter(f)))]
-            jets_cache[(A, order)] = jets
-        _jet_rows(by_degree, jets, support)
-    return by_degree
-
-
 def _columns(comps, ring: PolyRing, d: int, fold: bool):
-    """(ncols, index): the column of every key (lam, e), lam in comps and
-    e a degree-d monomial of ring.
+    """(ncols, index): how many columns the keys (lam, e) make, lam in
+    comps and e a degree-d monomial of ring, and the column of every key
+    whose exponent has x-degree g with 2g >= d.
 
     Unfolded, each key is its own column.  Folded, keys are grouped into
     orbits under slot relabeling, which sends the coefficient of x_lam
     at e to that of x_(lam o sigma) at the sigma-permuted exponent, with
     no sign; an invariant tuple is constant on each orbit.  Since sigma
     permutes the slots of lam and of both blocks of e together, the
-    sorted triples (lam_i, e_i, e_(n+i)) name the orbit.  Columns are
-    numbered by first appearance, lam outer and e inner.  The key table,
-    keys times points (the slots of lam), is checked against the entry
-    cap from its size, before any monomial or key is built.
+    sorted triples (lam_i, e_i, e_(n+i)) name the orbit.  Swapping x and
+    y maps the keys, and so the orbits, of x-degree g one-to-one onto
+    those of d - g, so only 2g >= d is keyed and ncols still counts
+    every column: an orbit of 2g > d counts twice.  Columns are numbered
+    by first appearance, lam outer and e inner.  The key table, keys
+    times points (the slots of lam), is checked against the entry cap
+    from its size, before any monomial or key is built.
     """
     keys = len(comps) * comb(ring.nvars + d - 1, d)
     _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
-    cols = product(comps, ring.monomials(d))
-    if not fold:
-        index = {key: i for i, key in enumerate(cols)}
-        return len(index), index
     n = ring.n
+    cols = product(comps, [e for e in ring.monomials(d) if 2 * sum(e[:n]) >= d])
+    if not fold:
+        return keys, {key: i for i, key in enumerate(cols)}
     ids: dict = {}
     index = {}
+    ncols = 0
     for lam, e in cols:
         key = tuple(sorted(zip(lam, e[:n], e[n:])))
-        index[(lam, e)] = ids.setdefault(key, len(ids))
-    return len(ids), index
+        col = ids.get(key)
+        if col is None:
+            col = ids[key] = len(ids)
+            ncols += 1 if 2 * sum(e[:n]) == d else 2
+        index[(lam, e)] = col
+    return ncols, index
 
 
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     """Per-degree nullities at every level of a stack of condition blocks.
 
-    blocks are lists of conditions as in _condition_rows, whose rows are
-    keyed as in _columns(comps, ring, d, fold); keys sharing a column add
-    up.  Level l imposes the first l blocks.  The result is indexed by
-    level, 0 through len(blocks), then by degree through ring.max_deg.
+    A block lists conditions (A, order, support): the jet functionals of
+    I_A^order, from pinned_jet_conditions when A ends one point past the
+    ring's last (a point pinned at the origin), each times the support's
+    composition weights.  A functional maps exponents e to integer
+    weights c; its row puts cf * c on the column of (lam, e), as
+    _columns(comps, ring, d, fold) numbers them, for every (lam, cf) in
+    support, and keys sharing a column add up.  A tuple satisfies the
+    block when every row pairs to zero against its coefficients.  Level
+    l imposes the first l blocks.  The result is indexed by level, 0
+    through len(blocks), then by degree through ring.max_deg.
 
     Every degree is checked against the cap before any row is built:
     first its key table, then its full stack, rows times columns, with
@@ -337,12 +308,14 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
 
     Every row is bihomogeneous, so degree d splits into blocks of
     x-degree g = 0..d that share no column, folded or not (an orbit key
-    keeps the x-degree of its triples).  Swapping x and y fixes every
-    diagonal ideal and maps the rows of g onto those of d - g, so the two
-    have equal rank: only the rows of 2g >= d are built and eliminated,
-    and 2g > d counts twice.  Each (d, g) keeps one pivot dict and is fed
-    the blocks in order, each block's rows shortest first, so every row
-    is eliminated once and level l is read off right after block l.
+    keeps the x-degree of its triples).  A row's d and g are its
+    functional's, as the support changes only the composition.  Swapping
+    x and y fixes every diagonal ideal and maps the rows of g onto those
+    of d - g, so the two have equal rank: only the rows of 2g >= d are
+    built and eliminated, and 2g > d counts twice.  Each (d, g) keeps one
+    pivot dict and is fed the blocks in order, each block's rows
+    shortest first, so every row is eliminated once and level l is read
+    off right after block l.
     """
     n = ring.n
     degrees = []
@@ -352,21 +325,36 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
         if nrows:
             _check_cap(nrows, ncols, context)
         degrees.append((ncols, colmap))
-    block_rows = [_condition_rows(ring, block, upper_half=True) for block in blocks]
+    jets: dict = {}
+    for block in blocks:
+        for A, order, _ in block:
+            if (A, order) in jets:
+                continue
+            by_d = jets[A, order] = {}
+            if A[1] > n:
+                functionals = pinned_jet_conditions(A[0], order, ring)
+            else:
+                functionals = jet_conditions(A, order, ring)
+            for functional in functionals:
+                e = next(iter(functional))
+                d, g = sum(e), sum(e[:n])
+                if 2 * g >= d:
+                    by_d.setdefault(d, []).append((g, functional))
     profile: list = [[] for _ in range(len(blocks) + 1)]
     for d, (ncols, colmap) in enumerate(degrees):
         pivots: dict = {}
         rank = 0
         profile[0].append(ncols)
-        for level, by_degree in enumerate(block_rows, start=1):
+        for level, block in enumerate(blocks, start=1):
             by_g: dict = {}
-            for row in by_degree.get(d, ()):
-                g = sum(next(iter(row))[1][:n])
-                mapped: dict = {}
-                for key, val in row.items():
-                    col = colmap[key]
-                    mapped[col] = mapped.get(col, 0) + val
-                by_g.setdefault(g, []).append({c: v for c, v in mapped.items() if v})
+            for A, order, support in block:
+                for g, functional in jets[A, order].get(d, ()):
+                    row: dict = {}
+                    for lam, cf in support:
+                        for e, c in functional.items():
+                            col = colmap[lam, e]
+                            row[col] = row.get(col, 0) + cf * c
+                    by_g.setdefault(g, []).append(row)
             for g, rows in by_g.items():
                 rows.sort(key=len)
                 gained = sparse_int_rank(rows, pivots.setdefault(g, {}))

@@ -18,7 +18,6 @@ from hilbtaut.combinat import (
     all_permutations,
     canonical_section,
     compare_refined,
-    composition_stabilizer,
     enumerate_compositions,
     enumerate_multiindex_maps,
     enumerate_partitions,
@@ -36,6 +35,7 @@ from hilbtaut.combinat import (
     stabilizer_order,
 )
 from hilbtaut.polyjet import PolyRing
+from references import composition_stabilizer
 
 
 # --- oracles -----------------------------------------------------------

@@ -9,6 +9,7 @@ engine's per-level nullities.
 """
 
 import copy
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from hilbtaut import tautops
 from hilbtaut.linalg import nullspace, sparse_int_rank
 from hilbtaut.tautops import _nullity_profile
+from references import fraction_rows_to_int
 
 
 # --- reference -----------------------------------------------------------
@@ -121,6 +123,15 @@ def test_rank_of_generator_and_edge_rows():
     pivots = {}
     assert sparse_int_rank(({0: -6, 2: 4}, {0: 3, 2: -2}, {2: -5}), pivots) == 2
     assert pivots == {0: {0: 3, 2: -2}, 2: {2: 1}}
+
+
+def test_reference_fraction_rows_to_int():
+    # each row times the least common multiple of its denominators, zeros dropped
+    rows = [{0: Fraction(1, 2), 3: Fraction(-2, 3), 5: Fraction(0)}, {1: 4}, {}]
+    assert fraction_rows_to_int(rows) == [{0: 3, 3: -4}, {1: 4}, {}]
+    ints = fraction_rows_to_int(rows)
+    assert all(type(v) is int for row in ints for v in row.values())
+    assert sparse_int_rank(ints) == 2
 
 
 # --- the nullity engine on the old elimination ----------------------------

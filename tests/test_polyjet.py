@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut.linalg import fraction_rows_to_int, sparse_int_rank
+from hilbtaut.linalg import sparse_int_rank
 from hilbtaut.polyjet import (
     DiagonalIdeal,
     PolyRing,
@@ -22,13 +22,13 @@ from hilbtaut.polyjet import (
     _jet_weights,
     _resolve,
     evaluate_functional,
-    intersect_ideal_powers,
     jet_conditions,
     membership,
     permute_composition,
     pinned_jet_conditions,
     symmetrize,
 )
+from references import fraction_rows_to_int, intersect_ideal_powers
 
 
 def rank_per_degree(polys, ring):

@@ -9,7 +9,7 @@ of sizes against the Reynolds average of an explicit ideal-power basis.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import comb
 
 import pytest
@@ -18,16 +18,14 @@ from hypothesis import strategies as st
 
 from hilbtaut import tautops
 from hilbtaut.combinat import (
-    composition_stabilizer,
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
 )
-from hilbtaut.linalg import fraction_rows_to_int, sparse_int_rank
+from hilbtaut.linalg import sparse_int_rank
 from hilbtaut.polyjet import (
     PolyRing,
     TruncPoly,
-    intersect_ideal_powers,
     jet_conditions,
     membership,
     pinned_jet_conditions,
@@ -40,7 +38,6 @@ from hilbtaut.tautops import (
     SectionTuple,
     _all_pairs,
     _columns,
-    _condition_rows,
     _difference_block,
     _jet_count,
     _match_constant,
@@ -58,6 +55,7 @@ from hilbtaut.tautops import (
     verify_recursion,
     verify_transition,
 )
+from references import composition_stabilizer, fraction_rows_to_int, intersect_ideal_powers
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +158,48 @@ def brute_kernel_dims_n2(k, max_deg, invariant):
     return tuple(out)
 
 
+def reference_condition_rows(ring, block):
+    """Rows of a condition block, every x-degree, grouped by total degree.
+
+    The block lists conditions (A, order, support): the jet functionals
+    of I_A^order (pinned ones when A ends one point past the ring), each
+    times the support's composition weights.  Each row maps (composition,
+    exponent) keys to integer weights.  This is the engine's row builder
+    from before it mapped functionals straight onto the columns it
+    eliminates.
+    """
+    by_degree = {}
+    for A, order, support in block:
+        if A[1] > ring.n:
+            jets = pinned_jet_conditions(A[0], order, ring)
+        else:
+            jets = jet_conditions(A, order, ring)
+        for functional in jets:
+            by_degree.setdefault(sum(next(iter(functional))), []).append(
+                {(lam, e): cf * c for lam, cf in support for e, c in functional.items()}
+            )
+    return by_degree
+
+
+def reference_columns(comps, ring, d, fold):
+    """(ncols, index) over every key (lam, e) of degree d, all x-degrees.
+
+    Unfolded, each key is its own column; folded, the sorted triples
+    (lam_i, e_i, e_(n+i)) name a key's relabeling orbit.  This is the
+    engine's column keying from before it keyed only 2g >= d.
+    """
+    cols = product(comps, ring.monomials(d))
+    if not fold:
+        index = {key: i for i, key in enumerate(cols)}
+        return len(index), index
+    n = ring.n
+    ids = {}
+    index = {}
+    for lam, e in cols:
+        index[(lam, e)] = ids.setdefault(tuple(sorted(zip(lam, e[:n], e[n:]))), len(ids))
+    return len(ids), index
+
+
 def unpinned_full_profile(n, k, max_deg):
     """Per-degree nullities of the full stacked systems on all n points.
 
@@ -179,24 +219,25 @@ def unpinned_full_profile(n, k, max_deg):
 def restacked_profile(n, k, max_deg, invariant):
     """Every level of _nullity_profile, each ranked from scratch.
 
-    Level l stacks the rows of the first l condition blocks and ranks
-    them with a fresh sparse_int_rank, so no pivot is shared between
-    levels.  Systems are set up as in _nullity_profile: invariant ones
-    over column orbits on n points, full ones pinned on n - 1 points and
-    tensored with Q[x_n, y_n].
+    Level l stacks the rows of the first l condition blocks, every
+    x-degree, over every column, and ranks them with a fresh
+    sparse_int_rank, so no pivot is shared between levels and no row or
+    column comes from the engine.  Systems are set up as in
+    _nullity_profile: invariant ones over column orbits on n points,
+    full ones pinned on n - 1 points and tensored with Q[x_n, y_n].
     """
     comps = enumerate_compositions(n, k)
     ring = PolyRing(n if invariant else n - 1, max_deg)
     pairs = _rep_pairs if invariant else _all_pairs
     blocks = [
-        _condition_rows(ring, _difference_block(level, pairs(n, k, level)))
+        reference_condition_rows(ring, _difference_block(level, pairs(n, k, level)))
         for level in range(max(k - 1, 0))
     ]
     profile = []
     for level in range(len(blocks) + 1):
         dims = []
         for d in range(max_deg + 1):
-            ncols, colmap = _columns(comps, ring, d, invariant)
+            ncols, colmap = reference_columns(comps, ring, d, invariant)
             rows = []
             for block in blocks[:level]:
                 for row in block.get(d, []):
@@ -324,12 +365,13 @@ def test_column_orbits_match_relabeling_action():
             }
     monos = ring.monomials(2)
     count, index = _columns(comps, ring, 2, True)
+    upper = [(lam, e) for lam in comps for e in monos if 2 * sum(e[:3]) >= 2]
+    assert set(index) == set(upper)
     orbit_values = {}
-    for lam in comps:
-        for e in monos:
-            v = folded[lam].coeffs.get(e, Fraction(0))
-            oid = index[(lam, e)]
-            assert orbit_values.setdefault(oid, v) == v
+    for lam, e in upper:
+        v = folded[lam].coeffs.get(e, Fraction(0))
+        oid = index[(lam, e)]
+        assert orbit_values.setdefault(oid, v) == v
 
     def image(lam, e, sigma):
         return (
@@ -342,8 +384,10 @@ def test_column_orbits_match_relabeling_action():
     for lam in comps:
         for e in monos:
             images = {image(lam, e, sigma) for sigma in s3}
-            assert {index[col] for col in images} == {index[(lam, e)]}
+            if (lam, e) in index:
+                assert {index[col] for col in images} == {index[(lam, e)]}
             orbits.add(frozenset(images))
+    # every orbit counts, the unkeyed 2g < d ones through their x <-> y mirror
     assert count == len(orbits)
 
     mu_bar = (2, 0, 0)
@@ -355,7 +399,7 @@ def test_column_orbits_match_relabeling_action():
     assert graded_count == len(stab_orbits)
 
 
-def test_condition_rows_have_integer_weights():
+def test_condition_rows_have_integer_weights(monkeypatch):
     n, k, max_deg = 3, 4, 3
     ring, pinned = PolyRing(n, max_deg), PolyRing(n - 1, max_deg)
     functionals = []
@@ -367,11 +411,26 @@ def test_condition_rows_have_integer_weights():
     for shape, pairs in [(ring, _rep_pairs), (pinned, _all_pairs)]:
         for level in range(k - 1):
             block = _difference_block(level, pairs(n, k, level))
-            for rows in _condition_rows(shape, block).values():
+            for rows in reference_condition_rows(shape, block).values():
                 functionals += rows
     assert functionals
     for functional in functionals:
         assert all(type(c) is int for c in functional.values())
+    # and the engine's own rows, as elimination receives them
+    received = []
+    rank = tautops.sparse_int_rank
+
+    def recorded(rows, pivots=None):
+        rows = list(rows)
+        received.extend(v for row in rows for v in row.values())
+        return rank(rows, pivots)
+
+    monkeypatch.setattr(tautops, "sparse_int_rank", recorded)
+    kernel_nullity(n, k, max_deg, invariant=True)
+    kernel_nullity(n, k, max_deg, invariant=False)
+    graded_dims(n, k, max_deg)
+    assert received
+    assert all(type(v) is int for v in received)
 
 
 def _graded_block(n, k, mu):
@@ -393,7 +452,7 @@ def test_row_counts_from_sizes_match_built_rows(n, k, max_deg, invariant):
     if invariant:
         blocks.append(_graded_block(n, k, (2,) + (1,) * (k - 2))[0])
     for block in blocks:
-        rows = _condition_rows(ring, block)
+        rows = reference_condition_rows(ring, block)
         for d in range(max_deg + 1):
             counted = sum(_jet_count(ring, order, d) for _, order, _ in block)
             assert len(rows.get(d, ())) == counted, (block[0], d)
@@ -412,28 +471,53 @@ def test_row_cap_refuses_before_rows_are_built(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("rows built before the cap was checked")
 
-    monkeypatch.setattr(tautops, "_condition_rows", unbuilt)
+    monkeypatch.setattr(tautops, "jet_conditions", unbuilt)
+    monkeypatch.setattr(tautops, "pinned_jet_conditions", unbuilt)
     with pytest.raises(EntryCapError, match="15840 x 1716"):
         kernel_nullity(12, 2, 2, invariant=False)
 
 
 @pytest.mark.parametrize("system", ["invariant", "full", "graded"])
 def test_nullities_build_only_the_upper_half(monkeypatch, system):
-    built = []
-    build = tautops._jet_rows
+    # Every row is looked up in the index _columns returns, so an index
+    # holding only 2g >= d keys admits no row of 2g < d.
+    keyed = []
+    build = tautops._columns
 
-    def checked(by_degree, jets, support):
-        for functional in jets:
-            e = next(iter(functional))
-            built.append(2 * sum(e[: len(e) // 2]) >= sum(e))
-        build(by_degree, jets, support)
+    def checked(comps, ring, d, fold):
+        ncols, index = build(comps, ring, d, fold)
+        assert ncols == reference_columns(comps, ring, d, fold)[0]
+        keyed.extend(2 * sum(e[: ring.n]) >= d for _, e in index)
+        return ncols, index
 
-    monkeypatch.setattr(tautops, "_jet_rows", checked)
+    monkeypatch.setattr(tautops, "_columns", checked)
     if system == "graded":
         graded_dims(3, 4, 4)
     else:
         kernel_nullity(3, 4, 3, invariant=system == "invariant")
-    assert built and all(built)
+    assert keyed and all(keyed)
+
+
+# Folded and unfolded, on n points and pinned on n - 1, and over one padded
+# partition as graded_dims keys them: n <= 4, k <= 4, d <= 5.
+def test_column_count_mirrors_the_upper_half():
+    for n in range(1, 5):
+        for k in range(5):
+            comps = enumerate_compositions(n, k)
+            for points in {n, n - 1} - {0}:
+                ring = PolyRing(points, 5)
+                column_sets = [comps]
+                if points == n:
+                    column_sets += [[tuple(mu) + (0,) * (n - len(mu))]
+                                    for mu in enumerate_partitions(k, n)]
+                for columns in column_sets:
+                    for d in range(6):
+                        upper = {(lam, e) for lam in columns for e in ring.monomials(d)
+                                 if 2 * sum(e[:points]) >= d}
+                        for fold in (True, False):
+                            ncols, index = _columns(columns, ring, d, fold)
+                            assert ncols == reference_columns(columns, ring, d, fold)[0]
+                            assert set(index) == upper
 
 
 # Every level ranked from rows built here, per x-degree block: invariant and
@@ -449,9 +533,9 @@ def test_x_degree_blocks_are_independent_and_mirror(system):
         pairs = _rep_pairs if system == "invariant" else _all_pairs
         comps, fold = enumerate_compositions(n, k), system == "invariant"
         blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
-    built = [_condition_rows(ring, block) for block in blocks]
+    built = [reference_condition_rows(ring, block) for block in blocks]
     for d in range(ring.max_deg + 1):
-        _, colmap = _columns(comps, ring, d, fold)
+        _, colmap = reference_columns(comps, ring, d, fold)
         for level in range(1, len(built) + 1):
             by_g = {}
             for rows in built[:level]:
