@@ -1,12 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything downstream that claims a dimension or a determinant routes
-through here.  Three tools: fraction-free Bareiss determinants for dense
-integer matrices, a sparse integer elimination for ranks of the large
-stacked condition systems, and a small rational row-echelon pass when an
-explicit nullspace basis is wanted.  No floating point anywhere.  The
-sparse elimination keeps its pivots primitive with a positive leading
-entry and reduces each row in place, one gcd-scaled step per pivot.
+Everything downstream that claims a dimension, a determinant or a
+proportionality routes through here.  Three tools: fraction-free Bareiss
+determinants for dense integer matrices, a sparse integer elimination
+for ranks of the large stacked condition systems, and an exact check
+that one sparse vector is a rational multiple of another, which the
+verification identities use.  No floating point anywhere.  The sparse
+elimination keeps its pivots primitive with a positive leading entry
+and reduces each row in place, one gcd-scaled step per pivot.
 """
 
 from __future__ import annotations
@@ -114,48 +115,19 @@ def int_rank(matrix) -> int:
     )
 
 
-def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace of a rational matrix.
+def scalar_multiple(a: dict, b: dict) -> Fraction:
+    """The rational c with a == c * b, for sparse dicts without zero values.
 
-    Rows are dicts {column: Fraction}.  Gauss-Jordan over Fraction; the
-    returned basis vectors have a 1 in their free column and are produced
-    in increasing free-column order, so the result is deterministic.
+    Raises ValueError when b is empty, when a and b have different
+    supports, or when their entries are not in one common ratio.
     """
-    echelon: list[dict[int, Fraction]] = []
-    pivot_cols: list[int] = []
-    for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
-        for pc, erow in zip(pivot_cols, echelon):
-            if pc in row:
-                factor = row[pc]
-                for col, v in erow.items():
-                    row[col] = row.get(col, Fraction(0)) - factor * v
-                row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
-        c = min(row)
-        inv = 1 / row[c]
-        row = {col: v * inv for col, v in row.items()}
-        for pc, erow in zip(pivot_cols, echelon):
-            if c in erow:
-                factor = erow[c]
-                for col, v in row.items():
-                    erow[col] = erow.get(col, Fraction(0)) - factor * v
-        echelon = [{c2: v for c2, v in e.items() if v} for e in echelon]
-        pivot_cols.append(c)
-        echelon.append(row)
-    order = sorted(range(len(pivot_cols)), key=lambda i: pivot_cols[i])
-    pivot_cols = [pivot_cols[i] for i in order]
-    echelon = [echelon[i] for i in order]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for pc, erow in zip(pivot_cols, echelon):
-            if free in erow:
-                vec[pc] = -erow[free]
-        basis.append(tuple(vec))
-    return basis
+    if not b:
+        raise ValueError("nothing to compare against")
+    if a.keys() != b.keys():
+        raise ValueError("supports differ")
+    w = next(iter(b))
+    c = Fraction(a[w]) / b[w]
+    for w, v in b.items():
+        if a[w] != c * v:
+            raise ValueError(f"ratios {c} and {Fraction(a[w]) / v} differ")
+    return c

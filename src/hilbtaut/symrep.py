@@ -30,7 +30,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .linalg import nullspace
+from .combinat import _partitions
+from .linalg import scalar_multiple
 
 # ---------------------------------------------------------------------------
 # character arithmetic over cycle types
@@ -38,17 +39,8 @@ from .linalg import nullspace
 
 def cycle_types(k: int):
     """All cycle types of S_k as (partition, class size, sign) triples."""
-
-    def parts(rest, cap):
-        if rest == 0:
-            yield ()
-            return
-        for p in range(min(rest, cap), 0, -1):
-            for tail in parts(rest - p, p):
-                yield (p,) + tail
-
     out = []
-    for lam in parts(k, k):
+    for lam in _partitions(k, k, k):
         z = 1
         mult: dict[int, int] = {}
         for p in lam:
@@ -209,14 +201,6 @@ def _sym_unnorm(letters):
     return out
 
 
-def _wedge_letters(letters):
-    """Unnormalized wedge of distinct letters, in the given order."""
-    out = {}
-    for pi in permutations(range(len(letters))):
-        out[tuple(letters[i] for i in pi)] = _perm_sign(pi)
-    return out if letters else {(): 1}
-
-
 def omega_on(letters) -> dict:
     """The alternating generator on a letter set: the signed sum of the
     wedges of all one-letter-deleted subwords."""
@@ -225,7 +209,7 @@ def omega_on(letters) -> dict:
     out: dict = {}
     for i in range(m):
         sub = letters[:i] + letters[i + 1 :]
-        _add_into(out, _wedge_letters(sub), (-1) ** (m - 1 - i))
+        _add_into(out, _alt_unnorm({sub: 1}, m - 1), (-1) ** (m - 1 - i))
     return out
 
 
@@ -259,12 +243,7 @@ def verify_omega(k: int) -> bool:
     base = tuple(range(1, k))
     for tau in permutations(range(1, k + 1)):
         word = tuple(tau[x - 1] for x in base)
-        s = _perm_sign(tau)
-        nv = signed.get(word, 0) + s
-        if nv:
-            signed[word] = nv
-        else:
-            signed.pop(word, None)
+        _add_into(signed, {word: 1}, _perm_sign(tau))
     if signed != omega:
         raise AssertionError(f"signed-sum expression fails at k={k}")
     if k >= 2:
@@ -303,12 +282,13 @@ def verify_sym_map(k: int) -> Fraction:
         sum over cosets (i k), with sign, of the wedge-embedded
         u . omega-hat tensor v . sigma
 
-    is formed in the tensor power of V (x) R_k and decomposed against
-    the embedded monomial basis of S^(k-1)V.  The decomposition must be
-    a single multiple of the expected product monomial, with one common
-    constant across all generators; that constant is returned (the
-    identification is only pinned up to a positive scalar, so it is
-    reported rather than asserted to be 1).
+    is formed in the tensor power of V (x) R_k.  The embedded monomial
+    basis of S^(k-1)V must have nonempty, pairwise disjoint word
+    supports, so it is independent, and the element must be a rational
+    multiple of the expected product monomial, with one common constant
+    across all generators; that constant is returned (the identification
+    is only pinned up to a positive scalar, so it is reported rather
+    than asserted to be 1).  Failures raise AssertionError or ValueError.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -322,6 +302,11 @@ def verify_sym_map(k: int) -> Fraction:
     for a in range(k - 1, -1, -1):
         mono = (0,) * a + (1,) * (k - 1 - a)
         targets.append(_reshuffle(_sym_unnorm(mono), omega_hat_big))
+    seen: set = set()
+    for target in targets:
+        if not target or not seen.isdisjoint(target):
+            raise AssertionError(f"monomial basis degenerate at k={k}")
+        seen.update(target)
 
     constant = None
     for ua in range(k - 2, -1, -1):
@@ -335,23 +320,14 @@ def verify_sym_map(k: int) -> Fraction:
             f0 = _scale(wedge, Fraction(1, k - 1))
             total: dict = {}
             for i in range(1, k + 1):
-                tr = _transposition(i, k)
-                moved = {
-                    tuple((vl, tr(rl)) for vl, rl in w): c for w, c in f0.items()
-                }
+                moved = _map_pair_letters(f0, _transposition(i, k))
                 _add_into(total, moved, 1 if i == k else -1)
             # anti-invariance under the full group is a structural must
             swap12 = _map_pair_letters(total, _transposition(1, 2))
             if _scale(swap12, -1) != total:
                 raise AssertionError(f"image not anti-invariant at k={k}")
-            coords = _decompose(total, targets)
             expect_at = (k - 1) - (ua + (1 if v == 0 else 0))
-            for pos, c in enumerate(coords):
-                if pos != expect_at and c:
-                    raise AssertionError(
-                        f"off-monomial component at k={k}, generator {(u, v)}"
-                    )
-            c = coords[expect_at]
+            c = scalar_multiple(total, targets[expect_at])
             if constant is None:
                 constant = c
             elif c != constant:
@@ -366,27 +342,3 @@ def verify_sym_map(k: int) -> Fraction:
 def _map_pair_letters(d, f):
     return {tuple((vl, f(rl)) for vl, rl in w): c for w, c in d.items()}
 
-
-def _decompose(target, basis_vectors):
-    """Coordinates of target in the span of basis_vectors, via one
-    rational elimination on the stacked columns; raises if not in the
-    span or if the basis is degenerate."""
-    words = sorted(set().union(target, *basis_vectors))
-    ncols = len(basis_vectors) + 1
-    rows = []
-    for w in words:
-        row = {
-            j: Fraction(vec.get(w, 0))
-            for j, vec in enumerate(basis_vectors)
-            if vec.get(w, 0)
-        }
-        if target.get(w, 0):
-            row[ncols - 1] = Fraction(target[w])
-        rows.append(row)
-    kernel = nullspace(rows, ncols)
-    solutions = [vec for vec in kernel if vec[-1] != 0]
-    if len(solutions) != 1 or len(kernel) != 1:
-        raise AssertionError("decomposition not unique; embedding degenerate")
-    vec = solutions[0]
-    scale = -1 / vec[-1]
-    return [c * scale for c in vec[:-1]]

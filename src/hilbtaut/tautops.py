@@ -70,10 +70,11 @@ from .combinat import (
     quotient_A,
     quotient_B,
 )
-from .linalg import sparse_int_rank
+from .linalg import scalar_multiple, sparse_int_rank
 from .polyjet import (
     PolyRing,
     TruncPoly,
+    evaluate_functional,
     jet_conditions,
     pinned_jet_conditions,
     symmetrize,
@@ -297,10 +298,11 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     composition weights.  A functional maps exponents e to integer
     weights c; its row puts cf * c on the column of (lam, e), as
     _columns(comps, ring, d, fold) numbers them, for every (lam, cf) in
-    support, and keys sharing a column add up.  A tuple satisfies the
-    block when every row pairs to zero against its coefficients.  Level
-    l imposes the first l blocks.  The result is indexed by level, 0
-    through len(blocks), then by degree through ring.max_deg.
+    support, and keys sharing a column add up; an entry whose sum cancels
+    is dropped, so rows hold no zeros.  A tuple satisfies the block when
+    every row pairs to zero against its coefficients.  Level l imposes
+    the first l blocks.  The result is indexed by level, 0 through
+    len(blocks), then by degree through ring.max_deg.
 
     Every degree is checked against the cap before any row is built:
     first its key table, then its full stack, rows times columns, with
@@ -353,7 +355,11 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
                     for lam, cf in support:
                         for e, c in functional.items():
                             col = colmap[lam, e]
-                            row[col] = row.get(col, 0) + cf * c
+                            v = row.get(col, 0) + cf * c
+                            if v:
+                                row[col] = v
+                            else:
+                                row.pop(col, None)
                     by_g.setdefault(g, []).append(row)
             for g, rows in by_g.items():
                 rows.sort(key=len)
@@ -655,15 +661,9 @@ def verify_recursion(l_max: int = 8) -> dict:
                     f"recursion failed on polynomials at order {order}, n={n}"
                 )
             for functional in jet_conditions(A, order, ring):
-                left = sum(
-                    (c * lhs.coeffs[e] for e, c in functional.items() if e in lhs.coeffs),
-                    Fraction(0),
-                )
-                right = sum(
-                    (c * rhs.coeffs[e] for e, c in functional.items() if e in rhs.coeffs),
-                    Fraction(0),
-                )
-                if left != right:
+                if evaluate_functional(functional, lhs) != evaluate_functional(
+                    functional, rhs
+                ):
                     raise ValueError("jet projections disagree after one step")
             polynomial_cases += 1
     ring = PolyRing(2, 3)
@@ -865,32 +865,14 @@ def _merged_pair_operator(ring: PolyRing, mu0, level: int, summands) -> dict:
 
 def _match_constant(label: str, mine: dict, printed: dict) -> Fraction:
     """The single rational c with mine = c * printed, bucket by bucket."""
-    ratio = None
-    keys = set(mine) | set(printed)
-    for ij in sorted(keys):
-        a = mine.get(ij)
-        b = printed.get(ij)
-        acoeffs = a.coeffs if a is not None else {}
-        bcoeffs = b.coeffs if b is not None else {}
-        for e in set(acoeffs) | set(bcoeffs):
-            va = acoeffs.get(e, Fraction(0))
-            vb = bcoeffs.get(e, Fraction(0))
-            if vb == 0:
-                if va != 0:
-                    raise ValueError(
-                        f"coefficient mismatch in {label}: unmatched term at {ij}"
-                    )
-                continue
-            r = va / vb
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                raise ValueError(
-                    f"coefficient mismatch in {label}: ratios {ratio} and {r}"
-                )
-    if ratio is None or ratio == 0:
-        raise ValueError(f"coefficient mismatch in {label}: no matching terms")
-    return ratio
+
+    def flat(buckets):
+        return {(ij, e): c for ij, p in buckets.items() for e, c in p.coeffs.items()}
+
+    try:
+        return scalar_multiple(flat(mine), flat(printed))
+    except ValueError as exc:
+        raise ValueError(f"coefficient mismatch in {label}: {exc}") from None
 
 
 def _poly_bank(shift: int):

@@ -1,11 +1,12 @@
-"""Sparse integer elimination against independent references.
+"""Sparse integer elimination against independent references, and the
+scalar-multiple check.
 
-sparse_int_rank is checked against linalg.nullspace, a Gauss-Jordan pass
-over Fraction that shares no code with it, on small random integer
-matrices, whole and fed in chunks into one pivot dict.  The elimination
-it replaced, which cross-multiplied every row with its pivot and
-gcd-reduced the result, is kept here as a reference for the nullity
-engine's per-level nullities.
+sparse_int_rank is checked against the nullspace of tests/references.py,
+a Gauss-Jordan pass over Fraction that shares no code with it, on small
+random integer matrices, whole and fed in chunks into one pivot dict.
+The elimination it replaced, which cross-multiplied every row with its
+pivot and gcd-reduced the result, is kept here as a reference for the
+nullity engine's per-level nullities.
 """
 
 import copy
@@ -17,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbtaut import tautops
-from hilbtaut.linalg import nullspace, sparse_int_rank
+from hilbtaut.linalg import scalar_multiple, sparse_int_rank
 from hilbtaut.tautops import _nullity_profile
-from references import fraction_rows_to_int
+from references import fraction_rows_to_int, nullspace
 
 
 # --- reference -----------------------------------------------------------
@@ -132,6 +133,22 @@ def test_reference_fraction_rows_to_int():
     ints = fraction_rows_to_int(rows)
     assert all(type(v) is int for row in ints for v in row.values())
     assert sparse_int_rank(ints) == 2
+
+
+def test_scalar_multiple():
+    c = scalar_multiple({"u": 3, "v": -6}, {"u": 2, "v": -4})
+    assert c == Fraction(3, 2) and type(c) is Fraction
+    assert scalar_multiple({1: Fraction(1, 3)}, {1: Fraction(2, 3)}) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="supports"):
+        scalar_multiple({"u": 3}, {"u": 2, "v": 1})
+    with pytest.raises(ValueError, match="supports"):
+        scalar_multiple({"u": 3, "w": 1}, {"u": 2})
+    with pytest.raises(ValueError, match="ratios"):
+        scalar_multiple({"u": 3, "v": 1}, {"u": 2, "v": 1})
+    with pytest.raises(ValueError):
+        scalar_multiple({}, {})
+    with pytest.raises(ValueError):
+        scalar_multiple({"u": 1}, {})
 
 
 # --- the nullity engine on the old elimination ----------------------------

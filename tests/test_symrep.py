@@ -11,6 +11,7 @@ from math import comb, factorial
 
 import pytest
 
+from hilbtaut import symrep
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.symrep import (
     antiinv_dims_R,
@@ -175,6 +176,19 @@ def test_verify_omega(k):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_sym_map_normalization(k):
     assert verify_sym_map(k) == Fraction(1)
+
+
+def test_sym_map_refuses_overlapping_monomial_images(monkeypatch):
+    # every degree-2 monomial symmetrized as x0^2: the three targets of
+    # k = 3 coincide, so they are not independent
+    real = symrep._sym_unnorm
+    monkeypatch.setattr(
+        symrep,
+        "_sym_unnorm",
+        lambda letters: real((0,) * len(letters)) if len(letters) == 2 else real(letters),
+    )
+    with pytest.raises(AssertionError, match="degenerate"):
+        verify_sym_map(3)
 
 
 def test_dim_arithmetic_against_binomials():

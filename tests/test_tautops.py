@@ -431,6 +431,7 @@ def test_condition_rows_have_integer_weights(monkeypatch):
     graded_dims(n, k, max_deg)
     assert received
     assert all(type(v) is int for v in received)
+    assert all(received)
 
 
 def _graded_block(n, k, mu):
