@@ -48,6 +48,7 @@ from .symrep import antiinv_dims_R, antiinv_dims_rho, verify_omega, verify_sym_m
 from .tautops import (
     EXPONENT_RULES,
     EntryCapError,
+    _check_cap,
     _max_entries,
     graded_dims,
     graded_totals,
@@ -323,6 +324,7 @@ def cmd_graded(cfg: RunConfig) -> int:
 def cmd_toeplitz(cfg: RunConfig) -> int:
     if cfg.kind == "T":
         _require(cfg, "n", "m")
+        _check_cap(cfg.m, cfg.m, f"toeplitz T_{cfg.parity}({cfg.n}, {cfg.m})")
         matrix = t_even(cfg.n, cfg.m) if cfg.parity == "even" else t_odd(cfg.n, cfg.m)
         payload = {
             "command": "toeplitz",
@@ -351,6 +353,9 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
         _emit(cfg, payload, text, csv_lines)
         return 0
     _require(cfg, "l", "k", "j")
+    # An empty shape passes, for r_matrix to refuse with its own message.
+    rows, cols = cfg.k - cfg.l + 1, cfg.k - 2 * cfg.j + 1
+    _check_cap(max(rows, 0), cols, f"toeplitz R({cfg.l}, {cfg.k}, {cfg.j})")
     try:
         matrix = r_matrix(cfg.l, cfg.k, cfg.j)
     except ValueError as exc:

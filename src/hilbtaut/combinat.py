@@ -75,19 +75,6 @@ def refined_key(mu) -> tuple:
     return (len(mu), tuple(-p for p in mu))
 
 
-def compare_refined(mu1, mu2) -> int:
-    """Compare two partitions of the same weight in the refined order.
-
-    Shorter partitions come first; equal lengths are ordered reverse
-    lexicographically, so (5,1) precedes (4,2) precedes (3,3).  Returns
-    -1, 0 or +1.  Raises on a weight mismatch.
-    """
-    if sum(mu1) != sum(mu2):
-        raise ValueError("cannot compare partitions of different weights")
-    a, b = refined_key(tuple(mu1)), refined_key(tuple(mu2))
-    return (a > b) - (a < b)
-
-
 def enumerate_partitions(k: int, n: int) -> list[tuple[int, ...]]:
     """Partitions of k with at most n parts, listed in refined order."""
     if k < 0:
@@ -107,11 +94,6 @@ def m_mu(mu) -> int:
     if not mu:
         raise ValueError("m_mu is undefined for the empty partition")
     return 0 if len(mu) == 1 else mu[-1]
-
-
-def nu_of_composition(c) -> tuple[int, ...]:
-    """The partition in the G-orbit of a composition: nonzero values, sorted."""
-    return tuple(sorted((v for v in c if v), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +117,6 @@ class MultiIndexMap:
     @property
     def k(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def from_sets(cls, n: int, sets) -> "MultiIndexMap":
-        return cls(n, tuple(frozenset(s) for s in sets))
 
 
 @dataclass(frozen=True)
@@ -174,46 +152,6 @@ def multiindex_invariants(a: MultiIndexMap) -> MapInvariants:
     l = sum(len(im) for im in a.images) - a.k
     kk = max(0, 2 * (len(A) - 1))
     return MapInvariants(A=A, J=J, S0=S0, lam=lam, l=l, k=kk, t=len(A & J))
-
-
-def in_Ip(a: MultiIndexMap, p: int) -> bool:
-    """Membership in I^p: l(a) = p and k(a) <= 2."""
-    inv = multiindex_invariants(a)
-    return inv.l == p and inv.k <= 2
-
-
-def act(a: MultiIndexMap, sigma=None, tau=None) -> MultiIndexMap:
-    """The (G x H)-action (sigma, tau).a = sigma a tau^-1.
-
-    Either permutation may be None (identity).  sigma permutes points
-    inside each image, tau^-1 reindexes the slots.
-    """
-    images = a.images
-    if tau is not None:
-        inv_tau = [0] * len(tau)
-        for i, v in enumerate(tau, start=1):
-            inv_tau[v - 1] = i
-        images = tuple(images[inv_tau[i - 1] - 1] for i in range(1, len(images) + 1))
-    if sigma is not None:
-        images = tuple(frozenset(sigma[j - 1] for j in im) for im in images)
-    return MultiIndexMap(a.n, images)
-
-
-def psi(a: MultiIndexMap) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The H-invariant label (lambda(a), A(a)) of a map."""
-    inv = multiindex_invariants(a)
-    return inv.lam, inv.A
-
-
-def phi(a: MultiIndexMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (G x H)-invariant label: partitions of lambda restricted to A
-    and to its complement."""
-    inv = multiindex_invariants(a)
-    nu_A = nu_of_composition(inv.lam[j - 1] for j in sorted(inv.A))
-    nu_rest = nu_of_composition(
-        inv.lam[j - 1] for j in range(1, a.n + 1) if j not in inv.A
-    )
-    return nu_A, nu_rest
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +218,6 @@ def quotient_A0(
     ]
 
 
-def canonical_section(lam, A, k: int) -> MultiIndexMap:
-    """The fixed section (lambda, A) -> a of the label map.
-
-    The first l = k - |lambda| slots map to A; the remaining slots map to
-    singletons in weakly increasing point order.  Any section would do;
-    this one is fixed for determinism.
-    """
-    lam = tuple(lam)
-    n = len(lam)
-    l = k - sum(lam)
-    if l < 0:
-        raise ValueError("weight of lambda exceeds k")
-    A = frozenset(A)
-    if l == 0:
-        if A:
-            raise ValueError("A must be empty when l = 0")
-        images = []
-    else:
-        if len(A) != 2:
-            raise ValueError("A must be a 2-element subset when l >= 1")
-        images = [A] * l
-    for j in range(1, n + 1):
-        images.extend([frozenset((j,))] * lam[j - 1])
-    return MultiIndexMap(n, tuple(images))
-
-
 # ---------------------------------------------------------------------------
 # stabilizers
 
@@ -344,14 +256,6 @@ def stabilizer_order(a: MultiIndexMap, group: str = "H") -> int:
     order *= _block_factor(inv.lam[j - 1] for j in inv.A & inv.J)
     order *= _block_factor(inv.lam[j - 1] for j in inv.J - inv.A)
     return order
-
-
-def sign_epsilon(i: int, J) -> int:
-    """The sign (-1)^(number of elements of J below i); i must lie in J."""
-    J = frozenset(J)
-    if i not in J:
-        raise ValueError("i must be an element of J")
-    return -1 if sum(1 for j in J if j < i) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +307,10 @@ def _maps_by_level(n: int, k: int) -> dict[int, tuple[MultiIndexMap, ...]]:
     return {lv: tuple(ms) for lv, ms in buckets.items()}
 
 
-def enumerate_multiindex_maps(n: int, k: int, l: int | None = None) -> list[MultiIndexMap]:
-    """Every map {1..k} -> nonempty subsets of {1..n}; restricted to I^l
-    (l(a) = l, k(a) <= 2) when l is given.
-
-    The unrestricted walk visits all (2^n - 1)^k raw maps, so keep n and
-    k small; the I^l case prunes to the survivors and is cached.
-    """
-    if l is not None:
-        return list(_maps_by_level(n, k).get(l, ()))
-    subsets = _subset_pool(n)
-    return [MultiIndexMap(n, images)
-            for images in itertools.product(subsets, repeat=k)]
+def enumerate_multiindex_maps(n: int, k: int, l: int) -> list[MultiIndexMap]:
+    """Every map {1..k} -> nonempty subsets of {1..n} in I^l: l(a) = l
+    and k(a) <= 2.  The walk prunes to the survivors and is cached."""
+    return list(_maps_by_level(n, k).get(l, ()))
 
 
 def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMap]]:

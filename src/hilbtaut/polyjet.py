@@ -18,20 +18,17 @@ bases, and every condition is homogeneous in total degree, which lets
 all dimension counts run degree by degree.  The substitution acts on the
 x and y exponents of the pair separately, so each condition is read off
 its key as the product of an x and a y binomial weight table, with no
-monomial expanded (jet_conditions).  The conditions carry integer
-weights: the substitution divides each of them by one power of two,
-fixed by the condition, and scaling it away leaves the kernel as it is.
-When the last point is pinned at the origin, the ideals of pairs ending
-there are already monomial (pinned_jet_conditions).
-
-The symmetric group acts by permuting point labels; symmetrize applies
-sigma_* (x_i goes to x_{sigma^-1(i)}) to a polynomial, or the induced
-action to an indexed family of polynomials.
+monomial expanded.  The conditions carry integer weights: the
+substitution divides each of them by one power of two, fixed by the
+condition, and scaling it away leaves the kernel as it is.  When the
+last point is pinned at the origin, the ideals of pairs ending there are
+already monomial, and each of their conditions is one coefficient.
+_jet_functionals builds the conditions of a list of keys of one degree,
+for either kind of pair; jet_conditions maps it over every key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -64,9 +61,6 @@ class PolyRing:
         for d in range(degree + 1):
             yield from self.monomials(d)
 
-    def monomial_count(self) -> int:
-        return comb(self.nvars + self.max_deg, self.nvars)
-
     def poly(self, coeffs: dict) -> "TruncPoly":
         return TruncPoly(self, coeffs)
 
@@ -75,19 +69,6 @@ class PolyRing:
 
     def one(self) -> "TruncPoly":
         return TruncPoly(self, {(0,) * self.nvars: Fraction(1)})
-
-    def x(self, i: int) -> "TruncPoly":
-        return self._var(i - 1)
-
-    def y(self, i: int) -> "TruncPoly":
-        return self._var(self.n + i - 1)
-
-    def _var(self, pos: int) -> "TruncPoly":
-        if not 0 <= pos < self.nvars:
-            raise ValueError("variable index out of range")
-        e = [0] * self.nvars
-        e[pos] = 1
-        return TruncPoly(self, {tuple(e): Fraction(1)})
 
     def __repr__(self):
         return f"PolyRing(n={self.n}, max_deg={self.max_deg})"
@@ -172,47 +153,6 @@ class TruncPoly:
         return "TruncPoly(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class DiagonalIdeal:
-    """The ideal of the locus where points a0 and a1 collide."""
-
-    ring: PolyRing
-    pair: tuple
-
-    def __post_init__(self):
-        a0, a1 = self.pair
-        if not (1 <= a0 < a1 <= self.ring.n):
-            raise ValueError("pair must satisfy 1 <= a0 < a1 <= n")
-
-    @property
-    def u(self) -> TruncPoly:
-        a0, a1 = self.pair
-        return self.ring.x(a0) - self.ring.x(a1)
-
-    @property
-    def v(self) -> TruncPoly:
-        a0, a1 = self.pair
-        return self.ring.y(a0) - self.ring.y(a1)
-
-
-def _resolve(A, ring):
-    """The pair and ring of A, a DiagonalIdeal or a plain pair with ring.
-
-    A ring given with an ideal must match the ideal's ring in n and
-    max_deg: the functionals are read on the monomials of one ring.
-    """
-    if isinstance(A, DiagonalIdeal):
-        if ring is not None and (ring.n, ring.max_deg) != (A.ring.n, A.ring.max_deg):
-            raise ValueError(f"ideal of {A.ring} given with another ring {ring}")
-        return A.pair, A.ring
-    a0, a1 = sorted(A)
-    if ring is None:
-        raise ValueError("a plain pair needs an explicit ring")
-    if not (1 <= a0 < a1 <= ring.n):
-        raise ValueError("pair must satisfy 1 <= a0 < a1 <= n")
-    return (a0, a1), ring
-
-
 @lru_cache(maxsize=None)
 def _jet_weights(P: int, r: int) -> tuple:
     """The weight table K(P, r): the pairs (p0, K) for p0 = 0..P with K,
@@ -232,7 +172,7 @@ def _jet_weights(P: int, r: int) -> tuple:
     return tuple(out)
 
 
-def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
+def jet_conditions(A, order: int, ring: PolyRing) -> list:
     """Linear functionals whose common kernel is I_A^order, truncated.
 
     Each functional is a dict pairing exponent vectors with integer
@@ -240,68 +180,70 @@ def jet_conditions(A, order: int, ring: PolyRing | None = None) -> list:
     functional evaluates to zero on its coefficients.  Functionals are
     indexed by substituted-basis monomials of u-v-degree below the
     requested order, come ordered by total degree and then by key, and
-    are homogeneous in total degree.  A key e stands for u^r s^(P-r)
-    v^s t^(Q-s) times its other variables, where r and P - r are the
-    exponents of x_{a0} and x_{a1} in e, and s and Q - s those of
-    y_{a0} and y_{a1}.  Its functional is
-    read off it as the product of the x and y weight tables: the
-    monomial with the key's other exponents and pair exponents
-    (p0, P-p0), (q0, Q-q0) gets the weight of p0 in _jet_weights(P, r)
-    times that of q0 in _jet_weights(Q, s), and zero weights are left
-    out.  The substitution puts one denominator under every weight of a
-    functional, 2 to the total exponent of its key monomial on the two
-    points of the pair; the weights here are the rational ones times
-    that constant, which leaves the kernel unchanged.
+    are homogeneous in total degree: _jet_functionals over every key of
+    the ring, degree by degree.
     """
-    (a0, a1), ring = _resolve(A, ring)
+    a0, a1 = sorted(A)
+    if not 1 <= a0 < a1 <= ring.n:
+        raise ValueError("pair must satisfy 1 <= a0 < a1 <= n")
     if order < 1:
         raise ValueError("order must be at least 1")
-    n = ring.n
-    ix0, ix1 = a0 - 1, a1 - 1
-    iy0, iy1 = n + a0 - 1, n + a1 - 1
     out = []
     for d in range(ring.max_deg + 1):
-        monos = ring.monomials(d)
-        # Rows share the ring's cached monomial tuples: fresh copies
-        # would each hold memory for as long as the rows live.
-        same = dict(zip(monos, monos))
         # Monomials come in reverse lexicographic order, keys go sorted.
-        for key in reversed(monos):
-            r, s = key[ix0], key[iy0]
-            if r + s >= order:
-                continue
-            P, Q = r + key[ix1], s + key[iy1]
-            wy = _jet_weights(Q, s)
-            old = list(key)
-            row = {}
-            for p0, cx in _jet_weights(P, r):
-                old[ix0], old[ix1] = p0, P - p0
-                for q0, cy in wy:
-                    old[iy0], old[iy1] = q0, Q - q0
-                    row[same[tuple(old)]] = cx * cy
-            out.append(row)
+        out += _jet_functionals((a0, a1), order, ring, reversed(ring.monomials(d)))
     return out
 
 
-def pinned_jet_conditions(a: int, order: int, ring: PolyRing) -> list:
-    """Jet conditions of the pair (a, n + 1) with point n + 1 at the origin.
+def _jet_functionals(A, order: int, ring: PolyRing, keys) -> list:
+    """The jet functional of each key, in the order given, whose degree
+    at the first point of A is below the order.
 
-    With that point pinned, the diagonal ideal becomes the monomial ideal
-    (x_a, y_a), and its order-th power is cut out by the vanishing of
-    every monomial coefficient of (x_a, y_a)-degree below the order.
-    Functionals have the shape of jet_conditions and come ordered by
-    degree.
+    keys are exponent vectors of one total degree, and A is a pair
+    a0 < a1 of points, a1 at most ring.n + 1.  A key e stands for
+    u^r s^(P-r) v^s t^(Q-s) times its other variables, where r and
+    P - r are the exponents of x_{a0} and x_{a1} in e, and s and Q - s
+    those of y_{a0} and y_{a1}.  Its functional is read off it as the
+    product of the x and y weight tables: the monomial with the key's
+    other exponents and pair exponents (p0, P-p0), (q0, Q-q0) gets the
+    weight of p0 in _jet_weights(P, r) times that of q0 in
+    _jet_weights(Q, s), and zero weights are left out.  The substitution
+    puts one denominator under every weight of a functional, 2 to the
+    total exponent of its key monomial on the two points of the pair;
+    the weights here are the rational ones times that constant, which
+    leaves the kernel unchanged.
+
+    A pair ending at ring.n + 1 ends at a point pinned at the origin,
+    past the ring's last: its ideal is the monomial ideal (x_a0, y_a0),
+    so the functional of a key is its own coefficient, {e: 1}.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if not 1 <= a <= ring.n:
-        raise ValueError("point index out of range")
-    ix, iy = a - 1, ring.n + a - 1
-    return [
-        {e: 1}
-        for e in ring.monomials_up_to()
-        if e[ix] + e[iy] < order
-    ]
+    a0, a1 = A
+    n = ring.n
+    ix0, iy0 = a0 - 1, n + a0 - 1
+    keys = [key for key in keys if key[ix0] + key[iy0] < order]
+    if a1 > n:
+        return [{key: 1} for key in keys]
+    if not keys:
+        return []
+    ix1, iy1 = a1 - 1, n + a1 - 1
+    # Rows share the ring's cached monomial tuples: fresh copies
+    # would each hold memory for as long as the rows live.
+    monos = ring.monomials(sum(keys[0]))
+    same = dict(zip(monos, monos))
+    out = []
+    for key in keys:
+        r, s = key[ix0], key[iy0]
+        P, Q = r + key[ix1], s + key[iy1]
+        wy = _jet_weights(Q, s)
+        old = list(key)
+        row = {}
+        for p0, cx in _jet_weights(P, r):
+            old[ix0], old[ix1] = p0, P - p0
+            for q0, cy in wy:
+                old[iy0], old[iy1] = q0, Q - q0
+                row[same[tuple(old)]] = cx * cy
+        out.append(row)
+    return out
 
 
 def evaluate_functional(functional: dict, p: TruncPoly) -> Fraction:
@@ -309,49 +251,3 @@ def evaluate_functional(functional: dict, p: TruncPoly) -> Fraction:
         (c * p.coeffs[e] for e, c in functional.items() if e in p.coeffs),
         Fraction(0),
     )
-
-
-def membership(p: TruncPoly, A, order: int, ring: PolyRing | None = None) -> bool:
-    """Is p in the order-th power of the diagonal ideal of A?
-
-    The ideal's ring must match p's: the functionals read coefficients
-    on the monomials of the ideal's ring, so a polynomial of another ring
-    would be judged on the wrong ones (for another n, on none at all).
-    """
-    _, ring = _resolve(A, ring)
-    if (ring.n, ring.max_deg) != (p.ring.n, p.ring.max_deg):
-        raise ValueError(f"polynomial of {p.ring} tested against an ideal of {ring}")
-    return all(
-        evaluate_functional(row, p) == 0
-        for row in jet_conditions(A, order, ring)
-    )
-
-
-def permute_composition(lam, sigma):
-    """The reindexed composition: entry i becomes entry sigma(i)."""
-    return tuple(lam[sigma[i] - 1] for i in range(len(lam)))
-
-
-def symmetrize(t, sigma):
-    """Apply the point-relabeling action of sigma.
-
-    On a polynomial, sigma_* substitutes x_i by x_{sigma^-1(i)} (same
-    for y), i.e. exponent slot j receives the old slot sigma(j).  On a
-    mapping indexed by compositions, entry lambda of the result is
-    sigma_* of entry lambda compose sigma.
-    """
-    if isinstance(t, TruncPoly):
-        n = t.ring.n
-        out = {}
-        for e, c in t.coeffs.items():
-            new = tuple(e[sigma[j] - 1] for j in range(n)) + tuple(
-                e[n + sigma[j] - 1] for j in range(n)
-            )
-            out[new] = c
-        return TruncPoly(t.ring, out)
-    if isinstance(t, dict):
-        return {
-            lam: symmetrize(t[permute_composition(lam, sigma)], sigma)
-            for lam in t
-        }
-    raise TypeError("symmetrize expects a TruncPoly or a composition-indexed dict")

@@ -188,10 +188,6 @@ class ChernData:
     c2num: int
 
 
-def line_chern(s: SurfaceModel, M) -> ChernData:
-    return ChernData(1, _vec(M, s.rank), 0)
-
-
 def chern_sym_omega(s: SurfaceModel, l: int) -> ChernData:
     """Chern data of the l-th symmetric power of the cotangent bundle.
 
@@ -391,8 +387,3 @@ def chi_graded_piece_n2(s: SurfaceModel, k: int, j: int, L, A) -> int:
         total -= _chi_sym_omega_twist(s, l, L, A, k, 2)
     return total
 
-
-def chi_A4(s: SurfaceModel, M) -> int:
-    """chi of the rank-binom(chi(M),2) sheaf built from second exterior
-    powers of sections of M on the fourth symmetric product."""
-    return binom_int(chi_line(s, M), 2)

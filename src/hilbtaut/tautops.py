@@ -61,7 +61,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, product
-from math import comb, factorial
+from math import comb
 
 from .combinat import (
     enumerate_compositions,
@@ -74,10 +74,9 @@ from .linalg import scalar_multiple, sparse_int_rank
 from .polyjet import (
     PolyRing,
     TruncPoly,
+    _jet_functionals,
     evaluate_functional,
     jet_conditions,
-    pinned_jet_conditions,
-    symmetrize,
 )
 
 _DEFAULT_MAX_ENTRIES = 2_000_000
@@ -146,16 +145,6 @@ class SectionTuple:
 
     def component(self, lam) -> TruncPoly:
         return self.components[tuple(lam)]
-
-    def is_invariant(self) -> bool:
-        """Whether the tuple is fixed by every slot relabeling."""
-        n = self.n
-        for i in range(1, n):
-            sigma = list(range(1, n + 1))
-            sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
-            if symmetrize(self.components, tuple(sigma)) != self.components:
-                return False
-        return True
 
 
 def _difference_support(mu, a0: int, a1: int, order: int):
@@ -240,16 +229,23 @@ def _difference_block(level: int, pairs) -> list:
 def _jet_count(ring: PolyRing, order: int, d: int) -> int:
     """How many degree-d rows one condition of this order contributes.
 
-    jet_conditions(A, order, ring) has one functional per degree-d
-    monomial whose degree in the first point of A is below the order, and
-    so has pinned_jet_conditions: a point's two variables carry degree s
-    in s + 1 ways, and the other nvars - 2 variables take the rest.
+    _jet_functionals builds one functional per degree-d key whose degree
+    in the first point of A is below the order, pinned pair or not: a
+    point's two variables carry degree s in s + 1 ways, and the other
+    nvars - 2 variables take the rest.
     """
     rest = ring.nvars - 2
     return sum(
         (s + 1) * (comb(rest + d - s - 1, d - s) if rest else int(s == d))
         for s in range(min(order, d + 1))
     )
+
+
+def _upper_half(ring: PolyRing, d: int) -> list:
+    """The degree-d monomials of ring of x-degree g with 2g >= d, in the
+    ring's order: the exponents of every column key and row built."""
+    n = ring.n
+    return [e for e in ring.monomials(d) if 2 * sum(e[:n]) >= d]
 
 
 def _columns(comps, ring: PolyRing, d: int, fold: bool):
@@ -273,7 +269,7 @@ def _columns(comps, ring: PolyRing, d: int, fold: bool):
     keys = len(comps) * comb(ring.nvars + d - 1, d)
     _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
     n = ring.n
-    cols = product(comps, [e for e in ring.monomials(d) if 2 * sum(e[:n]) >= d])
+    cols = product(comps, _upper_half(ring, d))
     if not fold:
         return keys, {key: i for i, key in enumerate(cols)}
     ids: dict = {}
@@ -293,16 +289,16 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     """Per-degree nullities at every level of a stack of condition blocks.
 
     A block lists conditions (A, order, support): the jet functionals of
-    I_A^order, from pinned_jet_conditions when A ends one point past the
-    ring's last (a point pinned at the origin), each times the support's
-    composition weights.  A functional maps exponents e to integer
-    weights c; its row puts cf * c on the column of (lam, e), as
-    _columns(comps, ring, d, fold) numbers them, for every (lam, cf) in
-    support, and keys sharing a column add up; an entry whose sum cancels
-    is dropped, so rows hold no zeros.  A tuple satisfies the block when
-    every row pairs to zero against its coefficients.  Level l imposes
-    the first l blocks.  The result is indexed by level, 0 through
-    len(blocks), then by degree through ring.max_deg.
+    I_A^order (with a point pinned at the origin when A ends one point
+    past the ring's last), each times the support's composition weights.
+    A functional maps exponents e to integer weights c; its row puts
+    cf * c on the column of (lam, e), as _columns(comps, ring, d, fold)
+    numbers them, for every (lam, cf) in support, and keys sharing a
+    column add up; an entry whose sum cancels is dropped, so rows hold no
+    zeros.  A tuple satisfies the block when every row pairs to zero
+    against its coefficients.  Level l imposes the first l blocks.  The
+    result is indexed by level, 0 through len(blocks), then by degree
+    through ring.max_deg.
 
     Every degree is checked against the cap before any row is built:
     first its key table, then its full stack, rows times columns, with
@@ -310,11 +306,12 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
 
     Every row is bihomogeneous, so degree d splits into blocks of
     x-degree g = 0..d that share no column, folded or not (an orbit key
-    keeps the x-degree of its triples).  A row's d and g are its
-    functional's, as the support changes only the composition.  Swapping
-    x and y fixes every diagonal ideal and maps the rows of g onto those
-    of d - g, so the two have equal rank: only the rows of 2g >= d are
-    built and eliminated, and 2g > d counts twice.  Each (d, g) keeps one
+    keeps the x-degree of its triples).  A row has the d and g of its
+    functional's key, as the support changes only the composition.
+    Swapping x and y fixes every diagonal ideal and maps the rows of g
+    onto those of d - g, so the two have equal rank: only the rows of
+    2g >= d are built (_jet_functionals over the keys _upper_half lists)
+    and eliminated, and 2g > d counts twice.  Each (d, g) keeps one
     pivot dict and is fed the blocks in order, each block's rows
     shortest first, so every row is eliminated once and level l is read
     off right after block l.
@@ -327,30 +324,23 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
         if nrows:
             _check_cap(nrows, ncols, context)
         degrees.append((ncols, colmap))
-    jets: dict = {}
-    for block in blocks:
-        for A, order, _ in block:
-            if (A, order) in jets:
-                continue
-            by_d = jets[A, order] = {}
-            if A[1] > n:
-                functionals = pinned_jet_conditions(A[0], order, ring)
-            else:
-                functionals = jet_conditions(A, order, ring)
-            for functional in functionals:
-                e = next(iter(functional))
-                d, g = sum(e), sum(e[:n])
-                if 2 * g >= d:
-                    by_d.setdefault(d, []).append((g, functional))
     profile: list = [[] for _ in range(len(blocks) + 1)]
     for d, (ncols, colmap) in enumerate(degrees):
+        keys = _upper_half(ring, d)[::-1]  # sorted, as jet_conditions orders them
+        jets: dict = {}
         pivots: dict = {}
         rank = 0
         profile[0].append(ncols)
         for level, block in enumerate(blocks, start=1):
             by_g: dict = {}
             for A, order, support in block:
-                for g, functional in jets[A, order].get(d, ()):
+                built = jets.get((A, order))
+                if built is None:
+                    built = jets[A, order] = [
+                        (sum(next(iter(f))[:n]), f)
+                        for f in _jet_functionals(A, order, ring, keys)
+                    ]
+                for g, functional in built:
                     row: dict = {}
                     for lam, cf in support:
                         for e, c in functional.items():
@@ -754,15 +744,6 @@ def verify_transition(l_max: int = 4) -> dict:
 # local formulas for the merged-pair operators
 
 
-def spectral_scale(level: int) -> Fraction:
-    """Constant matching the level-th difference operator to the
-    corresponding page differential: (-1)^((level+1) level / 2) (level+1)!.
-    """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return Fraction((-1) ** ((level + 1) * level // 2) * factorial(level + 1))
-
-
 def _slot_value(ring: PolyRing, f: dict, slot: int) -> TruncPoly:
     n = ring.n
     coeffs = {}
@@ -1077,7 +1058,7 @@ def verify_invariant_local_formula(k: int) -> dict:
     expected to be positive.  Multiple slot counts and factor choices
     must give the same constant.  Constant factors are checked to be
     annihilated.  The page-differential normalization differs from the
-    one used here by spectral_scale(level).
+    one used here by the constant (-1)^((l+1)l/2) (l+1)! at level l.
     """
     if k == 3:
         labels = {"D1_(1)(0)": None}

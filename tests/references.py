@@ -1,18 +1,32 @@
-"""Reference implementations that the package no longer needs.
+"""Reference implementations that the package does not run.
 
-Each of these once lived in the package and is now reached only as an
-oracle: a plain, slow way to the same answer that a test compares the
-package with.  nullspace, a Gauss-Jordan pass over Fraction, is the
-rational reference for the package's integer elimination and the
-solver under intersect_ideal_powers.  They are kept here, with their
-own tests, so that no oracle shares code with the path it checks.
+Each of these is reached only as an oracle: a plain, slow way to an
+answer that a test compares the package with.  Some were replaced in
+the package by faster paths; the others never ran in the command-line
+program and moved here from it.
+
+* nullspace, a Gauss-Jordan pass over Fraction, is the rational
+  reference for the package's integer elimination and the solver under
+  intersect_ideal_powers.
+* act, psi, phi, in_Ip, canonical_section and all_multiindex_maps
+  spell out the group action on multi-index maps and their labels, and
+  check the orbits, stabilizer orders and label sets of combinat.
+* DiagonalIdeal, membership and symmetrize are the product-span oracle
+  for jet_conditions, the kernel witnesses, and the Reynolds average
+  that graded pieces are checked against; pinned_jet_conditions is the
+  reference for the rows of a pair ending at a pinned point.
+
+They are kept here, with their own tests, so that no oracle shares code
+with the path it checks.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from hilbtaut.polyjet import PolyRing, TruncPoly, jet_conditions
+from hilbtaut.combinat import MultiIndexMap, multiindex_invariants
+from hilbtaut.polyjet import PolyRing, TruncPoly, evaluate_functional, jet_conditions
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -118,3 +132,206 @@ def composition_stabilizer(c) -> list[tuple[int, ...]]:
         p for p in itertools.permutations(range(1, len(c) + 1))
         if tuple(c[v - 1] for v in p) == c
     ]
+
+
+# ---------------------------------------------------------------------------
+# multi-index maps
+
+
+def all_multiindex_maps(n: int, k: int) -> list[MultiIndexMap]:
+    """Every map {1..k} -> nonempty subsets of {1..n}: all (2^n - 1)^k
+    of them, so keep n and k small."""
+    subsets = [frozenset(s) for m in range(1, n + 1)
+               for s in itertools.combinations(range(1, n + 1), m)]
+    return [MultiIndexMap(n, images)
+            for images in itertools.product(subsets, repeat=k)]
+
+
+def in_Ip(a: MultiIndexMap, p: int) -> bool:
+    """Membership in I^p: l(a) = p and k(a) <= 2."""
+    inv = multiindex_invariants(a)
+    return inv.l == p and inv.k <= 2
+
+
+def act(a: MultiIndexMap, sigma=None, tau=None) -> MultiIndexMap:
+    """The (G x H)-action (sigma, tau).a = sigma a tau^-1.
+
+    Either permutation may be None (identity).  sigma permutes points
+    inside each image, tau^-1 reindexes the slots.
+    """
+    images = a.images
+    if tau is not None:
+        inv_tau = [0] * len(tau)
+        for i, v in enumerate(tau, start=1):
+            inv_tau[v - 1] = i
+        images = tuple(images[inv_tau[i - 1] - 1] for i in range(1, len(images) + 1))
+    if sigma is not None:
+        images = tuple(frozenset(sigma[j - 1] for j in im) for im in images)
+    return MultiIndexMap(a.n, images)
+
+
+def nu_of_composition(c) -> tuple[int, ...]:
+    """The partition in the G-orbit of a composition: nonzero values, sorted."""
+    return tuple(sorted((v for v in c if v), reverse=True))
+
+
+def psi(a: MultiIndexMap) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The H-invariant label (lambda(a), A(a)) of a map."""
+    inv = multiindex_invariants(a)
+    return inv.lam, inv.A
+
+
+def phi(a: MultiIndexMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (G x H)-invariant label: partitions of lambda restricted to A
+    and to its complement."""
+    inv = multiindex_invariants(a)
+    nu_A = nu_of_composition(inv.lam[j - 1] for j in sorted(inv.A))
+    nu_rest = nu_of_composition(
+        inv.lam[j - 1] for j in range(1, a.n + 1) if j not in inv.A
+    )
+    return nu_A, nu_rest
+
+
+def canonical_section(lam, A, k: int) -> MultiIndexMap:
+    """The fixed section (lambda, A) -> a of the label map.
+
+    The first l = k - |lambda| slots map to A; the remaining slots map to
+    singletons in weakly increasing point order.  Any section would do;
+    this one is fixed for determinism.
+    """
+    lam = tuple(lam)
+    n = len(lam)
+    l = k - sum(lam)
+    if l < 0:
+        raise ValueError("weight of lambda exceeds k")
+    A = frozenset(A)
+    if l == 0:
+        if A:
+            raise ValueError("A must be empty when l = 0")
+        images = []
+    else:
+        if len(A) != 2:
+            raise ValueError("A must be a 2-element subset when l >= 1")
+        images = [A] * l
+    for j in range(1, n + 1):
+        images.extend([frozenset((j,))] * lam[j - 1])
+    return MultiIndexMap(n, tuple(images))
+
+
+# ---------------------------------------------------------------------------
+# diagonal ideals
+
+
+def x_of(ring: PolyRing, i: int) -> TruncPoly:
+    """The coordinate x_i of ring, as a polynomial."""
+    return _variable(ring, i - 1)
+
+
+def y_of(ring: PolyRing, i: int) -> TruncPoly:
+    """The coordinate y_i of ring, as a polynomial."""
+    return _variable(ring, ring.n + i - 1)
+
+
+def _variable(ring: PolyRing, pos: int) -> TruncPoly:
+    if not 0 <= pos < ring.nvars:
+        raise ValueError("variable index out of range")
+    e = [0] * ring.nvars
+    e[pos] = 1
+    return TruncPoly(ring, {tuple(e): Fraction(1)})
+
+
+@dataclass(frozen=True)
+class DiagonalIdeal:
+    """The ideal of the locus where points a0 and a1 collide."""
+
+    ring: PolyRing
+    pair: tuple
+
+    def __post_init__(self):
+        a0, a1 = self.pair
+        if not (1 <= a0 < a1 <= self.ring.n):
+            raise ValueError("pair must satisfy 1 <= a0 < a1 <= n")
+
+    @property
+    def u(self) -> TruncPoly:
+        a0, a1 = self.pair
+        return x_of(self.ring, a0) - x_of(self.ring, a1)
+
+    @property
+    def v(self) -> TruncPoly:
+        a0, a1 = self.pair
+        return y_of(self.ring, a0) - y_of(self.ring, a1)
+
+
+def membership(p: TruncPoly, A, order: int, ring: PolyRing | None = None) -> bool:
+    """Is p in the order-th power of the diagonal ideal of A?
+
+    A is a DiagonalIdeal, or a plain pair given with its ring.  A ring
+    given with an ideal must match the ideal's ring, and the ideal's ring
+    must match p's, in n and max_deg: the functionals read coefficients
+    on the monomials of the ideal's ring, so a polynomial of another ring
+    would be judged on the wrong ones (for another n, on none at all).
+    """
+    if isinstance(A, DiagonalIdeal):
+        if ring is not None and (ring.n, ring.max_deg) != (A.ring.n, A.ring.max_deg):
+            raise ValueError(f"ideal of {A.ring} given with another ring {ring}")
+        A, ring = A.pair, A.ring
+    if ring is None:
+        raise ValueError("a plain pair needs an explicit ring")
+    if (ring.n, ring.max_deg) != (p.ring.n, p.ring.max_deg):
+        raise ValueError(f"polynomial of {p.ring} tested against an ideal of {ring}")
+    return all(
+        evaluate_functional(row, p) == 0
+        for row in jet_conditions(A, order, ring)
+    )
+
+
+def pinned_jet_conditions(a: int, order: int, ring: PolyRing) -> list:
+    """Jet conditions of the pair (a, n + 1) with point n + 1 at the origin.
+
+    With that point pinned, the diagonal ideal becomes the monomial ideal
+    (x_a, y_a), and its order-th power is cut out by the vanishing of
+    every monomial coefficient of (x_a, y_a)-degree below the order.
+    Functionals have the shape of jet_conditions and come ordered by
+    degree.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if not 1 <= a <= ring.n:
+        raise ValueError("point index out of range")
+    ix, iy = a - 1, ring.n + a - 1
+    return [
+        {e: 1}
+        for e in ring.monomials_up_to()
+        if e[ix] + e[iy] < order
+    ]
+
+
+def permute_composition(lam, sigma):
+    """The reindexed composition: entry i becomes entry sigma(i)."""
+    return tuple(lam[sigma[i] - 1] for i in range(len(lam)))
+
+
+def symmetrize(t, sigma):
+    """Apply the point-relabeling action of sigma.
+
+    On a polynomial, sigma_* substitutes x_i by x_{sigma^-1(i)} (same
+    for y), i.e. exponent slot j receives the old slot sigma(j).  On a
+    mapping indexed by compositions, entry lambda of the result is
+    sigma_* of entry lambda compose sigma.
+    """
+    if isinstance(t, TruncPoly):
+        n = t.ring.n
+        out = {}
+        for e, c in t.coeffs.items():
+            new = tuple(e[sigma[j] - 1] for j in range(n)) + tuple(
+                e[n + sigma[j] - 1] for j in range(n)
+            )
+            out[new] = c
+        return TruncPoly(t.ring, out)
+    if isinstance(t, dict):
+        return {
+            lam: symmetrize(t[permute_composition(lam, sigma)], sigma)
+            for lam in t
+        }
+    raise TypeError("symmetrize expects a TruncPoly or a composition-indexed dict")

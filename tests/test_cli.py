@@ -4,10 +4,12 @@ Everything runs in-process through cli.main so exit codes and emitted
 bytes are asserted exactly.
 """
 
+import ast
 import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +305,23 @@ def test_toeplitz_takes_zero_n(capsys, parity):
     assert rc == 0 and "det = 1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "T", "--n", "1", "--m", "1415"),
+    ("--kind", "R", "--l", "1", "--k", "2000", "--j", "0"),
+])
+def test_toeplitz_entry_cap_refuses_before_building(capsys, monkeypatch, argv):
+    def unbuilt(*args):
+        raise AssertionError("matrix built before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    for name in ("t_even", "t_odd", "r_matrix"):
+        monkeypatch.setattr(cli, name, unbuilt)
+    rc, out, err = run(capsys, "toeplitz", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "exceeds the entry cap 2000000" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,extra", [
     ("chi", ("--L", "1", "--A", "0")),
     ("kernel", ("--max-degree", "1")),
@@ -570,3 +589,59 @@ def test_fuzzed_argv_exits_cleanly(argv):
         assert err.getvalue().startswith("error:"), argv
     else:
         assert rc == 0 or (rc == 1 and argv[0] == "verify"), (argv, err.getvalue())
+
+
+# --- reachability ------------------------------------------------------
+
+
+def _identifiers(nodes) -> set:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for node in nodes
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_definition_is_reached_from_main():
+    """Every module-level function and class of the package, and every
+    method but a dunder, is reached from cli.main.
+
+    The walk reads the source.  A reached definition reaches every
+    definition, in any module, whose name its body holds as a name or
+    an attribute; so does every module-level statement but an import.
+    A class's own body, its dunder methods included, goes with it, and
+    its other methods are definitions of their own.  Names are matched
+    without scope or module, so a collision can only make the walk
+    lenient: it may take a definition for reached, never one that runs
+    for unreached.  argparse calls _Parser.error, which no line names.
+    """
+    refs = {}  # qualified name -> identifiers its body holds
+    by_name = {}
+    roots = {"main"}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    roots |= _identifiers([stmt])
+                continue
+            qual = f"{path.stem}.{stmt.name}"
+            own = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                methods = [m for m in stmt.body if isinstance(m, ast.FunctionDef)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))]
+                for m in methods:
+                    refs[f"{qual}.{m.name}"] = _identifiers([m])
+                    by_name.setdefault(m.name, []).append(f"{qual}.{m.name}")
+                own = stmt.decorator_list + stmt.bases + [
+                    m for m in stmt.body if m not in methods]
+            refs[qual] = _identifiers(own)
+            by_name.setdefault(stmt.name, []).append(qual)
+    reached = set()
+    todo = [qual for name in roots for qual in by_name.get(name, ())]
+    while todo:
+        qual = todo.pop()
+        if qual not in reached:
+            reached.add(qual)
+            todo += [q for name in refs[qual] for q in by_name.get(name, ())]
+    assert sorted(set(refs) - reached - {"cli._Parser.error"}) == []

@@ -16,19 +16,23 @@ from hypothesis import strategies as st
 
 from hilbtaut.linalg import sparse_int_rank
 from hilbtaut.polyjet import (
-    DiagonalIdeal,
     PolyRing,
     TruncPoly,
     _jet_weights,
-    _resolve,
     evaluate_functional,
     jet_conditions,
+)
+from references import (
+    DiagonalIdeal,
+    fraction_rows_to_int,
+    intersect_ideal_powers,
     membership,
     permute_composition,
     pinned_jet_conditions,
     symmetrize,
+    x_of,
+    y_of,
 )
-from references import fraction_rows_to_int, intersect_ideal_powers
 
 
 def rank_per_degree(polys, ring):
@@ -98,8 +102,8 @@ def test_jet_kernel_matches_product_span(n, pair, max_deg, order):
 
 def test_membership_examples():
     ring = PolyRing(2, 4)
-    u = ring.x(1) - ring.x(2)
-    v = ring.y(1) - ring.y(2)
+    u = x_of(ring, 1) - x_of(ring, 2)
+    v = y_of(ring, 1) - y_of(ring, 2)
     assert membership(u, (1, 2), 1, ring)
     assert membership(u * v, (1, 2), 2, ring)
     assert not membership(u, (1, 2), 2, ring)
@@ -138,15 +142,12 @@ def test_ideal_refuses_another_ring():
     ideal = DiagonalIdeal(PolyRing(2, 2), (1, 2))
     for ring in (PolyRing(3, 3), PolyRing(3, 2), PolyRing(2, 3)):
         with pytest.raises(ValueError, match="another ring"):
-            jet_conditions(ideal, 1, ring)
-        with pytest.raises(ValueError, match="another ring"):
             membership(ideal.ring.one(), ideal, 1, ring)
     # an equal ring built separately is the same ring
-    assert jet_conditions(ideal, 1, PolyRing(2, 2)) == jet_conditions(ideal, 1)
     assert not membership(ideal.ring.one(), ideal, 1, PolyRing(2, 2))
 
 
-def expanded_jet_conditions(A, order, ring=None):
+def expanded_jet_conditions(A, order, ring):
     """Reference: jet conditions by expanding every monomial of the ring.
 
     Each monomial x_{a0}^p0 x_{a1}^p1 y_{a0}^q0 y_{a1}^q1 (times the other
@@ -155,7 +156,7 @@ def expanded_jet_conditions(A, order, ring=None):
     by the substituted monomial; functionals come sorted by degree, then
     key, with zero weights and empty functionals dropped.
     """
-    (a0, a1), ring = _resolve(A, ring)
+    a0, a1 = sorted(A)
     if order < 1:
         raise ValueError("order must be at least 1")
     n = ring.n
@@ -207,7 +208,6 @@ def test_jet_conditions_match_expansion():
     for order in range(1, 6):
         expected = expanded_jet_conditions((1, 2), order, ring)
         assert jet_conditions((2, 1), order, ring) == expected
-        assert jet_conditions(DiagonalIdeal(ring, (1, 2)), order) == expected
 
 
 def test_jet_weights_closed_form():
@@ -340,9 +340,9 @@ def test_rank_increments_sum_to_rank(chunk):
 def test_symmetrize_on_variables():
     ring = PolyRing(2, 3)
     swap = (2, 1)
-    assert symmetrize(ring.x(1), swap) == ring.x(2)
-    assert symmetrize(ring.y(2), swap) == ring.y(1)
-    p = ring.x(1) * ring.y(2) + 3 * ring.x(2)
+    assert symmetrize(x_of(ring, 1), swap) == x_of(ring, 2)
+    assert symmetrize(y_of(ring, 2), swap) == y_of(ring, 1)
+    p = x_of(ring, 1) * y_of(ring, 2) + 3 * x_of(ring, 2)
     assert symmetrize(symmetrize(p, swap), swap) == p
 
 
@@ -353,18 +353,18 @@ def test_symmetrize_projector():
     ]
     acc = ring.zero()
     for sigma in perms:
-        acc = acc + symmetrize(ring.x(1), sigma)
+        acc = acc + symmetrize(x_of(ring, 1), sigma)
     avg = acc * Fraction(1, len(perms))
-    expect = (ring.x(1) + ring.x(2) + ring.x(3)) * Fraction(1, 3)
+    expect = (x_of(ring, 1) + x_of(ring, 2) + x_of(ring, 3)) * Fraction(1, 3)
     assert avg == expect
 
 
 def test_symmetrize_tuple_action():
     ring = PolyRing(2, 2)
     fam = {
-        (2, 0): ring.x(1),
-        (1, 1): ring.y(1),
-        (0, 2): ring.x(2) * ring.x(2),
+        (2, 0): x_of(ring, 1),
+        (1, 1): y_of(ring, 1),
+        (0, 2): x_of(ring, 2) * x_of(ring, 2),
     }
     swap = (2, 1)
     out = symmetrize(fam, swap)
@@ -402,7 +402,7 @@ def test_membership_equivariance(order, data):
     ideal = DiagonalIdeal(ring, (1, 2))
     # a random ideal-power element, transported by a transposition
     coeff = data.draw(st.integers(-3, 3))
-    extra = data.draw(st.sampled_from([ring.one(), ring.x(3), ring.y(1)]))
+    extra = data.draw(st.sampled_from([ring.one(), x_of(ring, 3), y_of(ring, 1)]))
     p = ring.one()
     for _ in range(order):
         p = p * (ideal.u if coeff % 2 else ideal.v)
@@ -418,14 +418,14 @@ def test_ring_monomial_count():
         for D in (0, 1, 3):
             ring = PolyRing(n, D)
             monos = list(ring.monomials_up_to())
-            assert len(monos) == ring.monomial_count() == comb(2 * n + D, 2 * n)
+            assert len(monos) == comb(2 * n + D, 2 * n)
             assert len(set(monos)) == len(monos)
 
 
 def test_truncation_drops_overflow():
     ring = PolyRing(1, 2)
-    p = ring.x(1) * ring.x(1)
-    assert (p * ring.x(1)).is_zero()
+    p = x_of(ring, 1) * x_of(ring, 1)
+    assert (p * x_of(ring, 1)).is_zero()
     q = TruncPoly(ring, {(3, 0): Fraction(1), (1, 1): Fraction(2)})
     assert q.coeffs == {(1, 1): Fraction(2)}
 
@@ -441,9 +441,9 @@ def test_coefficients_are_stored_as_fractions():
 
 def test_evaluate_functional_pairing():
     ring = PolyRing(2, 3)
-    u = ring.x(1) - ring.x(2)
+    u = x_of(ring, 1) - x_of(ring, 2)
     rows = jet_conditions((1, 2), 1, ring)
     vals = [evaluate_functional(r, u) for r in rows]
     assert all(v == 0 for v in vals)
-    s = ring.x(1) + ring.x(2)
+    s = x_of(ring, 1) + x_of(ring, 2)
     assert any(evaluate_functional(r, s) != 0 for r in rows)

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from hilbtaut.rroch import (
     BUILTIN_SURFACES,
+    ChernData,
     SurfaceModel,
     binom_int,
     chern_sym_omega,
-    chi_A4,
     chi_graded_piece_n2,
     chi_line,
     chi_sym_power,
@@ -26,7 +26,6 @@ from hilbtaut.rroch import (
     chi_sym_power_smallk,
     chi_twisted,
     get_surface,
-    line_chern,
     load_surface,
     tensor_chern,
     vec_add,
@@ -105,6 +104,7 @@ def test_chi_line_special_models():
     assert chi_line(K3, (1,)) == 4
     assert chi_line(AB, (0,)) == 0
     assert chi_line(AB, (1,)) == 1
+    assert chi_line(P1P1, (0, -2)) == -1
 
 
 def test_noether_violation_rejected():
@@ -167,7 +167,7 @@ def test_sym_omega_low_cases_all_models():
 def test_tensor_chern_symmetric_and_line_consistent():
     omega = chern_sym_omega(P2, 1)
     for d in range(-2, 4):
-        line = line_chern(P2, (d,))
+        line = ChernData(1, (d,), 0)
         tw = tensor_chern(P2, omega, line)
         assert tw.rank == 2
         assert tw.c1 == (2 * d - 3,)
@@ -278,13 +278,6 @@ def test_graded_piece_top_is_product():
     assert chi_graded_piece_n2(P2, 3, 0, (1,), (0,)) == chi_line(
         P2, (3,)
     ) * chi_line(P2, (0,))
-
-
-def test_chi_A4_spots():
-    assert chi_A4(P2, (4,)) == 105
-    assert chi_line(P1P1, (0, -2)) == -1
-    assert chi_A4(P1P1, (0, -2)) == 1
-    assert chi_A4(K3, (0,)) == 1
 
 
 @settings(max_examples=60, deadline=None)

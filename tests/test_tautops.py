@@ -23,14 +23,7 @@ from hilbtaut.combinat import (
     m_mu,
 )
 from hilbtaut.linalg import sparse_int_rank
-from hilbtaut.polyjet import (
-    PolyRing,
-    TruncPoly,
-    jet_conditions,
-    membership,
-    pinned_jet_conditions,
-    symmetrize,
-)
+from hilbtaut.polyjet import PolyRing, TruncPoly, jet_conditions
 from hilbtaut.tautops import (
     EXPONENT_RULES,
     EntryCapError,
@@ -49,13 +42,21 @@ from hilbtaut.tautops import (
     graded_totals,
     higher_difference,
     kernel_nullity,
-    spectral_scale,
     verify_filtration,
     verify_invariant_local_formula,
     verify_recursion,
     verify_transition,
 )
-from references import composition_stabilizer, fraction_rows_to_int, intersect_ideal_powers
+from references import (
+    composition_stabilizer,
+    fraction_rows_to_int,
+    intersect_ideal_powers,
+    membership,
+    pinned_jet_conditions,
+    symmetrize,
+    x_of,
+    y_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def test_row_cap_refuses_before_rows_are_built(monkeypatch):
         raise AssertionError("rows built before the cap was checked")
 
     monkeypatch.setattr(tautops, "jet_conditions", unbuilt)
-    monkeypatch.setattr(tautops, "pinned_jet_conditions", unbuilt)
+    monkeypatch.setattr(tautops, "_jet_functionals", unbuilt)
     with pytest.raises(EntryCapError, match="15840 x 1716"):
         kernel_nullity(12, 2, 2, invariant=False)
 
@@ -497,6 +498,44 @@ def test_nullities_build_only_the_upper_half(monkeypatch, system):
     else:
         kernel_nullity(3, 4, 3, invariant=system == "invariant")
     assert keyed and all(keyed)
+
+
+@pytest.mark.parametrize("system", ["invariant", "pinned", "graded"])
+def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
+    # Each (pair, order) is built once per degree and call, over the keys
+    # of 2g >= d alone: as many functionals as the reference has there.
+    built = []
+    build = tautops._jet_functionals
+
+    def recorded(A, order, ring, keys):
+        functionals = build(A, order, ring, keys)
+        built.extend((ring.n, f) for f in functionals)
+        return functionals
+
+    monkeypatch.setattr(tautops, "_jet_functionals", recorded)
+    n, k, max_deg = 3, 4, 3
+    if system == "graded":
+        graded_dims(n, k, max_deg)
+        systems = [(PolyRing(n, max_deg), [_graded_block(n, k, mu)[0]])
+                   for mu in enumerate_partitions(k, n)]
+    else:
+        kernel_nullity(n, k, max_deg, invariant=system == "invariant")
+        ring = PolyRing(n if system == "invariant" else n - 1, max_deg)
+        pairs = _rep_pairs if system == "invariant" else _all_pairs
+        systems = [(ring, [_difference_block(level, pairs(n, k, level))
+                           for level in range(k - 1)])]
+    expected = 0
+    for ring, blocks in systems:
+        for A, order in {(A, order) for block in blocks for A, order, _ in block}:
+            if A[1] > ring.n:
+                jets = pinned_jet_conditions(A[0], order, ring)
+            else:
+                jets = jet_conditions(A, order, ring)
+            keys = [next(iter(f)) for f in jets]
+            expected += sum(2 * sum(e[: ring.n]) >= sum(e) for e in keys)
+    assert built and len(built) == expected
+    for points, functional in built:
+        assert all(2 * sum(e[:points]) >= sum(e) for e in functional)
 
 
 # Folded and unfolded, on n points and pinned on n - 1, and over one padded
@@ -674,7 +713,7 @@ def test_exponent_rules_separate_at_weight_five():
     ring = PolyRing(3, 6)
     w = ring.one()
     for a, b in [(1, 2), (1, 3), (2, 3)]:
-        diff = ring.x(a) - ring.x(b)
+        diff = x_of(ring, a) - x_of(ring, b)
         w = w * diff * diff
     for pair in [(1, 2), (1, 3), (2, 3)]:
         assert membership(w, pair, 2, ring)
@@ -805,15 +844,6 @@ def test_section_tuple_validation():
         SectionTuple(n=2, k=2, components={(2, 0): ring.one()})
 
 
-def test_section_tuple_invariance_detection():
-    x = _generic_tuple(2, 2)
-    sym = {
-        lam: x.component(lam) + symmetrize(x.component(lam[::-1]), (2, 1))
-        for lam in x.components
-    }
-    assert SectionTuple(n=2, k=2, components=sym).is_invariant()
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=20, max_size=20))
 def test_difference_one_step_reduction_random(coeffs):
@@ -882,15 +912,8 @@ def test_local_formula_unknown_k():
 
 def test_match_constant_detects_mismatch():
     ring = PolyRing(1, 2)
-    x = ring.x(1)
-    y = ring.y(1)
+    x = x_of(ring, 1)
+    y = y_of(ring, 1)
     with pytest.raises(ValueError, match="mismatch"):
         _match_constant("probe", {(1, 0): x}, {(1, 0): x + y})
     assert _match_constant("probe", {(1, 0): 3 * x}, {(1, 0): 2 * x}) == Fraction(3, 2)
-
-
-def test_spectral_scale_values():
-    assert spectral_scale(0) == 1
-    assert spectral_scale(1) == -2
-    assert spectral_scale(2) == -6
-    assert spectral_scale(3) == 24
