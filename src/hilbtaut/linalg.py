@@ -2,12 +2,13 @@
 
 Everything downstream that claims a dimension, a determinant or a
 proportionality routes through here.  Three tools: fraction-free Bareiss
-determinants for dense integer matrices, a sparse integer elimination
-for ranks of the large stacked condition systems, and an exact check
-that one sparse vector is a rational multiple of another, which the
-verification identities use.  No floating point anywhere.  The sparse
-elimination keeps its pivots primitive with a positive leading entry
-and reduces each row in place, one gcd-scaled step per pivot.
+determinants for dense integer matrices, which also read every leading
+principal minor off one pass, a sparse integer elimination for ranks of
+the large stacked condition systems, and an exact check that one sparse
+vector is a rational multiple of another, which the verification
+identities use.  No floating point anywhere.  The sparse elimination
+keeps its pivots primitive with a positive leading entry and reduces
+each row in place, one gcd-scaled step per pivot.
 """
 
 from __future__ import annotations
@@ -16,16 +17,33 @@ from fractions import Fraction
 from math import gcd
 
 
+def _square_ints(matrix) -> list[list[int]]:
+    m = [list(map(int, row)) for row in matrix]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix must be square")
+    return m
+
+
+def _bareiss_step(m, i: int, prev: int) -> None:
+    """Eliminate below the pivot m[i][i] in place, fraction-free: every
+    entry past row and column i becomes a 2 x 2 minor over the previous
+    pivot prev, an exact division."""
+    p, pivot_row = m[i][i], m[i]
+    for row in m[i + 1 :]:
+        ri = row[i]
+        for c in range(i + 1, len(m)):
+            row[c] = (row[c] * p - ri * pivot_row[c]) // prev
+        row[i] = 0
+
+
 def bareiss_det(matrix) -> int:
     """Exact determinant of a square integer matrix, fraction-free.
 
     Classic two-step Bareiss elimination: every intermediate division is
     exact, so all arithmetic stays in the integers.
     """
-    m = [list(map(int, row)) for row in matrix]
+    m = _square_ints(matrix)
     size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("matrix must be square")
     if size == 0:
         return 1
     sign = 1
@@ -39,20 +57,32 @@ def bareiss_det(matrix) -> int:
                     break
             else:
                 return 0
-        for r in range(i + 1, size):
-            for c in range(i + 1, size):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
+        _bareiss_step(m, i, prev)
         prev = m[i][i]
     return sign * m[size - 1][size - 1]
 
 
 def leading_principal_minors(matrix) -> list[int]:
-    """Determinants of the upper-left t x t blocks, t = 1..size."""
-    size = len(matrix)
-    return [
-        bareiss_det([row[:t] for row in matrix[:t]]) for t in range(1, size + 1)
-    ]
+    """Determinants of the upper-left t x t blocks, t = 1..size.
+
+    One Bareiss pass without row exchanges reads them all: before step
+    t the pivot is the t-th leading minor.  From the first zero pivot
+    on, the pass cannot go on, and each remaining minor is a
+    determinant of its own.
+    """
+    m = _square_ints([row[: len(matrix)] for row in matrix])
+    minors = []
+    prev = 1
+    for t in range(len(m)):
+        if m[t][t] == 0:
+            return minors + [
+                bareiss_det([row[:s] for row in matrix[:s]])
+                for s in range(t + 1, len(m) + 1)
+            ]
+        minors.append(m[t][t])
+        _bareiss_step(m, t, prev)
+        prev = m[t][t]
+    return minors
 
 
 def _divide_content(row: dict[int, int], sign: int = 1) -> None:

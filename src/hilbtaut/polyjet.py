@@ -3,7 +3,9 @@
 The coordinate ring of n plane points is modeled as rational polynomials
 in x_1..x_n, y_1..y_n, cut off at a chosen total degree.  Exponent
 vectors are tuples of length 2n, x-block first.  Everything is exact:
-coefficients are Fractions and no computation leaves the truncation.
+integer coefficients stay ints, any other coefficient is stored as the
+Fraction it converts to exactly, and no computation leaves the
+truncation.
 
 The point of the module is ideal-power membership for the pairwise
 diagonal ideals I_A = (x_{a0}-x_{a1}, y_{a0}-y_{a1}).  For a pair A the
@@ -61,30 +63,37 @@ class PolyRing:
         for d in range(degree + 1):
             yield from self.monomials(d)
 
-    def poly(self, coeffs: dict) -> "TruncPoly":
-        return TruncPoly(self, coeffs)
-
     def zero(self) -> "TruncPoly":
         return TruncPoly(self, {})
 
     def one(self) -> "TruncPoly":
-        return TruncPoly(self, {(0,) * self.nvars: Fraction(1)})
+        return TruncPoly(self, {(0,) * self.nvars: 1})
 
     def __repr__(self):
         return f"PolyRing(n={self.n}, max_deg={self.max_deg})"
 
 
+def _exact(c):
+    """c itself when an int or a Fraction, else the Fraction it converts
+    to exactly (a string such as "2/3", or a float)."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 class TruncPoly:
     """A sparse polynomial bound to its ring; products drop any term
-    beyond the ring's degree cap."""
+    beyond the ring's degree cap.
+
+    Coefficients, and scalars it is multiplied by, go through _exact:
+    ints are kept as they are, so integer polynomials stay in integer
+    arithmetic, and every other value becomes a Fraction.
+    """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: PolyRing, coeffs: dict):
         clean = {}
         for e, c in coeffs.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = _exact(c)
             if not c:
                 continue
             if len(e) != ring.nvars:
@@ -96,10 +105,6 @@ class TruncPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.coeffs), default=-1)
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -119,7 +124,7 @@ class TruncPoly:
 
     def __mul__(self, other):
         if not isinstance(other, TruncPoly):
-            c = Fraction(other)
+            c = _exact(other)
             return TruncPoly(
                 self.ring, {e: c * v for e, v in self.coeffs.items()}
             )
@@ -246,8 +251,5 @@ def _jet_functionals(A, order: int, ring: PolyRing, keys) -> list:
     return out
 
 
-def evaluate_functional(functional: dict, p: TruncPoly) -> Fraction:
-    return sum(
-        (c * p.coeffs[e] for e, c in functional.items() if e in p.coeffs),
-        Fraction(0),
-    )
+def evaluate_functional(functional: dict, p: TruncPoly) -> int | Fraction:
+    return sum(c * p.coeffs[e] for e, c in functional.items() if e in p.coeffs)

@@ -60,7 +60,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations, product
+from itertools import accumulate, cycle, permutations, product
 from math import comb
 
 from .combinat import (
@@ -673,12 +673,8 @@ def verify_recursion(l_max: int = 8) -> dict:
 
 
 def _coefficient_stream():
-    """A fixed endless supply of small nonzero rationals."""
-    values = [1, -2, 3, 1, -1, 2, 5, -3, 2, 1, -2, 7]
-    i = 0
-    while True:
-        yield Fraction(values[i % len(values)])
-        i += 1
+    """A fixed endless supply of small nonzero integers."""
+    return cycle([1, -2, 3, 1, -1, 2, 5, -3, 2, 1, -2, 7])
 
 
 def _stream_poly(ring: PolyRing, stream, max_deg: int = 2) -> TruncPoly:
@@ -751,7 +747,7 @@ def _slot_value(ring: PolyRing, f: dict, slot: int) -> TruncPoly:
         e = [0] * (2 * n)
         e[slot - 1] = i
         e[n + slot - 1] = j
-        coeffs[tuple(e)] = Fraction(c)
+        coeffs[tuple(e)] = c
     return TruncPoly(ring, coeffs)
 
 
@@ -784,8 +780,10 @@ def _weighted_component(ring: PolyRing, lam, weighted_factors) -> TruncPoly:
     Each factor carries the weight of the slot it may occupy; the
     component is the sum over all weight-respecting assignments of the
     product of slot values, and vanishes unless the weights match lam.
+    An assignment is one assignment per weight class, so the sum is the
+    product, over the classes, of the factors of a weight symmetrized
+    over the slots of that value.
     """
-    n = ring.n
     slots_by_value: dict = {}
     for slot, v in enumerate(lam, start=1):
         slots_by_value.setdefault(v, []).append(slot)
@@ -796,16 +794,10 @@ def _weighted_component(ring: PolyRing, lam, weighted_factors) -> TruncPoly:
         w: len(fs) for w, fs in factors_by_weight.items()
     }:
         return ring.zero()
-    values = sorted(slots_by_value)
-    total = ring.zero()
-    choices = [permutations(factors_by_weight[v]) for v in values]
-    for combo in product(*choices):
-        term = ring.one()
-        for v, perm in zip(values, combo):
-            for slot, f in zip(slots_by_value[v], perm):
-                term = term * _slot_value(ring, f, slot)
-        total = total + term
-    return total
+    out = ring.one()
+    for v, slots in slots_by_value.items():
+        out = out * _sym_over_slots(ring, factors_by_weight[v], slots)
+    return out
 
 
 def _merged_pair_operator(ring: PolyRing, mu0, level: int, summands) -> dict:
@@ -865,10 +857,10 @@ def _poly_bank(shift: int):
         {(0, 0): 1, (1, 1): 1, (0, 1): 2 + s},
         {(0, 0): 3, (2, 0): 1, (0, 1): 1},
         {(0, 0): 1, (0, 2): 1 + s, (1, 0): 2},
-        {(0, 0): 2, (1, 0): 3, (0, 1): -1 - s},
+        {(0, 0): 2, (1, 0): 3, (0, 1): -1 - s, (1, 1): 1},
         {(0, 0): 1, (1, 0): -2, (1, 1): 1},
         {(0, 0): 5, (0, 1): 1, (2, 0): -1},
-        {(0, 0): 1, (1, 0): 1, (0, 1): 1 + s},
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1 + s, (2, 0): 1},
         {(0, 0): 2, (0, 1): -3, (1, 1): 1 + s},
         {(0, 0): 1, (2, 0): 2, (0, 1): 1},
         {(0, 0): 4, (1, 0): 1, (0, 2): -1},
@@ -883,7 +875,48 @@ def _poly_bank(shift: int):
     ]
 
 
-def _local_case_k3(n: int, shift: int):
+def _closed_form(ring: PolyRing, terms, offsets) -> dict:
+    """A closed form written in the summand factors, per offset (i, j).
+
+    A term (c, placed, jet, family, slots) stands for c times the slot
+    values of the (factor, slot) pairs placed, times the (i, j) Taylor
+    coefficient of jet at slot 1, times family symmetrized over slots.
+    With jet None it is the Leibniz term: each member of family takes
+    the jet in turn, and the rest is symmetrized.
+    """
+    out = {}
+    for i, j in offsets:
+        total = ring.zero()
+        for c, placed, jet, family, slots in terms:
+            base = ring.one()
+            for f, slot in placed:
+                base = base * _slot_value(ring, f, slot)
+            split = [(jet, family)] if jet is not None else [
+                (g, family[:t] + family[t + 1 :]) for t, g in enumerate(family)
+            ]
+            for g, rest in split:
+                total = total + c * base * _slot_value(
+                    ring, _jet_coefficient(g, i, j), 1
+                ) * _sym_over_slots(ring, rest, slots)
+        out[(i, j)] = total
+    return out
+
+
+def _local_cases(n: int, summands, forms) -> list:
+    """(label, operator buckets, closed form) for each form, given as
+    (label, mu0, level, terms), on the orbit sum of summands."""
+    ring = PolyRing(n, 2 * n)
+    return [
+        (
+            label,
+            _merged_pair_operator(ring, mu0, level, summands),
+            _closed_form(ring, terms, [(i, level - i) for i in range(level, -1, -1)]),
+        )
+        for label, mu0, level, terms in forms
+    ]
+
+
+def _local_case_k3(n: int, shift: int) -> list:
     bank = _poly_bank(shift)
     f = bank[0]
     g1, g2 = bank[1], bank[2]
@@ -897,35 +930,16 @@ def _local_case_k3(n: int, shift: int):
     ]
     if n >= 3:
         summands.append([(1, hi) for hi in h] + [(0, ci) for ci in c])
-    ring = PolyRing(n, 2 * n)
-    mu0 = (1, 0) + (0,) * (n - 2)
-    mine = _merged_pair_operator(ring, mu0, 1, summands)
     spectators = list(range(3, n + 1))
-    printed: dict = {}
-    for ij in [(1, 0), (0, 1)]:
-        i, j = ij
-        term = ring.zero()
-        for idx, ai in enumerate(a):
-            rest = a[:idx] + a[idx + 1 :]
-            term = term + (
-                _slot_value(ring, f, 1)
-                * _slot_value(ring, _jet_coefficient(ai, i, j), 1)
-                * _sym_over_slots(ring, rest, spectators)
-            )
-        bracket = 2 * (
-            _slot_value(ring, g1, 1)
-            * _slot_value(ring, _jet_coefficient(g2, i, j), 1)
-        ) - (
-            _slot_value(ring, g2, 1)
-            * _slot_value(ring, _jet_coefficient(g1, i, j), 1)
-        )
-        term = term - bracket * _sym_over_slots(ring, b, spectators)
-        printed[ij] = term
-    return mine, printed
+    terms = [
+        (1, [(f, 1)], None, a, spectators),
+        (-2, [(g1, 1)], g2, b, spectators),
+        (1, [(g2, 1)], g1, b, spectators),
+    ]
+    return _local_cases(n, summands, [("D1_(1)(0)", (1,) + (0,) * (n - 1), 1, terms)])
 
 
-def _local_cases_k4(shift: int):
-    n = 4
+def _local_cases_k4(shift: int) -> list:
     bank = _poly_bank(shift)
     f = bank[0]
     a = bank[1:4]
@@ -943,99 +957,32 @@ def _local_cases_k4(shift: int):
         [(2, kk), (1, k2), (1, k3)] + [(0, di) for di in d],
         [(1, mi) for mi in m],
     ]
-    ring = PolyRing(n, 2 * n)
-    cases = {}
-
-    mu0 = (2, 0, 0, 0)
-    mine = _merged_pair_operator(ring, mu0, 1, summands)
     spectators = [3, 4]
-    printed: dict = {}
-    for ij in [(1, 0), (0, 1)]:
-        i, j = ij
-        term = ring.zero()
-        for idx, ai in enumerate(a):
-            rest = a[:idx] + a[idx + 1 :]
-            term = term + (
-                _slot_value(ring, f, 1)
-                * _slot_value(ring, _jet_coefficient(ai, i, j), 1)
-                * _sym_over_slots(ring, rest, spectators)
-            )
-        term = term - 2 * (
-            _slot_value(ring, g1, 1)
-            * _slot_value(ring, _jet_coefficient(g2, i, j), 1)
-            * _sym_over_slots(ring, b, spectators)
-        )
-        term = term + (
-            _slot_value(ring, h1, 1)
-            * _slot_value(ring, _jet_coefficient(h2, i, j), 1)
-            + _slot_value(ring, h2, 1)
-            * _slot_value(ring, _jet_coefficient(h1, i, j), 1)
-        ) * _sym_over_slots(ring, c, spectators)
-        printed[ij] = term
-    cases["D1_(2)(0)"] = (mine, printed)
-
-    mu0 = (1, 0, 1, 0)
-    mine = _merged_pair_operator(ring, mu0, 1, summands)
-    printed = {}
-    for ij in [(1, 0), (0, 1)]:
-        i, j = ij
-        term = ring.zero()
-        for idx, bi in enumerate(b):
-            rest = b[:idx] + b[idx + 1 :]
-            term = term + (
-                _slot_value(ring, g1, 1)
-                * _slot_value(ring, _jet_coefficient(bi, i, j), 1)
-                * _slot_value(ring, g2, 3)
-                * _sym_over_slots(ring, rest, [4])
-            )
-        term = term - 2 * _slot_value(ring, kk, 1) * (
-            _slot_value(ring, _jet_coefficient(k2, i, j), 1) * _slot_value(ring, k3, 3)
-            + _slot_value(ring, _jet_coefficient(k3, i, j), 1)
-            * _slot_value(ring, k2, 3)
-        ) * _sym_over_slots(ring, d, [4])
-        term = term + (
-            _slot_value(ring, k2, 1)
-            * _slot_value(ring, _jet_coefficient(kk, i, j), 1)
-            * _slot_value(ring, k3, 3)
-            + _slot_value(ring, k3, 1)
-            * _slot_value(ring, _jet_coefficient(kk, i, j), 1)
-            * _slot_value(ring, k2, 3)
-        ) * _sym_over_slots(ring, d, [4])
-        printed[ij] = term
-    cases["D1_(1)(1)"] = (mine, printed)
-
-    mu0 = (1, 0, 0, 0)
-    mine = _merged_pair_operator(ring, mu0, 2, summands)
-    printed = {}
-    for ij in [(2, 0), (1, 1), (0, 2)]:
-        i, j = ij
-        term = ring.zero()
-        for idx, ai in enumerate(a):
-            rest = a[:idx] + a[idx + 1 :]
-            term = term - (
-                _slot_value(ring, f, 1)
-                * _slot_value(ring, _jet_coefficient(ai, i, j), 1)
-                * _sym_over_slots(ring, rest, spectators)
-            )
-        term = term + 3 * (
-            _slot_value(ring, g1, 1)
-            * _slot_value(ring, _jet_coefficient(g2, i, j), 1)
-            * _sym_over_slots(ring, b, spectators)
-        )
-        term = term - 3 * (
-            _slot_value(ring, h1, 1)
-            * _slot_value(ring, _jet_coefficient(h2, i, j), 1)
-            + _slot_value(ring, h2, 1)
-            * _slot_value(ring, _jet_coefficient(h1, i, j), 1)
-        ) * _sym_over_slots(ring, c, spectators)
-        term = term + (
-            _slot_value(ring, g2, 1)
-            * _slot_value(ring, _jet_coefficient(g1, i, j), 1)
-            * _sym_over_slots(ring, b, spectators)
-        )
-        printed[ij] = term
-    cases["D2_(1)(0)"] = (mine, printed)
-    return cases
+    d1_20 = [
+        (1, [(f, 1)], None, a, spectators),
+        (-2, [(g1, 1)], g2, b, spectators),
+        (1, [(h1, 1)], h2, c, spectators),
+        (1, [(h2, 1)], h1, c, spectators),
+    ]
+    d1_11 = [
+        (1, [(g1, 1), (g2, 3)], None, b, [4]),
+        (-2, [(kk, 1), (k3, 3)], k2, d, [4]),
+        (-2, [(kk, 1), (k2, 3)], k3, d, [4]),
+        (1, [(k2, 1), (k3, 3)], kk, d, [4]),
+        (1, [(k3, 1), (k2, 3)], kk, d, [4]),
+    ]
+    d2_10 = [
+        (-1, [(f, 1)], None, a, spectators),
+        (3, [(g1, 1)], g2, b, spectators),
+        (-3, [(h1, 1)], h2, c, spectators),
+        (-3, [(h2, 1)], h1, c, spectators),
+        (1, [(g2, 1)], g1, b, spectators),
+    ]
+    return _local_cases(4, summands, [
+        ("D1_(2)(0)", (2, 0, 0, 0), 1, d1_20),
+        ("D1_(1)(1)", (1, 0, 1, 0), 1, d1_11),
+        ("D2_(1)(0)", (1, 0, 0, 0), 2, d2_10),
+    ])
 
 
 def _constants_vanish(ring: PolyRing, mu0, level: int, n_summand_sizes) -> None:
@@ -1053,42 +1000,39 @@ def verify_invariant_local_formula(k: int) -> dict:
     closed forms on orbit-sum tuples.
 
     For each operator the expansion-bucket computation is compared with
-    the closed formula written in terms of the summand factors; the two
-    must agree up to a single rational, returned per operator label and
-    expected to be positive.  Multiple slot counts and factor choices
-    must give the same constant.  Constant factors are checked to be
-    annihilated.  The page-differential normalization differs from the
-    one used here by the constant (-1)^((l+1)l/2) (l+1)! at level l.
+    its closed form, a table of terms in the summand factors evaluated
+    by _closed_form; the two must agree up to a single rational,
+    returned per operator label and required to be positive.  Multiple
+    slot counts and factor choices must give the same constant.
+    Constant factors are checked to be annihilated.  Everything runs in
+    integer polynomials.  The page-differential normalization differs
+    from the one used here by the constant (-1)^((l+1)l/2) (l+1)! at
+    level l.
     """
     if k == 3:
-        labels = {"D1_(1)(0)": None}
-        runs = [(2, 0), (3, 0), (3, 5), (4, 0)]
-        for n, shift in runs:
-            mine, printed = _local_case_k3(n, shift)
-            c = _match_constant("D1_(1)(0)", mine, printed)
-            if labels["D1_(1)(0)"] is None:
-                labels["D1_(1)(0)"] = c
-            elif labels["D1_(1)(0)"] != c:
-                raise ValueError("constant for D1_(1)(0) varies across instances")
-        ring = PolyRing(3, 6)
-        _constants_vanish(
-            ring, (1, 0, 0), 1, [[3, 0, 0], [2, 1, 0], [1, 1, 1]]
+        instances = (
+            case
+            for n, shift in [(2, 0), (3, 0), (3, 5), (4, 0)]
+            for case in _local_case_k3(n, shift)
         )
+        ring = PolyRing(3, 6)
+        vanish = [(ring, (1, 0, 0), 1, [[3, 0, 0], [2, 1, 0], [1, 1, 1]])]
     elif k == 4:
-        labels = {}
-        for shift in (0, 3):
-            cases = _local_cases_k4(shift)
-            for label, (mine, printed) in cases.items():
-                c = _match_constant(label, mine, printed)
-                if label not in labels:
-                    labels[label] = c
-                elif labels[label] != c:
-                    raise ValueError(f"constant for {label} varies across instances")
+        instances = (case for shift in (0, 3) for case in _local_cases_k4(shift))
         ring = PolyRing(4, 8)
-        _constants_vanish(ring, (2, 0, 0, 0), 1, [[4, 0, 0, 0], [3, 1, 0, 0]])
-        _constants_vanish(ring, (1, 0, 0, 0), 2, [[4, 0, 0, 0], [2, 2, 0, 0]])
+        vanish = [
+            (ring, (2, 0, 0, 0), 1, [[4, 0, 0, 0], [3, 1, 0, 0]]),
+            (ring, (1, 0, 0, 0), 2, [[4, 0, 0, 0], [2, 2, 0, 0]]),
+        ]
     else:
         raise ValueError("closed forms are tabulated for k = 3 and k = 4 only")
+    labels: dict = {}
+    for label, mine, printed in instances:
+        c = _match_constant(label, mine, printed)
+        if labels.setdefault(label, c) != c:
+            raise ValueError(f"constant for {label} varies across instances")
+    for spec in vanish:
+        _constants_vanish(*spec)
     for label, c in labels.items():
         if c <= 0:
             raise ValueError(f"constant for {label} is not positive: {c}")

@@ -15,6 +15,12 @@ program and moved here from it.
   for jet_conditions, the kernel witnesses, and the Reynolds average
   that graded pieces are checked against; pinned_jet_conditions is the
   reference for the rows of a pair ending at a pinned point.
+* leading_minors_by_block takes one determinant per leading block, the
+  reference for the one-pass leading minors of linalg.
+* weighted_component_by_assignment sums over every weight-respecting
+  assignment of factors to slots, the reference for the factorized
+  orbit-sum components of the local formulas; degree is the total
+  degree of a polynomial.
 
 They are kept here, with their own tests, so that no oracle shares code
 with the path it checks.
@@ -26,6 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from hilbtaut.combinat import MultiIndexMap, multiindex_invariants
+from hilbtaut.linalg import bareiss_det
 from hilbtaut.polyjet import PolyRing, TruncPoly, evaluate_functional, jet_conditions
 
 
@@ -119,6 +126,15 @@ def intersect_ideal_powers(pairs, ring: PolyRing) -> list:
                 TruncPoly(ring, {monos[i]: c for i, c in enumerate(vec) if c})
             )
     return basis
+
+
+def leading_minors_by_block(matrix) -> list[int]:
+    """Determinants of the upper-left t x t blocks, t = 1..size, one
+    Bareiss determinant per block."""
+    size = len(matrix)
+    return [
+        bareiss_det([row[:t] for row in matrix[:t]]) for t in range(1, size + 1)
+    ]
 
 
 def composition_stabilizer(c) -> list[tuple[int, ...]]:
@@ -335,3 +351,44 @@ def symmetrize(t, sigma):
             for lam in t
         }
     raise TypeError("symmetrize expects a TruncPoly or a composition-indexed dict")
+
+
+# ---------------------------------------------------------------------------
+# local formulas
+
+
+def degree(p: TruncPoly) -> int:
+    """Total degree of p; -1 for the zero polynomial."""
+    return max((sum(e) for e in p.coeffs), default=-1)
+
+
+def weighted_component_by_assignment(ring: PolyRing, lam, weighted_factors) -> TruncPoly:
+    """Component at lam of the orbit sum of a weighted factor tuple: the
+    sum over all weight-respecting assignments of factors to slots of the
+    product of slot values, zero unless the weights match lam."""
+    slots_by_value: dict = {}
+    for slot, v in enumerate(lam, start=1):
+        slots_by_value.setdefault(v, []).append(slot)
+    factors_by_weight: dict = {}
+    for w, f in weighted_factors:
+        factors_by_weight.setdefault(w, []).append(f)
+    if {v: len(s) for v, s in slots_by_value.items()} != {
+        w: len(fs) for w, fs in factors_by_weight.items()
+    }:
+        return ring.zero()
+    n = ring.n
+    values = sorted(slots_by_value)
+    total = ring.zero()
+    choices = [itertools.permutations(factors_by_weight[v]) for v in values]
+    for combo in itertools.product(*choices):
+        term = ring.one()
+        for v, perm in zip(values, combo):
+            for slot, f in zip(slots_by_value[v], perm):
+                # f is a polynomial in one point's (x, y), placed at slot
+                pad = (0,) * (slot - 1), (0,) * (n - slot)
+                term = term * TruncPoly(ring, {
+                    pad[0] + (i,) + pad[1] + pad[0] + (j,) + pad[1]: c
+                    for (i, j), c in f.items()
+                })
+        total = total + term
+    return total

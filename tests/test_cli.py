@@ -595,8 +595,10 @@ def test_fuzzed_argv_exits_cleanly(argv):
 
 
 def _identifiers(nodes) -> set:
+    """The names that nodes hold, tagged by how they are used:
+    ("name", id) for a bare name and ("attr", attr) for an attribute."""
     return {
-        sub.id if isinstance(sub, ast.Name) else sub.attr
+        ("name", sub.id) if isinstance(sub, ast.Name) else ("attr", sub.attr)
         for node in nodes
         for sub in ast.walk(node)
         if isinstance(sub, (ast.Name, ast.Attribute))
@@ -608,17 +610,18 @@ def test_every_definition_is_reached_from_main():
     method but a dunder, is reached from cli.main.
 
     The walk reads the source.  A reached definition reaches every
-    definition, in any module, whose name its body holds as a name or
-    an attribute; so does every module-level statement but an import.
-    A class's own body, its dunder methods included, goes with it, and
-    its other methods are definitions of their own.  Names are matched
+    module-level function and class, in any module, whose name its body
+    holds as a bare name, and every method whose name it holds as an
+    attribute; so does every module-level statement but an import.  A
+    class's own body, its dunder methods included, goes with it, and its
+    other methods are definitions of their own.  Names are matched
     without scope or module, so a collision can only make the walk
     lenient: it may take a definition for reached, never one that runs
     for unreached.  argparse calls _Parser.error, which no line names.
     """
-    refs = {}  # qualified name -> identifiers its body holds
-    by_name = {}
-    roots = {"main"}
+    refs = {}  # qualified name -> tagged identifiers its body holds
+    by_name = {}  # tagged identifier -> definitions it reaches
+    roots = {("name", "main")}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -632,11 +635,11 @@ def test_every_definition_is_reached_from_main():
                            and not (m.name.startswith("__") and m.name.endswith("__"))]
                 for m in methods:
                     refs[f"{qual}.{m.name}"] = _identifiers([m])
-                    by_name.setdefault(m.name, []).append(f"{qual}.{m.name}")
+                    by_name.setdefault(("attr", m.name), []).append(f"{qual}.{m.name}")
                 own = stmt.decorator_list + stmt.bases + [
                     m for m in stmt.body if m not in methods]
             refs[qual] = _identifiers(own)
-            by_name.setdefault(stmt.name, []).append(qual)
+            by_name.setdefault(("name", stmt.name), []).append(qual)
     reached = set()
     todo = [qual for name in roots for qual in by_name.get(name, ())]
     while todo:

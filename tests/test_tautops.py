@@ -49,11 +49,13 @@ from hilbtaut.tautops import (
 )
 from references import (
     composition_stabilizer,
+    degree,
     fraction_rows_to_int,
     intersect_ideal_powers,
     membership,
     pinned_jet_conditions,
     symmetrize,
+    weighted_component_by_assignment,
     x_of,
     y_of,
 )
@@ -279,7 +281,7 @@ def reynolds_graded_dims(n, k, max_deg, exponent_rule):
             index = {e: i for i, e in enumerate(ring.monomials(d))}
             rows = []
             for b in basis:
-                if b.degree() == d:
+                if degree(b) == d:
                     avg = ring.zero()
                     for sigma in stab:
                         avg = avg + symmetrize(b, sigma)
@@ -903,6 +905,26 @@ def test_local_formula_constants_k4():
         "D2_(1)(0)": Fraction(1),
     }
     assert all(c > 0 for c in constants.values())
+
+
+def test_weighted_component_matches_assignment_sum(monkeypatch):
+    """The factorized orbit-sum component equals the plain sum over
+    weight-respecting assignments, on every component the local formulas
+    ask for: the k = 3 summands at n = 2..4 and the k = 4 summands."""
+    fast = tautops._weighted_component
+    seen = []
+
+    def checked(ring, lam, weighted_factors):
+        out = fast(ring, lam, weighted_factors)
+        assert out == weighted_component_by_assignment(ring, lam, weighted_factors)
+        seen.append((ring.n, out.is_zero()))
+        return out
+
+    monkeypatch.setattr(tautops, "_weighted_component", checked)
+    verify_invariant_local_formula(3)
+    verify_invariant_local_formula(4)
+    assert {n for n, _ in seen} == {2, 3, 4}
+    assert {zero for _, zero in seen} == {True, False}
 
 
 def test_local_formula_unknown_k():

@@ -20,6 +20,7 @@ from hilbtaut.toeplitz import (
     t_even,
     t_odd,
 )
+from references import leading_minors_by_block
 
 
 # --- oracle ------------------------------------------------------------
@@ -110,6 +111,29 @@ def test_t_even_minors_positive():
     for n in range(1, 7):
         minors = leading_principal_minors(t_even(n, 12))
         assert all(d > 0 for d in minors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+)
+def test_leading_minors_match_block_determinants(m):
+    assert leading_principal_minors(m) == leading_minors_by_block(m)
+
+
+def test_leading_minors_of_banded_matrices_and_past_zero_pivots():
+    for n in range(7):
+        for m in range(1, 13):
+            for matrix in (t_even(n, m), t_odd(n, m)):
+                assert leading_principal_minors(matrix) == leading_minors_by_block(matrix)
+    assert leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
+    assert leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [1, 0, -1]
 
 
 def test_t_odd_nondegenerate():
