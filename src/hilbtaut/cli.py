@@ -110,6 +110,9 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # reps counts k from 1, every other --k from 0
+        if self.command == "reps" and self.k < 1:
+            raise UsageError("--k must be at least 1")
         for name in ("n", "k", "max_degree", "l", "j"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -377,8 +380,6 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
 
 
 def cmd_reps(cfg: RunConfig) -> int:
-    if cfg.k < 1:
-        raise UsageError("--k must be at least 1")
     rho = antiinv_dims_rho(cfg.k)
     full = antiinv_dims_R(cfg.k)
     payload = {

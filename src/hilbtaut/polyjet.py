@@ -25,8 +25,10 @@ substitution divides each of them by one power of two, fixed by the
 condition, and scaling it away leaves the kernel as it is.  When the
 last point is pinned at the origin, the ideals of pairs ending there are
 already monomial, and each of their conditions is one coefficient.
-_jet_functionals builds the conditions of a list of keys of one degree,
-for either kind of pair; jet_conditions maps it over every key.
+_jet_functionals builds the conditions of a list of keys of one degree
+whose u-v-degree lies in a given range, for either kind of pair;
+jet_conditions maps it over every key, with the range of all u-v-degrees
+below the order.
 """
 
 from __future__ import annotations
@@ -196,20 +198,21 @@ def jet_conditions(A, order: int, ring: PolyRing) -> list:
     out = []
     for d in range(ring.max_deg + 1):
         # Monomials come in reverse lexicographic order, keys go sorted.
-        out += _jet_functionals((a0, a1), order, ring, reversed(ring.monomials(d)))
+        out += _jet_functionals((a0, a1), range(order), ring, reversed(ring.monomials(d)))
     return out
 
 
-def _jet_functionals(A, order: int, ring: PolyRing, keys) -> list:
+def _jet_functionals(A, degrees: range, ring: PolyRing, keys) -> list:
     """The jet functional of each key, in the order given, whose degree
-    at the first point of A is below the order.
+    r + s at the first point of A lies in degrees.
 
     keys are exponent vectors of one total degree, and A is a pair
     a0 < a1 of points, a1 at most ring.n + 1.  A key e stands for
     u^r s^(P-r) v^s t^(Q-s) times its other variables, where r and
     P - r are the exponents of x_{a0} and x_{a1} in e, and s and Q - s
-    those of y_{a0} and y_{a1}.  Its functional is read off it as the
-    product of the x and y weight tables: the monomial with the key's
+    those of y_{a0} and y_{a1}, so r + s is its u-v-degree.  Its
+    functional is read off it as the product of the x and y weight
+    tables: the monomial with the key's
     other exponents and pair exponents (p0, P-p0), (q0, Q-q0) gets the
     weight of p0 in _jet_weights(P, r) times that of q0 in
     _jet_weights(Q, s), and zero weights are left out.  The substitution
@@ -221,11 +224,20 @@ def _jet_functionals(A, order: int, ring: PolyRing, keys) -> list:
     A pair ending at ring.n + 1 ends at a point pinned at the origin,
     past the ring's last: its ideal is the monomial ideal (x_a0, y_a0),
     so the functional of a key is its own coefficient, {e: 1}.
+
+    I_A^m is cut out by the keys of u-v-degree below m, degrees =
+    range(m), and no functional, pinned or not, depends on m: the order
+    only selects keys.  So a stacked kernel block of order o asks for
+    u-v-degree o - 1 alone.  Its difference satisfies
+    D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), and it pairs with the
+    functional of a key of u-v-degree below o - 1 as that difference of
+    two rows of the block below does (see tautops._nullities).
     """
     a0, a1 = A
     n = ring.n
     ix0, iy0 = a0 - 1, n + a0 - 1
-    keys = [key for key in keys if key[ix0] + key[iy0] < order]
+    lo, hi = degrees.start, degrees.stop
+    keys = [key for key in keys if lo <= key[ix0] + key[iy0] < hi]
     if a1 > n:
         return [{key: 1} for key in keys]
     if not keys:

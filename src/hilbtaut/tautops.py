@@ -31,17 +31,19 @@ column orbits rely on.
 The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
 solves the kernel and graded systems alike: it takes blocks of
-conditions (pair, order, support) and maps each jet functional straight
+conditions (pair, degrees, support) and maps each jet functional straight
 onto its own (composition, exponent) columns, folded into relabeling
 orbits or not.  Every row is bihomogeneous in (x-degree, y-degree), so
 degree d splits into d + 1 blocks of x-degree g sharing no column, and
 swapping x and y, which fixes every diagonal ideal, gives blocks g and
 d - g equal rank: only the columns and rows of 2g >= d are built and
-solved, and the mirror counted.  The stacked systems are
-nested, block l only adding rows, so the engine runs one elimination per
-(degree, x-degree): it feeds the blocks in order, each one's rows
-shortest first, into that pair's pivot dict and reads every level's
-nullity on the way, eliminating each row once.
+solved, and the mirror counted.  The stacked systems are nested, block
+l only adding rows, and only those of its new jet degree l: the rows of
+lower jets are implied by the blocks below, since
+D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0).  The engine runs one
+elimination per (degree, x-degree): it feeds the blocks in order, each
+one's rows shortest first, into that pair's pivot dict and reads every
+level's nullity on the way, eliminating each row once.
 
 The linear algebra is exact throughout, and in integers end to end: jet
 conditions carry integer weights, condition rows and column sums stay
@@ -51,7 +53,8 @@ by a cap (override with the environment variable
 fast instead of grinding.  Every system's column key table, keys times
 points, is checked from its size before any column is built, folded or
 not; then each degree's full stack of rows times its columns, the rows
-counted from sizes.  Every degree passes both before any row is built.
+counted from sizes as if every block kept every jet below its order.
+Every degree passes both before any row is built.
 Exceeding either raises EntryCapError.
 """
 
@@ -217,22 +220,31 @@ def _rep_pairs(n: int, k: int, level: int):
 
 
 def _difference_block(level: int, pairs) -> list:
-    """The level-th condition block: one (pair, order, support) per label.
+    """The level-th condition block: one (pair, degrees, support) per label.
 
     A label (mu, A) asks the order-th difference along A, shifted by mu,
-    to lie in I_A^order, with order = level + 1.
+    to lie in I_A^order, with order = level + 1.  Stacked on the blocks
+    below, it imposes only the jets of u-v-degree order - 1, degrees =
+    range(order - 1, order): by Pascal's rule
+    D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), each lower jet of
+    D^o_mu is the difference of two jets of order o - 1, which the blocks
+    below impose (see _nullities).
     """
     order = level + 1
-    return [(A, order, _difference_support(mu, A[0], A[1], order)) for mu, A in pairs]
+    degrees = range(order - 1, order)
+    return [(A, degrees, _difference_support(mu, A[0], A[1], order)) for mu, A in pairs]
 
 
 def _jet_count(ring: PolyRing, order: int, d: int) -> int:
-    """How many degree-d rows one condition of this order contributes.
+    """How many degree-d jets cut out I_A^order, pinned pair or not.
 
-    _jet_functionals builds one functional per degree-d key whose degree
-    in the first point of A is below the order, pinned pair or not: a
-    point's two variables carry degree s in s + 1 ways, and the other
-    nvars - 2 variables take the rest.
+    One functional per degree-d key whose u-v-degree, its degree in the
+    first point of A, is below the order: a point's two variables carry
+    degree s in s + 1 ways, and the other nvars - 2 variables take the
+    rest.  This is the untrimmed count: a stacked block of order o builds
+    only the jets of u-v-degree o - 1, as D^o_mu =
+    D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), but the entry cap counts every
+    jet below o for each block, so refusals do not depend on the trim.
     """
     rest = ring.nvars - 2
     return sum(
@@ -288,21 +300,34 @@ def _columns(comps, ring: PolyRing, d: int, fold: bool):
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     """Per-degree nullities at every level of a stack of condition blocks.
 
-    A block lists conditions (A, order, support): the jet functionals of
-    I_A^order (with a point pinned at the origin when A ends one point
-    past the ring's last), each times the support's composition weights.
-    A functional maps exponents e to integer weights c; its row puts
-    cf * c on the column of (lam, e), as _columns(comps, ring, d, fold)
-    numbers them, for every (lam, cf) in support, and keys sharing a
-    column add up; an entry whose sum cancels is dropped, so rows hold no
-    zeros.  A tuple satisfies the block when every row pairs to zero
-    against its coefficients.  Level l imposes the first l blocks.  The
-    result is indexed by level, 0 through len(blocks), then by degree
-    through ring.max_deg.
+    A block lists conditions (A, degrees, support): the jet functionals
+    of I_A (with a point pinned at the origin when A ends one point past
+    the ring's last) at the keys whose u-v-degree lies in the range
+    degrees, each times the support's composition weights.  A functional
+    maps exponents e to integer weights c; its row puts cf * c on the
+    column of (lam, e), as _columns(comps, ring, d, fold) numbers them,
+    for every (lam, cf) in support, and keys sharing a column add up; an
+    entry whose sum cancels is dropped, so rows hold no zeros.  A tuple
+    satisfies the block when every row pairs to zero against its
+    coefficients.  Level l imposes the first l blocks.  The result is
+    indexed by level, 0 through len(blocks), then by degree through
+    ring.max_deg.
+
+    A graded piece is one block, and its conditions keep every
+    u-v-degree below its exponent e, range(e).  A stacked kernel block
+    of order o keeps u-v-degree o - 1 alone, range(o - 1, o).  Pascal's
+    rule gives D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), and a
+    functional does not depend on the order it is built for, so the row
+    of a lower key is the difference of two rows of block o - 1 and, by
+    induction, lies in the span of the blocks below.  Every level thus
+    has the nullity of the untrimmed stack.  This holds folded too: a
+    relabeling keeps a key's u-v-degree, and a representative label's
+    rows stand for those of its whole orbit.
 
     Every degree is checked against the cap before any row is built:
     first its key table, then its full stack, rows times columns, with
-    the rows counted from sizes (_jet_count); context names the system.
+    the rows counted from sizes as if every block kept every jet below
+    its order, degrees.stop (_jet_count); context names the system.
 
     Every row is bihomogeneous, so degree d splits into blocks of
     x-degree g = 0..d that share no column, folded or not (an orbit key
@@ -317,15 +342,17 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     off right after block l.
     """
     n = ring.n
-    degrees = []
+    tables = []
     for d in range(ring.max_deg + 1):
         ncols, colmap = _columns(comps, ring, d, fold)
-        nrows = sum(_jet_count(ring, order, d) for block in blocks for _, order, _ in block)
+        nrows = sum(
+            _jet_count(ring, degrees.stop, d) for block in blocks for _, degrees, _ in block
+        )
         if nrows:
             _check_cap(nrows, ncols, context)
-        degrees.append((ncols, colmap))
+        tables.append((ncols, colmap))
     profile: list = [[] for _ in range(len(blocks) + 1)]
-    for d, (ncols, colmap) in enumerate(degrees):
+    for d, (ncols, colmap) in enumerate(tables):
         keys = _upper_half(ring, d)[::-1]  # sorted, as jet_conditions orders them
         jets: dict = {}
         pivots: dict = {}
@@ -333,12 +360,12 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
         profile[0].append(ncols)
         for level, block in enumerate(blocks, start=1):
             by_g: dict = {}
-            for A, order, support in block:
-                built = jets.get((A, order))
+            for A, degrees, support in block:
+                built = jets.get((A, degrees))
                 if built is None:
-                    built = jets[A, order] = [
+                    built = jets[A, degrees] = [
                         (sum(next(iter(f))[:n]), f)
-                        for f in _jet_functionals(A, order, ring, keys)
+                        for f in _jet_functionals(A, degrees, ring, keys)
                     ]
                 for g, functional in built:
                     row: dict = {}
@@ -453,7 +480,7 @@ def graded_dims(
                     e = 2 * m_mu(mu)
                 else:
                     e = 2 * mu[j - 1]
-                block.append(((i, j), e, [(mu_bar, 1)]))
+                block.append(((i, j), range(e), [(mu_bar, 1)]))
         piece = _nullities([block], [mu_bar], ring, True, f"graded piece {mu} ({n},{k})")
         out[tuple(mu)] = tuple(accumulate(piece[1]))
     return out

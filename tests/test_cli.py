@@ -333,6 +333,14 @@ def test_zero_points_exit_two(capsys, command, extra):
     assert err == "error: --n must be at least 1\n"
 
 
+def test_reps_refuses_k_below_one(capsys):
+    # one rule, and one message, for zero and for negative k
+    for k in ("0", "-1"):
+        rc, out, err = run(capsys, "reps", "--k", k)
+        assert rc == 2 and out == ""
+        assert err == "error: --k must be at least 1\n", k
+
+
 def test_reps_series(capsys):
     rc, out, _ = run(capsys, "reps", "--k", "3")
     assert rc == 0

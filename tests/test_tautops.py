@@ -8,6 +8,7 @@ slots are validated against closed-form monomial counts, and on a grid
 of sizes against the Reynolds average of an explicit ideal-power basis.
 """
 
+import re
 from fractions import Fraction
 from itertools import accumulate, product
 from math import comb
@@ -164,15 +165,18 @@ def brute_kernel_dims_n2(k, max_deg, invariant):
 def reference_condition_rows(ring, block):
     """Rows of a condition block, every x-degree, grouped by total degree.
 
-    The block lists conditions (A, order, support): the jet functionals
-    of I_A^order (pinned ones when A ends one point past the ring), each
-    times the support's composition weights.  Each row maps (composition,
-    exponent) keys to integer weights.  This is the engine's row builder
-    from before it mapped functionals straight onto the columns it
-    eliminates.
+    The block lists conditions (A, degrees, support).  Each one gives
+    every jet functional of I_A^order, order = degrees.stop (pinned ones
+    when A ends one point past the ring), whatever u-v-degrees the
+    engine keeps, each times the support's composition weights.  Each
+    row maps (composition, exponent) keys to integer weights.  This is
+    the engine's row builder from before it mapped functionals straight
+    onto the columns it eliminates and built only each stacked block's
+    new jet degree.
     """
     by_degree = {}
-    for A, order, support in block:
+    for A, degrees, support in block:
+        order = degrees.stop
         if A[1] > ring.n:
             jets = pinned_jet_conditions(A[0], order, ring)
         else:
@@ -222,8 +226,9 @@ def unpinned_full_profile(n, k, max_deg):
 def restacked_profile(n, k, max_deg, invariant):
     """Every level of _nullity_profile, each ranked from scratch.
 
-    Level l stacks the rows of the first l condition blocks, every
-    x-degree, over every column, and ranks them with a fresh
+    Level l stacks the rows of the first l condition blocks, every jet
+    below each block's order and every x-degree, over every column, so
+    no implied row is left out.  It ranks them with a fresh
     sparse_int_rank, so no pivot is shared between levels and no row or
     column comes from the engine.  Systems are set up as in
     _nullity_profile: invariant ones over column orbits on n points,
@@ -442,7 +447,7 @@ def _graded_block(n, k, mu):
     builds it, with its padded composition."""
     mu_bar = tuple(mu) + (0,) * (n - len(mu))
     pairs = [(i, j) for i in range(1, len(mu) + 1) for j in range(i + 1, len(mu) + 1)]
-    return [(A, 2 * m_mu(mu), [(mu_bar, 1)]) for A in pairs], mu_bar
+    return [(A, range(2 * m_mu(mu)), [(mu_bar, 1)]) for A in pairs], mu_bar
 
 
 @pytest.mark.parametrize(
@@ -458,7 +463,7 @@ def test_row_counts_from_sizes_match_built_rows(n, k, max_deg, invariant):
     for block in blocks:
         rows = reference_condition_rows(ring, block)
         for d in range(max_deg + 1):
-            counted = sum(_jet_count(ring, order, d) for _, order, _ in block)
+            counted = sum(_jet_count(ring, degrees.stop, d) for _, degrees, _ in block)
             assert len(rows.get(d, ())) == counted, (block[0], d)
     for points in (1, 2, 3):
         ring = PolyRing(points, 4)
@@ -479,6 +484,23 @@ def test_row_cap_refuses_before_rows_are_built(monkeypatch):
     monkeypatch.setattr(tautops, "_jet_functionals", unbuilt)
     with pytest.raises(EntryCapError, match="15840 x 1716"):
         kernel_nullity(12, 2, 2, invariant=False)
+
+
+@pytest.mark.parametrize("args,shape", [
+    ((4, 5, 4, True), "(4,5): 5823 x 950"),
+    ((3, 6, 5, True), "(3,6): 4318 x 1216"),
+    ((4, 4, 4, False), "(4,4): 2784 x 735"),
+])
+def test_row_cap_counts_the_untrimmed_stack(monkeypatch, args, shape):
+    # Stacked blocks build only their new jet degree, but the cap counts
+    # every jet below each block's order, so these refusals stay as they were.
+    def unbuilt(*args):
+        raise AssertionError("rows built before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "_jet_functionals", unbuilt)
+    with pytest.raises(EntryCapError, match=re.escape(f"kernel system {shape} matrix")):
+        kernel_nullity(*args)
 
 
 @pytest.mark.parametrize("system", ["invariant", "full", "graded"])
@@ -504,13 +526,15 @@ def test_nullities_build_only_the_upper_half(monkeypatch, system):
 
 @pytest.mark.parametrize("system", ["invariant", "pinned", "graded"])
 def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
-    # Each (pair, order) is built once per degree and call, over the keys
-    # of 2g >= d alone: as many functionals as the reference has there.
+    # Each (pair, degrees) is built once per degree and call, over the keys
+    # of 2g >= d alone, and of u-v-degree in degrees: as many functionals as
+    # the reference has there below degrees.stop, less those below
+    # degrees.start (o - 1 for a kernel block of order o, 0 for a graded one).
     built = []
     build = tautops._jet_functionals
 
-    def recorded(A, order, ring, keys):
-        functionals = build(A, order, ring, keys)
+    def recorded(A, degrees, ring, keys):
+        functionals = build(A, degrees, ring, keys)
         built.extend((ring.n, f) for f in functionals)
         return functionals
 
@@ -526,18 +550,87 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
         pairs = _rep_pairs if system == "invariant" else _all_pairs
         systems = [(ring, [_difference_block(level, pairs(n, k, level))
                            for level in range(k - 1)])]
+
+    def upper_half_jets(A, order, ring):
+        if order == 0:
+            return 0
+        if A[1] > ring.n:
+            jets = pinned_jet_conditions(A[0], order, ring)
+        else:
+            jets = jet_conditions(A, order, ring)
+        keys = [next(iter(f)) for f in jets]
+        return sum(2 * sum(e[: ring.n]) >= sum(e) for e in keys)
+
     expected = 0
     for ring, blocks in systems:
-        for A, order in {(A, order) for block in blocks for A, order, _ in block}:
-            if A[1] > ring.n:
-                jets = pinned_jet_conditions(A[0], order, ring)
-            else:
-                jets = jet_conditions(A, order, ring)
-            keys = [next(iter(f)) for f in jets]
-            expected += sum(2 * sum(e[: ring.n]) >= sum(e) for e in keys)
+        for A, degrees in {(A, degrees) for block in blocks for A, degrees, _ in block}:
+            expected += upper_half_jets(A, degrees.stop, ring)
+            expected -= upper_half_jets(A, degrees.start, ring)
     assert built and len(built) == expected
     for points, functional in built:
         assert all(2 * sum(e[:points]) >= sum(e) for e in functional)
+
+
+def _built_keys(calls):
+    """The key of every functional of each recorded build (A, ring, d,
+    functionals).  jet_conditions lists every jet of A, of any u-v-degree,
+    by degree and then key, and a pinned functional is {key: 1}."""
+    out = []
+    for A, ring, d, functionals in calls:
+        if A[1] > ring.n:
+            built = [next(iter(f)) for f in functionals]
+        else:
+            keys = [e for deg in range(ring.max_deg + 1) for e in sorted(ring.monomials(deg))]
+            jets = jet_conditions(A, ring.max_deg + 1, ring)
+            assert len(jets) == len(keys)
+            keyed = {frozenset(f.items()): e for f, e in zip(jets, keys)}
+            built = [keyed[frozenset(f.items())] for f in functionals]
+        out.append((A, ring, d, sorted(built)))
+    return out
+
+
+def _upper_keys(ring, A, d, degrees):
+    """The degree-d keys of x-degree g, 2g >= d, and u-v-degree at A in degrees."""
+    m, a = ring.n, A[0] - 1
+    return [e for e in sorted(ring.monomials(d))
+            if 2 * sum(e[:m]) >= d and e[a] + e[m + a] in degrees]
+
+
+# Pascal's rule D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0) makes every
+# lower jet of a stacked kernel block implied by the block below, so the
+# block of order o builds the jets of u-v-degree o - 1 alone.  A graded
+# piece is a single block and builds every u-v-degree below its exponent.
+@pytest.mark.parametrize("system", ["invariant", "pinned", "graded"])
+def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
+    calls = []
+    build = tautops._jet_functionals
+
+    def recorded(A, degrees, ring, keys):
+        keys = list(keys)
+        functionals = build(A, degrees, ring, keys)
+        calls.append((A, ring, sum(keys[0]), functionals))
+        return functionals
+
+    monkeypatch.setattr(tautops, "_jet_functionals", recorded)
+    n, k = 3, 4
+    if system == "graded":
+        for mu, e in [((2, 2), 4), ((2, 1, 1), 2)]:
+            calls.clear()
+            block, mu_bar = _graded_block(n, k, mu)
+            _nullities([block], [mu_bar], PolyRing(n, 4), True, "graded piece")
+            assert {d for _, _, d, _ in calls} == set(range(5))
+            for A, ring, d, built in _built_keys(calls):
+                assert built == _upper_keys(ring, A, d, range(e))
+        return
+    kernel_nullity(n, k, 3, invariant=system == "invariant")
+    # Each pair is built once per block and degree, blocks in order, so the
+    # j-th build of (A, d) is the block of order j + 1.
+    builds = {}
+    for A, ring, d, built in _built_keys(calls):
+        j = builds[A, d] = builds.get((A, d), -1) + 1
+        assert built == _upper_keys(ring, A, d, range(j, j + 1))
+    assert builds and set(builds.values()) == {k - 2}
+    assert any(functionals for *_, functionals in calls)
 
 
 # Folded and unfolded, on n points and pinned on n - 1, and over one padded
@@ -662,8 +755,11 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
 
 
 # The five kernel-vs-graded configurations and the first exploratory size
-# (3, 5, 4) in both modes, a four-point system (full (4, 3, 3) is over the
-# default cap) and the kernel workload's (2, 6, 6) in both modes.
+# (3, 5, 4) in both modes, four-point systems (full (4, 3, 3) is over the
+# default cap): (4, 3, 3), the kernel workload's (4, 4, 3) and exploratory
+# (4, 5, 3), and the kernel workload's (2, 6, 6) in both modes.  The
+# restacked side builds every jet below each order, so this checks the
+# engine's trimmed stack level by level.
 @pytest.mark.parametrize(
     "n,k,max_deg,invariant",
     [
@@ -671,7 +767,7 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
         for n, k, max_deg in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3), (3, 5, 4)]
         for invariant in (True, False)
     ]
-    + [(4, 3, 3, True), (2, 6, 6, True), (2, 6, 6, False)],
+    + [(4, 3, 3, True), (4, 4, 3, True), (4, 5, 3, True), (2, 6, 6, True), (2, 6, 6, False)],
 )
 def test_every_level_matches_restacked_ranks(n, k, max_deg, invariant):
     assert _nullity_profile(n, k, max_deg, invariant) == restacked_profile(
