@@ -9,6 +9,11 @@ process and are reported sorted by key, each with its own wall-clock
 seconds.  Identical invocations produce identical bytes, with the one
 caveat that verification reports carry those timings.
 
+Every option and its default is declared once, in _build_parser; each
+handler and suite builder reads the parsed namespace, cfg, once
+_validate has parsed the bundle vectors and made the range checks
+argparse cannot.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (a one-line message; bad arguments, a bad HILBTAUT_MAX_MATRIX_ENTRIES and
 exceeding the matrix entry cap count here, inside a verification case
@@ -24,7 +29,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from math import factorial
 
 from .combinat import (
@@ -34,7 +38,7 @@ from .combinat import (
     quotient_B,
     stabilizer_order,
 )
-from .linalg import leading_principal_minors
+from .linalg import bareiss_det, int_rank, leading_principal_minors
 from .rroch import (
     BUILTIN_SURFACES,
     chi_graded_piece_n2,
@@ -59,17 +63,7 @@ from .tautops import (
     verify_recursion,
     verify_transition,
 )
-from .toeplitz import column_rank, det_exact, r_matrix, t_even, t_odd
-
-SUITES = (
-    "all",
-    "toeplitz",
-    "reps",
-    "recursion",
-    "chi-consistency",
-    "kernel-vs-graded",
-    "combinatorics",
-)
+from .toeplitz import r_matrix, t_even, t_odd
 
 FORMATS = ("text", "csv", "json")
 
@@ -83,45 +77,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command needs, validated before dispatch."""
-
-    command: str
-    fmt: str = "text"
-    surface: str = "p2"
-    n: int | None = None
-    k: int | None = None
-    max_degree: int | None = None
-    l: int | None = None
-    j: int | None = None
-    m: int | None = None
-    L: tuple[tuple[int, ...], ...] = ()
-    A: tuple[tuple[int, ...], ...] = ()
-    invariant: bool = True
-    exploratory: bool = False
-    kind: str = "T"
-    parity: str = "even"
-    show: str = "det"
-    rule: str = "uniform_2m_mu"
-    suite: str = "all"
-    seed: int = 0
-
-    def validate(self) -> None:
-        # reps counts k from 1, every other --k from 0
-        if self.command == "reps" and self.k < 1:
-            raise UsageError("--k must be at least 1")
-        for name in ("n", "k", "max_degree", "l", "j"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
-        # --n counts points here; toeplitz's T matrices take n = 0
-        if self.n == 0 and self.command in ("chi", "kernel", "graded"):
-            raise UsageError("--n must be at least 1")
-        if self.m is not None and self.m < 1:
-            raise UsageError("--m must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +109,7 @@ def _series(dims) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines, csv_lines) -> None:
+def _emit(cfg, payload: dict, text_lines, csv_lines) -> None:
     if cfg.fmt == "json":
         print(json.dumps(payload, indent=2))
     elif cfg.fmt == "csv":
@@ -163,7 +118,7 @@ def _emit(cfg: RunConfig, payload: dict, text_lines, csv_lines) -> None:
         print("\n".join(text_lines))
 
 
-def _load(cfg: RunConfig):
+def _load(cfg):
     if cfg.surface in BUILTIN_SURFACES:
         return get_surface(cfg.surface)
     try:
@@ -174,13 +129,13 @@ def _load(cfg: RunConfig):
         raise UsageError(f"bad surface model {cfg.surface!r}: {exc}")
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
+def _require(cfg, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
-def _gate_range(cfg: RunConfig) -> None:
+def _gate_range(cfg) -> None:
     if not in_proven_range(cfg.n, cfg.k) and not cfg.exploratory:
         raise UsageError(
             f"(n, k) = ({cfg.n}, {cfg.k}) is outside the established range "
@@ -207,7 +162,7 @@ def _printable(value: int, name: str) -> int:
     return value
 
 
-def cmd_chi(cfg: RunConfig) -> int:
+def cmd_chi(cfg) -> int:
     s = _load(cfg)
     graded = cfg.n == 2
     half = cfg.k // 2
@@ -260,7 +215,7 @@ def cmd_chi(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
+def cmd_kernel(cfg) -> int:
     _gate_range(cfg)
     dims = kernel_nullity(cfg.n, cfg.k, cfg.max_degree, invariant=cfg.invariant)
     conjectural = not in_proven_range(cfg.n, cfg.k)
@@ -291,7 +246,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_graded(cfg: RunConfig) -> int:
+def cmd_graded(cfg) -> int:
     _gate_range(cfg)
     pieces = graded_dims(cfg.n, cfg.k, cfg.max_degree, exponent_rule=cfg.rule)
     totals = list(graded_totals(pieces))
@@ -324,35 +279,23 @@ def cmd_graded(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_toeplitz(cfg: RunConfig) -> int:
+def cmd_toeplitz(cfg) -> int:
     if cfg.kind == "T":
         _require(cfg, "n", "m")
         _check_cap(cfg.m, cfg.m, f"toeplitz T_{cfg.parity}({cfg.n}, {cfg.m})")
         matrix = t_even(cfg.n, cfg.m) if cfg.parity == "even" else t_odd(cfg.n, cfg.m)
-        payload = {
-            "command": "toeplitz",
-            "kind": "T",
-            "parity": cfg.parity,
-            "n": cfg.n,
-            "m": cfg.m,
-        }
         if cfg.show == "minors":
-            minors = leading_principal_minors(matrix)
-            payload["minors"] = minors
-            value_text = f"minors = {minors}"
-            csv_lines = [
-                "kind,parity,n,m,minors",
-                f"T,{cfg.parity},{cfg.n},{cfg.m},{_vec_str(minors)}",
-            ]
+            value = leading_principal_minors(matrix)
+            cell = _vec_str(value)
         else:
-            det = det_exact(matrix)
-            payload["det"] = det
-            value_text = f"det = {det}"
-            csv_lines = [
-                "kind,parity,n,m,det",
-                f"T,{cfg.parity},{cfg.n},{cfg.m},{det}",
-            ]
-        text = [f"T_{cfg.parity}({cfg.n}, {cfg.m}): {value_text}"]
+            value = cell = bareiss_det(matrix)
+        payload = {"command": "toeplitz", "kind": "T", "parity": cfg.parity,
+                   "n": cfg.n, "m": cfg.m, cfg.show: value}
+        text = [f"T_{cfg.parity}({cfg.n}, {cfg.m}): {cfg.show} = {value}"]
+        csv_lines = [
+            f"kind,parity,n,m,{cfg.show}",
+            f"T,{cfg.parity},{cfg.n},{cfg.m},{cell}",
+        ]
         _emit(cfg, payload, text, csv_lines)
         return 0
     _require(cfg, "l", "k", "j")
@@ -363,7 +306,7 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
         matrix = r_matrix(cfg.l, cfg.k, cfg.j)
     except ValueError as exc:
         raise UsageError(str(exc))
-    rank = column_rank(matrix)
+    rank = int_rank(matrix)
     payload = {
         "command": "toeplitz",
         "kind": "R",
@@ -379,7 +322,7 @@ def cmd_toeplitz(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_reps(cfg: RunConfig) -> int:
+def cmd_reps(cfg) -> int:
     rho = antiinv_dims_rho(cfg.k)
     full = antiinv_dims_R(cfg.k)
     payload = {
@@ -409,7 +352,7 @@ def cmd_reps(cfg: RunConfig) -> int:
 # sortable by key
 
 
-def _suite_toeplitz(cfg: RunConfig):
+def _suite_toeplitz(cfg):
     cases = []
     for n in range(1, 7):
         def check_even(n=n):
@@ -421,7 +364,7 @@ def _suite_toeplitz(cfg: RunConfig):
 
         def check_odd(n=n):
             for m in range(1, 13):
-                if det_exact(t_odd(n, m)) == 0:
+                if bareiss_det(t_odd(n, m)) == 0:
                     raise AssertionError(f"singular odd matrix at n={n}, m={m}")
             return {"m_max": 12}
 
@@ -432,7 +375,7 @@ def _suite_toeplitz(cfg: RunConfig):
             count = 0
             for j in range(1, k // 2 + 1):
                 for l in range(0, 2 * j + 1):
-                    rank = column_rank(r_matrix(l, k, j))
+                    rank = int_rank(r_matrix(l, k, j))
                     if rank != k - 2 * j + 1:
                         raise AssertionError(f"rank drop at (l,k,j)=({l},{k},{j})")
                     count += 1
@@ -444,7 +387,7 @@ def _suite_toeplitz(cfg: RunConfig):
     return cases
 
 
-def _suite_reps(cfg: RunConfig):
+def _suite_reps(cfg):
     cases = []
     for k in range(1, 8):
         def check_dims(k=k):
@@ -463,23 +406,19 @@ def _suite_reps(cfg: RunConfig):
         cases.append((f"anti-invariant dims k={k}", check_dims))
     for k in range(2, 7):
         def check_omega(k=k):
-            if not verify_omega(k):
-                raise AssertionError(f"omega recursion failed at k={k}")
+            verify_omega(k)
             return {}
 
         cases.append((f"omega recursion k={k}", check_omega))
     for k in (2, 3, 4):
         def check_sym(k=k):
-            constant = verify_sym_map(k)
-            if constant <= 0:
-                raise AssertionError(f"nonpositive sym constant {constant} at k={k}")
-            return {"constant": str(constant)}
+            return {"constant": str(verify_sym_map(k))}
 
         cases.append((f"sym map k={k}", check_sym))
     return cases
 
 
-def _suite_recursion(cfg: RunConfig):
+def _suite_recursion(cfg):
     def check_local(k):
         constants = verify_invariant_local_formula(k)
         values = set(constants.values())
@@ -495,7 +434,7 @@ def _suite_recursion(cfg: RunConfig):
     ]
 
 
-def _suite_chi_consistency(cfg: RunConfig):
+def _suite_chi_consistency(cfg):
     cases = []
     for name in sorted(BUILTIN_SURFACES):
         for k in (3, 4):
@@ -520,7 +459,7 @@ def _suite_chi_consistency(cfg: RunConfig):
     return cases
 
 
-def _suite_kernel_vs_graded(cfg: RunConfig):
+def _suite_kernel_vs_graded(cfg):
     cases = []
     for n, k in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4)):
         degree = cfg.max_degree
@@ -546,7 +485,7 @@ def _suite_kernel_vs_graded(cfg: RunConfig):
     return cases
 
 
-def _suite_combinatorics(cfg: RunConfig):
+def _suite_combinatorics(cfg):
     cases = []
     for n in range(1, 5):
         for k in range(1, 6):
@@ -601,6 +540,7 @@ _SUITE_BUILDERS = {
     "kernel-vs-graded": _suite_kernel_vs_graded,
     "combinatorics": _suite_combinatorics,
 }
+SUITES = ("all", *_SUITE_BUILDERS)
 
 
 # What the verify_* functions and the case thunks raise when a check
@@ -624,15 +564,11 @@ def _run_cases(cases):
     return results
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite == "all":
-        names = [s for s in SUITES if s != "all"]
-    else:
-        names = [cfg.suite]
+def cmd_verify(cfg) -> int:
     cases = []
-    for name in names:
-        for key, thunk in _SUITE_BUILDERS[name](cfg):
-            cases.append((f"{name}: {key}", thunk))
+    for name, build in _SUITE_BUILDERS.items():
+        if cfg.suite in ("all", name):
+            cases += [(f"{name}: {key}", thunk) for key, thunk in build(cfg)]
     results = _run_cases(cases)
     passed = sum(1 for _, ok, _, _ in results if ok)
     failed = len(results) - passed
@@ -748,26 +684,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command, "fmt": args.fmt}
-    for name in ("surface", "n", "k", "l", "j", "m", "invariant",
-                 "exploratory", "kind", "parity", "show", "rule",
-                 "suite", "seed"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "max_degree"):
-        fields["max_degree"] = args.max_degree
-    if getattr(args, "L", None):
-        fields["L"] = tuple(_parse_vec(v) for v in args.L)
-    if getattr(args, "A", None):
-        fields["A"] = tuple(_parse_vec(v) for v in args.A)
-    cfg = RunConfig(**fields)
-    cfg.validate()
-    try:
-        _max_entries()
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return cfg
+def _validate(cfg: argparse.Namespace) -> None:
+    """Parse --L and --A in place, then make the range checks argparse
+    cannot; an option the subcommand lacks is skipped."""
+    for name in ("L", "A"):
+        if hasattr(cfg, name):
+            setattr(cfg, name, [_parse_vec(v) for v in getattr(cfg, name)])
+    # reps counts k from 1, every other --k from 0
+    if cfg.command == "reps" and cfg.k < 1:
+        raise UsageError("--k must be at least 1")
+    for name in ("n", "k", "max_degree", "l", "j"):
+        value = getattr(cfg, name, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
+    # --n counts points here; toeplitz's T matrices take n = 0
+    if cfg.command in ("chi", "kernel", "graded") and cfg.n == 0:
+        raise UsageError("--n must be at least 1")
+    if getattr(cfg, "m", None) is not None and cfg.m < 1:
+        raise UsageError("--m must be at least 1")
 
 
 _HANDLERS = {
@@ -782,7 +716,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = _config_from_args(_build_parser().parse_args(argv))
+        cfg = _build_parser().parse_args(argv)
+        _validate(cfg)
+        try:
+            _max_entries()
+        except ValueError as exc:
+            raise UsageError(str(exc))
         return _HANDLERS[cfg.command](cfg)
     except (UsageError, EntryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,13 @@ def _poly_div_exact(p, d):
     return quot
 
 
-def _det_one_plus_t(lam, dim_v: int):
+# V is a plane, so the invariant line of R_k gives V (x) R_k the factor
+# det(1 + t) = (1 + t)^2 in every class's characteristic polynomial
+_DIM_V = 2
+_INVARIANT_LINE = [1, 2, 1]
+
+
+def _det_one_plus_t(lam):
     """det(1 + t sigma) on V (x) R_k for sigma of cycle type lam:
     the product over cycles of (1 - (-t)^c), raised to dim V."""
     poly = [1]
@@ -93,50 +99,43 @@ def _det_one_plus_t(lam, dim_v: int):
         cyc = [0] * (c + 1)
         cyc[0] = 1
         cyc[c] = -((-1) ** c)
-        for _ in range(dim_v):
+        for _ in range(_DIM_V):
             poly = _poly_mul(poly, cyc)
     return poly
 
 
-def antiinv_dims_R(k: int, dim_v: int = 2) -> tuple[int, ...]:
+def _sign_average(k: int, poly_of) -> tuple[int, ...]:
+    """The average over S_k of sign(sigma) poly_of(cycle type of sigma),
+    coefficient by coefficient; the polynomials share one length, and
+    the average must clear k!."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    terms = [(size * sign, poly_of(lam)) for lam, size, sign in cycle_types(k)]
+    total = [sum(w * poly[q] for w, poly in terms) for q in range(len(terms[0][1]))]
+    kfac = factorial(k)
+    if any(c % kfac for c in total):
+        raise ArithmeticError("character average is not integral")
+    return tuple(c // kfac for c in total)
+
+
+def antiinv_dims_R(k: int) -> tuple[int, ...]:
     """Anti-invariant dimensions of Lambda^q(V (x) R_k), all q at once.
 
     Entry q of the result is the coefficient of t^q in the averaged
-    signed characteristic polynomial; the average must clear k!.
+    signed characteristic polynomial.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    total = [0] * (dim_v * k + 1)
-    for lam, size, sign in cycle_types(k):
-        poly = _det_one_plus_t(lam, dim_v)
-        for q, c in enumerate(poly):
-            total[q] += size * sign * c
-    kfac = factorial(k)
-    if any(c % kfac for c in total):
-        raise ArithmeticError("character average is not integral")
-    return tuple(c // kfac for c in total)
+    return _sign_average(k, _det_one_plus_t)
 
 
-def antiinv_dims_rho(k: int, dim_v: int = 2) -> tuple[int, ...]:
+def antiinv_dims_rho(k: int) -> tuple[int, ...]:
     """Same as antiinv_dims_R but for the standard summand rho_k.
 
     Each class's characteristic polynomial is divided exactly by
-    (1 + t)^dim_v, the contribution of the invariant line.
+    (1 + t)^dim V, the contribution of the invariant line.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    denom = [1]
-    for _ in range(dim_v):
-        denom = _poly_mul(denom, [1, 1])
-    total = [0] * (dim_v * (k - 1) + 1)
-    for lam, size, sign in cycle_types(k):
-        poly = _poly_div_exact(_det_one_plus_t(lam, dim_v), denom)
-        for q, c in enumerate(poly):
-            total[q] += size * sign * c
-    kfac = factorial(k)
-    if any(c % kfac for c in total):
-        raise ArithmeticError("character average is not integral")
-    return tuple(c // kfac for c in total)
+    return _sign_average(
+        k, lambda lam: _poly_div_exact(_det_one_plus_t(lam), _INVARIANT_LINE)
+    )
 
 
 # ---------------------------------------------------------------------------

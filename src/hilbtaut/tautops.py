@@ -26,7 +26,8 @@ points.  Taking Hilbert series,
 
 at every number of stacked blocks.  The invariant systems are solved on
 all n points, since pinning a point breaks the relabeling action their
-column orbits rely on.
+column orbits rely on, and impose one label per orbit, from A0(k, l):
+the other labels of A(k, l) are void on invariant tuples (_rep_pairs).
 
 The graded pieces are nullities too: jet conditions of their ideal powers
 over columns folded into stabilizer orbits.  One engine, _nullities,
@@ -70,7 +71,7 @@ from .combinat import (
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
-    quotient_A,
+    quotient_A0,
     quotient_B,
 )
 from .linalg import scalar_multiple, sparse_int_rank
@@ -205,10 +206,22 @@ def _all_pairs(n: int, k: int, level: int):
 
 
 def _rep_pairs(n: int, k: int, level: int):
-    """One condition label per relabeling orbit, anchored at the pair (1, 2)."""
+    """One condition label per relabeling orbit, anchored at the pair (1, 2),
+    from the label set A0(k, order) of the paper, order = level + 1.
+
+    A0 leaves out the labels of A(k, order) whose on-pair part has
+    mu_1 = mu_2 (empty, or of shape (h, h)), as their conditions are void
+    on invariant tuples.  Swapping slots 1 and 2 fixes such a mu, so on
+    an invariant x it maps D^o_mu x to (-1)^o D^o_mu x, o = order.  It
+    also sends the pair's u and v to -u and -v and fixes s and t, so it
+    multiplies the coefficient of a key of u-v-degree r by (-1)^r.  The
+    jets of u-v-degree o - 1, the only ones a stacked block imposes (see
+    _difference_block), thus equal their own negatives and vanish on
+    every invariant tuple: the rows of such a label fold to zero.
+    """
     order = level + 1
     out = []
-    for on_pair, off_pair in quotient_A(k, order, n):
+    for on_pair, off_pair in quotient_A0(k, order, n):
         mu = (
             tuple(on_pair)
             + (0,) * (2 - len(on_pair))

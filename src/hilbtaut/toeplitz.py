@@ -11,25 +11,15 @@ coefficients:
   (-1)^i C(l, j+i) for -j <= i <= l-j.
 
 The two-point filtration argument needs these to be nondegenerate
-(injective in the rectangular case); determinants and ranks here are
-exact integer facts via :mod:`hilbtaut.linalg`.  The square case
-``R(2j, k, j)`` coincides entrywise with ``T_even(j, k+1-2j)``.
+(injective in the rectangular case); their determinants, leading
+minors and ranks are exact integer facts from :mod:`hilbtaut.linalg`.
+The square case ``R(2j, k, j)`` coincides entrywise with
+``T_even(j, k+1-2j)``.
 """
 
 from __future__ import annotations
 
 from math import comb
-
-from .linalg import bareiss_det, int_rank, leading_principal_minors
-
-__all__ = [
-    "t_even",
-    "t_odd",
-    "r_matrix",
-    "det_exact",
-    "column_rank",
-    "leading_principal_minors",
-]
 
 
 def t_even(n: int, m: int) -> list[list[int]]:
@@ -70,15 +60,3 @@ def r_matrix(l: int, k: int, j: int) -> list[list[int]]:
             return 0
         return (-1) ** (d % 2) * comb(l, j + d)
     return [[entry(c - r) for c in range(cols)] for r in range(rows)]
-
-
-def det_exact(matrix) -> int:
-    """Exact determinant of a square integer matrix."""
-    return bareiss_det(matrix)
-
-
-def column_rank(matrix) -> int:
-    """Exact rank of an integer matrix (zero rows and columns allowed)."""
-    if not matrix or not matrix[0]:
-        return 0
-    return int_rank(matrix)

@@ -11,6 +11,9 @@ program and moved here from it.
 * act, psi, phi, in_Ip, canonical_section and all_multiindex_maps
   spell out the group action on multi-index maps and their labels, and
   check the orbits, stabilizer orders and label sets of combinat.
+* a_label_pairs anchors every label of A(k, l) at the pair (1, 2), as
+  the invariant kernel did before it kept the A0 labels alone; the
+  stacked systems it gives are the reference for the A0 ones.
 * DiagonalIdeal, membership and symmetrize are the product-span oracle
   for jet_conditions, the kernel witnesses, and the Reynolds average
   that graded pieces are checked against; pinned_jet_conditions is the
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from hilbtaut.combinat import MultiIndexMap, multiindex_invariants
+from hilbtaut.combinat import MultiIndexMap, multiindex_invariants, quotient_A
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.polyjet import PolyRing, TruncPoly, evaluate_functional, jet_conditions
 
@@ -232,6 +235,15 @@ def canonical_section(lam, A, k: int) -> MultiIndexMap:
     for j in range(1, n + 1):
         images.extend([frozenset((j,))] * lam[j - 1])
     return MultiIndexMap(n, tuple(images))
+
+
+def a_label_pairs(n: int, k: int, level: int):
+    """One condition label per orbit of A(k, level + 1), anchored at the
+    pair (1, 2): the on-pair part on slots 1 and 2, the rest after them."""
+    return [
+        (tuple(on) + (0,) * (2 - len(on)) + tuple(off) + (0,) * (n - 2 - len(off)), (1, 2))
+        for on, off in quotient_A(k, level + 1, n)
+    ]
 
 
 # ---------------------------------------------------------------------------

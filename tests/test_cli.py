@@ -369,6 +369,16 @@ def test_verify_echoes_seed(capsys):
     assert rc == 0 and "[seed 7]" in out
 
 
+def test_verify_kernel_vs_graded_takes_max_degree(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "kernel-vs-graded",
+                     "--max-degree", "2", "--format", "json")
+    assert rc == 0
+    cases = {c["key"]: c for c in json.loads(out)["cases"]}
+    assert len(cases) == 5
+    assert all(c["max_degree"] == 2 for c in cases.values())
+    assert cases["kernel-vs-graded: kernel=graded n=2 k=2"]["spot"] == [1, 5, 18]
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     def broken(cfg):
         def boom():
@@ -392,6 +402,17 @@ def test_missing_argument_exits_two_with_one_line(capsys):
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "--max-degree" in err
     assert err.count("\n") == 1
+
+
+def test_missing_argument_precedes_a_bad_bundle_vector(capsys):
+    # argparse reports a missing option before any vector is parsed
+    argv = ("chi", "--surface", "p2", "--n", "3", "--k", "3", "--L", "x")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "the following arguments are required: --A" in err
+    rc, out, err = run(capsys, *argv, "--A", "0")
+    assert rc == 2 and out == ""
+    assert err == "error: bad bundle vector 'x'; want ints joined by ':'\n"
 
 
 def test_help_exits_zero(capsys):
@@ -532,6 +553,10 @@ def test_six_hundred_points_at_degree_zero(capsys, argv, key, want):
     ("graded", "--n", "2", "--k", "3", "--max-degree", "3", "--format", "json"),
     ("kernel", "--n", "2", "--k", "3", "--max-degree", "3", "--format", "csv"),
     ("reps", "--k", "4", "--format", "json"),
+    ("toeplitz", "--kind", "T", "--odd", "--n", "2", "--m", "5", "--minors",
+     "--format", "csv"),
+    ("toeplitz", "--kind", "T", "--odd", "--n", "2", "--m", "5", "--det",
+     "--format", "json"),
 ])
 def test_identical_config_identical_bytes(capsys, argv):
     rc1, out1, _ = run(capsys, *argv)

@@ -49,6 +49,7 @@ from hilbtaut.tautops import (
     verify_transition,
 )
 from references import (
+    a_label_pairs,
     composition_stabilizer,
     degree,
     fraction_rows_to_int,
@@ -233,10 +234,12 @@ def restacked_profile(n, k, max_deg, invariant):
     column comes from the engine.  Systems are set up as in
     _nullity_profile: invariant ones over column orbits on n points,
     full ones pinned on n - 1 points and tensored with Q[x_n, y_n].
+    Invariant ones impose every label of A(k, l), not only the A0 labels
+    the engine keeps.
     """
     comps = enumerate_compositions(n, k)
     ring = PolyRing(n if invariant else n - 1, max_deg)
-    pairs = _rep_pairs if invariant else _all_pairs
+    pairs = a_label_pairs if invariant else _all_pairs
     blocks = [
         reference_condition_rows(ring, _difference_block(level, pairs(n, k, level)))
         for level in range(max(k - 1, 0))
@@ -487,13 +490,14 @@ def test_row_cap_refuses_before_rows_are_built(monkeypatch):
 
 
 @pytest.mark.parametrize("args,shape", [
-    ((4, 5, 4, True), "(4,5): 5823 x 950"),
-    ((3, 6, 5, True), "(3,6): 4318 x 1216"),
+    ((4, 5, 4, True), "(4,5): 3125 x 950"),
+    ((3, 6, 5, True), "(3,6): 2702 x 1216"),
     ((4, 4, 4, False), "(4,4): 2784 x 735"),
 ])
 def test_row_cap_counts_the_untrimmed_stack(monkeypatch, args, shape):
     # Stacked blocks build only their new jet degree, but the cap counts
-    # every jet below each block's order, so these refusals stay as they were.
+    # every jet below each block's order; invariant stacks count the A0
+    # labels alone.
     def unbuilt(*args):
         raise AssertionError("rows built before the cap was checked")
 
@@ -773,6 +777,32 @@ def test_every_level_matches_restacked_ranks(n, k, max_deg, invariant):
     assert _nullity_profile(n, k, max_deg, invariant) == restacked_profile(
         n, k, max_deg, invariant
     )
+
+
+def test_rep_pairs_are_the_a_labels_off_the_swap_diagonal():
+    # A0 drops exactly the labels of A whose two on-pair parts are equal
+    for n in range(1, 5):
+        for k in range(7):
+            for level in range(max(k - 1, 0)):
+                kept = _rep_pairs(n, k, level)
+                every = a_label_pairs(n, k, level)
+                assert kept == [label for label in every if label[0][0] != label[0][1]]
+
+
+@pytest.mark.parametrize("n,k,max_deg", [(3, 4, 3), (3, 5, 4), (4, 4, 3), (2, 6, 6)])
+def test_invariant_rows_reaching_elimination_are_never_empty(monkeypatch, n, k, max_deg):
+    received = []
+    rank = tautops.sparse_int_rank
+
+    def recorded(rows, pivots=None):
+        rows = list(rows)
+        received.extend(rows)
+        return rank(rows, pivots)
+
+    monkeypatch.setattr(tautops, "sparse_int_rank", recorded)
+    kernel_nullity(n, k, max_deg, invariant=True)
+    assert received
+    assert all(any(row.values()) for row in received)
 
 
 def test_full_kernel_past_the_unpinned_cap():
