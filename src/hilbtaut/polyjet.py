@@ -261,7 +261,3 @@ def _jet_functionals(A, degrees: range, ring: PolyRing, keys) -> list:
                 row[same[tuple(old)]] = cx * cy
         out.append(row)
     return out
-
-
-def evaluate_functional(functional: dict, p: TruncPoly) -> int | Fraction:
-    return sum(c * p.coeffs[e] for e, c in functional.items() if e in p.coeffs)

@@ -86,9 +86,6 @@ class SurfaceModel:
             for j in range(self.rank)
         )
 
-    def zero(self) -> Vec:
-        return (0,) * self.rank
-
 
 def _vec(v, rank: int) -> Vec:
     v = tuple(int(x) for x in v)
@@ -122,8 +119,8 @@ def get_surface(name: str) -> SurfaceModel:
         ) from None
 
 
-def load_surface(source) -> SurfaceModel:
-    """Build a SurfaceModel from a JSON file path or an already-parsed dict.
+def load_surface(path) -> SurfaceModel:
+    """Build a SurfaceModel from a JSON file.
 
     Expected object: {"name": str, "rank": int, "intersection": [[int]],
     "K": [int], "chiO": int, "c2": int}.  A missing or wrongly typed
@@ -131,16 +128,13 @@ def load_surface(source) -> SurfaceModel:
     naming it, and so does a file nested too deeply for the JSON decoder.
     Noether violations are rejected here, at load time.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source) as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError("surface model JSON is nested too deeply") from None
-        if not isinstance(data, dict):
-            raise ValueError("surface model must be a JSON object")
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("surface model JSON is nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError("surface model must be a JSON object")
     try:
         fields = {f: _typed(data[f], want, f) for f, want in _MODEL_FIELDS.items()}
     except KeyError as missing:
@@ -161,7 +155,7 @@ def _typed(value, want, field: str):
                 f"surface model field {field!r} must be {want.__name__}, got {value!r}"
             )
         return value
-    if not isinstance(value, (list, tuple)):
+    if not isinstance(value, list):
         raise ValueError(f"surface model field {field!r} must be a list, got {value!r}")
     return tuple(_typed(x, want[0], field) for x in value)
 

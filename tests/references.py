@@ -36,7 +36,7 @@ from math import lcm
 
 from hilbtaut.combinat import MultiIndexMap, multiindex_invariants, quotient_A
 from hilbtaut.linalg import bareiss_det
-from hilbtaut.polyjet import PolyRing, TruncPoly, evaluate_functional, jet_conditions
+from hilbtaut.polyjet import PolyRing, TruncPoly, jet_conditions
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -289,6 +289,11 @@ class DiagonalIdeal:
     def v(self) -> TruncPoly:
         a0, a1 = self.pair
         return y_of(self.ring, a0) - y_of(self.ring, a1)
+
+
+def evaluate_functional(functional: dict, p: TruncPoly) -> int | Fraction:
+    """The pairing of a jet functional with the coefficients of p."""
+    return sum(c * p.coeffs[e] for e, c in functional.items() if e in p.coeffs)
 
 
 def membership(p: TruncPoly, A, order: int, ring: PolyRing | None = None) -> bool:

@@ -135,9 +135,9 @@ def test_5_anti_invariant_dimensions():
 
 def test_6_symbolic_identities():
     start = time.perf_counter()
-    recursion = verify_recursion(8)
+    recursion = verify_recursion()
     assert recursion["formal_cases"] > 0 and recursion["polynomial_cases"] > 0
-    transition = verify_transition(4)
+    transition = verify_transition()
     assert transition["cases"] == 20
     constants = set()
     for k in (3, 4):

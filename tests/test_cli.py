@@ -526,6 +526,15 @@ def test_row_stack_over_the_cap_exits_two_before_building(capsys):
     assert err.count("\n") == 1
 
 
+def test_five_point_invariant_stack_under_the_cap_answers(capsys, monkeypatch):
+    # The cap counts each stacked block's own jet degree, so this proven-range
+    # system fits under the default cap.
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    rc, out, _ = run(capsys, "kernel", "--n", "5", "--k", "4", "--max-degree", "4",
+                     "--format", "json")
+    assert rc == 0 and json.loads(out)["cumulative"] == [1, 5, 21, 73, 231]
+
+
 def test_unfolded_columns_under_the_cap_answer(capsys):
     rc, out, _ = run(capsys, "kernel", "--full", "--n", "30", "--k", "1",
                      "--max-degree", "2", "--format", "json")

@@ -19,12 +19,12 @@ from hilbtaut.polyjet import (
     PolyRing,
     TruncPoly,
     _jet_weights,
-    evaluate_functional,
     jet_conditions,
 )
 from references import (
     DiagonalIdeal,
     degree,
+    evaluate_functional,
     fraction_rows_to_int,
     intersect_ideal_powers,
     membership,

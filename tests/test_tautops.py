@@ -457,17 +457,34 @@ def _graded_block(n, k, mu):
     "n,k,max_deg,invariant",
     [(2, 3, 4, True), (2, 4, 4, False), (3, 3, 3, True), (3, 4, 3, False), (4, 3, 2, True)],
 )
-def test_row_counts_from_sizes_match_built_rows(n, k, max_deg, invariant):
+def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, invariant):
+    # The cap counts, per condition, the reference rows of its order less
+    # those of the order its range of u-v-degrees starts at.
+    def rows_below(A, order, support):
+        rows = reference_condition_rows(ring, [(A, range(order), support)]) if order else {}
+        return {d: {frozenset(row.items()) for row in r} for d, r in rows.items()}
+
     ring = PolyRing(n if invariant else n - 1, max_deg)
     pairs = _rep_pairs if invariant else _all_pairs
     blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
     if invariant:
         blocks.append(_graded_block(n, k, (2,) + (1,) * (k - 2))[0])
+    expected = [0] * (max_deg + 1)
     for block in blocks:
-        rows = reference_condition_rows(ring, block)
-        for d in range(max_deg + 1):
-            counted = sum(_jet_count(ring, degrees.stop, d) for _, degrees, _ in block)
-            assert len(rows.get(d, ())) == counted, (block[0], d)
+        for A, degrees, support in block:
+            kept = rows_below(A, degrees.stop, support)
+            implied = rows_below(A, degrees.start, support)
+            for d in range(max_deg + 1):
+                expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
+    counted = []
+
+    def recorded(nrows, ncols, context):
+        if context == "stack":
+            counted.append(nrows)
+
+    monkeypatch.setattr(tautops, "_check_cap", recorded)
+    _nullities(blocks, enumerate_compositions(n, k), ring, invariant, "stack")
+    assert counted == [rows for rows in expected if rows]
     for points in (1, 2, 3):
         ring = PolyRing(points, 4)
         for order in range(1, 5):
@@ -490,14 +507,13 @@ def test_row_cap_refuses_before_rows_are_built(monkeypatch):
 
 
 @pytest.mark.parametrize("args,shape", [
-    ((4, 5, 4, True), "(4,5): 3125 x 950"),
-    ((3, 6, 5, True), "(3,6): 2702 x 1216"),
-    ((4, 4, 4, False), "(4,4): 2784 x 735"),
+    ((4, 4, 4, False), "(4,4): 3888 x 1960"),
+    ((4, 5, 5, True), "(4,5): 3696 x 2180"),
+    ((4, 6, 4, True), "(4,6): 3028 x 1401"),
 ])
-def test_row_cap_counts_the_untrimmed_stack(monkeypatch, args, shape):
-    # Stacked blocks build only their new jet degree, but the cap counts
-    # every jet below each block's order; invariant stacks count the A0
-    # labels alone.
+def test_row_cap_counts_the_trimmed_stack(monkeypatch, args, shape):
+    # The cap counts the rows the stack solves, each block's new jet degree
+    # alone; invariant stacks count the A0 labels alone.
     def unbuilt(*args):
         raise AssertionError("rows built before the cap was checked")
 
@@ -761,7 +777,8 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
 # The five kernel-vs-graded configurations and the first exploratory size
 # (3, 5, 4) in both modes, four-point systems (full (4, 3, 3) is over the
 # default cap): (4, 3, 3), the kernel workload's (4, 4, 3) and exploratory
-# (4, 5, 3), and the kernel workload's (2, 6, 6) in both modes.  The
+# (4, 5, 3), the kernel workload's (2, 6, 6) in both modes, and invariant
+# (5, 4, 4), which the cap admits only counting the trimmed stack.  The
 # restacked side builds every jet below each order, so this checks the
 # engine's trimmed stack level by level.
 @pytest.mark.parametrize(
@@ -771,7 +788,8 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
         for n, k, max_deg in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3), (3, 5, 4)]
         for invariant in (True, False)
     ]
-    + [(4, 3, 3, True), (4, 4, 3, True), (4, 5, 3, True), (2, 6, 6, True), (2, 6, 6, False)],
+    + [(4, 3, 3, True), (4, 4, 3, True), (4, 5, 3, True), (2, 6, 6, True), (2, 6, 6, False),
+       (5, 4, 4, True)],
 )
 def test_every_level_matches_restacked_ranks(n, k, max_deg, invariant):
     assert _nullity_profile(n, k, max_deg, invariant) == restacked_profile(
@@ -857,7 +875,7 @@ def test_exponent_rules_split_at_3_5_4():
     report = verify_filtration(3, 5, 4)
     assert report.exploratory
     assert report.invariant_nullities[-1] == kernel
-    assert report.graded_totals() == (1, 5, 21, 69, 197)
+    assert graded_totals(report.graded) == (1, 5, 21, 69, 197)
     assert report.mismatches == ((4, 196, 197),)
 
 
@@ -893,7 +911,7 @@ def test_filtration_agreement(n, k, max_deg):
     report = verify_filtration(n, k, max_deg)
     assert report.passed
     assert not report.exploratory
-    assert report.invariant_nullities[k - 1] == report.graded_totals()
+    assert report.invariant_nullities[k - 1] == graded_totals(report.graded)
     for l in range(1, k):
         for d in range(max_deg + 1):
             assert report.invariant_nullities[l][d] <= report.invariant_nullities[l - 1][d]
@@ -919,7 +937,7 @@ def test_filtration_rejects_invariant_series_not_over_the_plane(monkeypatch):
 
 
 def test_filtration_exploratory_mode():
-    report = verify_filtration(3, 5, 1, exponent_rule="per_pair_2mu")
+    report = verify_filtration(3, 5, 1)
     assert isinstance(report, FiltrationReport)
     assert report.exploratory
 
@@ -998,21 +1016,16 @@ def test_difference_one_step_reduction_random(coeffs):
 
 
 def test_recursion_layers():
-    report = verify_recursion(8)
+    report = verify_recursion()
     assert report["formal_cases"] == 24
     assert report["polynomial_cases"] == 8
     assert report["nested_orders"] == 4
 
 
 def test_transition_identity():
-    report = verify_transition(4)
+    report = verify_transition()
     assert report["cases"] == 20
     assert report["orders_checked"] == 5
-
-
-def test_transition_rejects_negative():
-    with pytest.raises(ValueError):
-        verify_transition(-1)
 
 
 # ---------------------------------------------------------------------------
