@@ -11,10 +11,14 @@ orders in closed form.
 
 A capped brute-force orbit enumerator is included, so that the tests
 and `verify --suite combinatorics` can cross-check the closed-form
-counts against an independent computation.  It closes each orbit in one
-walk over the maps: the first member of an orbit hands its id to the
-sorted image tuples of all its relabellings by S_n, and every later map
-finds its orbit by one lookup of its own sorted image tuple.
+counts against an independent computation.  The maps it walks are
+built one slot at a time: the images a slot may take depend only on the
+union of the non-singleton images before it, so one table from that
+union to its children extends a whole layer of prefixes at once.  It
+closes each orbit in one walk over the maps: the first member of an
+orbit hands its id to the sorted image tuples of all its relabellings
+by S_n, and every later map finds its orbit by one lookup of its own
+sorted image tuple.
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
 length m with p[i-1] = p(i).
@@ -100,6 +104,11 @@ def m_mu(mu) -> int:
 # multi-index maps
 
 
+@lru_cache(maxsize=None)
+def _points(n: int) -> frozenset[int]:
+    return frozenset(range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class MultiIndexMap:
     """A map a from factor slots {1..k} to nonempty subsets of {1..n}."""
@@ -108,11 +117,10 @@ class MultiIndexMap:
     images: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        for im in self.images:
-            if not im:
-                raise ValueError("images must be nonempty")
-            if not all(1 <= j <= self.n for j in im):
-                raise ValueError("image out of range")
+        if not all(self.images):
+            raise ValueError("images must be nonempty")
+        if not _points(self.n).issuperset(frozenset().union(*self.images)):
+            raise ValueError("image out of range")
 
     @property
     def k(self) -> int:
@@ -279,31 +287,32 @@ def _subset_pool(n: int) -> list[frozenset[int]]:
 def _maps_by_level(n: int, k: int) -> dict[int, tuple[MultiIndexMap, ...]]:
     """All maps with k(a) <= 2, bucketed by l(a).
 
-    Depth-first over image tuples, pruning a branch as soon as the union
-    of non-singleton images exceeds two points; the k(a) <= 2 condition
-    is exactly that the union stays within two.  Visit order matches the
-    plain product walk restricted to the survivors.
+    The k(a) <= 2 condition is that the union of the non-singleton
+    images stays within two points, so that union, empty or a pair, is
+    all a prefix passes on to its next slot.  A table maps each such
+    union to the children of a prefix ending in it, in subset-pool
+    order: the image, the step it adds to l, and the new union.  The
+    maps are then built a layer of slots at a time, every prefix of a
+    layer extended by the children its union lists.  Prefixes stay in
+    the order of the plain product walk over the pool, restricted to
+    the survivors, and so do the maps in each bucket.
     """
-    subsets = _subset_pool(n)
+    pool = _subset_pool(n)
+    unions = [frozenset()] + [s for s in pool if len(s) == 2]
+    children = {union: [] for union in unions}
+    for union, kids in children.items():
+        for im in pool:
+            merged = union if len(im) == 1 else union | im
+            if len(merged) <= 2:
+                kids.append((im, len(im) - 1, merged))
+    layer = [((), 0, frozenset())]
+    for _ in range(k):
+        layer = [(prefix + (im,), level + step, merged)
+                 for prefix, level, union in layer
+                 for im, step, merged in children[union]]
     buckets: dict[int, list[MultiIndexMap]] = {}
-    prefix: list[frozenset[int]] = []
-
-    def walk(depth: int, level: int, union_big: frozenset[int]):
-        if depth == k:
-            buckets.setdefault(level, []).append(MultiIndexMap(n, tuple(prefix)))
-            return
-        for im in subsets:
-            if len(im) >= 2:
-                merged = union_big | im
-                if len(merged) > 2:
-                    continue
-            else:
-                merged = union_big
-            prefix.append(im)
-            walk(depth + 1, level + len(im) - 1, merged)
-            prefix.pop()
-
-    walk(0, 0, frozenset())
+    for images, level, _ in layer:
+        buckets.setdefault(level, []).append(MultiIndexMap(n, images))
     return {lv: tuple(ms) for lv, ms in buckets.items()}
 
 

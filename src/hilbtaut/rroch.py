@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 Vec = tuple[int, ...]
@@ -52,7 +53,9 @@ class SurfaceModel:
 
     intersection is the Gram matrix of the modeled Picard slice; K the
     canonical class in that basis.  Noether's relation is enforced at
-    construction, so an inconsistent model never produces a chi.
+    construction, and so is that K is characteristic: M.(M - K) is even
+    for every class M, which holds exactly when m_ii = K.e_i mod 2 for
+    each generator e_i.  An inconsistent model never produces a chi.
     """
 
     name: str
@@ -78,6 +81,12 @@ class SurfaceModel:
                 f"K^2 + c2 = {self.dot(self.K, self.K) + self.c2}, "
                 f"12 chiO = {12 * self.chiO}"
             )
+        for i, row in enumerate(m, start=1):
+            if (row[i - 1] - sum(k * x for k, x in zip(self.K, row))) % 2:
+                raise ValueError(
+                    f"model {self.name!r} has a non-characteristic K: "
+                    f"e{i}.e{i} - K.e{i} is odd"
+                )
 
     def dot(self, u, v) -> int:
         return sum(
@@ -182,11 +191,14 @@ class ChernData:
     c2num: int
 
 
+@lru_cache(maxsize=None)
 def chern_sym_omega(s: SurfaceModel, l: int) -> ChernData:
     """Chern data of the l-th symmetric power of the cotangent bundle.
 
     Splitting principle on the two Chern roots of Omega: the l+1 roots of
-    S^l are i*a + (l-i)*b, summed exactly.
+    S^l are i*a + (l-i)*b, summed exactly.  Cached per (model, l), as the
+    chi formulas ask for the same few powers many times; models are
+    frozen and compare by value, so equal models share an entry.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
@@ -224,14 +236,10 @@ def chi_twisted(s: SurfaceModel, E: ChernData, M) -> int:
         + (E.rank - 1) * s.dot(E.c1, M)
         + binom_int(E.rank, 2) * s.dot(M, M)
     )
-    val = (
-        Fraction(E.rank * s.chiO)
-        + Fraction(s.dot(c1, c1) - 2 * c2, 2)
-        - Fraction(s.dot(c1, s.K), 2)
-    )
-    if val.denominator != 1:
+    twice = 2 * E.rank * s.chiO + s.dot(c1, c1) - 2 * c2 - s.dot(c1, s.K)
+    if twice % 2:
         raise ValueError("non-integral chi; inconsistent input")
-    return int(val)
+    return twice // 2
 
 
 # ---------------------------------------------------------------------------

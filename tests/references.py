@@ -24,6 +24,9 @@ program and moved here from it.
   assignment of factors to slots, the reference for the factorized
   orbit-sum components of the local formulas; degree is the total
   degree of a polynomial.
+* chi_twisted_fraction is Hirzebruch-Riemann-Roch for a twisted bundle
+  summed over Fraction, the reference for the integer chi_twisted of
+  rroch.
 
 They are kept here, with their own tests, so that no oracle shares code
 with the path it checks.
@@ -32,7 +35,7 @@ with the path it checks.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from hilbtaut.combinat import MultiIndexMap, multiindex_invariants, quotient_A
 from hilbtaut.linalg import bareiss_det
@@ -409,3 +412,24 @@ def weighted_component_by_assignment(ring: PolyRing, lam, weighted_factors) -> T
                 })
         total = total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Riemann-Roch
+
+
+def chi_twisted_fraction(s, E, M) -> int:
+    """chi of E tensor the line bundle M: rank * chiO + (c1^2 - 2 c2)/2
+    - c1.K/2, each half taken as a Fraction, on the Chern classes of the
+    twisted bundle."""
+    M = tuple(M)
+    c1 = tuple(e + E.rank * m for e, m in zip(E.c1, M))
+    c2 = E.c2num + (E.rank - 1) * s.dot(E.c1, M) + comb(E.rank, 2) * s.dot(M, M)
+    val = (
+        Fraction(E.rank * s.chiO)
+        + Fraction(s.dot(c1, c1) - 2 * c2, 2)
+        - Fraction(s.dot(c1, s.K), 2)
+    )
+    if val.denominator != 1:
+        raise ValueError("non-integral chi; inconsistent input")
+    return int(val)

@@ -94,6 +94,22 @@ def test_chi_loads_surface_model_from_json(capsys, tmp_path):
     assert json.loads(out)["rows"][0]["chi"] == json.loads(out2)["rows"][0]["chi"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--k", "3", "--L", "0", "--A", "0"),
+    ("--n", "2", "--k", "3", "--L", "0", "--A", "0"),
+    ("--n", "2", "--k", "2", "--L", "1", "--A", "0"),
+])
+def test_chi_rejects_non_characteristic_K(capsys, tmp_path, argv):
+    # Noether holds, but e.e - K.e = 1 is odd, so half of it is no chi
+    model = {"name": "odd", "rank": 1, "intersection": [[1]], "K": [0],
+             "chiO": 1, "c2": 12}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(model))
+    rc, out, err = run(capsys, "chi", "--surface", str(path), *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "non-characteristic K" in err
+
+
 def test_chi_rejects_non_object_surface_json(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

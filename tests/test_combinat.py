@@ -202,6 +202,27 @@ def test_Ip_membership():
     assert not in_Ip(mmap(3, {1, 2}, {1, 3}), 2)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(5)]
+                         + [(4, k) for k in range(4)])
+def test_maps_match_the_plain_product_walk(n, k):
+    """The layered build lists I^l exactly as filtering the product of
+    the subset pool does, order included, at every level l."""
+    product = all_multiindex_maps(n, k)
+    for l in range(k * (n - 1) + 1):
+        assert enumerate_multiindex_maps(n, k, l) == [
+            a for a in product if in_Ip(a, l)]
+
+
+@pytest.mark.parametrize("images,message", [
+    (({1}, set()), "images must be nonempty"),
+    (({0}, {1}), "image out of range"),
+    (({1}, {1, 4}), "image out of range"),
+])
+def test_multiindex_map_rejects_bad_images(images, message):
+    with pytest.raises(ValueError, match=message):
+        mmap(3, *images)
+
+
 # --- label sets vs brute force ----------------------------------------
 
 

@@ -8,6 +8,7 @@ hand-checked spots and against each other.
 """
 
 import json
+import random
 from math import comb
 
 import pytest
@@ -32,6 +33,7 @@ from hilbtaut.rroch import (
     vec_add,
     vec_scale,
 )
+from references import chi_twisted_fraction
 
 P2 = get_surface("p2")
 P1P1 = get_surface("p1xp1")
@@ -113,6 +115,17 @@ def test_noether_violation_rejected():
         SurfaceModel("bad", 1, ((1,),), (-3,), 1, 4)
 
 
+@pytest.mark.parametrize("form,K,c2,generator", [
+    (((1,),), (0,), 12, 1),
+    (((0, 1), (1, 0)), (-2, -1), 8, 1),
+    (((0, 1), (1, 0)), (-1, -2), 8, 2),
+])
+def test_non_characteristic_K_rejected(form, K, c2, generator):
+    # Noether holds; M.(M - K) is odd for M the named generator
+    with pytest.raises(ValueError, match=f"non-characteristic K: e{generator}"):
+        SurfaceModel("odd", len(form), form, K, 1, c2)
+
+
 def test_asymmetric_intersection_rejected():
     with pytest.raises(ValueError, match="symmetric"):
         SurfaceModel("bad", 2, ((0, 1), (2, 0)), (0, 0), 1, 12)
@@ -190,6 +203,41 @@ def test_omega_tensor_omega_splits_into_sym_plus_det():
             lhs = chi_twisted(s, square, M)
             rhs = chi_twisted(s, s2, M) + chi_line(s, vec_add(s.K, M))
             assert lhs == rhs
+
+
+# a blown-up plane and a rank-one lattice with K^2 = 2, written as JSON
+_JSON_MODELS = [
+    {"name": "f1", "rank": 2, "intersection": [[1, 0], [0, -1]], "K": [-3, 1],
+     "chiO": 1, "c2": 4},
+    {"name": "k2", "rank": 1, "intersection": [[2]], "K": [1], "chiO": 1, "c2": 10},
+]
+
+
+def test_integer_chi_twisted_matches_fraction_reference(tmp_path):
+    models = list(MODELS)
+    for data in _JSON_MODELS:
+        path = tmp_path / f"{data['name']}.json"
+        path.write_text(json.dumps(data))
+        models.append(load_surface(str(path)))
+    rng = random.Random(7)
+    for s in models:
+        powers = [chern_sym_omega(s, l) for l in range(9)]
+        bundles = powers + [tensor_chern(s, E, F) for E in powers for F in powers]
+        for E in bundles:
+            for _ in range(3):
+                M = tuple(rng.randint(-4, 4) for _ in range(s.rank))
+                assert chi_twisted(s, E, M) == chi_twisted_fraction(s, E, M)
+
+
+def test_sym_omega_cache_tells_models_apart_by_K():
+    plain = SurfaceModel("twin", 1, ((4,),), (0,), 2, 24)
+    twisted = SurfaceModel("twin", 1, ((4,),), (2,), 2, 8)
+    for l in range(4):
+        a, b = chern_sym_omega(plain, l), chern_sym_omega(twisted, l)
+        assert a == chern_sym_omega.__wrapped__(plain, l)
+        assert b == chern_sym_omega.__wrapped__(twisted, l)
+        if l:
+            assert a != b
 
 
 def test_spot_56():
