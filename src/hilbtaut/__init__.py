@@ -15,8 +15,10 @@ The package is organized by what each part computes:
 * :mod:`hilbtaut.symrep` -- symmetric-group character arithmetic for
   exterior powers, and explicit tensor verification of the
   (k-1)-symmetrization identity.
-* :mod:`hilbtaut.rroch` -- surface lattice models, Riemann-Roch, and the
-  closed Euler-characteristic formulas with cross-validation.
+* :mod:`hilbtaut.rroch` -- surface lattice models, Riemann-Roch for
+  twisted symmetric powers of the cotangent bundle as one integer
+  quadratic in intersection numbers, and the closed Euler-characteristic
+  formulas built on it.
 * :mod:`hilbtaut.cli` -- command-line front end.
 
 Everything numeric is exact: integers and fractions only, no floats.

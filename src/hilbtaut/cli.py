@@ -285,10 +285,11 @@ def cmd_toeplitz(cfg) -> int:
         _check_cap(cfg.m, cfg.m, f"toeplitz T_{cfg.parity}({cfg.n}, {cfg.m})")
         matrix = t_even(cfg.n, cfg.m) if cfg.parity == "even" else t_odd(cfg.n, cfg.m)
         if cfg.show == "minors":
-            value = leading_principal_minors(matrix)
+            value = [_printable(v, f"minor {i}") for i, v in
+                     enumerate(leading_principal_minors(matrix), start=1)]
             cell = _vec_str(value)
         else:
-            value = cell = bareiss_det(matrix)
+            value = cell = _printable(bareiss_det(matrix), "det")
         payload = {"command": "toeplitz", "kind": "T", "parity": cfg.parity,
                    "n": cfg.n, "m": cfg.m, cfg.show: value}
         text = [f"T_{cfg.parity}({cfg.n}, {cfg.m}): {cfg.show} = {value}"]

@@ -3,8 +3,10 @@
 A surface is modeled by its Picard-lattice slice: an intersection form,
 the canonical class K, chi of the structure sheaf, and the Euler number
 c2, tied together by Noether's relation K^2 + c2 = 12 chiO.  Bundle
-classes are lattice vectors; twisted Euler characteristics come out of
-Hirzebruch-Riemann-Roch with exact integer arithmetic.
+classes are lattice vectors.  Every Euler characteristic the formulas
+below use is chi(S^l Omega otimes L^p otimes A^q), which Hirzebruch-
+Riemann-Roch makes one integer quadratic in (p, q): the surface enters
+only through L^2, L.A, A^2, L.K, A.K, K^2, c2 and chiO.
 
 On top of that sit the closed formulas for chi of the symmetric powers
 S^k of a tautological bundle, twisted by the natural line bundle of a
@@ -30,21 +32,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import comb
 
 Vec = tuple[int, ...]
 
 
 def binom_int(x: int, h: int) -> int:
-    """The binomial as an integer polynomial in x: zero when h < 0."""
+    """The binomial as an integer polynomial in x: zero when h < 0.
+
+    For x < 0, C(x, h) = (-1)^h C(h - x - 1, h).
+    """
     if h < 0:
         return 0
-    num = 1
-    for i in range(h):
-        num *= x - i
-    return num // factorial(h)
+    if x >= 0:
+        return comb(x, h)
+    return (-1) ** h * comb(h - x - 1, h)
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,6 @@ def _vec(v, rank: int) -> Vec:
     if len(v) != rank:
         raise ValueError(f"bundle class must have {rank} coordinates")
     return v
-
-
-def vec_add(*vs) -> Vec:
-    return tuple(sum(comps) for comps in zip(*vs))
-
-
-def vec_scale(c: int, v) -> Vec:
-    return tuple(c * x for x in v)
 
 
 BUILTIN_SURFACES = {
@@ -173,108 +167,48 @@ def _typed(value, want, field: str):
 # Riemann-Roch
 
 
-def chi_line(s: SurfaceModel, M) -> int:
-    """chi of a line bundle: chiO + M.(M - K)/2."""
-    M = _vec(M, s.rank)
-    twice = s.dot(M, M) - s.dot(M, s.K)
-    if twice % 2:
-        raise ValueError("non-integral chi; inconsistent model")
-    return s.chiO + twice // 2
+def chi_twists(s: SurfaceModel, L, A):
+    """chi(S^l Omega otimes L^p otimes A^q) as a function of (l, p, q).
 
+    Hirzebruch-Riemann-Roch on the Chern roots i a + (l - i) b of S^l
+    Omega, where a + b = K and ab = c2, twisted by M = pL + qA:
 
-@dataclass(frozen=True)
-class ChernData:
-    """rank, first Chern class (lattice vector), and the c2 number."""
+        (l+1) chiO + C(l+1, 3) K^2 - C(l+2, 3) c2
+            + (l+1) (M^2 - M.K)/2 + C(l+1, 2) M.K.
 
-    rank: int
-    c1: Vec
-    c2num: int
-
-
-@lru_cache(maxsize=None)
-def chern_sym_omega(s: SurfaceModel, l: int) -> ChernData:
-    """Chern data of the l-th symmetric power of the cotangent bundle.
-
-    Splitting principle on the two Chern roots of Omega: the l+1 roots of
-    S^l are i*a + (l-i)*b, summed exactly.  Cached per (model, l), as the
-    chi formulas ask for the same few powers many times; models are
-    frozen and compare by value, so equal models share an entry.
+    So only L^2, L.A, A^2, L.K and A.K enter, read here once.  M^2 - M.K
+    is even because the model's K is characteristic.
     """
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    K2 = s.dot(s.K, s.K)
-    half = l * (l + 1) // 2
-    c1 = vec_scale(half, s.K)
-    sq_sum = Fraction(l * (l + 1) * (2 * l + 1), 6) * (K2 - 2 * s.c2) + Fraction(
-        l * (l + 1) * (l - 1), 3
-    ) * s.c2
-    c2num = (Fraction(half * half * K2) - sq_sum) / 2
-    if c2num.denominator != 1:
-        raise ValueError("non-integral c2; inconsistent model")
-    return ChernData(l + 1, c1, int(c2num))
+    L, A = _vec(L, s.rank), _vec(A, s.rank)
+    LL, LA, AA = s.dot(L, L), s.dot(L, A), s.dot(A, A)
+    LK, AK, KK = s.dot(L, s.K), s.dot(A, s.K), s.dot(s.K, s.K)
 
+    def chi(l: int, p: int, q: int) -> int:
+        MK = p * LK + q * AK
+        half = (p * p * LL + 2 * p * q * LA + q * q * AA - MK) // 2
+        return ((l + 1) * (s.chiO + half) + comb(l + 1, 3) * KK
+                - comb(l + 2, 3) * s.c2 + comb(l + 1, 2) * MK)
 
-def tensor_chern(s: SurfaceModel, E: ChernData, F: ChernData) -> ChernData:
-    """Chern data of a tensor product, through the rank-generic ch2 rule."""
-    rank = E.rank * F.rank
-    c1 = vec_add(vec_scale(F.rank, E.c1), vec_scale(E.rank, F.c1))
-    ch2_E = Fraction(s.dot(E.c1, E.c1) - 2 * E.c2num, 2)
-    ch2_F = Fraction(s.dot(F.c1, F.c1) - 2 * F.c2num, 2)
-    ch2 = F.rank * ch2_E + s.dot(E.c1, F.c1) + E.rank * ch2_F
-    c2num = Fraction(s.dot(c1, c1), 2) - ch2
-    if c2num.denominator != 1:
-        raise ValueError("non-integral c2 in tensor product")
-    return ChernData(rank, c1, int(c2num))
-
-
-def chi_twisted(s: SurfaceModel, E: ChernData, M) -> int:
-    """chi of E tensor a line bundle M, via Hirzebruch-Riemann-Roch."""
-    M = _vec(M, s.rank)
-    c1 = vec_add(E.c1, vec_scale(E.rank, M))
-    c2 = (
-        E.c2num
-        + (E.rank - 1) * s.dot(E.c1, M)
-        + binom_int(E.rank, 2) * s.dot(M, M)
-    )
-    twice = 2 * E.rank * s.chiO + s.dot(c1, c1) - 2 * c2 - s.dot(c1, s.K)
-    if twice % 2:
-        raise ValueError("non-integral chi; inconsistent input")
-    return twice // 2
+    return chi
 
 
 # ---------------------------------------------------------------------------
 # the closed chi formulas
 
 
-def _lines(s, L, A):
-    """chi(L^p otimes A^q) as a function of (p, q)."""
-    L = _vec(L, s.rank)
-    A = _vec(A, s.rank)
-
-    def chi_pq(p: int, q: int) -> int:
-        return chi_line(s, vec_add(vec_scale(p, L), vec_scale(q, A)))
-
-    return chi_pq
-
-
-def _chi_sym_omega_twist(s, l: int, L, A, p: int, q: int) -> int:
-    """chi(S^l Omega otimes L^p otimes A^q)."""
-    M = vec_add(vec_scale(p, _vec(L, s.rank)), vec_scale(q, _vec(A, s.rank)))
-    return chi_twisted(s, chern_sym_omega(s, l), M)
-
-
 def chi_sym_power_n2(s: SurfaceModel, k: int, L, A) -> int:
     """The two-point formula, any k >= 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    chi = _lines(s, L, A)
+    om = chi_twists(s, L, A)
+    chi = lambda p, q: om(0, p, q)
     total = 0
     if k % 2 == 0:
         total += binom_int(chi(k // 2, 1) + 1, 2)
     for i in range((k - 1) // 2 + 1):
         total += chi(k - i, 1) * chi(i, 1)
     for j in range(k - 1):
-        total -= ((k - j) // 2) * _chi_sym_omega_twist(s, j, L, A, k, 2)
+        total -= ((k - j) // 2) * om(j, k, 2)
     return total
 
 
@@ -289,8 +223,8 @@ def chi_sym_power_smallk(s: SurfaceModel, n: int, k: int, L, A) -> int:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 4:
         raise ValueError("closed per-k formulas exist for k <= 4 only")
-    chi = _lines(s, L, A)
-    om = lambda l, p, q: _chi_sym_omega_twist(s, l, L, A, p, q)
+    om = chi_twists(s, L, A)
+    chi = lambda p, q: om(0, p, q)
     cA = chi(0, 1)
     if k == 0:
         return binom_int(cA + n - 1, n)
@@ -312,14 +246,10 @@ def chi_sym_power_smallk(s: SurfaceModel, n: int, k: int, L, A) -> int:
                 + om(1, 3, 3)
             )
         )
-    # k == 4
-    omega = chern_sym_omega(s, 1)
-    omega_sq = tensor_chern(s, omega, omega)
-    L4A3 = vec_add(vec_scale(4, _vec(L, s.rank)), vec_scale(3, _vec(A, s.rank)))
-    chi_omom = chi_twisted(s, omega_sq, L4A3)
-    chi_K = chi_line(
-        s, vec_add(s.K, vec_scale(4, _vec(L, s.rank)), vec_scale(4, _vec(A, s.rank)))
-    )
+    # k == 4: Omega (x) Omega = S^2 Omega + K, and Serre duality turns
+    # chi(K + M) into chi(-M)
+    chi_omom = om(2, 4, 3) + chi(-4, -3)
+    chi_K = chi(-4, -4)
     return (
         binom_int(cA + n - 2, n - 1) * chi(4, 1)
         + binom_int(cA + n - 3, n - 2)
@@ -377,15 +307,15 @@ def chi_graded_piece_n2(s: SurfaceModel, k: int, j: int, L, A) -> int:
     """
     if not 0 <= 2 * j <= k:
         raise ValueError("need 0 <= j <= k/2")
-    chi = _lines(s, L, A)
+    om = chi_twists(s, L, A)
     a, b = k - j, j
     if a > b:
-        total = chi(a, 1) * chi(b, 1)
+        total = om(0, a, 1) * om(0, b, 1)
         for l in range(2 * j):
-            total -= _chi_sym_omega_twist(s, l, L, A, k, 2)
+            total -= om(l, k, 2)
         return total
-    total = binom_int(chi(a, 1) + 1, 2)
+    total = binom_int(om(0, a, 1) + 1, 2)
     for l in range(0, 2 * j, 2):
-        total -= _chi_sym_omega_twist(s, l, L, A, k, 2)
+        total -= om(l, k, 2)
     return total
 

@@ -161,11 +161,8 @@ def _scale(d, c):
 
 
 def _tensor(d1, d2):
-    out = {}
-    for w1, v1 in d1.items():
-        for w2, v2 in d2.items():
-            out[w1 + w2] = out.get(w1 + w2, 0) + v1 * v2
-    return {w: v for w, v in out.items() if v}
+    # words of one tensor share a length, so w1 + w2 never collides
+    return {w1 + w2: v1 * v2 for w1, v1 in d1.items() for w2, v2 in d2.items()}
 
 
 def _perm_sign(pi) -> int:
@@ -181,14 +178,8 @@ def _alt_unnorm(d, m: int):
     """Sum over all slot permutations with sign, no normalization."""
     out: dict = {}
     for pi in permutations(range(m)):
-        s = _perm_sign(pi)
-        for w, v in d.items():
-            nw = tuple(w[pi[i]] for i in range(m))
-            nv = out.get(nw, 0) + s * v
-            if nv:
-                out[nw] = nv
-            else:
-                out.pop(nw, None)
+        moved = {tuple(w[i] for i in pi): v for w, v in d.items()}
+        _add_into(out, moved, _perm_sign(pi))
     return out
 
 
@@ -259,17 +250,10 @@ def verify_omega(k: int) -> bool:
 
 
 def _reshuffle(sym_tensor, wedge_tensor):
-    """Pair two degree-m tensors slot by slot into one with paired letters."""
-    out: dict = {}
-    for w1, v1 in sym_tensor.items():
-        for w2, v2 in wedge_tensor.items():
-            word = tuple(zip(w1, w2))
-            nv = out.get(word, 0) + v1 * v2
-            if nv:
-                out[word] = nv
-            else:
-                out.pop(word, None)
-    return out
+    """Pair two degree-m tensors slot by slot into one with paired letters;
+    zip of two words of length m is injective, so no two pairs collide."""
+    return {tuple(zip(w1, w2)): v1 * v2
+            for w1, v1 in sym_tensor.items() for w2, v2 in wedge_tensor.items()}
 
 
 def verify_sym_map(k: int) -> Fraction:

@@ -24,9 +24,11 @@ program and moved here from it.
   assignment of factors to slots, the reference for the factorized
   orbit-sum components of the local formulas; degree is the total
   degree of a polynomial.
-* chi_twisted_fraction is Hirzebruch-Riemann-Roch for a twisted bundle
-  summed over Fraction, the reference for the integer chi_twisted of
-  rroch.
+* ChernData, chern_sym_omega and tensor_chern carry the Chern data of
+  symmetric powers of the cotangent bundle and of tensor products, and
+  chi_twisted_fraction is Hirzebruch-Riemann-Roch for a twisted bundle
+  summed over Fraction: together the reference for the closed integer
+  quadratic chi_twists of rroch.
 
 They are kept here, with their own tests, so that no oracle shares code
 with the path it checks.
@@ -416,6 +418,43 @@ def weighted_component_by_assignment(ring: PolyRing, lam, weighted_factors) -> T
 
 # ---------------------------------------------------------------------------
 # Riemann-Roch
+
+
+@dataclass(frozen=True)
+class ChernData:
+    """rank, first Chern class (lattice vector), and the c2 number."""
+
+    rank: int
+    c1: tuple
+    c2num: int
+
+
+def chern_sym_omega(s, l: int) -> ChernData:
+    """Chern data of the l-th symmetric power of the cotangent bundle.
+
+    Splitting principle on the two Chern roots a, b of Omega: the l+1
+    roots of S^l are i*a + (l-i)*b, and c2 = (c1^2 - sum of squares)/2,
+    where the squares sum to sum_i i^2 (a^2 + b^2) + 2 i (l-i) ab, with
+    a^2 + b^2 = K^2 - 2 c2 and ab = c2.
+    """
+    K2 = s.dot(s.K, s.K)
+    half = l * (l + 1) // 2
+    squares = sum(i * i * (K2 - 2 * s.c2) + 2 * i * (l - i) * s.c2
+                  for i in range(l + 1))
+    c2num = Fraction(half * half * K2 - squares, 2)
+    assert c2num.denominator == 1
+    return ChernData(l + 1, tuple(half * x for x in s.K), int(c2num))
+
+
+def tensor_chern(s, E: ChernData, F: ChernData) -> ChernData:
+    """Chern data of a tensor product, through the rank-generic ch2 rule."""
+    c1 = tuple(F.rank * e + E.rank * f for e, f in zip(E.c1, F.c1))
+    ch2 = (F.rank * Fraction(s.dot(E.c1, E.c1) - 2 * E.c2num, 2)
+           + s.dot(E.c1, F.c1)
+           + E.rank * Fraction(s.dot(F.c1, F.c1) - 2 * F.c2num, 2))
+    c2num = Fraction(s.dot(c1, c1), 2) - ch2
+    assert c2num.denominator == 1
+    return ChernData(E.rank * F.rank, c1, int(c2num))
 
 
 def chi_twisted_fraction(s, E, M) -> int:

@@ -41,6 +41,12 @@ def test_chi_spot_values(capsys):
     assert rc == 0 and "chi=2" in out
 
 
+def test_chi_answers_at_a_huge_number_of_points(capsys):
+    rc, out, _ = run(capsys, "chi", "--surface", "p2", "--n", "200000", "--k", "1",
+                     "--L", "1", "--A", "0")
+    assert rc == 0 and out.strip().endswith("chi=3")
+
+
 def test_chi_csv_columns_two_points(capsys):
     rc, out, _ = run(capsys, "chi", "--surface", "p1xp1", "--n", "2", "--k", "2",
                      "--L", "1:2", "--A", "0:0", "--format", "csv")
@@ -167,6 +173,15 @@ def test_chi_too_long_to_print_from_surface_json(capsys, tmp_path):
                        "--k", "4", "--L", "1", "--A", "0")
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and "more than 4300 digits" in err
+
+
+@needs_str_limit
+@pytest.mark.parametrize("show,name", [("--det", "det"), ("--minors", "minor 1")])
+def test_toeplitz_too_long_to_print_is_a_usage_error(capsys, show, name):
+    rc, out, err = run(capsys, "toeplitz", "--kind", "T", "--n", "8000",
+                       "--m", "1", show)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and f"{name} has more than 4300 digits" in err
 
 
 @needs_str_limit

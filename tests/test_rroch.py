@@ -2,9 +2,10 @@
 
 Oracles come first: section counts by monomial enumeration on p2 and
 p1xp1 (where higher cohomology of nonnegative twists vanishes, so chi
-equals the count), and Euler-sequence recursions for twists of the
-cotangent bundle on p2.  The closed formulas are then pinned against
-hand-checked spots and against each other.
+equals the count), Euler-sequence recursions for twists of the
+cotangent bundle on p2, and Riemann-Roch on general Chern data.  The
+closed formulas are then pinned against hand-checked spots, against
+values frozen at three to five points, and against each other.
 """
 
 import json
@@ -17,29 +18,29 @@ from hypothesis import strategies as st
 
 from hilbtaut.rroch import (
     BUILTIN_SURFACES,
-    ChernData,
     SurfaceModel,
     binom_int,
-    chern_sym_omega,
     chi_graded_piece_n2,
-    chi_line,
     chi_sym_power,
     chi_sym_power_n2,
     chi_sym_power_smallk,
-    chi_twisted,
+    chi_twists,
     get_surface,
     load_surface,
-    tensor_chern,
-    vec_add,
-    vec_scale,
 )
-from references import chi_twisted_fraction
+from references import ChernData, chern_sym_omega, chi_twisted_fraction, tensor_chern
 
 P2 = get_surface("p2")
 P1P1 = get_surface("p1xp1")
 K3 = get_surface("k3")
 AB = get_surface("abelian")
 MODELS = [P2, P1P1, K3, AB]
+
+
+def chi_line(s, M):
+    """chi of the line bundle M, read off the package: S^1 of M on one
+    point, untwisted."""
+    return chi_sym_power(s, 1, 1, M, (0,) * s.rank)
 
 
 def monomials_p2(d):
@@ -83,6 +84,13 @@ def test_binom_int_pascal(x, h):
     assert binom_int(x, h) == binom_int(x - 1, h) + binom_int(x - 1, h - 1)
 
 
+def test_binom_int_huge_lower_index():
+    h = 10**6
+    assert binom_int(h + 2, h) == (h + 2) * (h + 1) // 2
+    assert binom_int(-3, h) == (h + 2) * (h + 1) // 2
+    assert binom_int(-3, h + 1) == -(h + 3) * (h + 2) // 2
+
+
 def test_chi_line_p2_counts_sections():
     for d in range(0, 9):
         assert chi_line(P2, (d,)) == monomials_p2(d)
@@ -97,7 +105,7 @@ def test_chi_line_p1xp1_counts_sections():
 def test_chi_line_serre_duality():
     for s in MODELS:
         for d in range(-4, 5):
-            M = vec_scale(d, (1,) * s.rank)
+            M = (d,) * s.rank
             MK = tuple(s.K[i] - M[i] for i in range(s.rank))
             assert chi_line(s, M) == chi_line(s, MK)
 
@@ -155,19 +163,18 @@ def test_get_surface_unknown():
 
 
 def test_omega_twists_match_euler_sequence():
-    omega = chern_sym_omega(P2, 1)
-    assert (omega.rank, omega.c1, omega.c2num) == (2, (-3,), 3)
+    chi = chi_twists(P2, (1,), (0,))
     for d in range(-3, 8):
-        assert chi_twisted(P2, omega, (d,)) == chi_omega_p2_oracle(d)
+        assert chi(1, d, 0) == chi_omega_p2_oracle(d)
         assert chi_omega_p2_oracle(d) == d * d - 1
 
 
 def test_sym2_omega_p2():
-    s2 = chern_sym_omega(P2, 2)
-    assert (s2.rank, s2.c1, s2.c2num) == (3, (-9,), 30)
+    assert chern_sym_omega(P2, 2) == ChernData(3, (-9,), 30)
+    chi = chi_twists(P2, (0,), (1,))
     for d in range(-2, 8):
-        assert chi_twisted(P2, s2, (d,)) == chi_sym2_omega_p2_oracle(d)
-    assert chi_twisted(P2, s2, (0,)) == 0
+        assert chi(2, 0, d) == chi_sym2_omega_p2_oracle(d)
+    assert chi(2, 0, 0) == 0
 
 
 def test_sym_omega_low_cases_all_models():
@@ -186,7 +193,8 @@ def test_tensor_chern_symmetric_and_line_consistent():
         assert tw.rank == 2
         assert tw.c1 == (2 * d - 3,)
         for e in range(-2, 4):
-            assert chi_twisted(P2, tw, (e,)) == chi_twisted(P2, omega, (d + e,))
+            assert chi_twisted_fraction(P2, tw, (e,)) == chi_twisted_fraction(
+                P2, omega, (d + e,))
     s2 = chern_sym_omega(P2, 2)
     assert tensor_chern(P2, omega, s2) == tensor_chern(P2, s2, omega)
 
@@ -197,12 +205,11 @@ def test_omega_tensor_omega_splits_into_sym_plus_det():
     for s in MODELS:
         omega = chern_sym_omega(s, 1)
         square = tensor_chern(s, omega, omega)
-        s2 = chern_sym_omega(s, 2)
+        chi = chi_twists(s, (1,) * s.rank, (0,) * s.rank)
         for d in (-1, 0, 1, 2):
-            M = vec_scale(d, (1,) * s.rank)
-            lhs = chi_twisted(s, square, M)
-            rhs = chi_twisted(s, s2, M) + chi_line(s, vec_add(s.K, M))
-            assert lhs == rhs
+            M = (d,) * s.rank
+            KM = tuple(k + m for k, m in zip(s.K, M))
+            assert chi_twisted_fraction(s, square, M) == chi(2, d, 0) + chi_line(s, KM)
 
 
 # a blown-up plane and a rank-one lattice with K^2 = 2, written as JSON
@@ -213,31 +220,63 @@ _JSON_MODELS = [
 ]
 
 
-def test_integer_chi_twisted_matches_fraction_reference(tmp_path):
+def _six_models(tmp_path):
     models = list(MODELS)
     for data in _JSON_MODELS:
         path = tmp_path / f"{data['name']}.json"
         path.write_text(json.dumps(data))
         models.append(load_surface(str(path)))
+    return models
+
+
+def test_integer_chi_twisted_matches_fraction_reference(tmp_path):
+    """The closed quadratic against Riemann-Roch on Chern data, and the
+    two rewrites of the k = 4 formula: Omega (x) Omega = S^2 Omega + K,
+    and Serre duality chi(K + M) = chi(-M)."""
     rng = random.Random(7)
-    for s in models:
-        powers = [chern_sym_omega(s, l) for l in range(9)]
-        bundles = powers + [tensor_chern(s, E, F) for E in powers for F in powers]
-        for E in bundles:
-            for _ in range(3):
-                M = tuple(rng.randint(-4, 4) for _ in range(s.rank))
-                assert chi_twisted(s, E, M) == chi_twisted_fraction(s, E, M)
+    for s in _six_models(tmp_path):
+        square = tensor_chern(s, chern_sym_omega(s, 1), chern_sym_omega(s, 1))
+        trivial = ChernData(1, (0,) * s.rank, 0)
+        for _ in range(4):
+            L, A = (tuple(rng.randint(-4, 4) for _ in range(s.rank)) for _ in "LA")
+            chi = chi_twists(s, L, A)
+            line = lambda p, q: tuple(p * x + q * y for x, y in zip(L, A))
+            for l in range(9):
+                E = chern_sym_omega(s, l)
+                for _ in range(6):
+                    p, q = rng.randint(-6, 6), rng.randint(-6, 6)
+                    assert chi(l, p, q) == chi_twisted_fraction(s, E, line(p, q))
+            assert chi(2, 4, 3) + chi(0, -4, -3) == chi_twisted_fraction(
+                s, square, line(4, 3))
+            K44 = tuple(k + m for k, m in zip(s.K, line(4, 4)))
+            assert chi(0, -4, -4) == chi_twisted_fraction(s, trivial, K44)
 
 
-def test_sym_omega_cache_tells_models_apart_by_K():
-    plain = SurfaceModel("twin", 1, ((4,),), (0,), 2, 24)
-    twisted = SurfaceModel("twin", 1, ((4,),), (2,), 2, 8)
-    for l in range(4):
-        a, b = chern_sym_omega(plain, l), chern_sym_omega(twisted, l)
-        assert a == chern_sym_omega.__wrapped__(plain, l)
-        assert b == chern_sym_omega.__wrapped__(twisted, l)
-        if l:
-            assert a != b
+# chi_sym_power at (n, k) = (3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (5, 4)
+# with A != 0, computed through Riemann-Roch on general Chern data; each
+# k = 3 and k = 4 term that needs three or more points moves them
+_TWISTED_PINS = {
+    ("abelian", (3,), (-1,)): (45, 317, 45, 152, 45, 152),
+    ("abelian", (0,), (-2,)): (-60, -52, -128, 63, -220, 280),
+    ("k3", (0,), (2,)): (774, 928, 3450, 4315, 12210, 15730),
+    ("k3", (-1,), (-2,)): (7264, 13866, 37300, 76545, 146080, 316140),
+    ("p1xp1", (1, 1), (-2, -2)): (20, 99, 20, -80, 20, -80),
+    ("p1xp1", (-1, 0), (1, 2)): (-10, 84, 0, 180, 35, 270),
+    ("p2", (1,), (1,)): (136, 210, 243, 381, 381, 603),
+    ("p2", (-1,), (-1,)): (35, 441, 0, -339, 0, 0),
+    ("f1", (0, 3), (1, -2)): (-7, -191, 0, 66, 0, 0),
+    ("f1", (3, 2), (1, 1)): (956, 2517, 1887, 5316, 3135, 9190),
+    ("k2", (-2,), (-1,)): (1022, 2604, 1980, 5327, 3255, 9030),
+    ("k2", (2,), (-1,)): (44, -54, 54, -44, 63, -9),
+}
+
+
+def test_twisted_values_pinned_at_three_to_five_points(tmp_path):
+    models = {s.name: s for s in _six_models(tmp_path)}
+    for (name, L, A), pinned in _TWISTED_PINS.items():
+        s = models[name]
+        got = tuple(chi_sym_power(s, n, k, L, A) for n in (3, 4, 5) for k in (3, 4))
+        assert got == pinned, (name, L, A)
 
 
 def test_spot_56():
