@@ -11,14 +11,13 @@ orders in closed form.
 
 A capped brute-force orbit enumerator is included, so that the tests
 and `verify --suite combinatorics` can cross-check the closed-form
-counts against an independent computation.  The maps it walks are
-built one slot at a time: the images a slot may take depend only on the
-union of the non-singleton images before it, so one table from that
-union to its children extends a whole layer of prefixes at once.  It
-closes each orbit in one walk over the maps: the first member of an
-orbit hands its id to the sorted image tuples of all its relabellings
-by S_n, and every later map finds its orbit by one lookup of its own
-sorted image tuple.
+counts against an independent computation.  Its cached walk builds
+the maps one slot layer at a time, unvalidated, as it makes only valid
+ones, and computes each map's H-key (its sorted image bitmasks) once,
+as one interned tuple per distinct key.  Orbits are then grouped by
+key, with no sort per map: the first member of an orbit hands its id
+to its key relabelled by every sigma in S_n (only the identity under
+H), and every later map finds its orbit by one lookup of its own key.
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
 length m with p[i-1] = p(i).
@@ -109,9 +108,13 @@ def _points(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndexMap:
-    """A map a from factor slots {1..k} to nonempty subsets of {1..n}."""
+    """A map a from factor slots {1..k} to nonempty subsets of {1..n}.
+
+    Built from outside data, it checks its images; the orbit walk builds
+    its own maps through _unchecked_map.
+    """
 
     n: int
     images: tuple[frozenset[int], ...]
@@ -283,57 +286,90 @@ def _subset_pool(n: int) -> list[frozenset[int]]:
             for s in itertools.combinations(range(1, n + 1), m)]
 
 
+def _unchecked_map(n: int, images: tuple[frozenset[int], ...]) -> MultiIndexMap:
+    """A MultiIndexMap without __post_init__'s checks, for maps the walk
+    below makes valid by construction."""
+    a = object.__new__(MultiIndexMap)
+    object.__setattr__(a, "n", n)
+    object.__setattr__(a, "images", images)
+    return a
+
+
 @lru_cache(maxsize=None)
-def _maps_by_level(n: int, k: int) -> dict[int, tuple[MultiIndexMap, ...]]:
-    """All maps with k(a) <= 2, bucketed by l(a).
+def _maps_by_level(n: int, k: int) -> dict[int, tuple[tuple, tuple]]:
+    """All maps with k(a) <= 2, bucketed by l(a): per level, the maps and
+    their H-keys as two parallel tuples.
 
-    The k(a) <= 2 condition is that the union of the non-singleton
-    images stays within two points, so that union, empty or a pair, is
-    all a prefix passes on to its next slot.  A table maps each such
-    union to the children of a prefix ending in it, in subset-pool
-    order: the image, the step it adds to l, and the new union.  The
-    maps are then built a layer of slots at a time, every prefix of a
-    layer extended by the children its union lists.  Prefixes stay in
-    the order of the plain product walk over the pool, restricted to
-    the survivors, and so do the maps in each bucket.
+    A map's H-key is the sorted tuple of its images as bitmasks.  The
+    k(a) <= 2 condition is that the union of the non-singleton images
+    stays within two points.  That union, like the level, depends on the
+    key alone, and so do the images a prefix may take next.  The
+    children of each distinct key are listed once, in subset-pool order,
+    each with its own key, interned so that equal keys are one tuple.
+    Every prefix of a layer is extended by the children its key lists,
+    and the maps are never validated: every image is a nonempty subset
+    of {1..n}.  Prefixes stay in the order of the plain product walk
+    over the pool, restricted to the survivors, and so do the maps in
+    each bucket.
     """
-    pool = _subset_pool(n)
-    unions = [frozenset()] + [s for s in pool if len(s) == 2]
-    children = {union: [] for union in unions}
-    for union, kids in children.items():
-        for im in pool:
-            merged = union if len(im) == 1 else union | im
-            if len(merged) <= 2:
-                kids.append((im, len(im) - 1, merged))
-    layer = [((), 0, frozenset())]
+    pool = [(s, sum(1 << j - 1 for j in s)) for s in _subset_pool(n)]
+    known = {(): ((), 0)}  # key -> (its interned tuple, its level)
+    children: dict[tuple[int, ...], list] = {}
+
+    def kids(key):
+        out = children.get(key)
+        if out is None:
+            union = 0
+            for m in key:
+                if m & (m - 1):
+                    union |= m
+            level = known[key][1]
+            out = children[key] = []
+            for im, m in pool:
+                if (union | m if m & (m - 1) else union).bit_count() <= 2:
+                    new = tuple(sorted(key + (m,)))
+                    new = known.setdefault(new, (new, level + len(im) - 1))[0]
+                    out.append((im, new))
+        return out
+
+    layer = [((), ())]
     for _ in range(k):
-        layer = [(prefix + (im,), level + step, merged)
-                 for prefix, level, union in layer
-                 for im, step, merged in children[union]]
-    buckets: dict[int, list[MultiIndexMap]] = {}
-    for images, level, _ in layer:
-        buckets.setdefault(level, []).append(MultiIndexMap(n, images))
-    return {lv: tuple(ms) for lv, ms in buckets.items()}
+        layer = [(prefix + (im,), new)
+                 for prefix, key in layer for im, new in kids(key)]
+    buckets: dict[int, tuple[list, list]] = {}
+    for images, key in layer:
+        maps, keys = buckets.setdefault(known[key][1], ([], []))
+        maps.append(_unchecked_map(n, images))
+        keys.append(key)
+    return {lv: (tuple(maps), tuple(keys)) for lv, (maps, keys) in buckets.items()}
 
 
-def enumerate_multiindex_maps(n: int, k: int, l: int) -> list[MultiIndexMap]:
-    """Every map {1..k} -> nonempty subsets of {1..n} in I^l: l(a) = l
-    and k(a) <= 2.  The walk prunes to the survivors and is cached."""
-    return list(_maps_by_level(n, k).get(l, ()))
+def _relabel_table(sigma: tuple[int, ...]):
+    """The lookup from the bitmask of a set of points (point j is bit
+    j - 1) to that of its image under sigma, filled in one pass, each
+    mask from the mask without its lowest point.  The group cap keeps
+    n <= 8, so every mask fits in a byte."""
+    table = bytearray(1 << len(sigma))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << sigma[low.bit_length() - 1] - 1
+    return table.__getitem__
 
 
 def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMap]]:
     """Brute-force orbit partition of I^l under H or G x H.
 
-    H permutes slots, so the sorted tuple of a map's images, taken as
-    bitmasks, names its H-orbit.  G x H also relabels points, and I^l is
-    stable under it (l(a) and k(a) are invariants), so every relabelling
-    of an enumerated map is enumerated too.  The orbits are therefore
-    closed in one walk: a map whose H-key is unseen opens a new orbit,
-    whose id goes to the H-keys of all its relabellings by sigma in
-    S_n.  The partition comes from the group action alone, entirely
-    independent of the label-set constructions above.  Orbits are
-    listed in order of their first member, members in enumeration order.
+    H permutes slots, so a map's H-key, the sorted tuple of its images
+    taken as bitmasks and computed once in the cached walk, names its
+    H-orbit.  G x H also relabels points, and I^l is stable under it
+    (l(a) and k(a) are invariants), so every relabelling of an
+    enumerated map is enumerated too.  The orbits are therefore closed
+    in one walk: a map whose H-key is unseen opens a new orbit, whose id
+    goes to the relabelled keys of all sigma in S_n, each bitmask mapped
+    to that of its image under sigma.  The partition comes from the
+    group action alone, entirely independent of the label-set
+    constructions above.  Orbits are listed in order of their first
+    member, members in enumeration order.
     Hard error when n! * k! exceeds the cap; `verify --suite
     combinatorics` and the tests run it against the closed forms.
     """
@@ -342,19 +378,16 @@ def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMa
     if group not in ("H", "GxH"):
         raise ValueError("group must be 'H' or 'GxH'")
     sigmas = all_permutations(n) if group == "GxH" else [tuple(range(1, n + 1))]
-    pool = _subset_pool(n)
-    # one lookup per sigma: subset -> bitmask of its sigma-image
-    relabel = [{s: sum(1 << sigma[j - 1] for j in s) for s in pool}.__getitem__
-               for sigma in sigmas]
-    identity = relabel[0]  # all_permutations lists the identity first
+    relabel = [_relabel_table(sigma) for sigma in sigmas]
+    maps, keys = _maps_by_level(n, k).get(l, ((), ()))
     orbit_of: dict[tuple[int, ...], int] = {}
     out: list[list[MultiIndexMap]] = []
-    for a in enumerate_multiindex_maps(n, k, l):
-        i = orbit_of.get(tuple(sorted(map(identity, a.images))))
+    for a, key in zip(maps, keys):
+        i = orbit_of.get(key)
         if i is None:
             i = len(out)
             out.append([])
             for f in relabel:
-                orbit_of.setdefault(tuple(sorted(map(f, a.images))), i)
+                orbit_of.setdefault(tuple(sorted(map(f, key))), i)
         out[i].append(a)
     return out

@@ -149,15 +149,18 @@ def scalar_multiple(a: dict, b: dict) -> Fraction:
     """The rational c with a == c * b, for sparse dicts without zero values.
 
     Raises ValueError when b is empty, when a and b have different
-    supports, or when their entries are not in one common ratio.
+    supports, or when their entries are not in one common ratio.  The
+    ratios are compared cross-multiplied, a[w] * q == p * b[w] against
+    the first entries p of a and q of b, so int dicts stay in integers
+    and only the returned c is a Fraction.
     """
     if not b:
         raise ValueError("nothing to compare against")
     if a.keys() != b.keys():
         raise ValueError("supports differ")
     w = next(iter(b))
-    c = Fraction(a[w]) / b[w]
+    p, q = a[w], b[w]
     for w, v in b.items():
-        if a[w] != c * v:
-            raise ValueError(f"ratios {c} and {Fraction(a[w]) / v} differ")
-    return c
+        if a[w] * q != p * v:
+            raise ValueError(f"ratios {Fraction(p) / q} and {Fraction(a[w]) / v} differ")
+    return Fraction(p) / q

@@ -36,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .combinat import _compositions
 
@@ -85,9 +86,14 @@ class TruncPoly:
     """A sparse polynomial bound to its ring; products drop any term
     beyond the ring's degree cap.
 
-    Coefficients, and scalars it is multiplied by, go through _exact:
-    ints are kept as they are, so integer polynomials stay in integer
-    arithmetic, and every other value becomes a Fraction.
+    Built from outside data, a polynomial checks every term: coefficients,
+    and scalars it is multiplied by, go through _exact (ints are kept as
+    they are, so integer polynomials stay in integer arithmetic, and
+    every other value becomes a Fraction), zeros are dropped, exponent
+    vectors must have the ring's length, and terms past the cap are cut.
+    Sums, negations and products are clean by construction, so they are
+    built through _trusted, with none of these checks.  No zero
+    coefficient is ever stored, which == and is_zero rely on.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -116,10 +122,10 @@ class TruncPoly:
                 out[e] = nc
             else:
                 del out[e]
-        return TruncPoly(self.ring, out)
+        return _trusted(self.ring, out)
 
     def __neg__(self):
-        return TruncPoly(self.ring, {e: -c for e, c in self.coeffs.items()})
+        return _trusted(self.ring, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -127,23 +133,19 @@ class TruncPoly:
     def __mul__(self, other):
         if not isinstance(other, TruncPoly):
             c = _exact(other)
-            return TruncPoly(
-                self.ring, {e: c * v for e, v in self.coeffs.items()}
+            return _trusted(
+                self.ring, {e: c * v for e, v in self.coeffs.items()} if c else {}
             )
         cap = self.ring.max_deg
+        terms = [(e2, c2, sum(e2)) for e2, c2 in other.coeffs.items()]
         out: dict = {}
         for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
-        return TruncPoly(self.ring, out)
+            room = cap - sum(e1)
+            for e2, c2, d2 in terms:
+                if d2 <= room:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        return _trusted(self.ring, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -158,6 +160,15 @@ class TruncPoly:
             return "TruncPoly(0)"
         parts = [f"{c}*{e}" for e, c in sorted(self.coeffs.items())]
         return "TruncPoly(" + " + ".join(parts) + ")"
+
+
+def _trusted(ring: PolyRing, coeffs: dict) -> TruncPoly:
+    """A TruncPoly on coeffs as given, which must already be clean: exact
+    nonzero coefficients on exponent vectors of the ring, within its cap."""
+    p = object.__new__(TruncPoly)
+    p.ring = ring
+    p.coeffs = coeffs
+    return p
 
 
 @lru_cache(maxsize=None)

@@ -7,11 +7,12 @@ plain character averages, run over cycle types with exact integer
 polynomial arithmetic; a non-integral average would mean a bug and is
 detected immediately.
 
-Second half: small wedge and symmetric powers are realized inside honest
-tensor powers over Q (wedges and symmetric products as unnormalized
-alternating and symmetrizing sums, hats meaning division by the
-factorial that makes a basis vector primitive).  In that model the code
-checks, coefficient by coefficient,
+Second half: small wedge and symmetric powers are realized inside
+tensor powers with integer coefficients (wedges and symmetric products
+as unnormalized alternating and symmetrizing sums).  The hats, each a
+division by the factorial that makes a basis vector primitive, only
+rescale tensors: they are applied as one rational on the final
+constant.  In that model the code checks, coefficient by coefficient,
 
 * two closed expressions for the sign generator omega_{k-1} of the top
   wedge of rho_k, and
@@ -107,11 +108,19 @@ def _det_one_plus_t(lam):
 def _sign_average(k: int, poly_of) -> tuple[int, ...]:
     """The average over S_k of sign(sigma) poly_of(cycle type of sigma),
     coefficient by coefficient; the polynomials share one length, and
-    the average must clear k!."""
+    the average must clear k!.  The sums are accumulated one cycle type
+    at a time, so one class polynomial is held at once."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    terms = [(size * sign, poly_of(lam)) for lam, size, sign in cycle_types(k)]
-    total = [sum(w * poly[q] for w, poly in terms) for q in range(len(terms[0][1]))]
+    total: list[int] = []
+    for lam, size, sign in cycle_types(k):
+        poly = poly_of(lam)
+        if not total:
+            total = [0] * len(poly)
+        w = size * sign
+        for q, c in enumerate(poly):
+            if c:
+                total[q] += w * c
     kfac = factorial(k)
     if any(c % kfac for c in total):
         raise ArithmeticError("character average is not integral")
@@ -141,7 +150,7 @@ def antiinv_dims_rho(k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # explicit tensor model
 
-# tensors are sparse dicts {word: Fraction}; a word is a tuple of basis
+# tensors are sparse dicts {word: int}; a word is a tuple of basis
 # letters, one per slot
 
 
@@ -272,19 +281,21 @@ def verify_sym_map(k: int) -> Fraction:
     across all generators; that constant is returned (the identification
     is only pinned up to a positive scalar, so it is reported rather
     than asserted to be 1).  Failures raise AssertionError or ValueError.
+
+    The tensors are built in integers, without the hats: omega-hat on
+    k - 1 letters and the wedge each divide by (k-2)!, the map by k - 1,
+    and the target's omega-hat on k letters by (k-1)!.  Together they
+    scale the constant by (k-1)! / ((k-2)!^2 (k-1)) = 1/(k-2)!.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    omega_hat_small = _scale(
-        omega_on(range(1, k)), Fraction(1, factorial(k - 2))
-    )
-    sigma_small = {(j,): Fraction(1) for j in range(1, k)}
-
+    hats = factorial(k - 2)
+    omega_small = omega_on(range(1, k))
+    omega_big = omega_on(range(1, k + 1))
     targets = []
-    omega_hat_big = _scale(omega_on(range(1, k + 1)), Fraction(1, factorial(k - 1)))
     for a in range(k - 1, -1, -1):
         mono = (0,) * a + (1,) * (k - 1 - a)
-        targets.append(_reshuffle(_sym_unnorm(mono), omega_hat_big))
+        targets.append(_reshuffle(_sym_unnorm(mono), omega_big))
     seen: set = set()
     for target in targets:
         if not target or not seen.isdisjoint(target):
@@ -295,15 +306,12 @@ def verify_sym_map(k: int) -> Fraction:
     for ua in range(k - 2, -1, -1):
         u = (0,) * ua + (1,) * (k - 2 - ua)
         for v in (0, 1):
-            embedded = _reshuffle(_sym_unnorm(u), omega_hat_small)
-            appended = _tensor(embedded, {((v, j),): c for (j,), c in sigma_small.items()})
-            wedge = _scale(
-                _alt_unnorm(appended, k - 1), Fraction(1, factorial(k - 2))
-            )
-            f0 = _scale(wedge, Fraction(1, k - 1))
+            embedded = _reshuffle(_sym_unnorm(u), omega_small)
+            appended = _tensor(embedded, {((v, j),): 1 for j in range(1, k)})
+            wedge = _alt_unnorm(appended, k - 1)
             total: dict = {}
             for i in range(1, k + 1):
-                moved = _map_pair_letters(f0, _transposition(i, k))
+                moved = _map_pair_letters(wedge, _transposition(i, k))
                 _add_into(total, moved, 1 if i == k else -1)
             # anti-invariance under the full group is a structural must
             swap12 = _map_pair_letters(total, _transposition(1, 2))
@@ -315,11 +323,11 @@ def verify_sym_map(k: int) -> Fraction:
                 constant = c
             elif c != constant:
                 raise AssertionError(
-                    f"generator-dependent factor at k={k}: {c} vs {constant}"
+                    f"generator-dependent factor at k={k}: {c / hats} vs {constant / hats}"
                 )
     if constant is None or constant <= 0:
         raise AssertionError(f"no positive global factor at k={k}")
-    return constant
+    return constant / hats
 
 
 def _map_pair_letters(d, f):

@@ -10,7 +10,9 @@ program and moved here from it.
   intersect_ideal_powers.
 * act, psi, phi, in_Ip, canonical_section and all_multiindex_maps
   spell out the group action on multi-index maps and their labels, and
-  check the orbits, stabilizer orders and label sets of combinat.
+  check the orbits, stabilizer orders and label sets of combinat;
+  enumerate_multiindex_maps lists the maps of one level of combinat's
+  cached walk, the input the orbit oracles partition.
 * a_label_pairs anchors every label of A(k, l) at the pair (1, 2), as
   the invariant kernel did before it kept the A0 labels alone; the
   stacked systems it gives are the reference for the A0 ones.
@@ -39,7 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from hilbtaut.combinat import MultiIndexMap, multiindex_invariants, quotient_A
+from hilbtaut.combinat import (
+    MultiIndexMap,
+    _maps_by_level,
+    multiindex_invariants,
+    quotient_A,
+)
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.polyjet import PolyRing, TruncPoly, jet_conditions
 
@@ -169,6 +176,12 @@ def all_multiindex_maps(n: int, k: int) -> list[MultiIndexMap]:
                for s in itertools.combinations(range(1, n + 1), m)]
     return [MultiIndexMap(n, images)
             for images in itertools.product(subsets, repeat=k)]
+
+
+def enumerate_multiindex_maps(n: int, k: int, l: int) -> list[MultiIndexMap]:
+    """Every map {1..k} -> nonempty subsets of {1..n} in I^l: l(a) = l
+    and k(a) <= 2, in the order of combinat's pruned walk."""
+    return list(_maps_by_level(n, k).get(l, ((), ()))[0])
 
 
 def in_Ip(a: MultiIndexMap, p: int) -> bool:

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from hilbtaut.combinat import (
     MultiIndexMap,
+    _maps_by_level,
     all_permutations,
     enumerate_compositions,
-    enumerate_multiindex_maps,
     enumerate_partitions,
     m_mu,
     multiindex_invariants,
@@ -33,6 +33,7 @@ from references import (
     all_multiindex_maps,
     canonical_section,
     composition_stabilizer,
+    enumerate_multiindex_maps,
     in_Ip,
     nu_of_composition,
     phi,
@@ -211,6 +212,18 @@ def test_maps_match_the_plain_product_walk(n, k):
     for l in range(k * (n - 1) + 1):
         assert enumerate_multiindex_maps(n, k, l) == [
             a for a in product if in_Ip(a, l)]
+
+
+def test_walk_keys_are_sorted_bitmask_images_and_shared():
+    """The walk stores each map's H-key beside it: the sorted bitmask
+    tuple of its images, one tuple object per distinct key."""
+    for n, k in [(2, 4), (3, 4), (4, 3)]:
+        for maps, keys in _maps_by_level(n, k).values():
+            assert len(maps) == len(keys)
+            for a, key in zip(maps, keys):
+                assert key == tuple(sorted(sum(1 << j - 1 for j in im) for im in a.images))
+            assert len({id(key) for key in keys}) == len(set(keys))
+    assert not hasattr(mmap(2, {1}), "__dict__")
 
 
 @pytest.mark.parametrize("images,message", [

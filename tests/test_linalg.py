@@ -151,6 +151,30 @@ def test_scalar_multiple():
         scalar_multiple({"u": 1}, {})
 
 
+_entries = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), _entries, min_size=1, max_size=5),
+       _entries, st.data())
+def test_scalar_multiple_matches_fraction_division(b, c, data):
+    """Cross-multiplied ratios agree with dividing as Fractions, on true
+    multiples and on ones with a perturbed entry."""
+    a = {w: c * v for w, v in b.items()}
+    if data.draw(st.booleans()):
+        w = data.draw(st.sampled_from(sorted(b)))
+        a[w] += data.draw(_entries)
+    ratios = {Fraction(a[w]) / v for w, v in b.items()}
+    if len(ratios) == 1:
+        assert scalar_multiple(a, b) == ratios.pop()
+    else:
+        with pytest.raises(ValueError, match="ratios .* and .* differ"):
+            scalar_multiple(a, b)
+
+
 # --- the nullity engine on the old elimination ----------------------------
 
 _VERIFY_GRID = [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3)]

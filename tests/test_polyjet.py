@@ -443,6 +443,44 @@ def test_int_coefficients_stay_int():
     assert all(type(c) is Fraction for c in (p * "1/3").coeffs.values())
 
 
+def test_boundary_refuses_wrong_length_exponent():
+    with pytest.raises(ValueError, match="wrong length"):
+        TruncPoly(PolyRing(2, 2), {(1, 0): 1})
+
+
+@st.composite
+def _ring_and_polys(draw):
+    """A ring on 2..3 points cut at 2..4, and two polynomials on it with
+    int or Fraction coefficients, zeros and terms past the cap included."""
+    ring = PolyRing(draw(st.integers(2, 3)), draw(st.integers(2, 4)))
+    monos = list(ring.monomials_up_to()) + [
+        (ring.max_deg + 1,) + (0,) * (ring.nvars - 1)]
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    def poly():
+        return TruncPoly(ring, draw(st.dictionaries(
+            st.sampled_from(monos), coeff, max_size=6)))
+    return ring, poly(), poly(), draw(coeff)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_and_polys())
+def test_arithmetic_results_are_clean(drawn):
+    """Sums, negations and products skip the constructor's checks, so
+    each must come out as the checked constructor would build it: no
+    zero coefficient, nothing past the cap.  == and is_zero rely on it."""
+    ring, p, q, c = drawn
+    # (p + q) * (p - q) expands to cross terms that cancel, as do p - p
+    # and p * 0: exact zeros the results must not store
+    for r in (p + q, p - q, -p, p * q, p * c, c * p, (p + q) * (p - q), p - p, p * 0):
+        assert all(r.coeffs.values())
+        assert all(sum(e) <= ring.max_deg for e in r.coeffs)
+        assert r == TruncPoly(ring, r.coeffs)
+    assert (p - p).is_zero() and (p * 0).is_zero()
+
+
 def test_evaluate_functional_pairing():
     ring = PolyRing(2, 3)
     u = x_of(ring, 1) - x_of(ring, 2)
