@@ -4,9 +4,9 @@ The package is organized by what each part computes:
 
 * :mod:`hilbtaut.combinat` -- compositions and partitions, the label sets
   of multi-index maps, and their symmetric-group orbits and stabilizers.
-* :mod:`hilbtaut.polyjet` -- truncated polynomial algebra over the
-  rationals on n points of the affine plane, and the jet functionals
-  cutting out powers of the pairwise diagonal ideals.
+* :mod:`hilbtaut.polyjet` -- the monomials of the coordinate ring of n
+  points of the affine plane, up to a degree cap, and the jet
+  functionals cutting out powers of the pairwise diagonal ideals.
 * :mod:`hilbtaut.tautops` -- higher difference operators, the stacked
   kernel systems cutting out symmetric-power sections, and the graded
   dimension oracle they are checked against.

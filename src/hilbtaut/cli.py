@@ -29,6 +29,7 @@ import json
 import random
 import sys
 import time
+from functools import cache
 from math import factorial
 
 from .combinat import (
@@ -600,7 +601,10 @@ def cmd_verify(cfg) -> int:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared
+    by later ones: parsing leaves it as it was."""
     parser = _Parser(
         prog="hilbtaut",
         description="Exact tables and checks for symmetric powers of "

@@ -377,9 +377,11 @@ def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMa
         raise ValueError("group too large for brute-force enumeration")
     if group not in ("H", "GxH"):
         raise ValueError("group must be 'H' or 'GxH'")
+    maps, keys = _maps_by_level(n, k).get(l, ((), ()))
+    if not maps:
+        return []
     sigmas = all_permutations(n) if group == "GxH" else [tuple(range(1, n + 1))]
     relabel = [_relabel_table(sigma) for sigma in sigmas]
-    maps, keys = _maps_by_level(n, k).get(l, ((), ()))
     orbit_of: dict[tuple[int, ...], int] = {}
     out: list[list[MultiIndexMap]] = []
     for a, key in zip(maps, keys):

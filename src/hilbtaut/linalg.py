@@ -6,9 +6,10 @@ determinants for dense integer matrices, which also read every leading
 principal minor off one pass, a sparse integer elimination for ranks of
 the large stacked condition systems, and an exact check that one sparse
 vector is a rational multiple of another, which the verification
-identities use.  No floating point anywhere.  The sparse elimination
-keeps its pivots primitive with a positive leading entry and reduces
-each row in place, one gcd-scaled step per pivot.
+identities use together with the in-place sparse add _add_into.  No
+floating point anywhere.  The sparse elimination keeps its pivots
+primitive with a positive leading entry and reduces each row in place,
+one gcd-scaled step per pivot.
 """
 
 from __future__ import annotations
@@ -143,6 +144,17 @@ def int_rank(matrix) -> int:
     return sparse_int_rank(
         {c: v for c, v in enumerate(row) if v} for row in matrix
     )
+
+
+def _add_into(acc: dict, d: dict, c=1) -> None:
+    """acc += c * d in place, for sparse dicts: an entry that cancels
+    is removed, so acc never holds a zero value."""
+    for w, v in d.items():
+        nv = acc.get(w, 0) + c * v
+        if nv:
+            acc[w] = nv
+        else:
+            acc.pop(w, None)
 
 
 def scalar_multiple(a: dict, b: dict) -> Fraction:

@@ -1,11 +1,10 @@
-"""Truncated polynomial algebra on n points in the plane.
+"""Monomials and diagonal-ideal jet conditions on n points in the plane.
 
-The coordinate ring of n plane points is modeled as rational polynomials
-in x_1..x_n, y_1..y_n, cut off at a chosen total degree.  Exponent
-vectors are tuples of length 2n, x-block first.  Everything is exact:
-integer coefficients stay ints, any other coefficient is stored as the
-Fraction it converts to exactly, and no computation leaves the
-truncation.
+The coordinate ring of n plane points is Q[x_1..x_n, y_1..y_n].
+PolyRing lists its monomials up to a chosen total degree, exponent
+vectors as tuples of length 2n, x-block first.  The module does no
+polynomial arithmetic: where the package needs a polynomial, it is a
+plain {exponent: int} dict.
 
 The point of the module is ideal-power membership for the pairwise
 diagonal ideals I_A = (x_{a0}-x_{a1}, y_{a0}-y_{a1}).  For a pair A the
@@ -33,10 +32,8 @@ below the order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
 
 from .combinat import _compositions
 
@@ -66,109 +63,8 @@ class PolyRing:
         for d in range(degree + 1):
             yield from self.monomials(d)
 
-    def zero(self) -> "TruncPoly":
-        return TruncPoly(self, {})
-
-    def one(self) -> "TruncPoly":
-        return TruncPoly(self, {(0,) * self.nvars: 1})
-
     def __repr__(self):
         return f"PolyRing(n={self.n}, max_deg={self.max_deg})"
-
-
-def _exact(c):
-    """c itself when an int or a Fraction, else the Fraction it converts
-    to exactly (a string such as "2/3", or a float)."""
-    return c if type(c) is int or type(c) is Fraction else Fraction(c)
-
-
-class TruncPoly:
-    """A sparse polynomial bound to its ring; products drop any term
-    beyond the ring's degree cap.
-
-    Built from outside data, a polynomial checks every term: coefficients,
-    and scalars it is multiplied by, go through _exact (ints are kept as
-    they are, so integer polynomials stay in integer arithmetic, and
-    every other value becomes a Fraction), zeros are dropped, exponent
-    vectors must have the ring's length, and terms past the cap are cut.
-    Sums, negations and products are clean by construction, so they are
-    built through _trusted, with none of these checks.  No zero
-    coefficient is ever stored, which == and is_zero rely on.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: PolyRing, coeffs: dict):
-        clean = {}
-        for e, c in coeffs.items():
-            c = _exact(c)
-            if not c:
-                continue
-            if len(e) != ring.nvars:
-                raise ValueError("exponent vector has wrong length")
-            if sum(e) <= ring.max_deg:
-                clean[tuple(e)] = c
-        self.ring = ring
-        self.coeffs = clean
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                del out[e]
-        return _trusted(self.ring, out)
-
-    def __neg__(self):
-        return _trusted(self.ring, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncPoly):
-            c = _exact(other)
-            return _trusted(
-                self.ring, {e: c * v for e, v in self.coeffs.items()} if c else {}
-            )
-        cap = self.ring.max_deg
-        terms = [(e2, c2, sum(e2)) for e2, c2 in other.coeffs.items()]
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            room = cap - sum(e1)
-            for e2, c2, d2 in terms:
-                if d2 <= room:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out.get(e, 0) + c1 * c2
-        return _trusted(self.ring, {e: c for e, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, TruncPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TruncPoly(0)"
-        parts = [f"{c}*{e}" for e, c in sorted(self.coeffs.items())]
-        return "TruncPoly(" + " + ".join(parts) + ")"
-
-
-def _trusted(ring: PolyRing, coeffs: dict) -> TruncPoly:
-    """A TruncPoly on coeffs as given, which must already be clean: exact
-    nonzero coefficients on exponent vectors of the ring, within its cap."""
-    p = object.__new__(TruncPoly)
-    p.ring = ring
-    p.coeffs = coeffs
-    return p
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ from itertools import permutations
 from math import factorial
 
 from .combinat import _partitions
-from .linalg import scalar_multiple
+from .linalg import _add_into, scalar_multiple
 
 # ---------------------------------------------------------------------------
 # character arithmetic over cycle types
@@ -63,7 +63,7 @@ def _poly_mul(p, q):
     return out
 
 
-def _poly_div_exact(p, d):
+def _poly_quotient(p, d):
     """Quotient of p by d in Z[t]; raises if the division leaves a remainder."""
     p = list(p)
     deg_d = len(d) - 1
@@ -143,7 +143,7 @@ def antiinv_dims_rho(k: int) -> tuple[int, ...]:
     (1 + t)^dim V, the contribution of the invariant line.
     """
     return _sign_average(
-        k, lambda lam: _poly_div_exact(_det_one_plus_t(lam), _INVARIANT_LINE)
+        k, lambda lam: _poly_quotient(_det_one_plus_t(lam), _INVARIANT_LINE)
     )
 
 
@@ -152,15 +152,6 @@ def antiinv_dims_rho(k: int) -> tuple[int, ...]:
 
 # tensors are sparse dicts {word: int}; a word is a tuple of basis
 # letters, one per slot
-
-
-def _add_into(acc, d, c=1):
-    for w, v in d.items():
-        nv = acc.get(w, 0) + c * v
-        if nv:
-            acc[w] = nv
-        else:
-            acc.pop(w, None)
 
 
 def _scale(d, c):

@@ -2,7 +2,7 @@
 
 Everything here lives on the affine coordinate model: a point
 configuration carries one pair of variables per slot, a symmetric-power
-section becomes a tuple of truncated polynomials indexed by the
+section becomes a tuple of polynomials indexed by the
 compositions of k of range n, and the gluing conditions along pairwise
 diagonals turn into signed binomial combinations of components whose
 membership in powers of the diagonal ideals is tested by jet
@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, cycle, permutations, product
 from math import comb
+from operator import add
 
 from .combinat import (
     enumerate_compositions,
@@ -74,13 +75,8 @@ from .combinat import (
     quotient_A0,
     quotient_B,
 )
-from .linalg import scalar_multiple, sparse_int_rank
-from .polyjet import (
-    PolyRing,
-    TruncPoly,
-    _jet_functionals,
-    jet_conditions,
-)
+from .linalg import _add_into, scalar_multiple, sparse_int_rank
+from .polyjet import PolyRing, _jet_functionals, jet_conditions
 
 _DEFAULT_MAX_ENTRIES = 2_000_000
 
@@ -121,7 +117,8 @@ def _check_cap(nrows: int, ncols: int, context: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SectionTuple:
-    """One truncated polynomial per composition of k of range n."""
+    """One polynomial per composition of k of range n, each an
+    {exponent: int} dict on the 2n variables."""
 
     n: int
     k: int
@@ -136,17 +133,8 @@ class SectionTuple:
         extra = [lam for lam in self.components if tuple(lam) not in expected_set]
         if extra:
             raise ValueError(f"unexpected components {extra}")
-        rings = {p.ring for p in self.components.values()}
-        if len(rings) != 1:
-            raise ValueError("components must share one ring")
-        if next(iter(rings)).n != self.n:
-            raise ValueError("component ring has the wrong number of slots")
 
-    @property
-    def ring(self) -> PolyRing:
-        return next(iter(self.components.values())).ring
-
-    def component(self, lam) -> TruncPoly:
+    def component(self, lam) -> dict:
         return self.components[tuple(lam)]
 
 
@@ -165,7 +153,7 @@ def _difference_support(mu, a0: int, a1: int, order: int):
     return out
 
 
-def higher_difference(x: SectionTuple, mu, A, order: int) -> TruncPoly:
+def higher_difference(x: SectionTuple, mu, A, order: int) -> dict:
     """The order-th difference of x along the pair A, shifted by mu.
 
     For order 2, mu = (1, 0) and A = {1, 2} this is the combination
@@ -182,13 +170,14 @@ def higher_difference(x: SectionTuple, mu, A, order: int) -> TruncPoly:
             f"weight mismatch: |mu| + order = {sum(mu) + order} != k = {x.k}"
         )
     if order == 0:
-        return x.component(mu)
+        # a copy: callers add into the result
+        return dict(x.component(mu))
     a0, a1 = sorted(A)
     if not (1 <= a0 < a1 <= x.n):
         raise ValueError("A must be a pair of distinct slots")
-    total = x.ring.zero()
+    total: dict = {}
     for lam, cf in _difference_support(mu, a0, a1, order):
-        total = total + cf * x.component(lam)
+        _add_into(total, x.component(lam), cf)
     return total
 
 
@@ -643,7 +632,7 @@ def verify_recursion() -> dict:
             formal_cases += 1
     polynomial_cases = 0
     for n, mu, A in [(2, (1, 0), (1, 2)), (3, (0, 1, 0), (1, 3))]:
-        ring = PolyRing(n, 4)
+        ring = PolyRing(n, 2)
         stream = _coefficient_stream()
         for order in range(1, 5):
             k = sum(mu) + order
@@ -660,9 +649,8 @@ def verify_recursion() -> dict:
             mu0[min(A) - 1] += 1
             mu1 = list(mu)
             mu1[max(A) - 1] += 1
-            rhs = -higher_difference(x, tuple(mu0), A, order - 1) + higher_difference(
-                x, tuple(mu1), A, order - 1
-            )
+            rhs = higher_difference(x, tuple(mu1), A, order - 1)
+            _add_into(rhs, higher_difference(x, tuple(mu0), A, order - 1), -1)
             if lhs != rhs:
                 raise ValueError(
                     f"recursion failed on polynomials at order {order}, n={n}"
@@ -689,11 +677,9 @@ def _coefficient_stream():
     return cycle([1, -2, 3, 1, -1, 2, 5, -3, 2, 1, -2, 7])
 
 
-def _stream_poly(ring: PolyRing, stream, max_deg: int = 2) -> TruncPoly:
-    coeffs = {}
-    for e in ring.monomials_up_to(max_deg):
-        coeffs[e] = next(stream)
-    return TruncPoly(ring, coeffs)
+def _stream_poly(ring: PolyRing, stream) -> dict:
+    """A polynomial with one stream coefficient on every monomial of ring."""
+    return {e: next(stream) for e in ring.monomials_up_to()}
 
 
 def verify_transition() -> dict:
@@ -751,15 +737,30 @@ def verify_transition() -> dict:
 # local formulas for the merged-pair operators
 
 
-def _slot_value(ring: PolyRing, f: dict, slot: int) -> TruncPoly:
-    n = ring.n
-    coeffs = {}
+def _product(n: int, polys) -> dict:
+    """The product of polynomials on n points, {exponent: int} dicts,
+    untruncated: the empty product is 1, and no zero coefficient is kept,
+    which scalar_multiple's comparison of supports relies on."""
+    out = {(0,) * (2 * n): 1}
+    for q in polys:
+        acc: dict = {}
+        for e1, c1 in out.items():
+            for e2, c2 in q.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        out = {e: c for e, c in acc.items() if c}
+    return out
+
+
+def _slot_value(n: int, f: dict, slot: int) -> dict:
+    """The bivariate polynomial f in the variables of one slot of n."""
+    out = {}
     for (i, j), c in f.items():
         e = [0] * (2 * n)
         e[slot - 1] = i
         e[n + slot - 1] = j
-        coeffs[tuple(e)] = c
-    return TruncPoly(ring, coeffs)
+        out[tuple(e)] = c
+    return out
 
 
 def _jet_coefficient(f: dict, i: int, j: int) -> dict:
@@ -773,19 +774,18 @@ def _jet_coefficient(f: dict, i: int, j: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _sym_over_slots(ring: PolyRing, factors, slots) -> TruncPoly:
+def _sym_over_slots(n: int, factors, slots) -> dict:
     """Unnormalized symmetrization: the sum over all assignments of the
     factors to the slots of the product of slot values."""
-    total = ring.zero()
+    total: dict = {}
     for perm in permutations(factors):
-        term = ring.one()
-        for f, slot in zip(perm, slots):
-            term = term * _slot_value(ring, f, slot)
-        total = total + term
+        _add_into(total, _product(n, (
+            _slot_value(n, f, slot) for f, slot in zip(perm, slots)
+        )))
     return total
 
 
-def _weighted_component(ring: PolyRing, lam, weighted_factors) -> TruncPoly:
+def _weighted_component(lam, weighted_factors) -> dict:
     """Component at lam of the orbit sum of a weighted factor tuple.
 
     Each factor carries the weight of the slot it may occupy; the
@@ -804,14 +804,15 @@ def _weighted_component(ring: PolyRing, lam, weighted_factors) -> TruncPoly:
     if {v: len(s) for v, s in slots_by_value.items()} != {
         w: len(fs) for w, fs in factors_by_weight.items()
     }:
-        return ring.zero()
-    out = ring.one()
-    for v, slots in slots_by_value.items():
-        out = out * _sym_over_slots(ring, factors_by_weight[v], slots)
-    return out
+        return {}
+    n = len(lam)
+    return _product(n, (
+        _sym_over_slots(n, factors_by_weight[v], slots)
+        for v, slots in slots_by_value.items()
+    ))
 
 
-def _merged_pair_operator(ring: PolyRing, mu0, level: int, summands) -> dict:
+def _merged_pair_operator(mu0, level: int, summands) -> dict:
     """Degree-level expansion buckets of the merged-pair difference.
 
     The order-(level+1) difference shifted by mu0 along the pair (1, 2)
@@ -822,12 +823,12 @@ def _merged_pair_operator(ring: PolyRing, mu0, level: int, summands) -> dict:
     """
     order = level + 1
     buckets: dict = {}
-    n = ring.n
+    n = len(mu0)
     for lam, cf in _difference_support(mu0, 1, 2, order):
-        comp = ring.zero()
+        comp: dict = {}
         for wf in summands:
-            comp = comp + _weighted_component(ring, lam, wf)
-        for e, c in comp.coeffs.items():
+            _add_into(comp, _weighted_component(lam, wf))
+        for e, c in comp.items():
             p1, q1 = e[1], e[n + 1]
             for i in range(min(p1, level) + 1):
                 j = level - i
@@ -841,17 +842,14 @@ def _merged_pair_operator(ring: PolyRing, mu0, level: int, summands) -> dict:
                 bucket = buckets.setdefault((i, j), {})
                 key = tuple(new)
                 bucket[key] = bucket.get(key, 0) + cf * c * comb(p1, i) * comb(q1, j)
-    return {
-        ij: TruncPoly(ring, {e: c for e, c in b.items() if c})
-        for ij, b in buckets.items()
-    }
+    return {ij: {e: c for e, c in b.items() if c} for ij, b in buckets.items()}
 
 
 def _match_constant(label: str, mine: dict, printed: dict) -> Fraction:
     """The single rational c with mine = c * printed, bucket by bucket."""
 
     def flat(buckets):
-        return {(ij, e): c for ij, p in buckets.items() for e, c in p.coeffs.items()}
+        return {(ij, e): c for ij, p in buckets.items() for e, c in p.items()}
 
     try:
         return scalar_multiple(flat(mine), flat(printed))
@@ -886,7 +884,7 @@ def _poly_bank(shift: int):
     ]
 
 
-def _closed_form(ring: PolyRing, terms, offsets) -> dict:
+def _closed_form(n: int, terms, offsets) -> dict:
     """A closed form written in the summand factors, per offset (i, j).
 
     A term (c, placed, jet, family, slots) stands for c times the slot
@@ -897,18 +895,17 @@ def _closed_form(ring: PolyRing, terms, offsets) -> dict:
     """
     out = {}
     for i, j in offsets:
-        total = ring.zero()
+        total: dict = {}
         for c, placed, jet, family, slots in terms:
-            base = ring.one()
-            for f, slot in placed:
-                base = base * _slot_value(ring, f, slot)
+            base = [_slot_value(n, f, slot) for f, slot in placed]
             split = [(jet, family)] if jet is not None else [
                 (g, family[:t] + family[t + 1 :]) for t, g in enumerate(family)
             ]
             for g, rest in split:
-                total = total + c * base * _slot_value(
-                    ring, _jet_coefficient(g, i, j), 1
-                ) * _sym_over_slots(ring, rest, slots)
+                _add_into(total, _product(n, base + [
+                    _slot_value(n, _jet_coefficient(g, i, j), 1),
+                    _sym_over_slots(n, rest, slots),
+                ]), c)
         out[(i, j)] = total
     return out
 
@@ -916,12 +913,11 @@ def _closed_form(ring: PolyRing, terms, offsets) -> dict:
 def _local_cases(n: int, summands, forms) -> list:
     """(label, operator buckets, closed form) for each form, given as
     (label, mu0, level, terms), on the orbit sum of summands."""
-    ring = PolyRing(n, 2 * n)
     return [
         (
             label,
-            _merged_pair_operator(ring, mu0, level, summands),
-            _closed_form(ring, terms, [(i, level - i) for i in range(level, -1, -1)]),
+            _merged_pair_operator(mu0, level, summands),
+            _closed_form(n, terms, [(i, level - i) for i in range(level, -1, -1)]),
         )
         for label, mu0, level, terms in forms
     ]
@@ -996,13 +992,13 @@ def _local_cases_k4(shift: int) -> list:
     ])
 
 
-def _constants_vanish(ring: PolyRing, mu0, level: int, n_summand_sizes) -> None:
+def _constants_vanish(mu0, level: int, n_summand_sizes) -> None:
     """The operator must kill tuples built from constant factors."""
     one = {(0, 0): 1}
     summands = [[(w, one) for w in sizes] for sizes in n_summand_sizes]
-    buckets = _merged_pair_operator(ring, mu0, level, summands)
+    buckets = _merged_pair_operator(mu0, level, summands)
     for poly in buckets.values():
-        if not poly.is_zero():
+        if poly:
             raise ValueError("a constant tuple produced a nonzero expansion bucket")
 
 
@@ -1026,14 +1022,12 @@ def verify_invariant_local_formula(k: int) -> dict:
             for n, shift in [(2, 0), (3, 0), (3, 5), (4, 0)]
             for case in _local_case_k3(n, shift)
         )
-        ring = PolyRing(3, 6)
-        vanish = [(ring, (1, 0, 0), 1, [[3, 0, 0], [2, 1, 0], [1, 1, 1]])]
+        vanish = [((1, 0, 0), 1, [[3, 0, 0], [2, 1, 0], [1, 1, 1]])]
     elif k == 4:
         instances = (case for shift in (0, 3) for case in _local_cases_k4(shift))
-        ring = PolyRing(4, 8)
         vanish = [
-            (ring, (2, 0, 0, 0), 1, [[4, 0, 0, 0], [3, 1, 0, 0]]),
-            (ring, (1, 0, 0, 0), 2, [[4, 0, 0, 0], [2, 2, 0, 0]]),
+            ((2, 0, 0, 0), 1, [[4, 0, 0, 0], [3, 1, 0, 0]]),
+            ((1, 0, 0, 0), 2, [[4, 0, 0, 0], [2, 2, 0, 0]]),
         ]
     else:
         raise ValueError("closed forms are tabulated for k = 3 and k = 4 only")

@@ -5,6 +5,10 @@ answer that a test compares the package with.  Some were replaced in
 the package by faster paths; the others never ran in the command-line
 program and moved here from it.
 
+* TruncPoly is the truncated-product oracle: a polynomial bound to a
+  PolyRing whose sums and products drop every term past the ring's cap,
+  each built through one checked constructor; zero and one give its
+  constants.  The package multiplies {exponent: int} dicts untruncated.
 * nullspace, a Gauss-Jordan pass over Fraction, is the rational
   reference for the package's integer elimination and the solver under
   intersect_ideal_powers.
@@ -48,7 +52,95 @@ from hilbtaut.combinat import (
     quotient_A,
 )
 from hilbtaut.linalg import bareiss_det
-from hilbtaut.polyjet import PolyRing, TruncPoly, jet_conditions
+from hilbtaut.polyjet import PolyRing, jet_conditions
+
+
+def _exact(c):
+    """c itself when an int or a Fraction, else the Fraction it converts
+    to exactly (a string such as "2/3", or a float)."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
+class TruncPoly:
+    """A sparse polynomial bound to its ring; products drop any term
+    beyond the ring's degree cap.
+
+    Every polynomial, sums, negations and products included, goes
+    through the constructor, which checks every term: coefficients, and
+    scalars a polynomial is multiplied by, go through _exact (ints are
+    kept as they are, every other value becomes a Fraction), zeros are
+    dropped, exponent vectors must have the ring's length, and terms
+    past the cap are cut.  No zero coefficient is ever stored, which ==
+    and is_zero rely on.
+    """
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: PolyRing, coeffs: dict):
+        clean = {}
+        for e, c in coeffs.items():
+            c = _exact(c)
+            if not c:
+                continue
+            if len(e) != ring.nvars:
+                raise ValueError("exponent vector has wrong length")
+            if sum(e) <= ring.max_deg:
+                clean[tuple(e)] = c
+        self.ring = ring
+        self.coeffs = clean
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return TruncPoly(self.ring, out)
+
+    def __neg__(self):
+        return TruncPoly(self.ring, {e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, TruncPoly):
+            c = _exact(other)
+            return TruncPoly(self.ring, {e: c * v for e, v in self.coeffs.items()})
+        # pairs past the cap are skipped, not built and then cut
+        cap = self.ring.max_deg
+        terms = [(e2, c2, sum(e2)) for e2, c2 in other.coeffs.items()]
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            room = cap - sum(e1)
+            for e2, c2, d2 in terms:
+                if d2 <= room:
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        return TruncPoly(self.ring, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return isinstance(other, TruncPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "TruncPoly(0)"
+        parts = [f"{c}*{e}" for e, c in sorted(self.coeffs.items())]
+        return "TruncPoly(" + " + ".join(parts) + ")"
+
+
+def zero(ring: PolyRing) -> TruncPoly:
+    return TruncPoly(ring, {})
+
+
+def one(ring: PolyRing) -> TruncPoly:
+    return TruncPoly(ring, {(0,) * ring.nvars: 1})
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -410,13 +502,13 @@ def weighted_component_by_assignment(ring: PolyRing, lam, weighted_factors) -> T
     if {v: len(s) for v, s in slots_by_value.items()} != {
         w: len(fs) for w, fs in factors_by_weight.items()
     }:
-        return ring.zero()
+        return zero(ring)
     n = ring.n
     values = sorted(slots_by_value)
-    total = ring.zero()
+    total = zero(ring)
     choices = [itertools.permutations(factors_by_weight[v]) for v in values]
     for combo in itertools.product(*choices):
-        term = ring.one()
+        term = one(ring)
         for v, perm in zip(values, combo):
             for slot, f in zip(slots_by_value[v], perm):
                 # f is a polynomial in one point's (x, y), placed at slot

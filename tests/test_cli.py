@@ -7,6 +7,8 @@ bytes are asserted exactly.
 import ast
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -433,6 +435,22 @@ def test_missing_argument_exits_two_with_one_line(capsys):
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "--max-degree" in err
     assert err.count("\n") == 1
+
+
+def test_parser_built_once_answers_as_a_fresh_process(capsys):
+    """main builds its parser on the first call only; a later call, a
+    usage error included, answers as a new process does."""
+    cli._build_parser.cache_clear()
+    calls = [("reps", "--k", "3"), ("kernel", "--n", "2", "--k", "3")]
+    got = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    rc, out, err = got[1]
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, mine in zip(calls, got):
+        fresh = subprocess.run([sys.executable, "-m", "hilbtaut.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert mine == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_missing_argument_precedes_a_bad_bundle_vector(capsys):

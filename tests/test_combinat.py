@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbtaut import combinat
 from hilbtaut.combinat import (
     MultiIndexMap,
     _maps_by_level,
@@ -303,6 +304,22 @@ def test_orbits_match_min_key_orbits():
             for l in range(0, k + 1):
                 for group in ("H", "GxH"):
                     assert orbits(n, k, l, group) == min_key_orbits(n, k, l, group)
+
+
+def test_empty_levels_build_no_relabel_table(monkeypatch):
+    built = []
+
+    def counting(sigma):
+        built.append(sigma)
+        return real(sigma)
+
+    real = combinat._relabel_table
+    monkeypatch.setattr(combinat, "_relabel_table", counting)
+    # on eight points and one slot only levels 0 and 1 hold maps
+    assert orbits(8, 1, 5) == []
+    assert built == []
+    assert len(orbits(3, 2, 1)) == len(quotient_A(2, 1, 3))
+    assert len(built) == 6
 
 
 def test_psi_label_classifies_H_orbits():

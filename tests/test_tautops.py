@@ -23,8 +23,8 @@ from hilbtaut.combinat import (
     enumerate_partitions,
     m_mu,
 )
-from hilbtaut.linalg import sparse_int_rank
-from hilbtaut.polyjet import PolyRing, TruncPoly, jet_conditions
+from hilbtaut.linalg import _add_into, sparse_int_rank
+from hilbtaut.polyjet import PolyRing, jet_conditions
 from hilbtaut.tautops import (
     EXPONENT_RULES,
     EntryCapError,
@@ -37,6 +37,7 @@ from hilbtaut.tautops import (
     _match_constant,
     _nullities,
     _nullity_profile,
+    _product,
     _rep_pairs,
     _translation_free,
     graded_dims,
@@ -49,17 +50,20 @@ from hilbtaut.tautops import (
     verify_transition,
 )
 from references import (
+    TruncPoly,
     a_label_pairs,
     composition_stabilizer,
     degree,
     fraction_rows_to_int,
     intersect_ideal_powers,
     membership,
+    one,
     pinned_jet_conditions,
     symmetrize,
     weighted_component_by_assignment,
     x_of,
     y_of,
+    zero,
 )
 
 
@@ -290,7 +294,7 @@ def reynolds_graded_dims(n, k, max_deg, exponent_rule):
             rows = []
             for b in basis:
                 if degree(b) == d:
-                    avg = ring.zero()
+                    avg = zero(ring)
                     for sigma in stab:
                         avg = avg + symmetrize(b, sigma)
                     rows.append({index[e]: c for e, c in avg.coeffs.items()})
@@ -857,7 +861,7 @@ def test_exponent_rules_separate_at_weight_five():
     # order two at every pair, the per-pair rule order four at the leading
     # pair.  The squared pairwise-difference product witnesses the gap.
     ring = PolyRing(3, 6)
-    w = ring.one()
+    w = one(ring)
     for a, b in [(1, 2), (1, 3), (2, 3)]:
         diff = x_of(ring, a) - x_of(ring, b)
         w = w * diff * diff
@@ -951,31 +955,32 @@ def test_filtration_rejects_k0():
 # section tuples and differences
 
 
-def _generic_tuple(n, k, max_deg=3):
-    ring = PolyRing(n, max_deg)
-    vals = iter(Fraction(v) for v in [1, -1, 2, 3, -2, 1, 5, -1, 2, 7, 1, -3] * 50)
+def _generic_tuple(n, k):
+    """A section tuple of {exponent: int} dicts of degree at most 2."""
+    ring = PolyRing(n, 2)
+    vals = iter([1, -1, 2, 3, -2, 1, 5, -1, 2, 7, 1, -3] * 50)
     comps = {}
-    from hilbtaut.combinat import enumerate_compositions
-
     for lam in enumerate_compositions(n, k):
-        comps[lam] = TruncPoly(
-            ring, {e: next(vals) for e in ring.monomials_up_to(2)}
-        )
+        comps[lam] = {e: next(vals) for e in ring.monomials_up_to()}
     return SectionTuple(n=n, k=k, components=comps)
 
 
 def test_higher_difference_literal_example():
     x = _generic_tuple(2, 3)
+    ring = PolyRing(2, 2)
+
+    def comp(lam):
+        return TruncPoly(ring, x.component(lam))
+
     got = higher_difference(x, (1, 0), (1, 2), 2)
-    expected = (
-        x.component((3, 0)) - 2 * x.component((2, 1)) + x.component((1, 2))
-    )
-    assert got == expected
+    assert TruncPoly(ring, got) == comp((3, 0)) - 2 * comp((2, 1)) + comp((1, 2))
 
 
 def test_higher_difference_order_zero_is_component():
     x = _generic_tuple(2, 2)
-    assert higher_difference(x, (2, 0), (1, 2), 0) == x.component((2, 0))
+    got = higher_difference(x, (2, 0), (1, 2), 0)
+    # a copy, which callers may add into
+    assert got == x.component((2, 0)) and got is not x.component((2, 0))
 
 
 def test_higher_difference_weight_mismatch():
@@ -985,9 +990,8 @@ def test_higher_difference_weight_mismatch():
 
 
 def test_section_tuple_validation():
-    ring = PolyRing(2, 2)
     with pytest.raises(ValueError, match="missing"):
-        SectionTuple(n=2, k=2, components={(2, 0): ring.one()})
+        SectionTuple(n=2, k=2, components={(2, 0): {(0, 0, 0, 0): 1}})
 
 
 @settings(max_examples=25, deadline=None)
@@ -998,17 +1002,14 @@ def test_difference_one_step_reduction_random(coeffs):
     comps = {}
     idx = 0
     for lam in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-        comps[lam] = TruncPoly(
-            ring,
-            {e: Fraction(coeffs[idx * 5 + i]) for i, e in enumerate(monos)},
-        )
+        comps[lam] = {e: coeffs[idx * 5 + i] for i, e in enumerate(monos)}
         idx += 1
     x = SectionTuple(n=2, k=3, components=comps)
     lhs = higher_difference(x, (1, 0), (1, 2), 2)
-    rhs = -higher_difference(x, (2, 0), (1, 2), 1) + higher_difference(
-        x, (1, 1), (1, 2), 1
+    rhs = -TruncPoly(ring, higher_difference(x, (2, 0), (1, 2), 1)) + TruncPoly(
+        ring, higher_difference(x, (1, 1), (1, 2), 1)
     )
-    assert lhs == rhs
+    assert TruncPoly(ring, lhs) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -1053,10 +1054,13 @@ def test_weighted_component_matches_assignment_sum(monkeypatch):
     fast = tautops._weighted_component
     seen = []
 
-    def checked(ring, lam, weighted_factors):
-        out = fast(ring, lam, weighted_factors)
-        assert out == weighted_component_by_assignment(ring, lam, weighted_factors)
-        seen.append((ring.n, out.is_zero()))
+    def checked(lam, weighted_factors):
+        out = fast(lam, weighted_factors)
+        # factors have degree <= 2, so the cap 2n cuts nothing
+        ring = PolyRing(len(lam), 2 * len(lam))
+        assert TruncPoly(ring, out) == weighted_component_by_assignment(
+            ring, lam, weighted_factors)
+        seen.append((ring.n, not out))
         return out
 
     monkeypatch.setattr(tautops, "_weighted_component", checked)
@@ -1076,5 +1080,44 @@ def test_match_constant_detects_mismatch():
     x = x_of(ring, 1)
     y = y_of(ring, 1)
     with pytest.raises(ValueError, match="mismatch"):
-        _match_constant("probe", {(1, 0): x}, {(1, 0): x + y})
-    assert _match_constant("probe", {(1, 0): 3 * x}, {(1, 0): 2 * x}) == Fraction(3, 2)
+        _match_constant("probe", {(1, 0): x.coeffs}, {(1, 0): (x + y).coeffs})
+    assert _match_constant(
+        "probe", {(1, 0): (3 * x).coeffs}, {(1, 0): (2 * x).coeffs}
+    ) == Fraction(3, 2)
+
+
+_DICT_RING = PolyRing(2, 4)
+
+
+@st.composite
+def _int_polys(draw):
+    """A polynomial of degree <= 2 on two points, an {exponent: int}
+    dict with no zero coefficient."""
+    monos = list(PolyRing(2, 2).monomials_up_to())
+    return draw(st.dictionaries(
+        st.sampled_from(monos), st.integers(-3, 3).filter(bool), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_polys(), _int_polys())
+def test_dict_product_and_add_store_no_zero(p, q):
+    """The package's product and add-into agree with the truncated oracle
+    on a ring whose cap 4 covers every product of degree <= 2 factors,
+    and keep no zero coefficient: scalar_multiple compares supports, so
+    a stored zero would read as a mismatch.  (p + q) * (p - q) and p - p
+    cancel terms exactly."""
+    P, Q = TruncPoly(_DICT_RING, p), TruncPoly(_DICT_RING, q)
+    total, diff, none = dict(p), dict(p), dict(p)
+    _add_into(total, q)
+    _add_into(diff, q, -1)
+    _add_into(none, p, -1)
+    for got, want in [
+        (total, P + Q),
+        (diff, P - Q),
+        (none, P - P),
+        (_product(2, [p, q]), P * Q),
+        (_product(2, [total, diff]), (P + Q) * (P - Q)),
+        (_product(2, []), one(_DICT_RING)),
+    ]:
+        assert got == want.coeffs
+    assert none == {}
