@@ -4,19 +4,20 @@ Two symmetric groups act throughout: G = S_n permutes the n points and
 H = S_k permutes the k tensor factors, with (sigma, tau).a = sigma a tau^-1
 on maps a from factor slots to point subsets.  This module fixes the
 enumeration orders once (reverse lexicographic for compositions, refined
-order for partitions), unfolds the invariants A, J, S0, lambda, l, k, t
-of a multi-index map, builds the label sets B(k,l), A(k,l), A0(k,l) that
+order for partitions), builds the label sets B(k,l), A(k,l), A0(k,l) that
 index every direct-sum decomposition downstream, and evaluates stabilizer
 orders in closed form.
 
-A capped brute-force orbit enumerator is included, so that the tests
-and `verify --suite combinatorics` can cross-check the closed-form
-counts against an independent computation.  Its cached walk builds
-the maps one slot layer at a time, unvalidated, as it makes only valid
-ones, and computes each map's H-key (its sorted image bitmasks) once,
-as one interned tuple per distinct key.  Orbits are then grouped by
-key, with no sort per map: the first member of an orbit hands its id
-to its key relabelled by every sigma in S_n (only the identity under
+A multi-index map is the tuple of its image bitmasks, slot by slot,
+with point j at bit j - 1, and every function here takes and returns
+maps in that one format.  A capped brute-force orbit enumerator is
+included, so that the tests and `verify --suite combinatorics` can
+cross-check the closed-form counts against an independent computation.
+Its cached walk builds the maps one slot layer at a time, and computes
+each map's H-key (its sorted masks) once, as one interned tuple per
+distinct key.  Orbits are then grouped by key, with no sort per map:
+the first member of an orbit hands its id to every key reached from its
+own by two relabellings that generate S_n (to its own key alone under
 H), and every later map finds its orbit by one lookup of its own key.
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
@@ -26,7 +27,6 @@ length m with p[i-1] = p(i).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import sub
@@ -100,72 +100,6 @@ def m_mu(mu) -> int:
 
 
 # ---------------------------------------------------------------------------
-# multi-index maps
-
-
-@lru_cache(maxsize=None)
-def _points(n: int) -> frozenset[int]:
-    return frozenset(range(1, n + 1))
-
-
-@dataclass(frozen=True, slots=True)
-class MultiIndexMap:
-    """A map a from factor slots {1..k} to nonempty subsets of {1..n}.
-
-    Built from outside data, it checks its images; the orbit walk builds
-    its own maps through _unchecked_map.
-    """
-
-    n: int
-    images: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if not all(self.images):
-            raise ValueError("images must be nonempty")
-        if not _points(self.n).issuperset(frozenset().union(*self.images)):
-            raise ValueError("image out of range")
-
-    @property
-    def k(self) -> int:
-        return len(self.images)
-
-
-@dataclass(frozen=True)
-class MapInvariants:
-    """The derived quantities of a multi-index map.
-
-    A: union of all images of size >= 2.
-    J: union of all singleton images.
-    S0: slots whose image equals A itself.
-    lam: dense length-n vector, lam[j-1] = number of slots with image {j}.
-    l: total image size minus k.  k: max(0, 2(|A|-1)).  t: |A & J|.
-    """
-
-    A: frozenset[int]
-    J: frozenset[int]
-    S0: frozenset[int]
-    lam: tuple[int, ...]
-    l: int
-    k: int
-    t: int
-
-
-def multiindex_invariants(a: MultiIndexMap) -> MapInvariants:
-    big = [im for im in a.images if len(im) >= 2]
-    A = frozenset().union(*big) if big else frozenset()
-    singles = [im for im in a.images if len(im) == 1]
-    J = frozenset().union(*singles) if singles else frozenset()
-    lam = tuple(
-        sum(1 for im in a.images if len(im) == 1 and j in im)
-        for j in range(1, a.n + 1)
-    )
-    S0 = frozenset(i for i in range(1, a.k + 1) if a.images[i - 1] == A and A)
-    l = sum(len(im) for im in a.images) - a.k
-    kk = max(0, 2 * (len(A) - 1))
-    return MapInvariants(A=A, J=J, S0=S0, lam=lam, l=l, k=kk, t=len(A & J))
-
-
-# ---------------------------------------------------------------------------
 # label sets
 
 
@@ -230,7 +164,7 @@ def quotient_A0(
 
 
 # ---------------------------------------------------------------------------
-# stabilizers
+# stabilizers of multi-index maps
 
 
 def _block_factor(values) -> int:
@@ -241,58 +175,49 @@ def _block_factor(values) -> int:
     return out
 
 
-def stabilizer_order(a: MultiIndexMap, group: str = "H") -> int:
-    """Order of the stabilizer of a, by the closed product formula.
+def stabilizer_order(n: int, a: tuple[int, ...], group: str) -> int:
+    """Order of the stabilizer of the map a, its image bitmasks, on n
+    points, by the closed product formula.
 
-    For H: |S0|! times the product of lam_j! over singleton points j.
+    A and J are the unions of the non-singleton and of the singleton
+    images, lam_j the number of slots with image {j}, S0 the slots with
+    image A.  For H: |S0|! times the product of lam_j! over j in J.
     For GxH: additionally the permutations of untouched points, of
     points of A carrying no singleton, and the diagonal shuffles of
     equal-multiplicity points inside A & J and J - A.
 
-    Only maps with k(a) <= 2 are accepted; the formula is proved on I^l,
-    where every image of size >= 2 equals A itself.
+    Only maps with k(a) <= 2, that is |A| <= 2, are accepted; the
+    formula is proved on I^l, where every non-singleton image equals A,
+    so |S0| is the number of non-singleton slots.
     """
-    inv = multiindex_invariants(a)
-    if inv.k > 2:
-        raise ValueError("stabilizer formula requires k(a) <= 2")
-    h_order = factorial(len(inv.S0))
-    for j in inv.J:
-        h_order *= factorial(inv.lam[j - 1])
-    if group == "H":
-        return h_order
-    if group != "GxH":
+    if group not in ("H", "GxH"):
         raise ValueError("group must be 'H' or 'GxH'")
-    untouched = a.n - len(inv.A | inv.J)
-    order = h_order * factorial(untouched) * factorial(len(inv.A - inv.J))
-    order *= _block_factor(inv.lam[j - 1] for j in inv.A & inv.J)
-    order *= _block_factor(inv.lam[j - 1] for j in inv.J - inv.A)
+    A = J = big = 0
+    lam: dict[int, int] = {}  # mask of {j} -> lam_j
+    for m in a:
+        if not 0 < m < 1 << n:
+            raise ValueError("image mask out of range")
+        if m & (m - 1):
+            A |= m
+            big += 1
+        else:
+            J |= m
+            lam[m] = lam.get(m, 0) + 1
+    if A.bit_count() > 2:
+        raise ValueError("stabilizer formula requires k(a) <= 2")
+    order = factorial(big)
+    for mult in lam.values():
+        order *= factorial(mult)
+    if group == "H":
+        return order
+    order *= factorial(n - (A | J).bit_count()) * factorial((A & ~J).bit_count())
+    order *= _block_factor(mult for m, mult in lam.items() if m & A)
+    order *= _block_factor(mult for m, mult in lam.items() if not m & A)
     return order
 
 
 # ---------------------------------------------------------------------------
-# plain permutation helpers
-
-
-def all_permutations(m: int) -> list[tuple[int, ...]]:
-    return [tuple(p) for p in itertools.permutations(range(1, m + 1))]
-
-
-# ---------------------------------------------------------------------------
 # brute-force orbit enumeration (cross-check of the closed forms)
-
-
-def _subset_pool(n: int) -> list[frozenset[int]]:
-    return [frozenset(s) for m in range(1, n + 1)
-            for s in itertools.combinations(range(1, n + 1), m)]
-
-
-def _unchecked_map(n: int, images: tuple[frozenset[int], ...]) -> MultiIndexMap:
-    """A MultiIndexMap without __post_init__'s checks, for maps the walk
-    below makes valid by construction."""
-    a = object.__new__(MultiIndexMap)
-    object.__setattr__(a, "n", n)
-    object.__setattr__(a, "images", images)
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -300,19 +225,20 @@ def _maps_by_level(n: int, k: int) -> dict[int, tuple[tuple, tuple]]:
     """All maps with k(a) <= 2, bucketed by l(a): per level, the maps and
     their H-keys as two parallel tuples.
 
-    A map's H-key is the sorted tuple of its images as bitmasks.  The
-    k(a) <= 2 condition is that the union of the non-singleton images
-    stays within two points.  That union, like the level, depends on the
-    key alone, and so do the images a prefix may take next.  The
-    children of each distinct key are listed once, in subset-pool order,
-    each with its own key, interned so that equal keys are one tuple.
-    Every prefix of a layer is extended by the children its key lists,
-    and the maps are never validated: every image is a nonempty subset
-    of {1..n}.  Prefixes stay in the order of the plain product walk
-    over the pool, restricted to the survivors, and so do the maps in
-    each bucket.
+    A map is the tuple of its image bitmasks, slot by slot, and its
+    H-key is that tuple sorted.  The k(a) <= 2 condition is that the
+    union of the non-singleton images stays within two points.  That
+    union, like the level, depends on the key alone, and so do the
+    images a prefix may take next.  The pool is every nonempty subset of
+    {1..n} as a mask, by size and then lexicographically.  The children
+    of each distinct key are listed once, in pool order, each with its
+    own key, interned so that equal keys are one tuple.  Every prefix of
+    a layer is extended by the children its key lists.  Prefixes stay in
+    the order of the plain product walk over the pool, restricted to the
+    survivors, and so do the maps in each bucket.
     """
-    pool = [(s, sum(1 << j - 1 for j in s)) for s in _subset_pool(n)]
+    pool = [sum(1 << j - 1 for j in s) for size in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), size)]
     known = {(): ((), 0)}  # key -> (its interned tuple, its level)
     children: dict[tuple[int, ...], list] = {}
 
@@ -325,21 +251,21 @@ def _maps_by_level(n: int, k: int) -> dict[int, tuple[tuple, tuple]]:
                     union |= m
             level = known[key][1]
             out = children[key] = []
-            for im, m in pool:
+            for m in pool:
                 if (union | m if m & (m - 1) else union).bit_count() <= 2:
                     new = tuple(sorted(key + (m,)))
-                    new = known.setdefault(new, (new, level + len(im) - 1))[0]
-                    out.append((im, new))
+                    new = known.setdefault(new, (new, level + m.bit_count() - 1))[0]
+                    out.append((m, new))
         return out
 
     layer = [((), ())]
     for _ in range(k):
-        layer = [(prefix + (im,), new)
-                 for prefix, key in layer for im, new in kids(key)]
+        layer = [(prefix + (m,), new)
+                 for prefix, key in layer for m, new in kids(key)]
     buckets: dict[int, tuple[list, list]] = {}
-    for images, key in layer:
+    for a, key in layer:
         maps, keys = buckets.setdefault(known[key][1], ([], []))
-        maps.append(_unchecked_map(n, images))
+        maps.append(a)
         keys.append(key)
     return {lv: (tuple(maps), tuple(keys)) for lv, (maps, keys) in buckets.items()}
 
@@ -356,18 +282,19 @@ def _relabel_table(sigma: tuple[int, ...]):
     return table.__getitem__
 
 
-def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMap]]:
+def orbits(n: int, k: int, l: int, group: str) -> list[list[tuple[int, ...]]]:
     """Brute-force orbit partition of I^l under H or G x H.
 
-    H permutes slots, so a map's H-key, the sorted tuple of its images
-    taken as bitmasks and computed once in the cached walk, names its
-    H-orbit.  G x H also relabels points, and I^l is stable under it
-    (l(a) and k(a) are invariants), so every relabelling of an
-    enumerated map is enumerated too.  The orbits are therefore closed
-    in one walk: a map whose H-key is unseen opens a new orbit, whose id
-    goes to the relabelled keys of all sigma in S_n, each bitmask mapped
-    to that of its image under sigma.  The partition comes from the
-    group action alone, entirely independent of the label-set
+    Each member is a map as the tuple of its image bitmasks.  H permutes
+    slots, so a map's H-key, the sorted tuple of its masks, computed
+    once in the cached walk, names its H-orbit.  G x H also relabels
+    points, and I^l is stable under it (l(a) and k(a) are invariants),
+    so every relabelling of an enumerated map is enumerated too.  The
+    orbits are therefore closed in one walk: a map whose H-key is unseen
+    opens a new orbit, whose id goes to every key reached from its own
+    by relabelling with the transposition (1 2) and the n-cycle, which
+    generate S_n (under H, to its own key alone).  The partition comes
+    from the group action alone, entirely independent of the label-set
     constructions above.  Orbits are listed in order of their first
     member, members in enumeration order.
     Hard error when n! * k! exceeds the cap; `verify --suite
@@ -380,16 +307,25 @@ def orbits(n: int, k: int, l: int, group: str = "GxH") -> list[list[MultiIndexMa
     maps, keys = _maps_by_level(n, k).get(l, ((), ()))
     if not maps:
         return []
-    sigmas = all_permutations(n) if group == "GxH" else [tuple(range(1, n + 1))]
-    relabel = [_relabel_table(sigma) for sigma in sigmas]
+    gens = []
+    if group == "GxH" and n > 1:
+        points = tuple(range(1, n + 1))
+        gens = [_relabel_table((2, 1) + points[2:]),
+                _relabel_table(points[1:] + (1,))]
     orbit_of: dict[tuple[int, ...], int] = {}
-    out: list[list[MultiIndexMap]] = []
+    out: list[list[tuple[int, ...]]] = []
     for a, key in zip(maps, keys):
         i = orbit_of.get(key)
         if i is None:
-            i = len(out)
+            i = orbit_of[key] = len(out)
             out.append([])
-            for f in relabel:
-                orbit_of.setdefault(tuple(sorted(map(f, key))), i)
+            todo = [key]
+            while todo:
+                reached = todo.pop()
+                for f in gens:
+                    image = tuple(sorted(map(f, reached)))
+                    if image not in orbit_of:
+                        orbit_of[image] = i
+                        todo.append(image)
         out[i].append(a)
     return out

@@ -71,7 +71,7 @@ def leading_principal_minors(matrix) -> list[int]:
     on, the pass cannot go on, and each remaining minor is a
     determinant of its own.
     """
-    m = _square_ints([row[: len(matrix)] for row in matrix])
+    m = _square_ints(matrix)
     minors = []
     prev = 1
     for t in range(len(m)):

@@ -12,11 +12,14 @@ program and moved here from it.
 * nullspace, a Gauss-Jordan pass over Fraction, is the rational
   reference for the package's integer elimination and the solver under
   intersect_ideal_powers.
-* act, psi, phi, in_Ip, canonical_section and all_multiindex_maps
-  spell out the group action on multi-index maps and their labels, and
-  check the orbits, stabilizer orders and label sets of combinat;
+* MultiIndexMap holds a multi-index map with frozenset images, checked,
+  and multiindex_invariants reads its invariants off them; act, psi,
+  phi, in_Ip, canonical_section and all_multiindex_maps spell out the
+  group action on these maps and their labels, and check the orbits,
+  stabilizer orders and label sets of combinat, whose maps are tuples
+  of image bitmasks; from_masks converts such a tuple.
   enumerate_multiindex_maps lists the maps of one level of combinat's
-  cached walk, the input the orbit oracles partition.
+  cached walk, converted, the input the orbit oracles partition.
 * a_label_pairs anchors every label of A(k, l) at the pair (1, 2), as
   the invariant kernel did before it kept the A0 labels alone; the
   stacked systems it gives are the reference for the A0 ones.
@@ -41,16 +44,12 @@ with the path it checks.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from hilbtaut.combinat import (
-    MultiIndexMap,
-    _maps_by_level,
-    multiindex_invariants,
-    quotient_A,
-)
+from hilbtaut.combinat import _maps_by_level, quotient_A
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.polyjet import PolyRing, jet_conditions
 
@@ -261,6 +260,57 @@ def composition_stabilizer(c) -> list[tuple[int, ...]]:
 # multi-index maps
 
 
+@dataclass(frozen=True, slots=True)
+class MultiIndexMap:
+    """A map a from factor slots {1..k} to nonempty subsets of {1..n},
+    with frozenset images, each checked."""
+
+    n: int
+    images: tuple[frozenset[int], ...]
+
+    def __post_init__(self):
+        if not all(self.images):
+            raise ValueError("images must be nonempty")
+        if not all(1 <= j <= self.n for im in self.images for j in im):
+            raise ValueError("image out of range")
+
+    @property
+    def k(self) -> int:
+        return len(self.images)
+
+
+def from_masks(n: int, masks) -> MultiIndexMap:
+    """The map whose slot i has the image bitmask masks[i - 1] (point j
+    is bit j - 1), the format of combinat's maps."""
+    return MultiIndexMap(n, tuple(
+        frozenset(j for j in range(1, n + 1) if m >> j - 1 & 1) for m in masks))
+
+
+MapInvariants = namedtuple("MapInvariants", "A J S0 lam l k t")
+
+
+def multiindex_invariants(a: MultiIndexMap) -> MapInvariants:
+    """The derived quantities of a multi-index map.
+
+    A: union of all images of size >= 2.  J: union of all singleton
+    images.  S0: slots whose image equals A itself.  lam: dense length-n
+    vector, lam[j-1] = number of slots with image {j}.  l: total image
+    size minus k.  k: max(0, 2(|A|-1)).  t: |A & J|.
+    """
+    big = [im for im in a.images if len(im) >= 2]
+    A = frozenset().union(*big)
+    singles = [im for im in a.images if len(im) == 1]
+    J = frozenset().union(*singles)
+    lam = tuple(
+        sum(1 for im in a.images if len(im) == 1 and j in im)
+        for j in range(1, a.n + 1)
+    )
+    S0 = frozenset(i for i in range(1, a.k + 1) if a.images[i - 1] == A and A)
+    l = sum(len(im) for im in a.images) - a.k
+    kk = max(0, 2 * (len(A) - 1))
+    return MapInvariants(A=A, J=J, S0=S0, lam=lam, l=l, k=kk, t=len(A & J))
+
+
 def all_multiindex_maps(n: int, k: int) -> list[MultiIndexMap]:
     """Every map {1..k} -> nonempty subsets of {1..n}: all (2^n - 1)^k
     of them, so keep n and k small."""
@@ -273,7 +323,7 @@ def all_multiindex_maps(n: int, k: int) -> list[MultiIndexMap]:
 def enumerate_multiindex_maps(n: int, k: int, l: int) -> list[MultiIndexMap]:
     """Every map {1..k} -> nonempty subsets of {1..n} in I^l: l(a) = l
     and k(a) <= 2, in the order of combinat's pruned walk."""
-    return list(_maps_by_level(n, k).get(l, ((), ()))[0])
+    return [from_masks(n, a) for a in _maps_by_level(n, k).get(l, ((), ()))[0]]
 
 
 def in_Ip(a: MultiIndexMap, p: int) -> bool:

@@ -14,13 +14,10 @@ from hypothesis import strategies as st
 
 from hilbtaut import combinat
 from hilbtaut.combinat import (
-    MultiIndexMap,
     _maps_by_level,
-    all_permutations,
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
-    multiindex_invariants,
     orbits,
     quotient_A,
     quotient_A0,
@@ -30,12 +27,15 @@ from hilbtaut.combinat import (
 )
 from hilbtaut.polyjet import PolyRing
 from references import (
+    MultiIndexMap,
     act,
     all_multiindex_maps,
     canonical_section,
     composition_stabilizer,
     enumerate_multiindex_maps,
+    from_masks,
     in_Ip,
+    multiindex_invariants,
     nu_of_composition,
     phi,
     psi,
@@ -43,6 +43,16 @@ from references import (
 
 
 # --- oracles -----------------------------------------------------------
+
+
+def all_permutations(m):
+    return list(itertools.permutations(range(1, m + 1)))
+
+
+def converted(n, orbs):
+    """Orbits of bitmask maps, each member converted to the oracle's
+    frozenset maps."""
+    return [[from_masks(n, a) for a in orb] for orb in orbs]
 
 
 def stab_order_direct(a, group):
@@ -216,15 +226,17 @@ def test_maps_match_the_plain_product_walk(n, k):
 
 
 def test_walk_keys_are_sorted_bitmask_images_and_shared():
-    """The walk stores each map's H-key beside it: the sorted bitmask
-    tuple of its images, one tuple object per distinct key."""
+    """The walk's maps are plain tuples of image bitmasks, and it stores
+    each map's H-key beside it: that tuple sorted, one tuple object per
+    distinct key."""
     for n, k in [(2, 4), (3, 4), (4, 3)]:
         for maps, keys in _maps_by_level(n, k).values():
             assert len(maps) == len(keys)
             for a, key in zip(maps, keys):
-                assert key == tuple(sorted(sum(1 << j - 1 for j in im) for im in a.images))
+                assert type(a) is tuple and all(type(m) is int for m in a)
+                images = from_masks(n, a).images
+                assert key == tuple(sorted(sum(1 << j - 1 for j in im) for im in images))
             assert len({id(key) for key in keys}) == len(set(keys))
-    assert not hasattr(mmap(2, {1}), "__dict__")
 
 
 @pytest.mark.parametrize("images,message", [
@@ -283,10 +295,10 @@ def test_quotients_match_orbit_counts(n, k):
         order = factorial(n) * factorial(k)
         for orb in gh_orbits:
             rep = orb[0]
-            assert stabilizer_order(rep, "GxH") * len(orb) == order
+            assert stabilizer_order(n, rep, "GxH") * len(orb) == order
         for orb in h_orbits:
             rep = orb[0]
-            assert stabilizer_order(rep, "H") * len(orb) == factorial(k)
+            assert stabilizer_order(n, rep, "H") * len(orb) == factorial(k)
 
 
 @pytest.mark.parametrize("n,kmax", [(1, 5), (2, 5), (3, 5), (4, 3)])
@@ -294,7 +306,7 @@ def test_orbits_match_bfs_search(n, kmax):
     for k in range(1, kmax + 1):
         for l in range(0, k + 1):
             for group in ("H", "GxH"):
-                assert orbits(n, k, l, group) == bfs_orbits(n, k, l, group)
+                assert converted(n, orbits(n, k, l, group)) == bfs_orbits(n, k, l, group)
 
 
 def test_orbits_match_min_key_orbits():
@@ -303,7 +315,8 @@ def test_orbits_match_min_key_orbits():
         for k in range(1, 6):
             for l in range(0, k + 1):
                 for group in ("H", "GxH"):
-                    assert orbits(n, k, l, group) == min_key_orbits(n, k, l, group)
+                    assert (converted(n, orbits(n, k, l, group))
+                            == min_key_orbits(n, k, l, group))
 
 
 def test_empty_levels_build_no_relabel_table(monkeypatch):
@@ -316,24 +329,46 @@ def test_empty_levels_build_no_relabel_table(monkeypatch):
     real = combinat._relabel_table
     monkeypatch.setattr(combinat, "_relabel_table", counting)
     # on eight points and one slot only levels 0 and 1 hold maps
-    assert orbits(8, 1, 5) == []
+    assert orbits(8, 1, 5, "GxH") == []
     assert built == []
-    assert len(orbits(3, 2, 1)) == len(quotient_A(2, 1, 3))
-    assert len(built) == 6
+    assert len(orbits(3, 2, 1, "GxH")) == len(quotient_A(2, 1, 3))
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_eight_points_build_at_most_two_relabel_tables(monkeypatch, k):
+    """The orbits close under the two generators (1 2) and (1 2 ... 8)
+    of S_8, not under all 8! relabellings."""
+    built = []
+
+    def counting(sigma):
+        built.append(sigma)
+        return real(sigma)
+
+    real = combinat._relabel_table
+    monkeypatch.setattr(combinat, "_relabel_table", counting)
+    gh_orbits = orbits(8, k, 1, "GxH")
+    assert len(built) <= 2
+    assert len(gh_orbits) == len(quotient_A(k, 1, 8))
+    for orb in gh_orbits:
+        assert stabilizer_order(8, orb[0], "GxH") * len(orb) == factorial(8) * factorial(k)
+    built.clear()
+    assert len(orbits(8, k, 1, "H")) == len(quotient_B(k, 1, 8))
+    assert built == []
 
 
 def test_psi_label_classifies_H_orbits():
-    for orb in orbits(3, 4, 2, "H"):
+    for orb in converted(3, orbits(3, 4, 2, "H")):
         labels = {psi(a) for a in orb}
         assert len(labels) == 1
-    all_labels = {psi(orb[0]) for orb in orbits(3, 4, 2, "H")}
+    all_labels = {psi(orb[0]) for orb in converted(3, orbits(3, 4, 2, "H"))}
     assert all_labels == set(quotient_B(4, 2, 3))
 
 
 def test_phi_label_classifies_GxH_orbits():
-    for orb in orbits(3, 4, 1, "GxH"):
+    for orb in converted(3, orbits(3, 4, 1, "GxH")):
         assert len({phi(a) for a in orb}) == 1
-    all_labels = {phi(orb[0]) for orb in orbits(3, 4, 1, "GxH")}
+    all_labels = {phi(orb[0]) for orb in converted(3, orbits(3, 4, 1, "GxH"))}
     assert all_labels == set(quotient_A(4, 1, 3))
 
 
@@ -341,16 +376,31 @@ def test_phi_label_classifies_GxH_orbits():
 
 
 def test_stabilizer_examples():
-    a = mmap(2, {1, 2}, {1}, {1})
-    assert stabilizer_order(a, "H") == 2 == stab_order_direct(a, "H")
-    b = mmap(3, {1}, {1}, {2})
-    assert stabilizer_order(b, "H") == 2 == stab_order_direct(b, "H")
-    c = mmap(3, {1}, {2}, {3})
-    assert stabilizer_order(c, "H") == 1
-    assert stabilizer_order(a, "GxH") == stab_order_direct(a, "GxH")
-    assert stabilizer_order(b, "GxH") == stab_order_direct(b, "GxH")
+    a = (0b11, 0b1, 0b1)  # {1, 2}, {1}, {1}
+    assert stabilizer_order(2, a, "H") == 2 == stab_order_direct(from_masks(2, a), "H")
+    b = (0b1, 0b1, 0b10)  # {1}, {1}, {2}
+    assert stabilizer_order(3, b, "H") == 2 == stab_order_direct(from_masks(3, b), "H")
+    c = (0b1, 0b10, 0b100)  # {1}, {2}, {3}
+    assert stabilizer_order(3, c, "H") == 1
+    assert stabilizer_order(2, a, "GxH") == stab_order_direct(from_masks(2, a), "GxH")
+    assert stabilizer_order(3, b, "GxH") == stab_order_direct(from_masks(3, b), "GxH")
     with pytest.raises(ValueError):
-        stabilizer_order(mmap(3, {1, 2}, {1, 3}), "H")
+        stabilizer_order(3, (0b11, 0b101), "H")  # {1, 2}, {1, 3}
+
+
+@pytest.mark.parametrize("n,a,group,message", [
+    (3, (0b1, 0), "H", "image mask out of range"),
+    (3, (0b1, -1), "GxH", "image mask out of range"),
+    (3, (0b1000,), "GxH", "image mask out of range"),
+    (2, (0b11, 0b100), "H", "image mask out of range"),
+    (3, (0b11, 0b110), "H", "requires k\\(a\\) <= 2"),
+    (4, (0b111, 0b1000), "GxH", "requires k\\(a\\) <= 2"),
+    (3, (0b1,), "G", "group must be"),
+    (3, (0b11,), "gxh", "group must be"),
+])
+def test_stabilizer_order_rejects_bad_input(n, a, group, message):
+    with pytest.raises(ValueError, match=message):
+        stabilizer_order(n, a, group)
 
 
 @settings(max_examples=30, deadline=None)
@@ -358,8 +408,10 @@ def test_stabilizer_examples():
 def test_orbit_stabilizer_identity(data):
     n = data.draw(st.integers(2, 3), label="n")
     k = data.draw(st.integers(2, 4), label="k")
-    pool = [a for a in all_multiindex_maps(n, k) if multiindex_invariants(a).k <= 2]
-    a = data.draw(st.sampled_from(pool), label="a")
+    pool = [masks for masks in itertools.product(range(1, 1 << n), repeat=k)
+            if multiindex_invariants(from_masks(n, masks)).k <= 2]
+    masks = data.draw(st.sampled_from(pool), label="masks")
+    a = from_masks(n, masks)
     orbit = set()
     frontier = [a]
     orbit.add(a)
@@ -373,7 +425,7 @@ def test_orbit_stabilizer_identity(data):
                         orbit.add(y)
                         nxt.append(y)
         frontier = nxt
-    assert len(orbit) * stabilizer_order(a, "GxH") == factorial(n) * factorial(k)
+    assert len(orbit) * stabilizer_order(n, masks, "GxH") == factorial(n) * factorial(k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -129,6 +129,17 @@ def test_leading_minors_of_banded_matrices_and_past_zero_pivots():
     assert leading_principal_minors([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == [1, 0, -1]
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1, 2, 3], [4, 5, 6]],
+    [[1, 2], [3, 4], [5, 6]],
+    [[1, 2], [3]],
+])
+def test_minors_and_det_refuse_a_nonsquare_matrix(matrix):
+    for f in (leading_principal_minors, bareiss_det):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            f(matrix)
+
+
 def test_t_odd_nondegenerate():
     for n in range(0, 7):
         for m in range(1, 13):
