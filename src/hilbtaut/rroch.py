@@ -31,7 +31,7 @@ models is meaningful.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 Vec = tuple[int, ...]
@@ -49,8 +49,7 @@ def binom_int(x: int, h: int) -> int:
     return (-1) ** h * comb(h - x - 1, h)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(namedtuple("SurfaceModel", "name rank intersection K chiO c2")):
     """Numerical invariants of a smooth projective surface.
 
     intersection is the Gram matrix of the modeled Picard slice; K the
@@ -60,14 +59,13 @@ class SurfaceModel:
     each generator e_i.  An inconsistent model never produces a chi.
     """
 
-    name: str
-    rank: int
-    intersection: tuple[tuple[int, ...], ...]
-    K: Vec
-    chiO: int
-    c2: int
+    __slots__ = ()
+    # _replace builds through _make, which would skip the checks below
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, name: str, rank: int, intersection: tuple[tuple[int, ...], ...],
+                K: Vec, chiO: int, c2: int):
+        self = super().__new__(cls, name, rank, intersection, K, chiO, c2)
         m = self.intersection
         if len(m) != self.rank or any(len(row) != self.rank for row in m):
             raise ValueError("intersection matrix must be rank x rank")
@@ -89,6 +87,7 @@ class SurfaceModel:
                     f"model {self.name!r} has a non-characteristic K: "
                     f"e{i}.e{i} - K.e{i} is odd"
                 )
+        return self
 
     def dot(self, u, v) -> int:
         return sum(

@@ -2,8 +2,8 @@
 
 Everything here lives on the affine coordinate model: a point
 configuration carries one pair of variables per slot, a symmetric-power
-section becomes a tuple of polynomials indexed by the
-compositions of k of range n, and the gluing conditions along pairwise
+section becomes a tuple, here a dict from the compositions of k of range
+n to {exponent: int} polynomials, and the gluing conditions along pairwise
 diagonals turn into signed binomial combinations of components whose
 membership in powers of the diagonal ideals is tested by jet
 functionals.  Stacking the conditions of all orders below l cuts out a
@@ -62,7 +62,7 @@ Exceeding either raises EntryCapError.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, cycle, permutations, product
 from math import comb
@@ -112,30 +112,7 @@ def _check_cap(nrows: int, ncols: int, context: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# section tuples and higher differences
-
-
-@dataclass(frozen=True, eq=False)
-class SectionTuple:
-    """One polynomial per composition of k of range n, each an
-    {exponent: int} dict on the 2n variables."""
-
-    n: int
-    k: int
-    components: dict
-
-    def __post_init__(self):
-        expected = enumerate_compositions(self.n, self.k)
-        missing = [lam for lam in expected if lam not in self.components]
-        if missing:
-            raise ValueError(f"missing components {missing}")
-        expected_set = set(expected)
-        extra = [lam for lam in self.components if tuple(lam) not in expected_set]
-        if extra:
-            raise ValueError(f"unexpected components {extra}")
-
-    def component(self, lam) -> dict:
-        return self.components[tuple(lam)]
+# higher differences
 
 
 def _difference_support(mu, a0: int, a1: int, order: int):
@@ -153,31 +130,38 @@ def _difference_support(mu, a0: int, a1: int, order: int):
     return out
 
 
-def higher_difference(x: SectionTuple, mu, A, order: int) -> dict:
-    """The order-th difference of x along the pair A, shifted by mu.
+def higher_difference(x: dict, mu, A, order: int) -> dict:
+    """The order-th difference of the tuple x along the pair A, shifted by mu.
 
-    For order 2, mu = (1, 0) and A = {1, 2} this is the combination
+    x maps compositions of one weight k to {exponent: int} polynomials,
+    and needs only the components the difference combines.  For order 2,
+    mu = (1, 0) and A = {1, 2} this is the combination
     x_(3,0) - 2 x_(2,1) + x_(1,2).  The weight of mu plus the order must
-    equal the weight of x.
+    equal k.  The result is a new dict with no zero coefficient, at
+    order 0 too, so callers may add into it.
     """
     mu = tuple(mu)
-    if len(mu) != x.n:
+    key = next(iter(x), mu)
+    if len(mu) != len(key):
         raise ValueError("mu must have one entry per slot")
     if any(v < 0 for v in mu):
         raise ValueError("mu must be nonnegative")
-    if sum(mu) + order != x.k:
+    if sum(mu) + order != sum(key):
         raise ValueError(
-            f"weight mismatch: |mu| + order = {sum(mu) + order} != k = {x.k}"
+            f"weight mismatch: |mu| + order = {sum(mu) + order} != k = {sum(key)}"
         )
     if order == 0:
-        # a copy: callers add into the result
-        return dict(x.component(mu))
-    a0, a1 = sorted(A)
-    if not (1 <= a0 < a1 <= x.n):
-        raise ValueError("A must be a pair of distinct slots")
+        support = [(mu, 1)]
+    else:
+        a0, a1 = sorted(A)
+        if not (1 <= a0 < a1 <= len(mu)):
+            raise ValueError("A must be a pair of distinct slots")
+        support = _difference_support(mu, a0, a1, order)
     total: dict = {}
-    for lam, cf in _difference_support(mu, a0, a1, order):
-        _add_into(total, x.component(lam), cf)
+    for lam, cf in support:
+        if lam not in x:
+            raise ValueError(f"missing component {lam}")
+        _add_into(total, x[lam], cf)
     return total
 
 
@@ -488,8 +472,10 @@ def graded_totals(pieces: dict) -> tuple:
 # filtration report
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(namedtuple(
+    "FiltrationReport",
+    "full_nullities invariant_nullities graded exploratory mismatches",
+)):
     """Kernel and graded dimensions of one configuration, side by side.
 
     Nullity tables are indexed first by the number of imposed condition
@@ -500,11 +486,7 @@ class FiltrationReport:
     where the final invariant kernel and the graded total disagree.
     """
 
-    full_nullities: tuple
-    invariant_nullities: tuple
-    graded: dict
-    exploratory: bool
-    mismatches: tuple
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -601,10 +583,12 @@ def verify_recursion() -> dict:
     """Check that one difference step reduces the order by one.
 
     Three layers: the formal identity on signed binomial supports at
-    orders 1 through 8, exact polynomial instances of the same identity
-    at orders 1 through 4, and the containment of each order's jet
-    conditions in the next order's through order 4, which is what makes
-    the stacked kernels genuinely nested.
+    orders 1 through 8, checked on the symbol tuple x_lam = lam, whose
+    differences are exactly those supports; exact polynomial instances
+    of the same identity at orders 1 through 4; and the containment of
+    each order's jet conditions in the next order's through order 4,
+    which is what makes the stacked kernels genuinely nested.  Both
+    identity layers run _one_step.
     """
     formal_cases = 0
     configs = [
@@ -612,20 +596,10 @@ def verify_recursion() -> dict:
         (3, (1, 0, 2), (1, 3)),
         (4, (0, 1, 0, 2), (2, 4)),
     ]
-    for n, mu, (a0, a1) in configs:
+    for n, mu, A in configs:
         for order in range(1, 9):
-            lhs = dict(_difference_support(mu, a0, a1, order))
-            rhs: dict = {}
-            mu0 = list(mu)
-            mu0[a0 - 1] += 1
-            mu1 = list(mu)
-            mu1[a1 - 1] += 1
-            for lam, cf in _difference_support(tuple(mu0), a0, a1, order - 1):
-                rhs[lam] = rhs.get(lam, 0) - cf
-            for lam, cf in _difference_support(tuple(mu1), a0, a1, order - 1):
-                rhs[lam] = rhs.get(lam, 0) + cf
-            rhs = {lam: c for lam, c in rhs.items() if c}
-            if lhs != rhs:
+            comps = enumerate_compositions(n, sum(mu) + order)
+            if not _one_step({lam: {lam: 1} for lam in comps}, mu, A, order):
                 raise ValueError(
                     f"recursion failed formally at order {order} for mu={mu}"
                 )
@@ -635,23 +609,11 @@ def verify_recursion() -> dict:
         ring = PolyRing(n, 2)
         stream = _coefficient_stream()
         for order in range(1, 5):
-            k = sum(mu) + order
-            x = SectionTuple(
-                n=n,
-                k=k,
-                components={
-                    lam: _stream_poly(ring, stream)
-                    for lam in enumerate_compositions(n, k)
-                },
-            )
-            lhs = higher_difference(x, mu, A, order)
-            mu0 = list(mu)
-            mu0[min(A) - 1] += 1
-            mu1 = list(mu)
-            mu1[max(A) - 1] += 1
-            rhs = higher_difference(x, tuple(mu1), A, order - 1)
-            _add_into(rhs, higher_difference(x, tuple(mu0), A, order - 1), -1)
-            if lhs != rhs:
+            x = {
+                lam: _stream_poly(ring, stream)
+                for lam in enumerate_compositions(n, sum(mu) + order)
+            }
+            if not _one_step(x, mu, A, order):
                 raise ValueError(
                     f"recursion failed on polynomials at order {order}, n={n}"
                 )
@@ -670,6 +632,19 @@ def verify_recursion() -> dict:
         "polynomial_cases": polynomial_cases,
         "nested_orders": nested_orders,
     }
+
+
+def _one_step(x: dict, mu, A, order: int) -> bool:
+    """Whether D^o_mu x = D^(o-1)_(mu+e_a1) x - D^(o-1)_(mu+e_a0) x on
+    the tuple x, with o = order and (a0, a1) the sorted pair A."""
+    a0, a1 = sorted(A)
+    mu0 = list(mu)
+    mu0[a0 - 1] += 1
+    mu1 = list(mu)
+    mu1[a1 - 1] += 1
+    rhs = higher_difference(x, mu1, A, order - 1)
+    _add_into(rhs, higher_difference(x, mu0, A, order - 1), -1)
+    return higher_difference(x, mu, A, order) == rhs
 
 
 def _coefficient_stream():
@@ -700,12 +675,9 @@ def verify_transition() -> dict:
     for mu in [(0, 0), (1, 0), (0, 1), (2, 1)]:
         for l in range(5):
             m = l + 2
-            lhs: dict = {}
-            for lam, cf in _difference_support(mu, 1, 2, m):
-                key = (lam, (mu[0] + m, mu[1]))
-                lhs[key] = lhs.get(key, 0) + cf
-                key = (lam, (lam[0], lam[1]))
-                lhs[key] = lhs.get(key, 0) - cf
+            support = _difference_support(mu, 1, 2, m)
+            lhs = {(lam, (mu[0] + m, mu[1])): cf for lam, cf in support}
+            _add_into(lhs, {(lam, lam): cf for lam, cf in support}, -1)
             rhs: dict = {}
             for i in range(1, m + 1):
                 pref = (-1) ** (i + 1) * comb(m, i)
@@ -713,21 +685,18 @@ def verify_transition() -> dict:
                 shifted[1] += i
                 inner = _difference_support(tuple(shifted), 1, 2, m - i)
                 for r in range(i + 1):
-                    spread = comb(i, r) * (-1) ** r
-                    d0 = mu[0] + m - r
-                    d1 = mu[1] + r
-                    for lam, cf in inner:
-                        key = (lam, (d0, d1))
-                        rhs[key] = rhs.get(key, 0) + pref * spread * cf
-            lhs = {key: c for key, c in lhs.items() if c}
-            rhs = {key: c for key, c in rhs.items() if c}
+                    d = (mu[0] + m - r, mu[1] + r)
+                    _add_into(
+                        rhs,
+                        {(lam, d): cf for lam, cf in inner},
+                        pref * comb(i, r) * (-1) ** r,
+                    )
             if lhs != rhs:
                 raise ValueError(f"transition identity failed for mu={mu}, order {m}")
             collapsed: dict = {}
             for (lam, (d0, d1)), c in rhs.items():
-                key = (lam, d0 + d1)
-                collapsed[key] = collapsed.get(key, 0) + c
-            if any(collapsed.values()):
+                _add_into(collapsed, {(lam, d0 + d1): c})
+            if collapsed:
                 raise ValueError("transition correction survives equal rescalings")
             cases += 1
     return {"cases": cases, "orders_checked": 5}
@@ -815,33 +784,36 @@ def _weighted_component(lam, weighted_factors) -> dict:
 def _merged_pair_operator(mu0, level: int, summands) -> dict:
     """Degree-level expansion buckets of the merged-pair difference.
 
-    The order-(level+1) difference shifted by mu0 along the pair (1, 2)
-    is expanded around the first slot, substituting the second slot's
-    variables by first-slot variables plus offsets; the returned mapping
-    sends each offset exponent (i, j) with i + j = level to its
-    coefficient polynomial, in which the second slot no longer occurs.
+    higher_difference takes the order-(level+1) difference shifted by
+    mu0 along the pair (1, 2) of the orbit sum of summands, built on the
+    components it combines only.  That polynomial is expanded around the
+    first slot, substituting the second slot's variables by first-slot
+    variables plus offsets; the returned mapping sends each offset
+    exponent (i, j) with i + j = level to its coefficient polynomial, in
+    which the second slot no longer occurs.
     """
     order = level + 1
-    buckets: dict = {}
     n = len(mu0)
-    for lam, cf in _difference_support(mu0, 1, 2, order):
-        comp: dict = {}
+    x: dict = {}
+    for lam, _ in _difference_support(mu0, 1, 2, order):
+        comp = x[lam] = {}
         for wf in summands:
             _add_into(comp, _weighted_component(lam, wf))
-        for e, c in comp.items():
-            p1, q1 = e[1], e[n + 1]
-            for i in range(min(p1, level) + 1):
-                j = level - i
-                if j > q1:
-                    continue
-                new = list(e)
-                new[1] = 0
-                new[n + 1] = 0
-                new[0] = e[0] + p1 - i
-                new[n] = e[n] + q1 - j
-                bucket = buckets.setdefault((i, j), {})
-                key = tuple(new)
-                bucket[key] = bucket.get(key, 0) + cf * c * comb(p1, i) * comb(q1, j)
+    buckets: dict = {}
+    for e, c in higher_difference(x, mu0, (1, 2), order).items():
+        p1, q1 = e[1], e[n + 1]
+        for i in range(min(p1, level) + 1):
+            j = level - i
+            if j > q1:
+                continue
+            new = list(e)
+            new[1] = 0
+            new[n + 1] = 0
+            new[0] = e[0] + p1 - i
+            new[n] = e[n] + q1 - j
+            bucket = buckets.setdefault((i, j), {})
+            key = tuple(new)
+            bucket[key] = bucket.get(key, 0) + c * comb(p1, i) * comb(q1, j)
     return {ij: {e: c for e, c in b.items() if c} for ij, b in buckets.items()}
 
 

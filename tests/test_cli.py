@@ -437,6 +437,18 @@ def test_missing_argument_exits_two_with_one_line(capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter importing the CLI loads neither dataclasses
+    nor inspect, nor the ast, dis and tokenize modules inspect pulls in;
+    -S keeps site's own imports out of the count."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, hilbtaut.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env=env, check=True).stdout.split()
+    assert "hilbtaut.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+
+
 def test_parser_built_once_answers_as_a_fresh_process(capsys):
     """main builds its parser on the first call only; a later call, a
     usage error included, answers as a new process does."""

@@ -118,6 +118,23 @@ def test_chi_line_special_models():
     assert chi_line(P1P1, (0, -2)) == -1
 
 
+def test_surface_model_is_an_immutable_value():
+    s = SurfaceModel(name="p1xp1", rank=2, intersection=((0, 1), (1, 0)),
+                     K=(-2, -2), chiO=1, c2=4)
+    assert s == get_surface("p1xp1") and hash(s) == hash(get_surface("p1xp1"))
+    assert (s.name, s.rank, s.K, s.chiO, s.c2) == ("p1xp1", 2, (-2, -2), 1, 4)
+    assert s.dot((1, 0), (0, 1)) == 1
+    assert s != get_surface("p2")
+    with pytest.raises(AttributeError):
+        s.c2 = 5
+    with pytest.raises(ValueError, match="Noether"):
+        SurfaceModel(name="p1xp1", rank=2, intersection=((0, 1), (1, 0)),
+                     K=(-2, -2), chiO=1, c2=5)
+    with pytest.raises(ValueError, match="Noether"):
+        s._replace(c2=5)
+    assert s._replace(name="q") == SurfaceModel("q", *s[1:])
+
+
 def test_noether_violation_rejected():
     with pytest.raises(ValueError, match="Noether"):
         SurfaceModel("bad", 1, ((1,),), (-3,), 1, 4)

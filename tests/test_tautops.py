@@ -29,10 +29,10 @@ from hilbtaut.tautops import (
     EXPONENT_RULES,
     EntryCapError,
     FiltrationReport,
-    SectionTuple,
     _all_pairs,
     _columns,
     _difference_block,
+    _difference_support,
     _jet_count,
     _match_constant,
     _nullities,
@@ -946,6 +946,21 @@ def test_filtration_exploratory_mode():
     assert report.exploratory
 
 
+def test_filtration_report_is_an_immutable_value():
+    report = verify_filtration(2, 2, 2)
+    assert report.passed and not report.exploratory and report.mismatches == ()
+    assert report == verify_filtration(2, 2, 2)
+    assert report == FiltrationReport(
+        full_nullities=report.full_nullities,
+        invariant_nullities=report.invariant_nullities,
+        graded=report.graded,
+        exploratory=False,
+        mismatches=(),
+    )
+    with pytest.raises(AttributeError):
+        report.mismatches = ((0, 1, 2),)
+
+
 def test_filtration_rejects_k0():
     with pytest.raises(ValueError):
         verify_filtration(2, 0, 2)
@@ -956,13 +971,13 @@ def test_filtration_rejects_k0():
 
 
 def _generic_tuple(n, k):
-    """A section tuple of {exponent: int} dicts of degree at most 2."""
+    """A section tuple: {composition: {exponent: int}} of degree at most 2."""
     ring = PolyRing(n, 2)
     vals = iter([1, -1, 2, 3, -2, 1, 5, -1, 2, 7, 1, -3] * 50)
     comps = {}
     for lam in enumerate_compositions(n, k):
         comps[lam] = {e: next(vals) for e in ring.monomials_up_to()}
-    return SectionTuple(n=n, k=k, components=comps)
+    return comps
 
 
 def test_higher_difference_literal_example():
@@ -970,7 +985,7 @@ def test_higher_difference_literal_example():
     ring = PolyRing(2, 2)
 
     def comp(lam):
-        return TruncPoly(ring, x.component(lam))
+        return TruncPoly(ring, x[lam])
 
     got = higher_difference(x, (1, 0), (1, 2), 2)
     assert TruncPoly(ring, got) == comp((3, 0)) - 2 * comp((2, 1)) + comp((1, 2))
@@ -980,7 +995,7 @@ def test_higher_difference_order_zero_is_component():
     x = _generic_tuple(2, 2)
     got = higher_difference(x, (2, 0), (1, 2), 0)
     # a copy, which callers may add into
-    assert got == x.component((2, 0)) and got is not x.component((2, 0))
+    assert got == x[(2, 0)] and got is not x[(2, 0)]
 
 
 def test_higher_difference_weight_mismatch():
@@ -991,7 +1006,39 @@ def test_higher_difference_weight_mismatch():
 
 def test_section_tuple_validation():
     with pytest.raises(ValueError, match="missing"):
-        SectionTuple(n=2, k=2, components={(2, 0): {(0, 0, 0, 0): 1}})
+        higher_difference({(2, 0): {(0, 0, 0, 0): 1}}, (1, 0), (1, 2), 1)
+
+
+@pytest.mark.parametrize("n,k,mu,A,order", [
+    (2, 3, (1, 0), (1, 2), 2),
+    (3, 4, (1, 0, 1), (1, 3), 2),
+    (3, 4, (0, 1, 0), (2, 3), 3),
+    (4, 2, (0, 0, 1, 0), (2, 4), 1),
+    (3, 2, (0, 2, 0), (1, 2), 0),
+])
+def test_higher_difference_needs_only_the_support(n, k, mu, A, order):
+    x = _generic_tuple(n, k)
+    a0, a1 = sorted(A)
+    support = [lam for lam, _ in _difference_support(mu, a0, a1, order)]
+    assert len(support) < len(x)
+    part = {lam: x[lam] for lam in support}
+    got = higher_difference(part, mu, A, order)
+    assert got and got == higher_difference(x, mu, A, order)
+    dropped = dict(part)
+    del dropped[support[-1]]
+    with pytest.raises(ValueError, match=re.escape(f"missing component {support[-1]}")):
+        higher_difference(dropped, mu, A, order)
+
+
+@pytest.mark.parametrize("mu,A,order,message", [
+    ((1, 0, 0), (1, 2), 2, "one entry per slot"),
+    ((2, -1), (1, 2), 2, "nonnegative"),
+    ((1, 0), (1, 1), 2, "distinct slots"),
+    ((1, 0), (1, 3), 2, "distinct slots"),
+], ids=["slots", "negative", "same-slot", "slot-range"])
+def test_higher_difference_checks_its_arguments(mu, A, order, message):
+    with pytest.raises(ValueError, match=message):
+        higher_difference(_generic_tuple(2, 3), mu, A, order)
 
 
 @settings(max_examples=25, deadline=None)
@@ -999,12 +1046,11 @@ def test_section_tuple_validation():
 def test_difference_one_step_reduction_random(coeffs):
     ring = PolyRing(2, 2)
     monos = list(ring.monomials_up_to(1))
-    comps = {}
+    x = {}
     idx = 0
     for lam in [(3, 0), (2, 1), (1, 2), (0, 3)]:
-        comps[lam] = {e: coeffs[idx * 5 + i] for i, e in enumerate(monos)}
+        x[lam] = {e: coeffs[idx * 5 + i] for i, e in enumerate(monos)}
         idx += 1
-    x = SectionTuple(n=2, k=3, components=comps)
     lhs = higher_difference(x, (1, 0), (1, 2), 2)
     rhs = -TruncPoly(ring, higher_difference(x, (2, 0), (1, 2), 1)) + TruncPoly(
         ring, higher_difference(x, (1, 1), (1, 2), 1)
@@ -1045,6 +1091,27 @@ def test_local_formula_constants_k4():
         "D2_(1)(0)": Fraction(1),
     }
     assert all(c > 0 for c in constants.values())
+
+
+def test_local_formulas_apply_the_difference_through_higher_difference(monkeypatch):
+    """The merged-pair operators take their difference by
+    higher_difference, once per operator, on the support's components."""
+    calls = []
+    real = tautops.higher_difference
+
+    def spy(x, mu, A, order):
+        calls.append((mu, A, order, len(x)))
+        return real(x, mu, A, order)
+
+    monkeypatch.setattr(tautops, "higher_difference", spy)
+    for k in (3, 4):
+        calls.clear()
+        verify_invariant_local_formula(k)
+        assert calls, f"k = {k}"
+        assert all(A == (1, 2) and size == order + 1 for _, A, order, size in calls)
+    assert {(mu, order) for mu, _, order, _ in calls} == {
+        ((2, 0, 0, 0), 2), ((1, 0, 1, 0), 2), ((1, 0, 0, 0), 3)
+    }
 
 
 def test_weighted_component_matches_assignment_sum(monkeypatch):
