@@ -17,9 +17,9 @@ argparse cannot.
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (a one-line message; bad arguments, a bad HILBTAUT_MAX_MATRIX_ENTRIES and
 exceeding the matrix entry cap count here, inside a verification case
-too), 3 internal fault, including any ValueError the library raises past
-the up-front checks and any exception in a verification case other than
-a failed check (the traceback goes to stderr).
+too), 3 internal fault (the traceback goes to stderr).  A verification
+case fails only by raising AssertionError; any other exception in a
+case, a ValueError included, is an internal fault.
 """
 
 from __future__ import annotations
@@ -349,8 +349,8 @@ def cmd_reps(cfg) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-# each case is (key, thunk); thunks return a detail dict and raise one of
-# _CHECK_FAILURES on failure, so a suite result is reproducible and
+# each case is (key, thunk); thunks return a detail dict and raise
+# AssertionError on failure, so a suite result is reproducible and
 # sortable by key
 
 
@@ -540,20 +540,18 @@ _SUITE_BUILDERS = {
 SUITES = ("all", *_SUITE_BUILDERS)
 
 
-# What the verify_* functions and the case thunks raise when a check
-# fails; the entry cap and internal faults propagate to main instead.
-_CHECK_FAILURES = (AssertionError, ValueError, ArithmeticError)
-
-
 def _run_cases(cases):
-    """Run every case in turn, timing each, and report sorted by case key."""
+    """Run every case in turn, timing each, and report sorted by case key.
+
+    A case fails by raising AssertionError; the entry cap and internal
+    faults propagate to main."""
     results = []
     for key, thunk in cases:
         start = time.perf_counter()
         try:
             detail = thunk() or {}
             ok = True
-        except _CHECK_FAILURES as exc:
+        except AssertionError as exc:
             detail = {"error": str(exc)}
             ok = False
         results.append((key, ok, detail, time.perf_counter() - start))

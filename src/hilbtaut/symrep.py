@@ -64,25 +64,22 @@ def _poly_mul(p, q):
 
 
 def _poly_quotient(p, d):
-    """Quotient of p by d in Z[t]; raises if the division leaves a remainder."""
+    """Quotient of p by d in Z[t]; raises AssertionError if the division
+    leaves a remainder."""
     p = list(p)
     deg_d = len(d) - 1
-    if len(p) < len(d):
-        if any(p):
-            raise ValueError("inexact polynomial division")
-        return [0]
     quot = [0] * (len(p) - deg_d)
     for i in range(len(quot) - 1, -1, -1):
         c = p[i + deg_d]
         if c % d[-1]:
-            raise ValueError("inexact polynomial division")
+            raise AssertionError("inexact polynomial division")
         c //= d[-1]
         quot[i] = c
         if c:
             for j, b in enumerate(d):
                 p[i + j] -= c * b
     if any(p):
-        raise ValueError("inexact polynomial division")
+        raise AssertionError("inexact polynomial division")
     return quot
 
 
@@ -105,16 +102,19 @@ def _det_one_plus_t(lam):
     return poly
 
 
-def _sign_average(k: int, poly_of) -> tuple[int, ...]:
-    """The average over S_k of sign(sigma) poly_of(cycle type of sigma),
-    coefficient by coefficient; the polynomials share one length, and
-    the average must clear k!.  The sums are accumulated one cycle type
-    at a time, so one class polynomial is held at once."""
+def antiinv_dims_R(k: int) -> tuple[int, ...]:
+    """Anti-invariant dimensions of Lambda^q(V (x) R_k), all q at once.
+
+    Entry q of the result is the coefficient of t^q in the average over
+    S_k of sign(sigma) det(1 + t sigma), which must clear k!.  The sum
+    is accumulated one cycle type at a time, so one class polynomial is
+    held at once; the polynomials share one length.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     total: list[int] = []
     for lam, size, sign in cycle_types(k):
-        poly = poly_of(lam)
+        poly = _det_one_plus_t(lam)
         if not total:
             total = [0] * len(poly)
         w = size * sign
@@ -123,28 +123,18 @@ def _sign_average(k: int, poly_of) -> tuple[int, ...]:
                 total[q] += w * c
     kfac = factorial(k)
     if any(c % kfac for c in total):
-        raise ArithmeticError("character average is not integral")
+        raise AssertionError("character average is not integral")
     return tuple(c // kfac for c in total)
-
-
-def antiinv_dims_R(k: int) -> tuple[int, ...]:
-    """Anti-invariant dimensions of Lambda^q(V (x) R_k), all q at once.
-
-    Entry q of the result is the coefficient of t^q in the averaged
-    signed characteristic polynomial.
-    """
-    return _sign_average(k, _det_one_plus_t)
 
 
 def antiinv_dims_rho(k: int) -> tuple[int, ...]:
     """Same as antiinv_dims_R but for the standard summand rho_k.
 
-    Each class's characteristic polynomial is divided exactly by
-    (1 + t)^dim V, the contribution of the invariant line.
+    R_k = rho_k + 1, and averaging is linear, so the average for R_k is
+    divided exactly by (1 + t)^dim V, the contribution of the invariant
+    line.
     """
-    return _sign_average(
-        k, lambda lam: _poly_quotient(_det_one_plus_t(lam), _INVARIANT_LINE)
-    )
+    return tuple(_poly_quotient(antiinv_dims_R(k), _INVARIANT_LINE))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +261,7 @@ def verify_sym_map(k: int) -> Fraction:
     multiple of the expected product monomial, with one common constant
     across all generators; that constant is returned (the identification
     is only pinned up to a positive scalar, so it is reported rather
-    than asserted to be 1).  Failures raise AssertionError or ValueError.
+    than asserted to be 1).  Failures raise AssertionError.
 
     The tensors are built in integers, without the hats: omega-hat on
     k - 1 letters and the wedge each divide by (k-2)!, the map by k - 1,
@@ -309,7 +299,12 @@ def verify_sym_map(k: int) -> Fraction:
             if _scale(swap12, -1) != total:
                 raise AssertionError(f"image not anti-invariant at k={k}")
             expect_at = (k - 1) - (ua + (1 if v == 0 else 0))
-            c = scalar_multiple(total, targets[expect_at])
+            try:
+                c = scalar_multiple(total, targets[expect_at])
+            except ValueError as exc:
+                raise AssertionError(
+                    f"image not a multiple of its monomial at k={k}: {exc}"
+                ) from None
             if constant is None:
                 constant = c
             elif c != constant:

@@ -499,16 +499,18 @@ def test_verify_entry_cap_exits_two_with_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_verify_internal_fault_exits_three_with_traceback(capsys, monkeypatch):
+@pytest.mark.parametrize("fault", [TypeError, ValueError, ArithmeticError])
+def test_verify_internal_fault_exits_three_with_traceback(capsys, monkeypatch, fault):
+    # a case fails only by AssertionError: any other exception is a fault
     def broken(cfg):
         def boom():
-            raise TypeError("internal fault")
+            raise fault("internal fault")
         return [("broken case", boom)]
 
     monkeypatch.setitem(cli._SUITE_BUILDERS, "toeplitz", broken)
     rc, out, err = run(capsys, "verify", "--suite", "toeplitz")
     assert rc == 3 and out == ""
-    assert "Traceback" in err and "TypeError: internal fault" in err
+    assert "Traceback" in err and f"{fault.__name__}: internal fault" in err
 
 
 def test_internal_fault_exits_three_with_traceback(capsys, monkeypatch):

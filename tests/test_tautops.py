@@ -1075,6 +1075,19 @@ def test_transition_identity():
     assert report["orders_checked"] == 5
 
 
+def test_transition_catches_unsigned_supports(monkeypatch):
+    # both sides of the identity share the supports, so dropping their
+    # signs leaves it intact; the z^mu (z_2 - z_1)^m anchor does not
+    real = tautops._difference_support
+
+    def unsigned(mu, a0, a1, order):
+        return [(lam, abs(cf)) for lam, cf in real(mu, a0, a1, order)]
+
+    monkeypatch.setattr(tautops, "_difference_support", unsigned)
+    with pytest.raises(AssertionError, match="difference signs off"):
+        verify_transition()
+
+
 # ---------------------------------------------------------------------------
 # local formulas
 
@@ -1146,7 +1159,7 @@ def test_match_constant_detects_mismatch():
     ring = PolyRing(1, 2)
     x = x_of(ring, 1)
     y = y_of(ring, 1)
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(AssertionError, match="mismatch"):
         _match_constant("probe", {(1, 0): x.coeffs}, {(1, 0): (x + y).coeffs})
     assert _match_constant(
         "probe", {(1, 0): (3 * x).coeffs}, {(1, 0): (2 * x).coeffs}
