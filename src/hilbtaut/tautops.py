@@ -24,13 +24,20 @@ points.  Taking Hilbert series,
 
     dim K_d = sum over j of (j + 1) * dim K0_(d - j),
 
-at every number of stacked blocks.  The invariant systems are solved on
-all n points, since pinning a point breaks the relabeling action their
-column orbits rely on, and impose one label per orbit, from A0(k, l):
-the other labels of A(k, l) are void on invariant tuples (_rep_pairs).
+at every number of stacked blocks, where j + 1 = M(1, j) counts the
+degree-j polynomials on the one free point (_with_free_points).  The
+invariant systems are solved on all n points, since pinning a point
+breaks the relabeling action their column orbits rely on, and impose
+one label per orbit, from A0(k, l): the other labels of A(k, l) are
+void on invariant tuples (_rep_pairs).
 
-The graded pieces are nullities too: jet conditions of their ideal powers
-over columns folded into stabilizer orbits.  One engine, _nullities,
+The graded piece of a partition mu is solved on the l(mu) points its
+diagonals touch, as the nullity of the jet conditions of its ideal
+powers, one pair per stabilizer orbit of pairs, over columns folded
+into stabilizer orbits.  The other n - l(mu) points are free and only
+symmetrized, so the piece is that nullity tensored with the symmetric
+polynomials on them, whose degree-j dimension M(m, j) counts the
+multisets of m monomials of total degree j.  One engine, _nullities,
 solves the kernel and graded systems alike: it takes blocks of
 conditions (pair, degrees, support) and maps each jet functional straight
 onto its own (composition, exponent) columns, folded into relabeling
@@ -51,12 +58,14 @@ conditions carry integer weights, condition rows and column sums stay
 integers, and the elimination takes them as they are.  Sizes are bounded
 by a cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
-fast instead of grinding.  Every system's column key table, keys times
-points, is checked from its size before any column is built, folded or
-not; then each degree's stack of rows times its columns, the rows
-counted from sizes as the jets each block imposes, those of its own
-u-v-degrees.  Every degree passes both before any row is built.
-Exceeding either raises EntryCapError.
+fast instead of grinding.  The compositions a kernel system is keyed
+by, and the partitions graded_dims lists, are counted before either is
+listed.  Every system's column key table, keys times points, is checked
+from its size before any column is built, folded or not; then each
+degree's stack of rows times its columns, the rows counted from sizes
+as the jets each block imposes, those of its own u-v-degrees.  Every
+degree passes both before any row is built.  Exceeding any of these
+raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, cycle, permutations, product
+from itertools import accumulate, combinations, cycle, permutations, product
 from math import comb
 from operator import add
 
@@ -108,6 +117,36 @@ def _check_cap(nrows: int, ncols: int, context: str) -> None:
         raise EntryCapError(
             f"{context}: {nrows} x {ncols} matrix exceeds the entry cap {cap}; "
             "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it"
+        )
+
+
+def _check_partitions(k: int, n: int) -> None:
+    """Refuse, before any is listed, a table of the partitions of k into
+    at most n parts, each keyed by up to w = min(n, k) parts, of more
+    entries than the cap.
+
+    With w >= 2 there are at least k // 2 + 1 of them, so k above the
+    cap is refused outright.  Otherwise they are counted as partitions
+    of k into parts of size at most w, admitting sizes 1, 2, ... in
+    turn, and refused as soon as the count so far is too many.
+    """
+    width = min(n, k)
+    if width < 2:
+        return
+    cap = _max_entries()
+    count = k // 2 + 1
+    if k <= cap:
+        ways = [1] * (k + 1)  # partitions into parts of size 1
+        for part in range(2, width + 1):
+            for s in range(part, k + 1):
+                ways[s] += ways[s - part]
+            if ways[k] * width > cap:
+                break
+        count = ways[k]
+    if count * width > cap:
+        raise EntryCapError(
+            f"partitions of {k} into at most {n} parts: at least {count} x {width} "
+            f"exceeds the entry cap {cap}; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it"
         )
 
 
@@ -382,6 +421,8 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     Q[x_n, y_n] (see the module docstring); on one point there are no
     pairs, so no rows, and the whole space solves.
     """
+    # the degree-0 key table, checked before its compositions are listed
+    _check_cap(comb(n + k - 1, k), n, "column orbit keys" if invariant else "column keys")
     comps = enumerate_compositions(n, k)
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
@@ -390,10 +431,43 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     profile = _nullities(blocks, comps, ring, invariant, f"kernel system ({n},{k})")
     if not pinned:
         return profile
-    return [
-        [sum((j + 1) * dims[d - j] for j in range(d + 1)) for d in range(max_deg + 1)]
-        for dims in profile
-    ]
+    return [_with_free_points(dims, 1) for dims in profile]
+
+
+def _free_point_counts(m: int, max_deg: int) -> list:
+    """M(m, j) for j = 0..max_deg: the multisets of m monomials x^a y^b
+    of total degree j, which is the dimension of the degree-j symmetric
+    polynomials on m plane points.
+
+    Leaving out the monomial 1, such a multiset is one of at most
+    min(m, max_deg) monomials of positive degree.  table[s][j] counts
+    those of s monomials and degree j; the monomials of degree t, t + 1
+    of them, join c at a time in C(t + c, c) ways.  The cost is
+    O(max_deg^2 min(m, max_deg) log max_deg), whatever m.
+    """
+    size = min(m, max_deg)
+    table = [[1] + [0] * max_deg] + [[0] * (max_deg + 1) for _ in range(size)]
+    for t in range(1, max_deg + 1):
+        for s in range(size, 0, -1):  # rows below s still lack degree t
+            row = table[s]
+            for j in range(t, max_deg + 1):
+                row[j] += sum(
+                    comb(t + c, c) * table[s - c][j - c * t]
+                    for c in range(1, min(s, j // t) + 1)
+                )
+    return [sum(column) for column in zip(*table)]
+
+
+def _with_free_points(dims, m: int) -> list:
+    """Per-degree dimensions of a space tensored with the symmetric
+    polynomials on m more points: dims convolved with M(m, .).
+
+    A space J of polynomials on some points, tensored with
+    Q[x, y of m free points]^(S_m), has the product Hilbert series, so
+    its degree-d dimension is the sum over j of M(m, j) * dims[d - j].
+    """
+    free = _free_point_counts(m, len(dims) - 1)
+    return [sum(free[j] * dims[d - j] for j in range(d + 1)) for d in range(len(dims))]
 
 
 def kernel_nullity(
@@ -434,33 +508,58 @@ def graded_dims(
     index.  The two rules agree whenever every part below the top is
     minimal, in particular through weight four.
 
-    Each piece is the nullity, by the kernels' engine and under their
-    entry cap, of its jet conditions over the columns (padded mu,
-    exponent) folded into relabeling orbits.  Those orbits meet padded mu
-    in the stabilizer orbits of exponents, and the space is stable under
-    the stabilizer, so the nullity is the dimension of its fixed part.
-    Keys appear in refined order.
+    Each piece is solved on the r = l(mu) points its diagonals touch.
+    Every ideal power imposed is extended from the ring of those points,
+    so their intersection is J tensor the ring of the other n - r points,
+    and the stabilizer of padded mu, Stab(mu) times S_(n-r), acts factor
+    by factor: the fixed part is J^Stab(mu) tensor the symmetric
+    polynomials on n - r free points (_with_free_points).  The first
+    factor is the nullity, by the kernels' engine and under their entry
+    cap, of the jet conditions over the columns (mu, exponent) folded
+    into relabeling orbits, which meet mu in its stabilizer orbits.  Both
+    rules' exponents depend only on the two parts of a pair, and a fixed
+    polynomial lies in I_A^e exactly when it lies in I_(sigma A)^e, so
+    one pair stands for each Stab(mu)-orbit of pairs, named by its two
+    parts.  The empty partition, k = 0, leaves all n points free.
+
+    The partitions are counted against the entry cap, times their width
+    min(n, k), before any is listed.  Keys appear in refined order.
     """
     if exponent_rule not in EXPONENT_RULES:
         raise ValueError(f"exponent_rule must be one of {EXPONENT_RULES}")
     if n < 1 or k < 0 or max_deg < 0:
         raise ValueError("need n >= 1, k >= 0, max_deg >= 0")
-    ring = PolyRing(n, max_deg)
+    _check_partitions(k, n)
+    uniform = exponent_rule == "uniform_2m_mu"
     out: dict = {}
     for mu in enumerate_partitions(k, n):
         r = len(mu)
-        mu_bar = tuple(mu) + (0,) * (n - r)
-        block = []
-        for i in range(1, r + 1):
-            for j in range(i + 1, r + 1):
-                if exponent_rule == "uniform_2m_mu":
-                    e = 2 * m_mu(mu)
-                else:
-                    e = 2 * mu[j - 1]
-                block.append(((i, j), range(e), [(mu_bar, 1)]))
-        piece = _nullities([block], [mu_bar], ring, True, f"graded piece {mu} ({n},{k})")
-        out[tuple(mu)] = tuple(accumulate(piece[1]))
+        piece = [1] + [0] * max_deg  # no parts: every point is free
+        if r:
+            block = [
+                (A, range(2 * (m_mu(mu) if uniform else q)), [(mu, 1)])
+                for A, q in _orbit_pairs(mu)
+            ]
+            ring = PolyRing(r, max_deg)
+            piece = _nullities([block], [mu], ring, True, f"graded piece {mu} ({n},{k})")[1]
+        out[mu] = tuple(accumulate(_with_free_points(piece, n - r)))
     return out
+
+
+def _orbit_pairs(mu) -> list:
+    """One pair of points (i, j), i < j, per orbit of the stabilizer of
+    the partition mu on pairs, each with mu_j, the smaller of its parts.
+
+    The stabilizer permutes the points carrying equal parts, so an orbit
+    is named by its unordered pair of parts, and its first pair is taken:
+    the first two points of a repeated part p, or the first points of
+    two parts p > q, which come in that order.
+    """
+    first: dict = {}  # each part, in decreasing order, at its first point
+    for i, p in enumerate(mu, start=1):
+        first.setdefault(p, i)
+    twins = [((i, i + 1), p) for p, i in first.items() if i < len(mu) and mu[i] == p]
+    return twins + [((first[p], first[q]), q) for p, q in combinations(first, 2)]
 
 
 def graded_totals(pieces: dict) -> tuple:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut import cli
+from hilbtaut import cli, tautops
 from hilbtaut.rroch import BUILTIN_SURFACES
 from hilbtaut.tautops import EXPONENT_RULES
 
@@ -569,11 +569,49 @@ def test_orbit_keys_over_the_cap_exit_two(capsys):
     # 718,800 unfolded keys of 600 slots at degree 1, refused unbuilt
     (("kernel", "--full", "--n", "600", "--k", "1", "--max-degree", "2"),
      "error: column keys: 718800 x 600"),
-    # the degree-2 monomials of 1,200 variables are never enumerated
-    (("graded", "--n", "600", "--k", "1", "--max-degree", "2"),
-     "error: column orbit keys: 720600 x 600"),
 ])
 def test_column_keys_over_the_cap_exit_two(capsys, argv, prefix):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(prefix) and "cap" in err
+    assert err.count("\n") == 1
+
+
+_GRADED_600 = ("graded", "--n", "600", "--k", "1", "--max-degree", "2")
+
+
+def test_graded_answers_six_hundred_points_at_degree_two(capsys, monkeypatch):
+    # the piece (1) is solved on its one point, and the other 599 points are
+    # only symmetrized: 1, 4 and 13 in degrees 0, 1 and 2
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    rc, out, _ = run(capsys, *_GRADED_600, "--format", "json")
+    assert rc == 0 and json.loads(out)["totals"] == [1, 5, 18]
+
+
+def test_graded_column_orbit_keys_over_a_lowered_cap_exit_two(capsys, monkeypatch):
+    # the piece's degree-2 key table is its 3 monomials on one point
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "2")
+    rc, out, err = run(capsys, *_GRADED_600)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: column orbit keys: 3 x 1") and "cap" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    # C(59, 30) compositions of 30 slots
+    (("kernel", "--exploratory", "--n", "30", "--k", "30", "--max-degree", "0"),
+     "error: column orbit keys: 59132290782430712 x 30"),
+    # 190,569,292 partitions of 100, counted until they are too many
+    (("graded", "--exploratory", "--n", "100", "--k", "100", "--max-degree", "0"),
+     "error: partitions of 100 into at most 100 parts: at least 46262 x 100"),
+])
+def test_enumerations_over_the_cap_exit_two_unlisted(capsys, monkeypatch, argv, prefix):
+    def unlisted(*args):
+        raise AssertionError("listed before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "enumerate_compositions", unlisted)
+    monkeypatch.setattr(tautops, "enumerate_partitions", unlisted)
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith(prefix) and "cap" in err

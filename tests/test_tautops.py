@@ -10,7 +10,7 @@ of sizes against the Reynolds average of an explicit ideal-power basis.
 
 import re
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import pytest
@@ -33,10 +33,12 @@ from hilbtaut.tautops import (
     _columns,
     _difference_block,
     _difference_support,
+    _free_point_counts,
     _jet_count,
     _match_constant,
     _nullities,
     _nullity_profile,
+    _orbit_pairs,
     _product,
     _rep_pairs,
     _translation_free,
@@ -449,12 +451,14 @@ def test_condition_rows_have_integer_weights(monkeypatch):
     assert all(received)
 
 
-def _graded_block(n, k, mu):
+def _graded_block(mu):
     """The uniform-rule condition block of the graded piece mu, as graded_dims
-    builds it, with its padded composition."""
-    mu_bar = tuple(mu) + (0,) * (n - len(mu))
-    pairs = [(i, j) for i in range(1, len(mu) + 1) for j in range(i + 1, len(mu) + 1)]
-    return [(A, range(2 * m_mu(mu)), [(mu_bar, 1)]) for A in pairs], mu_bar
+    builds it on the l(mu) points of mu: one pair per orbit of the stabilizer
+    of mu, named by the two parts, taken as the first pair of those parts."""
+    pairs = {}
+    for i, j in combinations(range(1, len(mu) + 1), 2):
+        pairs.setdefault((mu[i - 1], mu[j - 1]), (i, j))
+    return [(A, range(2 * m_mu(mu)), [(mu, 1)]) for A in pairs.values()]
 
 
 @pytest.mark.parametrize(
@@ -472,7 +476,10 @@ def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, inva
     pairs = _rep_pairs if invariant else _all_pairs
     blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
     if invariant:
-        blocks.append(_graded_block(n, k, (2,) + (1,) * (k - 2))[0])
+        # a graded-style block, every u-v-degree below its exponent, on n slots
+        mu = (2,) + (1,) * (k - 2)
+        padded = mu + (0,) * (n - len(mu))
+        blocks.append([(A, degrees, [(padded, 1)]) for A, degrees, _ in _graded_block(mu)])
     expected = [0] * (max_deg + 1)
     for block in blocks:
         for A, degrees, support in block:
@@ -566,7 +573,7 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
     n, k, max_deg = 3, 4, 3
     if system == "graded":
         graded_dims(n, k, max_deg)
-        systems = [(PolyRing(n, max_deg), [_graded_block(n, k, mu)[0]])
+        systems = [(PolyRing(len(mu), max_deg), [_graded_block(mu)])
                    for mu in enumerate_partitions(k, n)]
     else:
         kernel_nullity(n, k, max_deg, invariant=system == "invariant")
@@ -640,8 +647,7 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
     if system == "graded":
         for mu, e in [((2, 2), 4), ((2, 1, 1), 2)]:
             calls.clear()
-            block, mu_bar = _graded_block(n, k, mu)
-            _nullities([block], [mu_bar], PolyRing(n, 4), True, "graded piece")
+            _nullities([_graded_block(mu)], [mu], PolyRing(len(mu), 4), True, "graded piece")
             assert {d for _, _, d, _ in calls} == set(range(5))
             for A, ring, d, built in _built_keys(calls):
                 assert built == _upper_keys(ring, A, d, range(e))
@@ -684,8 +690,8 @@ def test_column_count_mirrors_the_upper_half():
 @pytest.mark.parametrize("system", ["invariant", "pinned", "unpinned", "graded"])
 def test_x_degree_blocks_are_independent_and_mirror(system):
     if system == "graded":
-        block, mu_bar = _graded_block(3, 4, (2, 1, 1))
-        ring, comps, fold, blocks = PolyRing(3, 4), [mu_bar], True, [block]
+        mu = (2, 1, 1)
+        ring, comps, fold, blocks = PolyRing(3, 4), [mu], True, [_graded_block(mu)]
     else:
         n, k = (3, 3) if system == "unpinned" else (3, 4)
         ring = PolyRing(n - 1 if system == "pinned" else n, 3)
@@ -889,16 +895,73 @@ def test_graded_rejects_unknown_rule():
 
 
 # (3, 5, 4) is where the two rules first separate, at (2, 2, 1) in degree 4.
+# The last five have pieces on fewer points than n and with repeated parts.
 @pytest.mark.parametrize(
     "n,k,max_deg",
     [(1, 3, 3), (2, 0, 3), (3, 0, 2), (2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3),
-     (3, 4, 3), (3, 5, 4), (4, 3, 3)],
+     (3, 4, 3), (3, 5, 4), (4, 3, 3),
+     (4, 2, 3), (4, 4, 3), (5, 2, 2), (5, 3, 2), (3, 6, 3)],
 )
 def test_graded_matches_reynolds_average(n, k, max_deg):
     for rule in EXPONENT_RULES:
         assert graded_dims(n, k, max_deg, exponent_rule=rule) == reynolds_graded_dims(
             n, k, max_deg, rule
         )
+
+
+def test_orbit_pairs_take_the_first_pair_of_each_pair_of_parts():
+    for k in range(10):
+        for mu in enumerate_partitions(k, max(k, 1)):
+            pairs = _orbit_pairs(mu)
+            assert sorted(A for A, _ in pairs) == sorted(A for A, _, _ in _graded_block(mu))
+            assert all(q == mu[j - 1] for (i, j), q in pairs)
+
+
+def test_free_point_counts_match_folded_columns():
+    # M(m, d) counts the S_m-orbits of degree-d monomials on m points: the
+    # folded columns of the all-zero composition
+    for m in range(1, 5):
+        ring = PolyRing(m, 5)
+        folded = [_columns([(0,) * m], ring, d, True)[0] for d in range(6)]
+        assert _free_point_counts(m, 5) == folded
+    assert _free_point_counts(0, 5) == [1, 0, 0, 0, 0, 0]
+    # a multiset of degree at most 5 holds at most 5 monomials other than 1
+    assert _free_point_counts(10**9, 5) == _free_point_counts(5, 5)
+
+
+def test_compositions_over_the_cap_are_refused_unlisted(monkeypatch):
+    # C(59, 30) = 59,132,290,782,430,712 compositions of 30 into 30 slots
+    def unlisted(*args):
+        raise AssertionError("compositions listed before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "enumerate_compositions", unlisted)
+    for invariant, table in [(True, "column orbit keys"), (False, "column keys")]:
+        with pytest.raises(EntryCapError, match=f"{table}: 59132290782430712 x 30 "):
+            kernel_nullity(30, 30, 0, invariant=invariant)
+
+
+def test_partitions_over_the_cap_are_refused_unlisted(monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("partitions listed before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "enumerate_partitions", unlisted)
+    # counting stops once the count is too many: the 46,262 partitions of 100
+    # into parts of size at most 5, 100 wide, are over 2,000,000 entries
+    with pytest.raises(EntryCapError, match="partitions of 100 into at most 100 parts: "
+                                            "at least 46262 x 100 "):
+        graded_dims(100, 100, 0)
+    # k past the cap: k // 2 + 1 partitions into at most two parts, uncounted
+    with pytest.raises(EntryCapError, match=r"at least 500000000001 x 2 "):
+        graded_dims(2, 10**12, 0)
+    monkeypatch.undo()
+    # 14 partitions of 10 into at most 3 parts, 3 wide, counted exactly
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "42")
+    assert len(graded_dims(3, 10, 0)) == 14
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "41")
+    with pytest.raises(EntryCapError, match="at least 14 x 3 exceeds the entry cap 41"):
+        graded_dims(3, 10, 0)
 
 
 def test_graded_keys_in_refined_order():
