@@ -25,7 +25,8 @@ condition, and scaling it away leaves the kernel as it is.  When the
 last point is pinned at the origin, the ideals of pairs ending there are
 already monomial, and each of their conditions is one coefficient.
 _jet_functionals builds the conditions of a list of keys of one degree
-whose u-v-degree lies in a given range, for either kind of pair;
+whose u-v-degree lies in a given range, possibly stepped, for either
+kind of pair;
 jet_conditions maps it over every key, with the range of all u-v-degrees
 below the order.
 """
@@ -135,7 +136,9 @@ def _jet_functionals(A, degrees: range, ring: PolyRing, keys) -> list:
     I_A^m is cut out by the keys of u-v-degree below m, degrees =
     range(m), and no functional, pinned or not, depends on m: the order
     only selects keys.  So a stacked kernel block of order o asks for
-    u-v-degree o - 1 alone.  Its difference satisfies
+    u-v-degree o - 1 alone, and a graded piece at a pair of equal parts
+    for the even ones below m, range(0, m, 2), as its odd ones fold to
+    zero (see tautops.graded_dims).  Its difference satisfies
     D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), and it pairs with the
     functional of a key of u-v-degree below o - 1 as that difference of
     two rows of the block below does (see tautops._nullities).
@@ -143,8 +146,7 @@ def _jet_functionals(A, degrees: range, ring: PolyRing, keys) -> list:
     a0, a1 = A
     n = ring.n
     ix0, iy0 = a0 - 1, n + a0 - 1
-    lo, hi = degrees.start, degrees.stop
-    keys = [key for key in keys if lo <= key[ix0] + key[iy0] < hi]
+    keys = [key for key in keys if key[ix0] + key[iy0] in degrees]
     if a1 > n:
         return [{key: 1} for key in keys]
     if not keys:

@@ -34,14 +34,20 @@ void on invariant tuples (_rep_pairs).
 The graded piece of a partition mu is solved on the l(mu) points its
 diagonals touch, as the nullity of the jet conditions of its ideal
 powers, one pair per stabilizer orbit of pairs, over columns folded
-into stabilizer orbits.  The other n - l(mu) points are free and only
-symmetrized, so the piece is that nullity tensored with the symmetric
-polynomials on them, whose degree-j dimension M(m, j) counts the
-multisets of m monomials of total degree j.  One engine, _nullities,
-solves the kernel and graded systems alike: it takes blocks of
-conditions (pair, degrees, support) and maps each jet functional straight
-onto its own (composition, exponent) columns, folded into relabeling
-orbits or not.  Every row is bihomogeneous in (x-degree, y-degree), so
+into stabilizer orbits.  At a pair of equal parts only the jets of even
+u-v-degree are imposed: the pair's transposition lies in the
+stabilizer, and folds every odd one to zero.  The other n - l(mu)
+points are free and only symmetrized, so the piece is that nullity
+tensored with the symmetric polynomials on them, whose degree-j
+dimension M(m, j) counts the multisets of m monomials of total degree
+j.  One engine, _nullities, solves the kernel and graded systems alike:
+it takes blocks of conditions (pair, degrees, support) and maps each jet
+functional straight onto its own (composition, exponent) columns,
+through one table {exponent: column} per composition, folded into
+relabeling orbits or not.  Folded orbits are keyed at the
+non-increasing compositions alone, where each first appears, and the
+table of any other composition a support names is filled on first use.
+Every row is bihomogeneous in (x-degree, y-degree), so
 degree d splits into d + 1 blocks of x-degree g sharing no column, and
 swapping x and y, which fixes every diagonal ideal, gives blocks g and
 d - g equal rank: only the columns and rows of 2g >= d are built and
@@ -61,11 +67,14 @@ by a cap (override with the environment variable
 fast instead of grinding.  The compositions a kernel system is keyed
 by, and the partitions graded_dims lists, are counted before either is
 listed.  Every system's column key table, keys times points, is checked
-from its size before any column is built, folded or not; then each
-degree's stack of rows times its columns, the rows counted from sizes
-as the jets each block imposes, those of its own u-v-degrees.  Every
-degree passes both before any row is built.  Exceeding any of these
-raises EntryCapError.
+from its size before any column is built, folded or not, and bounds
+the whole table though a folded one keys fewer; then each degree's
+stack of rows times its columns, the rows counted from sizes as the
+jets each block imposes, those of its own u-v-degrees.  Every degree
+passes both before any row is built, and a full kernel system, whose
+columns are its keys and whose labels are counted with binomials,
+passes both before any composition or label is listed.  Exceeding any
+of these raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -73,7 +82,8 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, combinations, cycle, permutations, product
+from functools import lru_cache
+from itertools import accumulate, combinations, cycle, permutations
 from math import comb
 from operator import add
 
@@ -259,64 +269,101 @@ def _difference_block(level: int, pairs) -> list:
     return [(A, degrees, _difference_support(mu, A[0], A[1], order)) for mu, A in pairs]
 
 
-def _jet_count(ring: PolyRing, order: int, d: int) -> int:
-    """How many degree-d jets cut out I_A^order, pinned pair or not.
+def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
+    """How many degree-d jets of a pair, pinned or not, have their
+    u-v-degree, the degree of their key in the first point of the pair,
+    in degrees.
 
-    One functional per degree-d key whose u-v-degree, its degree in the
-    first point of A, is below the order: a point's two variables carry
-    degree s in s + 1 ways, and the other nvars - 2 variables take the
-    rest.  A condition keeping the u-v-degrees in range(lo, hi) has
-    _jet_count(ring, hi, d) - _jet_count(ring, lo, d) of them.
+    One functional per degree-d key of such a u-v-degree s: a point's
+    two variables carry degree s in s + 1 ways, and the other nvars - 2
+    variables take the rest.  I_A^order is cut out by those of
+    range(order); a stacked kernel block keeps one u-v-degree, and a
+    graded piece at a pair of equal parts the even ones alone.
     """
     rest = ring.nvars - 2
     return sum(
         (s + 1) * (comb(rest + d - s - 1, d - s) if rest else int(s == d))
-        for s in range(min(order, d + 1))
+        for s in degrees
+        if s <= d
     )
 
 
-def _upper_half(ring: PolyRing, d: int) -> list:
-    """The degree-d monomials of ring of x-degree g with 2g >= d, in the
-    ring's order: the exponents of every column key and row built."""
-    n = ring.n
-    return [e for e in ring.monomials(d) if 2 * sum(e[:n]) >= d]
+@lru_cache(maxsize=None)
+def _upper_half(n: int, d: int) -> tuple:
+    """The degree-d monomials on n points of x-degree g with 2g >= d, in
+    the ring's order: the exponents of every column key and row built.
+    Listed once per (n, d) in a process."""
+    return tuple(e for e in PolyRing(n, d).monomials(d) if 2 * sum(e[:n]) >= d)
+
+
+class _OrbitTables(dict):
+    """Folded column tables, {lam: {e: column}}, over the orbit ids of
+    _columns.  The table of a composition not keyed there is filled on
+    first use, each exponent's column looked up by the orbit key of its
+    key (lam, e)."""
+
+    def __init__(self, ids: dict, n: int, upper: tuple):
+        super().__init__()
+        self.ids, self.n, self.upper = ids, n, upper
+
+    def __missing__(self, lam):
+        n, ids = self.n, self.ids
+        table = self[lam] = {e: ids[tuple(sorted(zip(lam, e[:n], e[n:])))] for e in self.upper}
+        return table
 
 
 def _columns(comps, ring: PolyRing, d: int, fold: bool):
-    """(ncols, index): how many columns the keys (lam, e) make, lam in
-    comps and e a degree-d monomial of ring, and the column of every key
-    whose exponent has x-degree g with 2g >= d.
+    """(ncols, tables): how many columns the keys (lam, e) make, lam in
+    comps and e a degree-d monomial of ring, and per composition lam a
+    table {e: column} over the exponents of x-degree g with 2g >= d.
 
-    Unfolded, each key is its own column.  Folded, keys are grouped into
-    orbits under slot relabeling, which sends the coefficient of x_lam
-    at e to that of x_(lam o sigma) at the sigma-permuted exponent, with
-    no sign; an invariant tuple is constant on each orbit.  Since sigma
-    permutes the slots of lam and of both blocks of e together, the
-    sorted triples (lam_i, e_i, e_(n+i)) name the orbit.  Swapping x and
-    y maps the keys, and so the orbits, of x-degree g one-to-one onto
-    those of d - g, so only 2g >= d is keyed and ncols still counts
-    every column: an orbit of 2g > d counts twice.  Columns are numbered
-    by first appearance, lam outer and e inner.  The key table, keys
-    times points (the slots of lam), is checked against the entry cap
-    from its size, before any monomial or key is built.
+    Columns are numbered by first appearance, lam outer and e inner.
+    Unfolded, each key is its own column, so a table is its
+    composition's offset plus each exponent's position.  Folded, keys
+    are grouped into orbits under slot relabeling, which sends the
+    coefficient of x_lam at e to that of x_(lam o sigma) at the
+    sigma-permuted exponent, with no sign; an invariant tuple is
+    constant on each orbit.  Since sigma permutes the slots of lam and
+    of both blocks of e together, the sorted triples (lam_i, e_i,
+    e_(n+i)) name the orbit.  comps is every composition of its weight,
+    in reverse lexicographic order, or one non-increasing composition,
+    whose orbits are those of its stabilizer.  Either way an orbit first
+    appears at a composition non-increasing on the ring's n points, so
+    orbits are keyed there alone, each column keeping its number, and the table of any other
+    composition is filled on first use from the orbit keys
+    (_OrbitTables): only the compositions a condition's support names
+    are ever filled.  Swapping x and y maps the keys, and so the orbits,
+    of x-degree g one-to-one onto those of d - g, so only 2g >= d is
+    keyed and ncols still counts every column: an orbit of 2g > d counts
+    twice.  The key table, every key times points (the slots of lam), is
+    checked against the entry cap from its size before any monomial or
+    key is built; it bounds every key, though fewer are built.
     """
     keys = len(comps) * comb(ring.nvars + d - 1, d)
     _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
     n = ring.n
-    cols = product(comps, _upper_half(ring, d))
+    upper = _upper_half(n, d)
     if not fold:
-        return keys, {key: i for i, key in enumerate(cols)}
+        width = len(upper)
+        return keys, {
+            lam: dict(zip(upper, range(i * width, (i + 1) * width)))
+            for i, lam in enumerate(comps)
+        }
     ids: dict = {}
-    index = {}
+    tables = _OrbitTables(ids, n, upper)
     ncols = 0
-    for lam, e in cols:
-        key = tuple(sorted(zip(lam, e[:n], e[n:])))
-        col = ids.get(key)
-        if col is None:
-            col = ids[key] = len(ids)
-            ncols += 1 if 2 * sum(e[:n]) == d else 2
-        index[(lam, e)] = col
-    return ncols, index
+    for lam in comps:
+        if any(a < b for a, b in zip(lam, lam[1:n])):
+            continue
+        table = tables[lam] = {}
+        for e in upper:
+            key = tuple(sorted(zip(lam, e[:n], e[n:])))
+            col = ids.get(key)
+            if col is None:
+                col = ids[key] = len(ids)
+                ncols += 1 if 2 * sum(e[:n]) == d else 2
+            table[e] = col
+    return ncols, tables
 
 
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
@@ -326,9 +373,9 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     of I_A (with a point pinned at the origin when A ends one point past
     the ring's last) at the keys whose u-v-degree lies in the range
     degrees, each times the support's composition weights.  A functional
-    maps exponents e to integer weights c; its row puts cf * c on the
-    column of (lam, e), as _columns(comps, ring, d, fold) numbers them,
-    for every (lam, cf) in support, and keys sharing a column add up; an
+    maps exponents e to integer weights c; its row puts cf * c on column
+    table[e] of the table _columns(comps, ring, d, fold) gives lam, for
+    every (lam, cf) in support, and keys sharing a column add up; an
     entry whose sum cancels is dropped, so rows hold no zeros.  A tuple
     satisfies the block when every row pairs to zero against its
     coefficients.  Level l imposes the first l blocks.  The result is
@@ -336,15 +383,17 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     ring.max_deg.
 
     A graded piece is one block, and its conditions keep every
-    u-v-degree below its exponent e, range(e).  A stacked kernel block
-    of order o keeps u-v-degree o - 1 alone, range(o - 1, o).  Pascal's
-    rule gives D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), and a
-    functional does not depend on the order it is built for, so the row
-    of a lower key is the difference of two rows of block o - 1 and, by
-    induction, lies in the span of the blocks below.  Every level thus
-    has the nullity of the stack that keeps every jet below each block's
-    order.  This holds folded too: a relabeling keeps a key's u-v-degree,
-    and a representative label's rows stand for those of its whole orbit.
+    u-v-degree below its exponent e, range(e), or at a pair of equal
+    parts the even ones, range(0, e, 2) (see graded_dims).  A stacked
+    kernel block of order o keeps u-v-degree o - 1 alone, range(o - 1, o).
+    Pascal's rule gives D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0),
+    and a functional does not depend on the order it is built for, so
+    the row of a lower key is the difference of two rows of block o - 1
+    and, by induction, lies in the span of the blocks below.  Every
+    level thus has the nullity of the stack that keeps every jet below
+    each block's order.  This holds folded too: a relabeling keeps a
+    key's u-v-degree, and a representative label's rows stand for those
+    of its whole orbit.
 
     Every degree is checked against the cap before any row is built:
     first its key table, then its stack, rows times columns, with the
@@ -365,20 +414,18 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     off right after block l.
     """
     n = ring.n
-    tables = []
+    columns = []
     for d in range(ring.max_deg + 1):
-        ncols, colmap = _columns(comps, ring, d, fold)
+        ncols, tables = _columns(comps, ring, d, fold)
         nrows = sum(
-            _jet_count(ring, degrees.stop, d) - _jet_count(ring, degrees.start, d)
-            for block in blocks
-            for _, degrees, _ in block
+            _jet_count(ring, degrees, d) for block in blocks for _, degrees, _ in block
         )
         if nrows:
             _check_cap(nrows, ncols, context)
-        tables.append((ncols, colmap))
+        columns.append((ncols, tables))
     profile: list = [[] for _ in range(len(blocks) + 1)]
-    for d, (ncols, colmap) in enumerate(tables):
-        keys = _upper_half(ring, d)[::-1]  # sorted, as jet_conditions orders them
+    for d, (ncols, tables) in enumerate(columns):
+        keys = _upper_half(n, d)[::-1]  # sorted, as jet_conditions orders them
         jets: dict = {}
         pivots: dict = {}
         rank = 0
@@ -395,8 +442,9 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
                 for g, functional in built:
                     row: dict = {}
                     for lam, cf in support:
+                        table = tables[lam]
                         for e, c in functional.items():
-                            col = colmap[lam, e]
+                            col = table[e]
                             v = row.get(col, 0) + cf * c
                             if v:
                                 row[col] = v
@@ -411,6 +459,25 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     return profile
 
 
+def _check_full_system(n: int, k: int, ring: PolyRing, context: str) -> None:
+    """Refuse a full kernel system over the cap from its sizes alone,
+    before any composition or label is listed, checking each degree as
+    _nullities does: its key table, then its stack.  Its columns are its
+    keys, C(n + k - 1, k) compositions times the degree-d monomials of
+    ring, and each label of order o, one of
+    |B(k, o, n)| = C(n, 2) C(n + k - o - 1, n - 1), imposes the jets of
+    u-v-degree o - 1."""
+    for d in range(ring.max_deg + 1):
+        keys = comb(n + k - 1, k) * comb(ring.nvars + d - 1, d)
+        _check_cap(keys, n, "column keys")
+        nrows = comb(n, 2) * sum(
+            comb(n + k - o - 1, n - 1) * _jet_count(ring, range(o - 1, o), d)
+            for o in range(1, k)
+        )
+        if nrows:
+            _check_cap(nrows, keys, context)
+
+
 def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     """Per-degree nullities of the stacked kernel systems, at every level.
 
@@ -421,14 +488,18 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     Q[x_n, y_n] (see the module docstring); on one point there are no
     pairs, so no rows, and the whole space solves.
     """
-    # the degree-0 key table, checked before its compositions are listed
-    _check_cap(comb(n + k - 1, k), n, "column orbit keys" if invariant else "column keys")
-    comps = enumerate_compositions(n, k)
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
+    context = f"kernel system ({n},{k})"
+    if invariant:
+        # the degree-0 key table, checked before its compositions are listed
+        _check_cap(comb(n + k - 1, k), n, "column orbit keys")
+    else:
+        _check_full_system(n, k, ring, context)
+    comps = enumerate_compositions(n, k)
     pairs = _rep_pairs if invariant else _all_pairs
     blocks = [_difference_block(level, pairs(n, k, level)) for level in range(max(k - 1, 0))]
-    profile = _nullities(blocks, comps, ring, invariant, f"kernel system ({n},{k})")
+    profile = _nullities(blocks, comps, ring, invariant, context)
     if not pinned:
         return profile
     return [_with_free_points(dims, 1) for dims in profile]
@@ -520,7 +591,12 @@ def graded_dims(
     rules' exponents depend only on the two parts of a pair, and a fixed
     polynomial lies in I_A^e exactly when it lies in I_(sigma A)^e, so
     one pair stands for each Stab(mu)-orbit of pairs, named by its two
-    parts.  The empty partition, k = 0, leaves all n points free.
+    parts.  A pair of equal parts imposes the even u-v-degrees below e
+    alone, range(0, e, 2): its transposition lies in Stab(mu), sends the
+    pair's u and v to -u and -v and fixes s, t and the other points, so
+    the folded row of a key of odd u-v-degree equals its own negative
+    and is zero, as for the A0 labels (_rep_pairs).  The empty
+    partition, k = 0, leaves all n points free.
 
     The partitions are counted against the entry cap, times their width
     min(n, k), before any is listed.  Keys appear in refined order.
@@ -537,7 +613,9 @@ def graded_dims(
         piece = [1] + [0] * max_deg  # no parts: every point is free
         if r:
             block = [
-                (A, range(2 * (m_mu(mu) if uniform else q)), [(mu, 1)])
+                # a pair of equal parts keeps the even u-v-degrees alone
+                (A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
+                 [(mu, 1)])
                 for A, q in _orbit_pairs(mu)
             ]
             ring = PolyRing(r, max_deg)

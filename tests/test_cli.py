@@ -618,6 +618,22 @@ def test_enumerations_over_the_cap_exit_two_unlisted(capsys, monkeypatch, argv, 
     assert err.count("\n") == 1
 
 
+def test_full_stack_over_the_cap_exits_two_before_labels_are_listed(capsys, monkeypatch):
+    # 4950 pairs times the 100 compositions of 1: 495,000 rows by the 5050
+    # compositions of 2 at degree 0, counted from sizes
+    def unlisted(*args):
+        raise AssertionError("listed before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    for name in ("enumerate_compositions", "_all_pairs", "_rep_pairs", "quotient_B"):
+        monkeypatch.setattr(tautops, name, unlisted)
+    rc, out, err = run(capsys, "kernel", "--full", "--n", "100", "--k", "2",
+                       "--max-degree", "1")
+    assert rc == 2 and out == ""
+    assert err == ("error: kernel system (100,2): 495000 x 5050 matrix exceeds the entry "
+                   "cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
+
+
 def test_row_stack_over_the_cap_exits_two_before_building(capsys):
     # 136,800 rows by 7,980 columns at degree 1, counted from sizes
     rc, out, err = run(capsys, "kernel", "--full", "--n", "20", "--k", "2",

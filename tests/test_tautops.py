@@ -214,6 +214,13 @@ def reference_columns(comps, ring, d, fold):
     return len(ids), index
 
 
+def table_index(tables, comps):
+    """The tables _columns gives, one {e: column} per composition, as one
+    index keyed (lam, e) over comps; a folded table not keyed yet is
+    filled on this first use."""
+    return {(lam, e): col for lam in comps for e, col in tables[lam].items()}
+
+
 def unpinned_full_profile(n, k, max_deg):
     """Per-degree nullities of the full stacked systems on all n points.
 
@@ -381,7 +388,8 @@ def test_column_orbits_match_relabeling_action():
                 lam: folded[lam] + term[lam] for lam in folded
             }
     monos = ring.monomials(2)
-    count, index = _columns(comps, ring, 2, True)
+    count, tables = _columns(comps, ring, 2, True)
+    index = table_index(tables, comps)
     upper = [(lam, e) for lam in comps for e in monos if 2 * sum(e[:3]) >= 2]
     assert set(index) == set(upper)
     orbit_values = {}
@@ -454,20 +462,23 @@ def test_condition_rows_have_integer_weights(monkeypatch):
 def _graded_block(mu):
     """The uniform-rule condition block of the graded piece mu, as graded_dims
     builds it on the l(mu) points of mu: one pair per orbit of the stabilizer
-    of mu, named by the two parts, taken as the first pair of those parts."""
+    of mu, named by the two parts, taken as the first pair of those parts.  A
+    pair of equal parts keeps the even u-v-degrees below the exponent alone."""
     pairs = {}
     for i, j in combinations(range(1, len(mu) + 1), 2):
         pairs.setdefault((mu[i - 1], mu[j - 1]), (i, j))
-    return [(A, range(2 * m_mu(mu)), [(mu, 1)]) for A in pairs.values()]
+    return [(A, range(0, 2 * m_mu(mu), 2 if p == q else 1), [(mu, 1)])
+            for (p, q), A in pairs.items()]
 
 
 @pytest.mark.parametrize(
     "n,k,max_deg,invariant",
-    [(2, 3, 4, True), (2, 4, 4, False), (3, 3, 3, True), (3, 4, 3, False), (4, 3, 2, True)],
+    [(2, 3, 4, True), (2, 4, 4, False), (3, 3, 3, True), (3, 4, 3, False), (4, 3, 2, True),
+     (3, 4, 3, True)],
 )
 def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, invariant):
-    # The cap counts, per condition, the reference rows of its order less
-    # those of the order its range of u-v-degrees starts at.
+    # The cap counts, per condition and per u-v-degree s it keeps, the
+    # reference rows of order s + 1 less those of order s.
     def rows_below(A, order, support):
         rows = reference_condition_rows(ring, [(A, range(order), support)]) if order else {}
         return {d: {frozenset(row.items()) for row in r} for d, r in rows.items()}
@@ -476,17 +487,20 @@ def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, inva
     pairs = _rep_pairs if invariant else _all_pairs
     blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
     if invariant:
-        # a graded-style block, every u-v-degree below its exponent, on n slots
-        mu = (2,) + (1,) * (k - 2)
-        padded = mu + (0,) * (n - len(mu))
-        blocks.append([(A, degrees, [(padded, 1)]) for A, degrees, _ in _graded_block(mu)])
+        # graded-style blocks, every u-v-degree below their exponent, on n
+        # slots: (2, 1, ...), and (2, 2), whose pair of equal parts steps by two
+        for mu in [(2,) + (1,) * (k - 2)] + [(2, 2)] * (k == 4):
+            padded = mu + (0,) * (n - len(mu))
+            blocks.append([(A, degrees, [(padded, 1)]) for A, degrees, _ in _graded_block(mu)])
+        assert k != 4 or blocks[-1][0][1] == range(0, 4, 2)
     expected = [0] * (max_deg + 1)
     for block in blocks:
         for A, degrees, support in block:
-            kept = rows_below(A, degrees.stop, support)
-            implied = rows_below(A, degrees.start, support)
-            for d in range(max_deg + 1):
-                expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
+            for s in degrees:
+                kept = rows_below(A, s + 1, support)
+                implied = rows_below(A, s, support)
+                for d in range(max_deg + 1):
+                    expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
     counted = []
 
     def recorded(nrows, ncols, context):
@@ -504,7 +518,7 @@ def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, inva
             ):
                 degrees = [sum(next(iter(f))) for f in jets]
                 for d in range(5):
-                    assert degrees.count(d) == _jet_count(ring, order, d)
+                    assert degrees.count(d) == _jet_count(ring, range(order), d)
 
 
 def test_row_cap_refuses_before_rows_are_built(monkeypatch):
@@ -536,31 +550,35 @@ def test_row_cap_counts_the_trimmed_stack(monkeypatch, args, shape):
 
 @pytest.mark.parametrize("system", ["invariant", "full", "graded"])
 def test_nullities_build_only_the_upper_half(monkeypatch, system):
-    # Every row is looked up in the index _columns returns, so an index
-    # holding only 2g >= d keys admits no row of 2g < d.
-    keyed = []
+    # Every row is looked up in the tables _columns returns, so tables
+    # holding only 2g >= d keys, those filled on use too, admit no row of
+    # 2g < d.
+    returned = []
     build = tautops._columns
 
     def checked(comps, ring, d, fold):
-        ncols, index = build(comps, ring, d, fold)
+        ncols, tables = build(comps, ring, d, fold)
         assert ncols == reference_columns(comps, ring, d, fold)[0]
-        keyed.extend(2 * sum(e[: ring.n]) >= d for _, e in index)
-        return ncols, index
+        returned.append((ring.n, d, tables))
+        return ncols, tables
 
     monkeypatch.setattr(tautops, "_columns", checked)
     if system == "graded":
         graded_dims(3, 4, 4)
     else:
         kernel_nullity(3, 4, 3, invariant=system == "invariant")
+    keyed = [2 * sum(e[:points]) >= d
+             for points, d, tables in returned for table in tables.values() for e in table]
     assert keyed and all(keyed)
 
 
 @pytest.mark.parametrize("system", ["invariant", "pinned", "graded"])
 def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
     # Each (pair, degrees) is built once per degree and call, over the keys
-    # of 2g >= d alone, and of u-v-degree in degrees: as many functionals as
-    # the reference has there below degrees.stop, less those below
-    # degrees.start (o - 1 for a kernel block of order o, 0 for a graded one).
+    # of 2g >= d alone, and of u-v-degree in degrees: for each u-v-degree s
+    # in degrees (o - 1 alone for a kernel block of order o, every one or
+    # every even one below its exponent for a graded one), as many
+    # functionals as the reference has there below s + 1, less those below s.
     built = []
     build = tautops._jet_functionals
 
@@ -595,8 +613,8 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
     expected = 0
     for ring, blocks in systems:
         for A, degrees in {(A, degrees) for block in blocks for A, degrees, _ in block}:
-            expected += upper_half_jets(A, degrees.stop, ring)
-            expected -= upper_half_jets(A, degrees.start, ring)
+            for s in degrees:
+                expected += upper_half_jets(A, s + 1, ring) - upper_half_jets(A, s, ring)
     assert built and len(built) == expected
     for points, functional in built:
         assert all(2 * sum(e[:points]) >= sum(e) for e in functional)
@@ -630,7 +648,8 @@ def _upper_keys(ring, A, d, degrees):
 # Pascal's rule D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0) makes every
 # lower jet of a stacked kernel block implied by the block below, so the
 # block of order o builds the jets of u-v-degree o - 1 alone.  A graded
-# piece is a single block and builds every u-v-degree below its exponent.
+# piece is a single block and builds every u-v-degree below its exponent,
+# or only the even ones at a pair of equal parts.
 @pytest.mark.parametrize("system", ["invariant", "pinned", "graded"])
 def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
     calls = []
@@ -645,12 +664,16 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
     monkeypatch.setattr(tautops, "_jet_functionals", recorded)
     n, k = 3, 4
     if system == "graded":
+        assert _graded_block((2, 2))[0][1] == range(0, 4, 2)  # u-v-degrees 0 and 2
         for mu, e in [((2, 2), 4), ((2, 1, 1), 2)]:
             calls.clear()
-            _nullities([_graded_block(mu)], [mu], PolyRing(len(mu), 4), True, "graded piece")
+            block = _graded_block(mu)
+            kept = {A: degrees for A, degrees, _ in block}
+            assert all(degrees.stop == e for degrees in kept.values())
+            _nullities([block], [mu], PolyRing(len(mu), 4), True, "graded piece")
             assert {d for _, _, d, _ in calls} == set(range(5))
             for A, ring, d, built in _built_keys(calls):
-                assert built == _upper_keys(ring, A, d, range(e))
+                assert built == _upper_keys(ring, A, d, kept[A])
         return
     kernel_nullity(n, k, 3, invariant=system == "invariant")
     # Each pair is built once per block and degree, blocks in order, so the
@@ -664,25 +687,70 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
 
 
 # Folded and unfolded, on n points and pinned on n - 1, and over one padded
-# partition as graded_dims keys them: n <= 4, k <= 4, d <= 5.
+# partition as graded_dims keys them: n <= 4, k <= 4, d <= 5, and d <= 4
+# where n or k is 5.  Each composition's table numbers its keys as the
+# reference index over every key does, renumbered by first appearance over
+# the keys of 2g >= d, compositions outer and exponents in the ring's order:
+# folded, every column keeps the number it has among all keys, though only
+# some compositions are keyed.
 def test_column_count_mirrors_the_upper_half():
-    for n in range(1, 5):
-        for k in range(5):
+    for n in range(1, 6):
+        for k in range(6):
             comps = enumerate_compositions(n, k)
+            max_deg = 4 if 5 in (n, k) else 5
             for points in {n, n - 1} - {0}:
-                ring = PolyRing(points, 5)
+                ring = PolyRing(points, max_deg)
                 column_sets = [comps]
                 if points == n:
                     column_sets += [[tuple(mu) + (0,) * (n - len(mu))]
                                     for mu in enumerate_partitions(k, n)]
                 for columns in column_sets:
-                    for d in range(6):
+                    for d in range(max_deg + 1):
                         upper = {(lam, e) for lam in columns for e in ring.monomials(d)
                                  if 2 * sum(e[:points]) >= d}
                         for fold in (True, False):
-                            ncols, index = _columns(columns, ring, d, fold)
-                            assert ncols == reference_columns(columns, ring, d, fold)[0]
-                            assert set(index) == upper
+                            ncols, tables = _columns(columns, ring, d, fold)
+                            count, index = reference_columns(columns, ring, d, fold)
+                            assert ncols == count
+                            numbered = table_index(tables, columns)
+                            assert set(numbered) == upper
+                            renumbered = {}
+                            assert numbered == {
+                                (lam, e): renumbered.setdefault(index[lam, e], len(renumbered))
+                                for lam in columns for e in ring.monomials(d) if (lam, e) in upper
+                            }
+
+
+# Folded columns are keyed at the non-increasing compositions, and a table is
+# filled for another composition only when a row of a condition whose support
+# names it is built: at (4, 4), 11 of the 35 compositions, 5 of them
+# non-increasing, and fewer at the low degrees, where fewer jets are imposed.
+def test_folded_columns_key_only_representatives_and_named_compositions(monkeypatch):
+    returned = []
+    build = tautops._columns
+
+    def recorded(comps, ring, d, fold):
+        ncols, tables = build(comps, ring, d, fold)
+        returned.append((set(comps), tables))
+        return ncols, tables
+
+    monkeypatch.setattr(tautops, "_columns", recorded)
+    n, k = 4, 4
+    kernel_nullity(n, k, 3, invariant=True)
+    named = {lam for level in range(k - 1)
+             for _, _, support in _difference_block(level, _rep_pairs(n, k, level))
+             for lam, _ in support}
+    comps = set(enumerate_compositions(n, k))
+    sorted_comps = {lam for lam in comps if list(lam) == sorted(lam, reverse=True)}
+    assert len(comps) == 35 and len(sorted_comps) == 5
+    assert len(sorted_comps | named) == 11
+    assert [len(keyed) for _, keyed in returned] == [9, 10, 11, 11]
+    for columns, keyed in returned:
+        assert columns == comps
+        assert sorted_comps <= set(keyed) <= sorted_comps | named
+    returned.clear()
+    graded_dims(n, k, 3)
+    assert returned and all(set(keyed) == columns for columns, keyed in returned)
 
 
 # Every level ranked from rows built here, per x-degree block: invariant and
@@ -831,6 +899,27 @@ def test_invariant_rows_reaching_elimination_are_never_empty(monkeypatch, n, k, 
     kernel_nullity(n, k, max_deg, invariant=True)
     assert received
     assert all(any(row.values()) for row in received)
+
+
+# A graded piece imposes no odd u-v-degree at a pair of equal parts, whose
+# rows fold to zero, so every row it eliminates is nonzero: n <= 4, k <= 6,
+# through degree 4, under both rules.
+def test_graded_rows_reaching_elimination_are_never_empty(monkeypatch):
+    received = []
+    rank = tautops.sparse_int_rank
+
+    def recorded(rows, pivots=None):
+        rows = list(rows)
+        received.extend(rows)
+        return rank(rows, pivots)
+
+    monkeypatch.setattr(tautops, "sparse_int_rank", recorded)
+    for n in range(1, 5):
+        for k in range(7):
+            for rule in EXPONENT_RULES:
+                graded_dims(n, k, 4, exponent_rule=rule)
+    assert received
+    assert all(received)
 
 
 def test_full_kernel_past_the_unpinned_cap():
