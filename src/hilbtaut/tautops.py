@@ -29,7 +29,7 @@ degree-j polynomials on the one free point (_with_free_points).  The
 invariant systems are solved on all n points, since pinning a point
 breaks the relabeling action their column orbits rely on, and impose
 one label per orbit, from A0(k, l): the other labels of A(k, l) are
-void on invariant tuples (_rep_pairs).
+void on invariant tuples (_stack).
 
 The graded piece of a partition mu is solved on the l(mu) points its
 diagonals touch, as the nullity of the jet conditions of its ideal
@@ -73,7 +73,7 @@ stack of rows times its columns, the rows counted from sizes as the
 jets each block imposes, those of its own u-v-degrees.  Every degree
 passes both before any row is built, and a full kernel system, whose
 columns are its keys and whose labels are counted with binomials,
-passes both before any composition or label is listed.  Exceeding any
+passes both before any composition or label is listed (_stack).  Exceeding any
 of these raises EntryCapError.
 """
 
@@ -85,15 +85,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, cycle, permutations
 from math import comb
-from operator import add
+from operator import add, ge
 
-from .combinat import (
-    enumerate_compositions,
-    enumerate_partitions,
-    m_mu,
-    quotient_A0,
-    quotient_B,
-)
+from .combinat import enumerate_compositions, enumerate_partitions, m_mu
 from .linalg import _add_into, scalar_multiple, sparse_int_rank
 from .polyjet import PolyRing, _jet_functionals, jet_conditions
 
@@ -218,55 +212,63 @@ def higher_difference(x: dict, mu, A, order: int) -> dict:
 # stacked kernel systems
 
 
-def _all_pairs(n: int, k: int, level: int):
-    """Every condition label of the given level: (mu, ordered pair)."""
-    return [
-        (mu, tuple(sorted(A)))
-        for mu, A in quotient_B(k, level + 1, n)
-    ]
+def _stack(n: int, k: int, ring: PolyRing, invariant: bool, context: str) -> list:
+    """The condition blocks of a kernel system, one (pair, degrees,
+    support) per label, after every check it makes before listing
+    anything.
 
-
-def _rep_pairs(n: int, k: int, level: int):
-    """One condition label per relabeling orbit, anchored at the pair (1, 2),
-    from the label set A0(k, order) of the paper, order = level + 1.
-
-    A0 leaves out the labels of A(k, order) whose on-pair part has
-    mu_1 = mu_2 (empty, or of shape (h, h)), as their conditions are void
-    on invariant tuples.  Swapping slots 1 and 2 fixes such a mu, so on
-    an invariant x it maps D^o_mu x to (-1)^o D^o_mu x, o = order.  It
-    also sends the pair's u and v to -u and -v and fixes s and t, so it
-    multiplies the coefficient of a key of u-v-degree r by (-1)^r.  The
-    jets of u-v-degree o - 1, the only ones a stacked block imposes (see
-    _difference_block), thus equal their own negatives and vanish on
-    every invariant tuple: the rows of such a label fold to zero.
-    """
-    order = level + 1
-    out = []
-    for on_pair, off_pair in quotient_A0(k, order, n):
-        mu = (
-            tuple(on_pair)
-            + (0,) * (2 - len(on_pair))
-            + tuple(off_pair)
-            + (0,) * (n - 2 - len(off_pair))
-        )
-        out.append((mu, (1, 2)))
-    return out
-
-
-def _difference_block(level: int, pairs) -> list:
-    """The level-th condition block: one (pair, degrees, support) per label.
-
-    A label (mu, A) asks the order-th difference along A, shifted by mu,
-    to lie in I_A^order, with order = level + 1.  Stacked on the blocks
-    below, it imposes only the jets of u-v-degree order - 1, degrees =
-    range(order - 1, order): by Pascal's rule
+    A label (mu, A) of order o asks the o-th difference along A, shifted
+    by a composition mu of k - o, to lie in I_A^o.  Stacked on the blocks
+    below, it imposes only the jets of u-v-degree o - 1, degrees =
+    range(o - 1, o): by Pascal's rule
     D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), each lower jet of
     D^o_mu is the difference of two jets of order o - 1, which the blocks
-    below impose (see _nullities).
+    below impose (see _nullities).  Above ring.max_deg + 1 that jet has
+    no key of degree max_deg or less, so only orders 1 through
+    min(k - 1, max_deg + 1) are built; the levels above repeat the last.
+
+    Full systems take every pair a0 < a1 times every composition mu,
+    B(k, o, n) of the paper, pairs outer.  Invariant systems take one
+    label per relabeling orbit, anchored at the pair (1, 2): the
+    compositions with mu_1 > mu_2 and mu_3 >= ... >= mu_n, which are the
+    labels of A0(k, o), padded.  A0 leaves out the labels of A(k, o)
+    whose on-pair part has mu_1 = mu_2, as their conditions are void on
+    invariant tuples.  Swapping slots 1 and 2 fixes such a mu, so on an
+    invariant x it maps D^o_mu x to (-1)^o D^o_mu x.  It also sends the
+    pair's u and v to -u and -v and fixes s and t, so it multiplies the
+    coefficient of a key of u-v-degree r by (-1)^r.  The jets of
+    u-v-degree o - 1 thus equal their own negatives and vanish on every
+    invariant tuple: the rows of such a label fold to zero.
+
+    Invariant systems check their degree-0 key table before listing
+    their labels, whose count has no closed form.  Full systems check,
+    from sizes before any composition or label is listed, each degree as
+    _nullities does: its key table, C(n + k - 1, k) compositions times
+    the degree-d monomials of ring, then its stack, each of the
+    |B(k, o, n)| = C(n, 2) C(n + k - o - 1, n - 1) labels of order o
+    imposing the jets of u-v-degree o - 1.
     """
-    order = level + 1
-    degrees = range(order - 1, order)
-    return [(A, degrees, _difference_support(mu, A[0], A[1], order)) for mu, A in pairs]
+    orders = range(1, min(k - 1, ring.max_deg + 1) + 1)
+    if invariant:
+        _check_cap(comb(n + k - 1, k), n, "column orbit keys")
+    else:
+        for d in range(ring.max_deg + 1):
+            keys = comb(n + k - 1, k) * comb(ring.nvars + d - 1, d)
+            _check_cap(keys, n, "column keys")
+            nrows = comb(n, 2) * sum(
+                comb(n + k - o - 1, n - 1) * _jet_count(ring, range(o - 1, o), d)
+                for o in orders
+            )
+            if nrows:
+                _check_cap(nrows, keys, context)
+    pairs = list(combinations(range(1, n + 1), 2))[: 1 if invariant else None]
+    blocks = []
+    for o in orders:
+        comps = enumerate_compositions(n, k - o)
+        blocks.append([(A, range(o - 1, o), _difference_support(mu, *A, o))
+                       for A in pairs for mu in comps
+                       if not invariant or mu[0] > mu[1] and all(map(ge, mu[2:], mu[3:]))])
+    return blocks
 
 
 def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
@@ -459,50 +461,26 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     return profile
 
 
-def _check_full_system(n: int, k: int, ring: PolyRing, context: str) -> None:
-    """Refuse a full kernel system over the cap from its sizes alone,
-    before any composition or label is listed, checking each degree as
-    _nullities does: its key table, then its stack.  Its columns are its
-    keys, C(n + k - 1, k) compositions times the degree-d monomials of
-    ring, and each label of order o, one of
-    |B(k, o, n)| = C(n, 2) C(n + k - o - 1, n - 1), imposes the jets of
-    u-v-degree o - 1."""
-    for d in range(ring.max_deg + 1):
-        keys = comb(n + k - 1, k) * comb(ring.nvars + d - 1, d)
-        _check_cap(keys, n, "column keys")
-        nrows = comb(n, 2) * sum(
-            comb(n + k - o - 1, n - 1) * _jet_count(ring, range(o - 1, o), d)
-            for o in range(1, k)
-        )
-        if nrows:
-            _check_cap(nrows, keys, context)
-
-
 def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     """Per-degree nullities of the stacked kernel systems, at every level.
 
     Level l imposes the condition blocks of orders 1 through l, for l up
-    to max(k - 1, 0); l = 0 means no conditions.  The result is indexed
-    by level, then by total degree.  Full systems on n > 1 points are
-    solved with point n pinned at the origin, then tensored with
-    Q[x_n, y_n] (see the module docstring); on one point there are no
-    pairs, so no rows, and the whole space solves.
+    to max(k - 1, 0); l = 0 means no conditions.  A level above
+    max_deg + 1 adds no row through max_deg and repeats the one below,
+    unbuilt (_stack).  The result is indexed by level, then by total
+    degree.  Full systems on n > 1 points are solved with point n pinned
+    at the origin, then tensored with Q[x_n, y_n] (see the module
+    docstring); on one point there are no pairs, so no rows, and the
+    whole space solves.
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
     context = f"kernel system ({n},{k})"
-    if invariant:
-        # the degree-0 key table, checked before its compositions are listed
-        _check_cap(comb(n + k - 1, k), n, "column orbit keys")
-    else:
-        _check_full_system(n, k, ring, context)
-    comps = enumerate_compositions(n, k)
-    pairs = _rep_pairs if invariant else _all_pairs
-    blocks = [_difference_block(level, pairs(n, k, level)) for level in range(max(k - 1, 0))]
-    profile = _nullities(blocks, comps, ring, invariant, context)
-    if not pinned:
-        return profile
-    return [_with_free_points(dims, 1) for dims in profile]
+    blocks = _stack(n, k, ring, invariant, context)
+    profile = _nullities(blocks, enumerate_compositions(n, k), ring, invariant, context)
+    if pinned:
+        profile = [_with_free_points(dims, 1) for dims in profile]
+    return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) - len(blocks))]
 
 
 def _free_point_counts(m: int, max_deg: int) -> list:
@@ -547,11 +525,12 @@ def kernel_nullity(
     """Dimensions, through each total degree, of the stacked kernel.
 
     All difference conditions of order up to k - 1 are imposed at once;
-    the d-th entry counts solutions of total degree at most d.  With
-    invariant=True only relabeling-invariant tuples are counted, and the
-    conditions reduce to one representative per orbit of labels.  For
-    k = 0 or k = 1 there are no conditions and the full space is
-    measured.
+    the d-th entry counts solutions of total degree at most d.  Orders
+    above max_deg + 1 impose no jet of degree max_deg or less, so they
+    are not built.  With invariant=True only relabeling-invariant tuples
+    are counted, and the conditions reduce to one representative per
+    orbit of labels.  For k = 0 or k = 1 there are no conditions and the
+    full space is measured.
     """
     if n < 1 or k < 0 or max_deg < 0:
         raise ValueError("need n >= 1, k >= 0, max_deg >= 0")
@@ -595,7 +574,7 @@ def graded_dims(
     alone, range(0, e, 2): its transposition lies in Stab(mu), sends the
     pair's u and v to -u and -v and fixes s, t and the other points, so
     the folded row of a key of odd u-v-degree equals its own negative
-    and is zero, as for the A0 labels (_rep_pairs).  The empty
+    and is zero, as for the A0 labels (_stack).  The empty
     partition, k = 0, leaves all n points free.
 
     The partitions are counted against the entry cap, times their width

@@ -625,13 +625,31 @@ def test_full_stack_over_the_cap_exits_two_before_labels_are_listed(capsys, monk
         raise AssertionError("listed before the cap was checked")
 
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
-    for name in ("enumerate_compositions", "_all_pairs", "_rep_pairs", "quotient_B"):
+    for name in ("enumerate_compositions", "_difference_support"):
         monkeypatch.setattr(tautops, name, unlisted)
     rc, out, err = run(capsys, "kernel", "--full", "--n", "100", "--k", "2",
                        "--max-degree", "1")
     assert rc == 2 and out == ""
     assert err == ("error: kernel system (100,2): 495000 x 5050 matrix exceeds the entry "
                    "cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
+
+
+def test_orders_without_a_jet_are_not_built_before_the_cap_exits_two(capsys, monkeypatch):
+    # Through degree 2 only orders 1 to 3 impose a jet, so the invariant
+    # (2, 3000) stack is refused with no support of a higher order built.
+    real = tautops._difference_support
+
+    def live(mu, a0, a1, order):
+        assert order <= 3, f"order {order} built"
+        return real(mu, a0, a1, order)
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "_difference_support", live)
+    rc, out, err = run(capsys, "kernel", "--exploratory", "--n", "2", "--k", "3000",
+                       "--max-degree", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: kernel system (2,3000): 1500 x 1501") and "cap" in err
+    assert err.count("\n") == 1
 
 
 def test_row_stack_over_the_cap_exits_two_before_building(capsys):

@@ -22,6 +22,7 @@ from hilbtaut.combinat import (
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
+    quotient_B,
 )
 from hilbtaut.linalg import _add_into, sparse_int_rank
 from hilbtaut.polyjet import PolyRing, jet_conditions
@@ -29,9 +30,7 @@ from hilbtaut.tautops import (
     EXPONENT_RULES,
     EntryCapError,
     FiltrationReport,
-    _all_pairs,
     _columns,
-    _difference_block,
     _difference_support,
     _free_point_counts,
     _jet_count,
@@ -40,7 +39,7 @@ from hilbtaut.tautops import (
     _nullity_profile,
     _orbit_pairs,
     _product,
-    _rep_pairs,
+    _stack,
     _translation_free,
     graded_dims,
     graded_totals,
@@ -221,19 +220,42 @@ def table_index(tables, comps):
     return {(lam, e): col for lam in comps for e, col in tables[lam].items()}
 
 
+def b_labels(n, k, level):
+    """Every label of B(k, level + 1, n), as (mu, sorted pair), in
+    quotient_B's order: pairs lexicographically, compositions rlex."""
+    return [(mu, tuple(sorted(A))) for mu, A in quotient_B(k, level + 1, n)]
+
+
+def label_block(level, labels):
+    """The level-th stacked block over labels (mu, A), order = level + 1:
+    the order-th difference along A, shifted by mu, imposing the jets of
+    u-v-degree order - 1 alone."""
+    order = level + 1
+    return [(A, range(level, order), _difference_support(mu, *A, order)) for mu, A in labels]
+
+
+def stack_labels(block):
+    """The labels (mu, A) of a built block, read back off each support:
+    its first composition is mu plus the order at A's second point."""
+    labels = []
+    for A, degrees, support in block:
+        lam = list(support[0][0])
+        lam[A[1] - 1] -= degrees.stop
+        labels.append((tuple(lam), A))
+    return labels
+
+
 def unpinned_full_profile(n, k, max_deg):
     """Per-degree nullities of the full stacked systems on all n points.
 
     Every pair keeps its jet conditions in the original coordinates and
     no point is pinned, so the centre of mass is solved for explicitly
-    rather than factored out.
+    rather than factored out.  Every order through k - 1 is stacked,
+    those above max_deg + 1 too, which add no row.
     """
     ring = PolyRing(n, max_deg)
     comps = enumerate_compositions(n, k)
-    blocks = [
-        _difference_block(level, _all_pairs(n, k, level))
-        for level in range(max(k - 1, 0))
-    ]
+    blocks = [label_block(level, b_labels(n, k, level)) for level in range(max(k - 1, 0))]
     return _nullities(blocks, comps, ring, False, "unpinned full system")
 
 
@@ -248,13 +270,14 @@ def restacked_profile(n, k, max_deg, invariant):
     _nullity_profile: invariant ones over column orbits on n points,
     full ones pinned on n - 1 points and tensored with Q[x_n, y_n].
     Invariant ones impose every label of A(k, l), not only the A0 labels
-    the engine keeps.
+    the engine keeps, and every order through k - 1 is stacked, not only
+    those through max_deg + 1 that the engine builds.
     """
     comps = enumerate_compositions(n, k)
     ring = PolyRing(n if invariant else n - 1, max_deg)
-    pairs = a_label_pairs if invariant else _all_pairs
+    labels = a_label_pairs if invariant else b_labels
     blocks = [
-        reference_condition_rows(ring, _difference_block(level, pairs(n, k, level)))
+        reference_condition_rows(ring, label_block(level, labels(n, k, level)))
         for level in range(max(k - 1, 0))
     ]
     profile = []
@@ -361,10 +384,7 @@ def test_condition_orbit_representatives_suffice():
     for n, k, max_deg in [(2, 4, 2), (3, 3, 2)]:
         ring = PolyRing(n, max_deg)
         comps = enumerate_compositions(n, k)
-        blocks = [
-            _difference_block(level, _all_pairs(n, k, level))
-            for level in range(k - 1)
-        ]
+        blocks = [label_block(level, b_labels(n, k, level)) for level in range(k - 1)]
         complete = _nullities(blocks, comps, ring, True, "all-pairs invariant system")
         assert _nullity_profile(n, k, max_deg, True) == complete
 
@@ -433,9 +453,8 @@ def test_condition_rows_have_integer_weights(monkeypatch):
             functionals += jet_conditions(A, order, ring)
         for a in range(1, n):
             functionals += pinned_jet_conditions(a, order, pinned)
-    for shape, pairs in [(ring, _rep_pairs), (pinned, _all_pairs)]:
-        for level in range(k - 1):
-            block = _difference_block(level, pairs(n, k, level))
+    for shape, invariant in [(ring, True), (pinned, False)]:
+        for block in _stack(n, k, shape, invariant, "stack"):
             for rows in reference_condition_rows(shape, block).values():
                 functionals += rows
     assert functionals
@@ -484,8 +503,7 @@ def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, inva
         return {d: {frozenset(row.items()) for row in r} for d, r in rows.items()}
 
     ring = PolyRing(n if invariant else n - 1, max_deg)
-    pairs = _rep_pairs if invariant else _all_pairs
-    blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
+    blocks = _stack(n, k, ring, invariant, "stack")
     if invariant:
         # graded-style blocks, every u-v-degree below their exponent, on n
         # slots: (2, 1, ...), and (2, 2), whose pair of equal parts steps by two
@@ -596,9 +614,7 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
     else:
         kernel_nullity(n, k, max_deg, invariant=system == "invariant")
         ring = PolyRing(n if system == "invariant" else n - 1, max_deg)
-        pairs = _rep_pairs if system == "invariant" else _all_pairs
-        systems = [(ring, [_difference_block(level, pairs(n, k, level))
-                           for level in range(k - 1)])]
+        systems = [(ring, _stack(n, k, ring, system == "invariant", "stack"))]
 
     def upper_half_jets(A, order, ring):
         if order == 0:
@@ -737,9 +753,8 @@ def test_folded_columns_key_only_representatives_and_named_compositions(monkeypa
     monkeypatch.setattr(tautops, "_columns", recorded)
     n, k = 4, 4
     kernel_nullity(n, k, 3, invariant=True)
-    named = {lam for level in range(k - 1)
-             for _, _, support in _difference_block(level, _rep_pairs(n, k, level))
-             for lam, _ in support}
+    named = {lam for block in _stack(n, k, PolyRing(n, 3), True, "stack")
+             for _, _, support in block for lam, _ in support}
     comps = set(enumerate_compositions(n, k))
     sorted_comps = {lam for lam in comps if list(lam) == sorted(lam, reverse=True)}
     assert len(comps) == 35 and len(sorted_comps) == 5
@@ -763,9 +778,8 @@ def test_x_degree_blocks_are_independent_and_mirror(system):
     else:
         n, k = (3, 3) if system == "unpinned" else (3, 4)
         ring = PolyRing(n - 1 if system == "pinned" else n, 3)
-        pairs = _rep_pairs if system == "invariant" else _all_pairs
         comps, fold = enumerate_compositions(n, k), system == "invariant"
-        blocks = [_difference_block(level, pairs(n, k, level)) for level in range(k - 1)]
+        blocks = _stack(n, k, ring, fold, "stack")
     built = [reference_condition_rows(ring, block) for block in blocks]
     for d in range(ring.max_deg + 1):
         _, colmap = reference_columns(comps, ring, d, fold)
@@ -844,7 +858,8 @@ def test_kernel_cap_rejects_bad_value(monkeypatch, raw):
 @pytest.mark.parametrize(
     "n,k,max_deg",
     [(2, k, 4) for k in range(7)]
-    + [(3, 3, 3), (3, 4, 3), (4, 3, 2), (1, 0, 3), (1, 1, 3), (1, 3, 3), (3, 0, 2), (3, 1, 2)],
+    + [(3, 3, 3), (3, 4, 3), (4, 3, 2), (1, 0, 3), (1, 1, 3), (1, 3, 3), (3, 0, 2), (3, 1, 2),
+       (2, 7, 2), (3, 5, 1)],
 )
 def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
     assert _nullity_profile(n, k, max_deg, False) == unpinned_full_profile(
@@ -856,14 +871,16 @@ def test_pinned_full_profile_matches_unpinned(n, k, max_deg):
 # (3, 5, 4) in both modes, four-point systems (full (4, 3, 3) is over the
 # default cap): (4, 3, 3), the kernel workload's (4, 4, 3) and exploratory
 # (4, 5, 3), the kernel workload's (2, 6, 6) in both modes, and invariant
-# (5, 4, 4), which the cap admits only counting the trimmed stack.  The
-# restacked side builds every jet below each order, so this checks the
-# engine's trimmed stack level by level.
+# (5, 4, 4), which the cap admits only counting the trimmed stack; and
+# (2, 6, 1) and (3, 5, 2), whose orders above max_deg + 1 the engine does
+# not build.  The restacked side builds every jet below each order, and
+# every order, so this checks the engine's trimmed stack level by level.
 @pytest.mark.parametrize(
     "n,k,max_deg,invariant",
     [
         (n, k, max_deg, invariant)
-        for n, k, max_deg in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3), (3, 5, 4)]
+        for n, k, max_deg in [(2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3), (3, 5, 4),
+                              (2, 6, 1), (3, 5, 2)]
         for invariant in (True, False)
     ]
     + [(4, 3, 3, True), (4, 4, 3, True), (4, 5, 3, True), (2, 6, 6, True), (2, 6, 6, False),
@@ -876,13 +893,54 @@ def test_every_level_matches_restacked_ranks(n, k, max_deg, invariant):
 
 
 def test_rep_pairs_are_the_a_labels_off_the_swap_diagonal():
-    # A0 drops exactly the labels of A whose two on-pair parts are equal
+    # A0 drops exactly the labels of A whose two on-pair parts are equal;
+    # the engine lists the rest in composition order, not in A0's
     for n in range(1, 5):
         for k in range(7):
-            for level in range(max(k - 1, 0)):
-                kept = _rep_pairs(n, k, level)
+            blocks = _stack(n, k, PolyRing(n, max(k - 2, 0)), True, "stack")
+            assert len(blocks) == max(k - 1, 0)
+            for level, block in enumerate(blocks):
+                kept = stack_labels(block)
+                assert block == label_block(level, kept)
                 every = a_label_pairs(n, k, level)
-                assert kept == [label for label in every if label[0][0] != label[0][1]]
+                assert sorted(kept) == sorted(
+                    label for label in every if label[0][0] != label[0][1]
+                )
+
+
+def test_full_labels_are_the_b_labels_in_their_order(monkeypatch):
+    # every pair a0 < a1 times every composition of k - order, as
+    # quotient_B lists them; the raised cap only admits the size checks
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(10**18))
+    for n in range(1, 7):
+        for k in range(8):
+            blocks = _stack(n, k, PolyRing(n, max(k - 2, 0)), False, "stack")
+            assert blocks == [label_block(level, b_labels(n, k, level))
+                              for level in range(max(k - 1, 0))]
+
+
+# An order above max_deg + 1 imposes no jet through max_deg, so neither
+# mode builds its labels or supports, and the levels above repeat the last.
+def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
+    orders = set()
+    real = tautops._difference_support
+
+    def recorded(mu, a0, a1, order):
+        orders.add(order)
+        return real(mu, a0, a1, order)
+
+    monkeypatch.setattr(tautops, "_difference_support", recorded)
+    assert kernel_nullity(3, 12, 2, invariant=True) == (1, 5, 21)
+    assert orders == {1, 2, 3}
+    orders.clear()
+    assert kernel_nullity(3, 12, 2, invariant=False) == (1, 9, 48)
+    assert orders == {1, 2, 3}
+    orders.clear()
+    report = verify_filtration(2, 6, 1)
+    assert orders == {1, 2}
+    assert report.full_nullities == ((7, 35), (1, 17), (1, 7), (1, 7), (1, 7), (1, 7))
+    assert report.invariant_nullities == ((4, 18), (1, 9), (1, 5), (1, 5), (1, 5), (1, 5))
+    assert report.passed and not report.exploratory
 
 
 @pytest.mark.parametrize("n,k,max_deg", [(3, 4, 3), (3, 5, 4), (4, 4, 3), (2, 6, 6)])
