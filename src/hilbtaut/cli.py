@@ -49,11 +49,13 @@ from .rroch import (
     get_surface,
     load_surface,
 )
-from .symrep import antiinv_dims_R, antiinv_dims_rho, verify_omega, verify_sym_map
+from .symrep import _INVARIANT_LINE, _poly_quotient, antiinv_dims_R, antiinv_dims_rho
+from .symrep import verify_omega, verify_sym_map
 from .tautops import (
     EXPONENT_RULES,
     EntryCapError,
     _check_cap,
+    _check_partitions,
     _max_entries,
     graded_dims,
     graded_totals,
@@ -325,8 +327,10 @@ def cmd_toeplitz(cfg) -> int:
 
 
 def cmd_reps(cfg) -> int:
-    rho = antiinv_dims_rho(cfg.k)
+    # one class polynomial per cycle type: a partition of k, at most k wide
+    _check_partitions(cfg.k, cfg.k)
     full = antiinv_dims_R(cfg.k)
+    rho = tuple(_poly_quotient(full, _INVARIANT_LINE))  # antiinv_dims_rho, from full
     payload = {
         "command": "reps",
         "k": cfg.k,

@@ -66,7 +66,8 @@ def _partitions(k: int, max_part: int, max_len: int) -> tuple[tuple[int, ...], .
     if max_len == 0 or max_part == 0:
         return ()
     out = []
-    for first in range(min(k, max_part), 0, -1):
+    # a first part below ceil(k / max_len) leaves too much for the rest
+    for first in range(min(k, max_part), -(-k // max_len) - 1, -1):
         out.extend(
             (first,) + rest for rest in _partitions(k - first, first, max_len - 1)
         )

@@ -54,15 +54,6 @@ def cycle_types(k: int):
     return out
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def _poly_quotient(p, d):
     """Quotient of p by d in Z[t]; raises AssertionError if the division
     leaves a remainder."""
@@ -94,11 +85,8 @@ def _det_one_plus_t(lam):
     the product over cycles of (1 - (-t)^c), raised to dim V."""
     poly = [1]
     for c in lam:
-        cyc = [0] * (c + 1)
-        cyc[0] = 1
-        cyc[c] = -((-1) ** c)
         for _ in range(_DIM_V):
-            poly = _poly_mul(poly, cyc)
+            poly = [a + (-1) ** (c + 1) * b for a, b in zip(poly + [0] * c, [0] * c + poly)]
     return poly
 
 

@@ -41,23 +41,24 @@ points are free and only symmetrized, so the piece is that nullity
 tensored with the symmetric polynomials on them, whose degree-j
 dimension M(m, j) counts the multisets of m monomials of total degree
 j.  One engine, _nullities, solves the kernel and graded systems alike:
-it takes blocks of conditions (pair, degrees, support) and maps each jet
-functional straight onto its own (composition, exponent) columns,
-through one table {exponent: column} per composition, folded into
-relabeling orbits or not.  Folded orbits are keyed at the
-non-increasing compositions alone, where each first appears, and the
-table of any other composition a support names is filled on first use.
-Every row is bihomogeneous in (x-degree, y-degree), so
-degree d splits into d + 1 blocks of x-degree g sharing no column, and
-swapping x and y, which fixes every diagonal ideal, gives blocks g and
-d - g equal rank: only the columns and rows of 2g >= d are built and
-solved, and the mirror counted.  The stacked systems are nested, block
-l only adding rows, and only those of its new jet degree l: the rows of
-lower jets are implied by the blocks below, since
-D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0).  The engine runs one
-elimination per (degree, x-degree): it feeds the blocks in order, each
-one's rows shortest first, into that pair's pivot dict and reads every
-level's nullity on the way, eliminating each row once.
+it takes blocks of conditions (pair, degrees, order, shifts), each the
+jets of one pair times the order-th difference along it at every shift
+(order 0 for a graded piece), and maps each jet functional straight
+onto its own (composition, exponent) columns, through one table
+{exponent: column} per composition, folded into relabeling orbits or
+not.  Folded orbits are keyed at the non-increasing compositions alone,
+where each first appears, and the table of any other composition a
+support names is filled on first use.  Every row is bihomogeneous in
+(x-degree, y-degree), so degree d splits into d + 1 blocks of x-degree
+g sharing no column, and swapping x and y, which fixes every diagonal
+ideal, gives blocks g and d - g equal rank: only the columns and rows
+of 2g >= d are built and solved, and the mirror counted.  The stacked
+systems are nested, block l only adding rows, and only those of its new
+jet degree l: the rows of lower jets are implied by the blocks below,
+since D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0).  The engine runs
+one elimination per (degree, x-degree): it feeds the blocks in order,
+each one's rows shortest first, into that pair's pivot dict and reads
+every level's nullity on the way, eliminating each row once.
 
 The linear algebra is exact throughout, and in integers end to end: jet
 conditions carry integer weights, condition rows and column sums stay
@@ -69,12 +70,13 @@ by, and the partitions graded_dims lists, are counted before either is
 listed.  Every system's column key table, keys times points, is checked
 from its size before any column is built, folded or not, and bounds
 the whole table though a folded one keys fewer; then each degree's
-stack of rows times its columns, the rows counted from sizes as the
-jets each block imposes, those of its own u-v-degrees.  Every degree
-passes both before any row is built, and a full kernel system, whose
-columns are its keys and whose labels are counted with binomials,
-passes both before any composition or label is listed (_stack).  Exceeding any
-of these raises EntryCapError.
+stack of rows times its columns, the rows counted from sizes as each
+condition's shifts times the jets of its own u-v-degrees.  Both are
+checked in one place, _nullities, and every degree passes both before
+any support or row is built.  A kernel system checks its degree-0 key
+table before it lists its pairs, and each order's shifts are listed
+only just before the first degree its jets reach is checked (_stack).
+Exceeding any of these raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, cycle, permutations
+from itertools import accumulate, combinations, cycle, islice, permutations
 from math import comb
 from operator import add, ge
 
@@ -212,14 +214,15 @@ def higher_difference(x: dict, mu, A, order: int) -> dict:
 # stacked kernel systems
 
 
-def _stack(n: int, k: int, ring: PolyRing, invariant: bool, context: str) -> list:
-    """The condition blocks of a kernel system, one (pair, degrees,
-    support) per label, after every check it makes before listing
-    anything.
+def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> map:
+    """The condition blocks of a kernel system, order by order, one (A,
+    degrees, order, shifts) per pair, after checking its degree-0 key
+    table.
 
     A label (mu, A) of order o asks the o-th difference along A, shifted
-    by a composition mu of k - o, to lie in I_A^o.  Stacked on the blocks
-    below, it imposes only the jets of u-v-degree o - 1, degrees =
+    by a composition mu of k - o, to lie in I_A^o; the condition of a
+    pair A lists its labels' shifts mu.  Stacked on the blocks below, a
+    label imposes only the jets of u-v-degree o - 1, degrees =
     range(o - 1, o): by Pascal's rule
     D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0), each lower jet of
     D^o_mu is the difference of two jets of order o - 1, which the blocks
@@ -227,7 +230,7 @@ def _stack(n: int, k: int, ring: PolyRing, invariant: bool, context: str) -> lis
     no key of degree max_deg or less, so only orders 1 through
     min(k - 1, max_deg + 1) are built; the levels above repeat the last.
 
-    Full systems take every pair a0 < a1 times every composition mu,
+    Full systems take every pair a0 < a1, each with every composition mu,
     B(k, o, n) of the paper, pairs outer.  Invariant systems take one
     label per relabeling orbit, anchored at the pair (1, 2): the
     compositions with mu_1 > mu_2 and mu_3 >= ... >= mu_n, which are the
@@ -238,37 +241,26 @@ def _stack(n: int, k: int, ring: PolyRing, invariant: bool, context: str) -> lis
     pair's u and v to -u and -v and fixes s and t, so it multiplies the
     coefficient of a key of u-v-degree r by (-1)^r.  The jets of
     u-v-degree o - 1 thus equal their own negatives and vanish on every
-    invariant tuple: the rows of such a label fold to zero.
+    invariant tuple: the rows of such a label fold to zero.  On one point
+    there is no pair, and no shift is listed.
 
-    Invariant systems check their degree-0 key table before listing
-    their labels, whose count has no closed form.  Full systems check,
-    from sizes before any composition or label is listed, each degree as
-    _nullities does: its key table, C(n + k - 1, k) compositions times
-    the degree-d monomials of ring, then its stack, each of the
-    |B(k, o, n)| = C(n, 2) C(n + k - o - 1, n - 1) labels of order o
-    imposing the jets of u-v-degree o - 1.
+    The degree-0 key table, the C(n + k - 1, k) compositions of k times
+    n, is checked here, and for k >= 2 it bounds the C(n, 2) pairs; with
+    no order, k < 2, no pair is listed.  Each order's shifts are listed
+    when _nullities takes its block, just before it sizes degree o - 1,
+    the first its jets reach, and before any support is built.
     """
+    _check_cap(comb(n + k - 1, k), n, "column orbit keys" if invariant else "column keys")
     orders = range(1, min(k - 1, ring.max_deg + 1) + 1)
-    if invariant:
-        _check_cap(comb(n + k - 1, k), n, "column orbit keys")
-    else:
-        for d in range(ring.max_deg + 1):
-            keys = comb(n + k - 1, k) * comb(ring.nvars + d - 1, d)
-            _check_cap(keys, n, "column keys")
-            nrows = comb(n, 2) * sum(
-                comb(n + k - o - 1, n - 1) * _jet_count(ring, range(o - 1, o), d)
-                for o in orders
-            )
-            if nrows:
-                _check_cap(nrows, keys, context)
-    pairs = list(combinations(range(1, n + 1), 2))[: 1 if invariant else None]
-    blocks = []
-    for o in orders:
-        comps = enumerate_compositions(n, k - o)
-        blocks.append([(A, range(o - 1, o), _difference_support(mu, *A, o))
-                       for A in pairs for mu in comps
-                       if not invariant or mu[0] > mu[1] and all(map(ge, mu[2:], mu[3:]))])
-    return blocks
+    pairs = list(combinations(range(1, n + 1), 2))[: 1 if invariant else None] if orders else []
+
+    def block(o):
+        shifts = [mu for mu in enumerate_compositions(n, k - o)
+                  if not invariant or mu[0] > mu[1] and all(map(ge, mu[2:], mu[3:]))
+                  ] if pairs else []
+        return [(A, range(o - 1, o), o, shifts) for A in pairs]
+
+    return map(block, orders)
 
 
 def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
@@ -371,23 +363,27 @@ def _columns(comps, ring: PolyRing, d: int, fold: bool):
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     """Per-degree nullities at every level of a stack of condition blocks.
 
-    A block lists conditions (A, degrees, support): the jet functionals
-    of I_A (with a point pinned at the origin when A ends one point past
-    the ring's last) at the keys whose u-v-degree lies in the range
-    degrees, each times the support's composition weights.  A functional
-    maps exponents e to integer weights c; its row puts cf * c on column
-    table[e] of the table _columns(comps, ring, d, fold) gives lam, for
-    every (lam, cf) in support, and keys sharing a column add up; an
-    entry whose sum cancels is dropped, so rows hold no zeros.  A tuple
+    A block lists conditions (A, degrees, order, shifts): the jet
+    functionals of I_A (with a point pinned at the origin when A ends one
+    point past the ring's last) at the keys whose u-v-degree lies in the
+    range degrees, each times the order-th difference along A, shifted by
+    each composition mu in shifts; its support, _difference_support(mu,
+    *A, order), is the composition weights.  A functional maps exponents
+    e to integer weights c; its row puts cf * c on column table[e] of the
+    table _columns(comps, ring, d, fold) gives lam, for every (lam, cf)
+    in the support, and keys sharing a column add up; an entry whose sum
+    cancels is dropped, so rows hold no zeros.  Rows come pair by pair,
+    shift by shift within a pair, functional by functional.  A tuple
     satisfies the block when every row pairs to zero against its
     coefficients.  Level l imposes the first l blocks.  The result is
     indexed by level, 0 through len(blocks), then by degree through
     ring.max_deg.
 
-    A graded piece is one block, and its conditions keep every
-    u-v-degree below its exponent e, range(e), or at a pair of equal
-    parts the even ones, range(0, e, 2) (see graded_dims).  A stacked
-    kernel block of order o keeps u-v-degree o - 1 alone, range(o - 1, o).
+    A graded piece is one block of order 0, shifted by its partition
+    alone, and its conditions keep every u-v-degree below its exponent
+    e, range(e), or at a pair of equal parts the even ones, range(0, e,
+    2) (see graded_dims).  A stacked kernel block of order o keeps
+    u-v-degree o - 1 alone, range(o - 1, o).
     Pascal's rule gives D^o_mu = D^(o-1)_(mu+e_a1) - D^(o-1)_(mu+e_a0),
     and a functional does not depend on the order it is built for, so
     the row of a lower key is the difference of two rows of block o - 1
@@ -397,11 +393,17 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     key's u-v-degree, and a representative label's rows stand for those
     of its whole orbit.
 
-    Every degree is checked against the cap before any row is built:
-    first its key table, then its stack, rows times columns, with the
-    rows counted from sizes as the jets of each condition's own
-    u-v-degrees, degrees, over both x-degree halves (_jet_count);
-    context names the system.
+    This is where every system is sized.  Each degree is checked
+    against the cap, first its key table, then its stack, rows times
+    columns, the rows counted as each condition's shifts times the jets
+    of its own u-v-degrees, degrees, over both x-degree halves
+    (_jet_count); context names the system.  Block l keeps no
+    u-v-degree below l - 1, so it is taken from blocks, lazy as _stack's
+    are, just before degree l - 1 is checked, and a refusal at degree d
+    takes d + 1 blocks at most; a stack out of this rule raises
+    ValueError before any row is built.  Once every degree has passed,
+    each support is built once, then, degree by degree, each
+    condition's jet functionals once.
 
     Every row is bihomogeneous, so degree d splits into blocks of
     x-degree g = 0..d that share no column, folded or not (an orbit key
@@ -416,43 +418,46 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     off right after block l.
     """
     n = ring.n
+    blocks, taken = iter(blocks), []
     columns = []
     for d in range(ring.max_deg + 1):
         ncols, tables = _columns(comps, ring, d, fold)
-        nrows = sum(
-            _jet_count(ring, degrees, d) for block in blocks for _, degrees, _ in block
-        )
+        taken += islice(blocks, d + 1 - len(taken))
+        nrows = sum(len(shifts) * _jet_count(ring, degrees, d)
+                    for block in taken for _, degrees, _, shifts in block)
         if nrows:
             _check_cap(nrows, ncols, context)
         columns.append((ncols, tables))
-    profile: list = [[] for _ in range(len(blocks) + 1)]
+    taken += blocks
+    if any(degrees and degrees.start < level
+           for level, block in enumerate(taken) for _, degrees, _, _ in block):
+        raise ValueError("block l keeps a u-v-degree below l - 1")
+    supported = [[(A, degrees, [_difference_support(mu, *A, order) for mu in shifts])
+                  for A, degrees, order, shifts in block] for block in taken]
+    profile: list = [[] for _ in range(len(taken) + 1)]
     for d, (ncols, tables) in enumerate(columns):
         keys = _upper_half(n, d)[::-1]  # sorted, as jet_conditions orders them
-        jets: dict = {}
         pivots: dict = {}
         rank = 0
         profile[0].append(ncols)
-        for level, block in enumerate(blocks, start=1):
+        for level, block in enumerate(supported, start=1):
             by_g: dict = {}
-            for A, degrees, support in block:
-                built = jets.get((A, degrees))
-                if built is None:
-                    built = jets[A, degrees] = [
-                        (sum(next(iter(f))[:n]), f)
-                        for f in _jet_functionals(A, degrees, ring, keys)
-                    ]
-                for g, functional in built:
-                    row: dict = {}
-                    for lam, cf in support:
-                        table = tables[lam]
-                        for e, c in functional.items():
-                            col = table[e]
-                            v = row.get(col, 0) + cf * c
-                            if v:
-                                row[col] = v
-                            else:
-                                row.pop(col, None)
-                    by_g.setdefault(g, []).append(row)
+            for A, degrees, supports in block:
+                built = [(sum(next(iter(f))[:n]), f)
+                         for f in _jet_functionals(A, degrees, ring, keys)]
+                for support in supports:
+                    for g, functional in built:
+                        row: dict = {}
+                        for lam, cf in support:
+                            table = tables[lam]
+                            for e, c in functional.items():
+                                col = table[e]
+                                v = row.get(col, 0) + cf * c
+                                if v:
+                                    row[col] = v
+                                else:
+                                    row.pop(col, None)
+                        by_g.setdefault(g, []).append(row)
             for g, rows in by_g.items():
                 rows.sort(key=len)
                 gained = sparse_int_rank(rows, pivots.setdefault(g, {}))
@@ -475,12 +480,12 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
-    context = f"kernel system ({n},{k})"
-    blocks = _stack(n, k, ring, invariant, context)
-    profile = _nullities(blocks, enumerate_compositions(n, k), ring, invariant, context)
+    blocks = _stack(n, k, ring, invariant)
+    profile = _nullities(blocks, enumerate_compositions(n, k), ring, invariant,
+                         f"kernel system ({n},{k})")
     if pinned:
         profile = [_with_free_points(dims, 1) for dims in profile]
-    return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) - len(blocks))]
+    return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) + 1 - len(profile))]
 
 
 def _free_point_counts(m: int, max_deg: int) -> list:
@@ -594,7 +599,7 @@ def graded_dims(
             block = [
                 # a pair of equal parts keeps the even u-v-degrees alone
                 (A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
-                 [(mu, 1)])
+                 0, [mu])
                 for A, q in _orbit_pairs(mu)
             ]
             ring = PolyRing(r, max_deg)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut import cli, tautops
+from hilbtaut import cli, symrep, tautops
 from hilbtaut.rroch import BUILTIN_SURFACES
 from hilbtaut.tautops import EXPONENT_RULES
 
@@ -300,6 +300,16 @@ def test_exploratory_gate_and_conjectural_flag(capsys):
     assert rc == 0 and "conjectural" not in json.loads(out)
 
 
+def test_graded_marks_conjectural_sizes(capsys):
+    argv = ("graded", "--n", "3", "--k", "5", "--max-degree", "2", "--exploratory")
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)["conjectural"] is True
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out.rstrip("\n").split("\n")[-1] == "  (conjectural)"
+    rc, out, _ = run(capsys, "graded", "--n", "2", "--k", "5", "--max-degree", "2")
+    assert rc == 0 and "(conjectural)" not in out
+
+
 def test_graded_totals_match_kernel(capsys):
     rc, out, _ = run(capsys, "graded", "--n", "2", "--k", "2",
                      "--max-degree", "2", "--format", "csv")
@@ -374,12 +384,53 @@ def test_reps_refuses_k_below_one(capsys):
         assert err == "error: --k must be at least 1\n", k
 
 
+def test_reps_over_the_cap_exits_two_unlisted(capsys, monkeypatch):
+    # one class polynomial per cycle type, a partition of 500 at most 500 wide
+    def unlisted(*args):
+        raise AssertionError("cycle types listed before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(symrep, "_partitions", unlisted)
+    rc, out, err = run(capsys, "reps", "--k", "500")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: partitions of 500 into at most 500 parts:") and "cap" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--kind", "T", "--n", "2"), "--m"),
+    (("--kind", "R", "--l", "1", "--k", "3"), "--j"),
+])
+def test_toeplitz_missing_dimension_exits_two(capsys, argv, flag):
+    rc, out, err = run(capsys, "toeplitz", *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: {flag} is required\n"
+
+
 def test_reps_series(capsys):
     rc, out, _ = run(capsys, "reps", "--k", "3")
     assert rc == 0
     assert "3 t^2 + 6 t^3 + 3 t^4" in out
     first = out.strip().split("\n")[0]
     assert first.endswith("3 t^2")
+
+
+def test_reps_averages_the_characters_once(capsys, monkeypatch):
+    # rho is R divided by the invariant line's (1 + t)^2, not a second average
+    calls = []
+    real = cli.antiinv_dims_R
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(cli, "antiinv_dims_R", counted)
+    monkeypatch.setattr(symrep, "antiinv_dims_R", counted)
+    rc, out, _ = run(capsys, "reps", "--k", "6", "--format", "json")
+    assert rc == 0 and calls == [6]
+    report = json.loads(out)
+    assert tuple(report["rho"]["dims"]) == symrep.antiinv_dims_rho(6)
+    assert tuple(report["R"]["dims"]) == real(6)
 
 
 # --- verify ------------------------------------------------------------
@@ -394,6 +445,15 @@ def test_verify_suite_passes_and_reports(capsys):
     assert keys == sorted(keys)
     assert all(c["status"] == "pass" for c in report["cases"])
     assert all("seconds" in c for c in report["cases"])
+
+
+def test_verify_all_runs_every_suite(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["ok"] is True and report["failed"] == 0
+    suites = {c["key"].split(": ")[0] for c in report["cases"]}
+    assert suites == set(cli._SUITE_BUILDERS) and len(suites) == 6
 
 
 def test_verify_echoes_seed(capsys):
@@ -620,18 +680,50 @@ def test_enumerations_over_the_cap_exit_two_unlisted(capsys, monkeypatch, argv, 
 
 def test_full_stack_over_the_cap_exits_two_before_labels_are_listed(capsys, monkeypatch):
     # 4950 pairs times the 100 compositions of 1: 495,000 rows by the 5050
-    # compositions of 2 at degree 0, counted from sizes
-    def unlisted(*args):
-        raise AssertionError("listed before the cap was checked")
+    # compositions of 2 at degree 0, counted from sizes.  Only the columns'
+    # compositions of 2 and the shifts' compositions of 1 are listed, and no
+    # support is built.
+    real = tautops.enumerate_compositions
+
+    def listed(n, k):
+        assert k in (2, 1), f"compositions of {k} listed"
+        return real(n, k)
+
+    def unbuilt(*args):
+        raise AssertionError("support built before the cap was checked")
 
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
-    for name in ("enumerate_compositions", "_difference_support"):
-        monkeypatch.setattr(tautops, name, unlisted)
+    monkeypatch.setattr(tautops, "enumerate_compositions", listed)
+    monkeypatch.setattr(tautops, "_difference_support", unbuilt)
     rc, out, err = run(capsys, "kernel", "--full", "--n", "100", "--k", "2",
                        "--max-degree", "1")
     assert rc == 2 and out == ""
     assert err == ("error: kernel system (100,2): 495000 x 5050 matrix exceeds the entry "
                    "cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
+
+
+@pytest.mark.parametrize("mode,rows", [("--full", 20000), ("--invariant", 10000)])
+def test_stack_refused_at_degree_zero_lists_no_higher_order(capsys, monkeypatch, mode, rows):
+    # Degree 0 takes only order 1's shifts, the compositions of 19999; the
+    # columns' compositions of 20000 are the only others listed before the
+    # stack is refused, though max_deg + 1 orders would be built.
+    real = tautops.enumerate_compositions
+
+    def listed(n, k):
+        assert k in (20000, 19999), f"compositions of {k} listed"
+        return real(n, k)
+
+    def unbuilt(*args):
+        raise AssertionError("support built before the cap was checked")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "enumerate_compositions", listed)
+    monkeypatch.setattr(tautops, "_difference_support", unbuilt)
+    rc, out, err = run(capsys, "kernel", mode, "--n", "2", "--k", "20000",
+                       "--max-degree", "20000")
+    assert rc == 2 and out == ""
+    assert err == (f"error: kernel system (2,20000): {rows} x {rows + 1} matrix exceeds the "
+                   "entry cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
 
 
 def test_orders_without_a_jet_are_not_built_before_the_cap_exits_two(capsys, monkeypatch):
@@ -711,7 +803,7 @@ def test_identical_config_identical_bytes(capsys, argv):
 
 # --- argv fuzz ---------------------------------------------------------
 
-_CHEAP_SUITES = ("toeplitz", "reps", "chi-consistency")
+_CHEAP_SUITES = ("toeplitz", "reps", "chi-consistency", "recursion", "combinatorics")
 _SMALL = st.integers(-2, 4)
 _OFTEN = st.sampled_from((True,) * 7 + (False,))
 _STRAY = ("--bogus", "--format=xml", "--rule=cubic", "--kind=Q",
@@ -741,7 +833,8 @@ def _argvs(draw):
     for group in groups:
         flags += draw(st.lists(st.sampled_from(group), max_size=1))
     if command == "verify":
-        # always name a suite: the default, all, takes seconds
+        # always name one cheap suite: all adds kernel-vs-graded to every
+        # example, and test_verify_all_runs_every_suite runs it once
         flags.append(f"--suite={draw(st.sampled_from(_CHEAP_SUITES))}")
     if command == "chi":
         vec = st.lists(_SMALL, min_size=1, max_size=2).map(

@@ -163,6 +163,23 @@ def test_partition_enumeration():
     assert enumerate_partitions(4, 4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert enumerate_partitions(3, 2) == [(3,), (2, 1)]
     assert enumerate_partitions(0, 5) == [()]
+    # the non-increasing compositions, zeros dropped, in refined order
+    for k in range(11):
+        for n in range(1, 11):
+            expected = sorted(
+                (tuple(p for p in c if p) for c in enumerate_compositions(n, k)
+                 if list(c) == sorted(c, reverse=True)),
+                key=refined_key,
+            )
+            assert enumerate_partitions(k, n) == expected
+
+
+def test_two_part_partitions_take_linear_work():
+    # a first part below ceil(k / 2) is never tried: 2001 partitions of 4000
+    # cost about 4000 cache entries, not the 4,004,001 of every first part
+    combinat._partitions.cache_clear()
+    assert len(enumerate_partitions(4000, 2)) == 2001
+    assert combinat._partitions.cache_info().misses <= 3 * 4000
 
 
 def test_refined_order_chain_weight_six():

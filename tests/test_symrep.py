@@ -115,7 +115,7 @@ def test_dims_R_window():
     assert antiinv_dims_R(3) == (0, 0, 3, 6, 3, 0, 0)
     assert antiinv_dims_R(1) == (1, 2, 1)
     assert antiinv_dims_R(6)[7] == 6
-    for k in range(1, 8):
+    for k in range(1, 21):
         dims = antiinv_dims_R(k)
         for q, d in enumerate(dims):
             if q == k - 1 or q == k + 1:

@@ -171,26 +171,28 @@ def brute_kernel_dims_n2(k, max_deg, invariant):
 def reference_condition_rows(ring, block):
     """Rows of a condition block, every x-degree, grouped by total degree.
 
-    The block lists conditions (A, degrees, support).  Each one gives
-    every jet functional of I_A^order, order = degrees.stop (pinned ones
+    The block lists conditions (A, degrees, order, shifts).  Each one
+    gives every jet functional of I_A^m, m = degrees.stop (pinned ones
     when A ends one point past the ring), whatever u-v-degrees the
-    engine keeps, each times the support's composition weights.  Each
-    row maps (composition, exponent) keys to integer weights.  This is
-    the engine's row builder from before it mapped functionals straight
-    onto the columns it eliminates and built only each stacked block's
-    new jet degree.
+    engine keeps, each times the composition weights of the order-th
+    difference along A, shifted by each mu in shifts.  Each row maps
+    (composition, exponent) keys to integer weights.  This is the
+    engine's row builder from before it mapped functionals straight onto
+    the columns it eliminates and built only each stacked block's new
+    jet degree.
     """
     by_degree = {}
-    for A, degrees, support in block:
-        order = degrees.stop
+    for A, degrees, order, shifts in block:
         if A[1] > ring.n:
-            jets = pinned_jet_conditions(A[0], order, ring)
+            jets = pinned_jet_conditions(A[0], degrees.stop, ring)
         else:
-            jets = jet_conditions(A, order, ring)
-        for functional in jets:
-            by_degree.setdefault(sum(next(iter(functional))), []).append(
-                {(lam, e): cf * c for lam, cf in support for e, c in functional.items()}
-            )
+            jets = jet_conditions(A, degrees.stop, ring)
+        for mu in shifts:
+            support = _difference_support(mu, *A, order)
+            for functional in jets:
+                by_degree.setdefault(sum(next(iter(functional))), []).append(
+                    {(lam, e): cf * c for lam, cf in support for e, c in functional.items()}
+                )
     return by_degree
 
 
@@ -227,22 +229,44 @@ def b_labels(n, k, level):
 
 
 def label_block(level, labels):
-    """The level-th stacked block over labels (mu, A), order = level + 1:
-    the order-th difference along A, shifted by mu, imposing the jets of
-    u-v-degree order - 1 alone."""
+    """The level-th stacked block over labels (mu, A), order = level + 1,
+    one condition per label: the order-th difference along A, shifted by
+    mu, imposing the jets of u-v-degree order - 1 alone."""
     order = level + 1
-    return [(A, range(level, order), _difference_support(mu, *A, order)) for mu, A in labels]
+    return [(A, range(level, order), order, [mu]) for mu, A in labels]
 
 
 def stack_labels(block):
-    """The labels (mu, A) of a built block, read back off each support:
-    its first composition is mu plus the order at A's second point."""
-    labels = []
-    for A, degrees, support in block:
-        lam = list(support[0][0])
-        lam[A[1] - 1] -= degrees.stop
-        labels.append((tuple(lam), A))
-    return labels
+    """The labels (mu, A) of a built block, read off each pair's shifts."""
+    return [(mu, A) for A, _, _, shifts in block for mu in shifts]
+
+
+def per_label(block):
+    """A built block split into one condition per label, as label_block
+    lists them."""
+    return [(A, degrees, order, [mu]) for A, degrees, order, shifts in block for mu in shifts]
+
+
+def engine_supports(block):
+    """(A, support) per label of a built block, each support as the
+    engine builds it, _difference_support over the condition's shifts."""
+    return [(A, sorted(_difference_support(mu, *A, order)))
+            for A, _, order, shifts in block for mu in shifts]
+
+
+def label_supports(order, labels):
+    """(A, support) per label (mu, A), rebuilt from the label alone: the
+    order-th difference along A = (a0, a1) shifted by mu weights mu plus
+    b at a0 and order - b at a1 by (-1)^b C(order, b)."""
+    out = []
+    for mu, (a0, a1) in labels:
+        support = []
+        for b in range(order + 1):
+            step = {a0: b, a1: order - b}
+            lam = tuple(m + step.get(slot, 0) for slot, m in enumerate(mu, start=1))
+            support.append((lam, (-1) ** b * comb(order, b)))
+        out.append(((a0, a1), sorted(support)))
+    return out
 
 
 def unpinned_full_profile(n, k, max_deg):
@@ -454,7 +478,7 @@ def test_condition_rows_have_integer_weights(monkeypatch):
         for a in range(1, n):
             functionals += pinned_jet_conditions(a, order, pinned)
     for shape, invariant in [(ring, True), (pinned, False)]:
-        for block in _stack(n, k, shape, invariant, "stack"):
+        for block in _stack(n, k, shape, invariant):
             for rows in reference_condition_rows(shape, block).values():
                 functionals += rows
     assert functionals
@@ -486,7 +510,7 @@ def _graded_block(mu):
     pairs = {}
     for i, j in combinations(range(1, len(mu) + 1), 2):
         pairs.setdefault((mu[i - 1], mu[j - 1]), (i, j))
-    return [(A, range(0, 2 * m_mu(mu), 2 if p == q else 1), [(mu, 1)])
+    return [(A, range(0, 2 * m_mu(mu), 2 if p == q else 1), 0, [mu])
             for (p, q), A in pairs.items()]
 
 
@@ -498,27 +522,30 @@ def _graded_block(mu):
 def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, invariant):
     # The cap counts, per condition and per u-v-degree s it keeps, the
     # reference rows of order s + 1 less those of order s.
-    def rows_below(A, order, support):
-        rows = reference_condition_rows(ring, [(A, range(order), support)]) if order else {}
+    def rows_below(A, jets, order, mu):
+        rows = reference_condition_rows(ring, [(A, range(jets), order, [mu])]) if jets else {}
         return {d: {frozenset(row.items()) for row in r} for d, r in rows.items()}
 
     ring = PolyRing(n if invariant else n - 1, max_deg)
-    blocks = _stack(n, k, ring, invariant, "stack")
+    blocks = list(_stack(n, k, ring, invariant))
     if invariant:
-        # graded-style blocks, every u-v-degree below their exponent, on n
-        # slots: (2, 1, ...), and (2, 2), whose pair of equal parts steps by two
+        # graded-style conditions, every u-v-degree below their exponent, on n
+        # slots: (2, 1, ...), and (2, 2), whose pair of equal parts steps by
+        # two.  They join the first block, as block l keeps no u-v-degree
+        # below l - 1.
         for mu in [(2,) + (1,) * (k - 2)] + [(2, 2)] * (k == 4):
             padded = mu + (0,) * (n - len(mu))
-            blocks.append([(A, degrees, [(padded, 1)]) for A, degrees, _ in _graded_block(mu)])
-        assert k != 4 or blocks[-1][0][1] == range(0, 4, 2)
+            blocks[0] += [(A, degrees, 0, [padded]) for A, degrees, *_ in _graded_block(mu)]
+        assert k != 4 or blocks[0][-1][1] == range(0, 4, 2)
     expected = [0] * (max_deg + 1)
     for block in blocks:
-        for A, degrees, support in block:
-            for s in degrees:
-                kept = rows_below(A, s + 1, support)
-                implied = rows_below(A, s, support)
-                for d in range(max_deg + 1):
-                    expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
+        for A, degrees, order, shifts in block:
+            for mu in shifts:
+                for s in degrees:
+                    kept = rows_below(A, s + 1, order, mu)
+                    implied = rows_below(A, s, order, mu)
+                    for d in range(max_deg + 1):
+                        expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
     counted = []
 
     def recorded(nrows, ncols, context):
@@ -537,6 +564,22 @@ def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, inva
                 degrees = [sum(next(iter(f))) for f in jets]
                 for d in range(5):
                     assert degrees.count(d) == _jet_count(ring, range(order), d)
+
+
+# Block l is sized from degree l - 1 on, so a block keeping a lower
+# u-v-degree would go uncounted below it: such a stack is refused before
+# any row is built, and a list is taken one block per degree, as _stack's
+# blocks are.
+def test_stack_keeping_a_jet_below_its_level_is_refused(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("rows built for a stack out of rule")
+
+    monkeypatch.setattr(tautops, "_difference_support", unbuilt)
+    ring, comps = PolyRing(2, 2), enumerate_compositions(2, 3)
+    low = [((1, 2), range(0, 1), 0, [(2, 1)])]
+    for blocks in ([[], low], [[], [], low]):
+        with pytest.raises(ValueError, match="below l - 1"):
+            _nullities(blocks, comps, ring, True, "stack")
 
 
 def test_row_cap_refuses_before_rows_are_built(monkeypatch):
@@ -614,7 +657,7 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
     else:
         kernel_nullity(n, k, max_deg, invariant=system == "invariant")
         ring = PolyRing(n if system == "invariant" else n - 1, max_deg)
-        systems = [(ring, _stack(n, k, ring, system == "invariant", "stack"))]
+        systems = [(ring, _stack(n, k, ring, system == "invariant"))]
 
     def upper_half_jets(A, order, ring):
         if order == 0:
@@ -628,7 +671,7 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
 
     expected = 0
     for ring, blocks in systems:
-        for A, degrees in {(A, degrees) for block in blocks for A, degrees, _ in block}:
+        for A, degrees in {(A, degrees) for block in blocks for A, degrees, *_ in block}:
             for s in degrees:
                 expected += upper_half_jets(A, s + 1, ring) - upper_half_jets(A, s, ring)
     assert built and len(built) == expected
@@ -684,7 +727,7 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
         for mu, e in [((2, 2), 4), ((2, 1, 1), 2)]:
             calls.clear()
             block = _graded_block(mu)
-            kept = {A: degrees for A, degrees, _ in block}
+            kept = {A: degrees for A, degrees, *_ in block}
             assert all(degrees.stop == e for degrees in kept.values())
             _nullities([block], [mu], PolyRing(len(mu), 4), True, "graded piece")
             assert {d for _, _, d, _ in calls} == set(range(5))
@@ -753,8 +796,9 @@ def test_folded_columns_key_only_representatives_and_named_compositions(monkeypa
     monkeypatch.setattr(tautops, "_columns", recorded)
     n, k = 4, 4
     kernel_nullity(n, k, 3, invariant=True)
-    named = {lam for block in _stack(n, k, PolyRing(n, 3), True, "stack")
-             for _, _, support in block for lam, _ in support}
+    named = {lam for block in _stack(n, k, PolyRing(n, 3), True)
+             for A, _, order, shifts in block for mu in shifts
+             for lam, _ in _difference_support(mu, *A, order)}
     comps = set(enumerate_compositions(n, k))
     sorted_comps = {lam for lam in comps if list(lam) == sorted(lam, reverse=True)}
     assert len(comps) == 35 and len(sorted_comps) == 5
@@ -779,7 +823,7 @@ def test_x_degree_blocks_are_independent_and_mirror(system):
         n, k = (3, 3) if system == "unpinned" else (3, 4)
         ring = PolyRing(n - 1 if system == "pinned" else n, 3)
         comps, fold = enumerate_compositions(n, k), system == "invariant"
-        blocks = _stack(n, k, ring, fold, "stack")
+        blocks = _stack(n, k, ring, fold)
     built = [reference_condition_rows(ring, block) for block in blocks]
     for d in range(ring.max_deg + 1):
         _, colmap = reference_columns(comps, ring, d, fold)
@@ -897,15 +941,16 @@ def test_rep_pairs_are_the_a_labels_off_the_swap_diagonal():
     # the engine lists the rest in composition order, not in A0's
     for n in range(1, 5):
         for k in range(7):
-            blocks = _stack(n, k, PolyRing(n, max(k - 2, 0)), True, "stack")
+            blocks = list(_stack(n, k, PolyRing(n, max(k - 2, 0)), True))
             assert len(blocks) == max(k - 1, 0)
             for level, block in enumerate(blocks):
                 kept = stack_labels(block)
-                assert block == label_block(level, kept)
+                assert per_label(block) == label_block(level, kept)
                 every = a_label_pairs(n, k, level)
-                assert sorted(kept) == sorted(
-                    label for label in every if label[0][0] != label[0][1]
-                )
+                off_diagonal = [label for label in every if label[0][0] != label[0][1]]
+                assert sorted(kept) == sorted(off_diagonal)
+                assert sorted(engine_supports(block)) == sorted(
+                    label_supports(level + 1, off_diagonal))
 
 
 def test_full_labels_are_the_b_labels_in_their_order(monkeypatch):
@@ -914,13 +959,17 @@ def test_full_labels_are_the_b_labels_in_their_order(monkeypatch):
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(10**18))
     for n in range(1, 7):
         for k in range(8):
-            blocks = _stack(n, k, PolyRing(n, max(k - 2, 0)), False, "stack")
-            assert blocks == [label_block(level, b_labels(n, k, level))
-                              for level in range(max(k - 1, 0))]
+            blocks = list(_stack(n, k, PolyRing(n, max(k - 2, 0)), False))
+            assert [per_label(block) for block in blocks] == [
+                label_block(level, b_labels(n, k, level)) for level in range(max(k - 1, 0))]
+            assert [engine_supports(block) for block in blocks] == [
+                label_supports(level + 1, b_labels(n, k, level))
+                for level in range(max(k - 1, 0))]
 
 
 # An order above max_deg + 1 imposes no jet through max_deg, so neither
 # mode builds its labels or supports, and the levels above repeat the last.
+# verify_filtration's graded pieces are conditions of order 0.
 def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
     orders = set()
     real = tautops._difference_support
@@ -937,10 +986,25 @@ def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
     assert orders == {1, 2, 3}
     orders.clear()
     report = verify_filtration(2, 6, 1)
-    assert orders == {1, 2}
+    assert orders == {0, 1, 2}
     assert report.full_nullities == ((7, 35), (1, 17), (1, 7), (1, 7), (1, 7), (1, 7))
     assert report.invariant_nullities == ((4, 18), (1, 9), (1, 5), (1, 5), (1, 5), (1, 5))
     assert report.passed and not report.exploratory
+
+
+# With k < 2 no order imposes a jet, so no pair is listed: at k = 0 the
+# degree-0 key table admits up to 2,000,000 points, whose pairs it does not
+# bound.
+def test_systems_without_an_order_list_no_pair(monkeypatch):
+    def unlisted(*args):
+        raise AssertionError("pairs listed with no order")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "combinations", unlisted)
+    for invariant in (True, False):
+        assert list(_stack(1000, 1, PolyRing(1000, 2), invariant)) == []
+        assert kernel_nullity(3000, 0, 0, invariant=invariant) == (1,)
+    assert kernel_nullity(1000, 1, 0, invariant=False) == (1000,)
 
 
 @pytest.mark.parametrize("n,k,max_deg", [(3, 4, 3), (3, 5, 4), (4, 4, 3), (2, 6, 6)])
@@ -1060,7 +1124,7 @@ def test_orbit_pairs_take_the_first_pair_of_each_pair_of_parts():
     for k in range(10):
         for mu in enumerate_partitions(k, max(k, 1)):
             pairs = _orbit_pairs(mu)
-            assert sorted(A for A, _ in pairs) == sorted(A for A, _, _ in _graded_block(mu))
+            assert sorted(A for A, _ in pairs) == sorted(A for A, *_ in _graded_block(mu))
             assert all(q == mu[j - 1] for (i, j), q in pairs)
 
 
