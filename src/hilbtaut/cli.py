@@ -20,13 +20,19 @@ exceeding the matrix entry cap count here, inside a verification case
 too), 3 internal fault (the traceback goes to stderr).  A verification
 case fails only by raising AssertionError; any other exception in a
 case, a ValueError included, is an internal fault.
+
+A start loads argparse and the package's modules, which every command
+needs, and nothing of the standard library that only some commands use:
+json loads for --format json output (_emit) and for a surface model read
+from a file (rroch.load_surface), fractions, with decimal and numbers,
+when the recursion and reps suites compare rational constants
+(linalg.scalar_multiple), and random in the chi-consistency suite.
+Each is imported in the function that uses it, as traceback is in main.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import time
 from functools import cache
@@ -114,6 +120,8 @@ def _series(dims) -> str:
 
 def _emit(cfg, payload: dict, text_lines, csv_lines) -> None:
     if cfg.fmt == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     elif cfg.fmt == "csv":
         print("\n".join(csv_lines))
@@ -128,7 +136,7 @@ def _load(cfg):
         return load_surface(cfg.surface)
     except OSError as exc:
         raise UsageError(f"cannot read surface model: {exc}")
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
         raise UsageError(f"bad surface model {cfg.surface!r}: {exc}")
 
 
@@ -446,6 +454,8 @@ def _suite_chi_consistency(cfg):
     for name in sorted(BUILTIN_SURFACES):
         for k in (3, 4):
             def check(name=name, k=k):
+                import random
+
                 s = get_surface(name)
                 rng = random.Random(f"{cfg.seed}:{name}:{k}")
                 checks = 0

@@ -14,7 +14,6 @@ one gcd-scaled step per pivot.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -157,7 +156,7 @@ def _add_into(acc: dict, d: dict, c=1) -> None:
             acc.pop(w, None)
 
 
-def scalar_multiple(a: dict, b: dict) -> Fraction:
+def scalar_multiple(a: dict, b: dict):
     """The rational c with a == c * b, for sparse dicts without zero values.
 
     Raises ValueError when b is empty, when a and b have different
@@ -166,6 +165,10 @@ def scalar_multiple(a: dict, b: dict) -> Fraction:
     the first entries p of a and q of b, so int dicts stay in integers
     and only the returned c is a Fraction.
     """
+    # Imported only here: fractions, with decimal and numbers, adds to
+    # every start-up otherwise.
+    from fractions import Fraction
+
     if not b:
         raise ValueError("nothing to compare against")
     if a.keys() != b.keys():

@@ -30,7 +30,6 @@ models is meaningful.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from math import comb
 
@@ -130,6 +129,8 @@ def load_surface(path) -> SurfaceModel:
     naming it, and so does a file nested too deeply for the JSON decoder.
     Noether violations are rejected here, at load time.
     """
+    import json  # here alone: a start that reads no file does not load it
+
     with open(path) as fh:
         try:
             data = json.load(fh)

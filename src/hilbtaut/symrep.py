@@ -27,7 +27,6 @@ scalar comes out is returned, never silently absorbed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
@@ -234,7 +233,7 @@ def _reshuffle(sym_tensor, wedge_tensor):
             for w1, v1 in sym_tensor.items() for w2, v2 in wedge_tensor.items()}
 
 
-def verify_sym_map(k: int) -> Fraction:
+def verify_sym_map(k: int):
     """Reproduce the induced-map computation on invariants and compare
     with (k-1) times symmetrization.
 
@@ -247,9 +246,10 @@ def verify_sym_map(k: int) -> Fraction:
     basis of S^(k-1)V must have nonempty, pairwise disjoint word
     supports, so it is independent, and the element must be a rational
     multiple of the expected product monomial, with one common constant
-    across all generators; that constant is returned (the identification
-    is only pinned up to a positive scalar, so it is reported rather
-    than asserted to be 1).  Failures raise AssertionError.
+    across all generators; that constant, a Fraction, is returned (the
+    identification is only pinned up to a positive scalar, so it is
+    reported rather than asserted to be 1).  Failures raise
+    AssertionError.
 
     The tensors are built in integers, without the hats: omega-hat on
     k - 1 letters and the wedge each divide by (k-2)!, the map by k - 1,

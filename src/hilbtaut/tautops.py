@@ -68,22 +68,24 @@ by a cap (override with the environment variable
 fast instead of grinding.  The compositions a kernel system is keyed
 by, and the partitions graded_dims lists, are counted before either is
 listed.  Every system's column key table, keys times points, is checked
-from its size before any column is built, folded or not, and bounds
-the whole table though a folded one keys fewer; then each degree's
-stack of rows times its columns, the rows counted from sizes as each
-condition's shifts times the jets of its own u-v-degrees.  Both are
-checked in one place, _nullities, and every degree passes both before
-any support or row is built.  A kernel system checks its degree-0 key
-table before it lists its pairs, and each order's shifts are listed
-only just before the first degree its jets reach is checked (_stack).
-Exceeding any of these raises EntryCapError.
+from its size, and bounds the whole table though a folded one keys
+fewer; then each degree's stack of rows times its columns, the rows
+counted from sizes as each condition's shifts times the jets of its own
+u-v-degrees.  Both are checked in one place, _nullities, degree by
+degree, and every degree passes both before any support or row is
+built.  Every degree is sized before any table is built, except that a
+folded stack with rows builds its degree's folded columns to count
+their orbits: a key table, an unfolded stack, whose columns are its
+keys, and a stack with no rows need sizes alone.  A kernel system checks
+its degree-0 key table before it lists its pairs, and each order's
+shifts are listed only just before the first degree its jets reach is
+checked (_stack).  Exceeding any of these raises EntryCapError.
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, cycle, islice, permutations
 from math import comb
@@ -306,6 +308,17 @@ class _OrbitTables(dict):
         return table
 
 
+def _key_count(comps, ring: PolyRing, d: int, fold: bool) -> int:
+    """How many keys (lam, e) degree d has, lam in comps and e a degree-d
+    monomial of ring, after checking their table, every key times points
+    (the slots of lam), against the entry cap.  Sizes alone answer it,
+    so no monomial or key is built; it bounds a folded table too, though
+    fewer keys are built there.  Unfolded, each key is a column."""
+    keys = len(comps) * comb(ring.nvars + d - 1, d)
+    _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
+    return keys
+
+
 def _columns(comps, ring: PolyRing, d: int, fold: bool):
     """(ncols, tables): how many columns the keys (lam, e) make, lam in
     comps and e a degree-d monomial of ring, and per composition lam a
@@ -329,17 +342,14 @@ def _columns(comps, ring: PolyRing, d: int, fold: bool):
     are ever filled.  Swapping x and y maps the keys, and so the orbits,
     of x-degree g one-to-one onto those of d - g, so only 2g >= d is
     keyed and ncols still counts every column: an orbit of 2g > d counts
-    twice.  The key table, every key times points (the slots of lam), is
-    checked against the entry cap from its size before any monomial or
-    key is built; it bounds every key, though fewer are built.
+    twice.  The key table is checked by _key_count, which _nullities
+    calls before it builds the table of that degree.
     """
-    keys = len(comps) * comb(ring.nvars + d - 1, d)
-    _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
     n = ring.n
     upper = _upper_half(n, d)
     if not fold:
         width = len(upper)
-        return keys, {
+        return len(comps) * comb(ring.nvars + d - 1, d), {
             lam: dict(zip(upper, range(i * width, (i + 1) * width)))
             for i, lam in enumerate(comps)
         }
@@ -394,15 +404,19 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     of its whole orbit.
 
     This is where every system is sized.  Each degree is checked
-    against the cap, first its key table, then its stack, rows times
-    columns, the rows counted as each condition's shifts times the jets
-    of its own u-v-degrees, degrees, over both x-degree halves
-    (_jet_count); context names the system.  Block l keeps no
-    u-v-degree below l - 1, so it is taken from blocks, lazy as _stack's
-    are, just before degree l - 1 is checked, and a refusal at degree d
-    takes d + 1 blocks at most; a stack out of this rule raises
-    ValueError before any row is built.  Once every degree has passed,
-    each support is built once, then, degree by degree, each
+    against the cap, first its key table (_key_count), then its stack,
+    rows times columns, the rows counted as each condition's shifts
+    times the jets of its own u-v-degrees, degrees, over both x-degree
+    halves (_jet_count); context names the system.  The key table, the
+    columns of an unfolded stack, which are its keys, and a stack with
+    no rows need sizes alone; only a folded stack with rows builds its
+    degree's columns first, to count their orbits.  Every other table
+    is built once every degree has passed, one degree at a time.
+    Block l keeps no u-v-degree below l - 1, so it is taken from blocks,
+    lazy as _stack's are, just before degree l - 1 is checked, and a
+    refusal at degree d takes d + 1 blocks at most; a stack out of this
+    rule raises ValueError before any row is built.  Once every degree
+    has passed, each support is built once, then, degree by degree, each
     condition's jet functionals once.
 
     Every row is bihomogeneous, so degree d splits into blocks of
@@ -421,13 +435,15 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     blocks, taken = iter(blocks), []
     columns = []
     for d in range(ring.max_deg + 1):
-        ncols, tables = _columns(comps, ring, d, fold)
+        nkeys = _key_count(comps, ring, d, fold)
         taken += islice(blocks, d + 1 - len(taken))
         nrows = sum(len(shifts) * _jet_count(ring, degrees, d)
                     for block in taken for _, degrees, _, shifts in block)
+        # only a folded stack needs its columns built to be sized
+        built = _columns(comps, ring, d, True) if fold and nrows else None
         if nrows:
-            _check_cap(nrows, ncols, context)
-        columns.append((ncols, tables))
+            _check_cap(nrows, built[0] if built else nkeys, context)
+        columns.append(built)
     taken += blocks
     if any(degrees and degrees.start < level
            for level, block in enumerate(taken) for _, degrees, _, _ in block):
@@ -435,7 +451,8 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     supported = [[(A, degrees, [_difference_support(mu, *A, order) for mu in shifts])
                   for A, degrees, order, shifts in block] for block in taken]
     profile: list = [[] for _ in range(len(taken) + 1)]
-    for d, (ncols, tables) in enumerate(columns):
+    for d, built in enumerate(columns):
+        ncols, tables = built or _columns(comps, ring, d, fold)
         keys = _upper_half(n, d)[::-1]  # sorted, as jet_conditions orders them
         pivots: dict = {}
         rank = 0
@@ -977,8 +994,9 @@ def _merged_pair_operator(mu0, level: int, summands) -> dict:
     return {ij: {e: c for e, c in b.items() if c} for ij, b in buckets.items()}
 
 
-def _match_constant(label: str, mine: dict, printed: dict) -> Fraction:
-    """The single rational c with mine = c * printed, bucket by bucket."""
+def _match_constant(label: str, mine: dict, printed: dict):
+    """The single rational c, a Fraction, with mine = c * printed, bucket
+    by bucket."""
 
     def flat(buckets):
         return {(ij, e): c for ij, p in buckets.items() for e, c in p.items()}

@@ -500,13 +500,19 @@ def test_missing_argument_exits_two_with_one_line(capsys):
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """A fresh interpreter importing the CLI loads neither dataclasses
     nor inspect, nor the ast, dis and tokenize modules inspect pulls in;
-    -S keeps site's own imports out of the count."""
+    -S keeps site's own imports out of the count.  Nor does it load what
+    only some commands use: fractions with the decimal and numbers it
+    pulls in, json and random, which load on first use; importing
+    tautops alone loads none of them either."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, hilbtaut.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                            text=True, env=env, check=True).stdout.split()
-    assert "hilbtaut.cli" in loaded
-    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+    unloaded = {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                "fractions", "decimal", "numbers", "json", "random"}
+    for module in ("hilbtaut.cli", "hilbtaut.tautops"):
+        code = f"import sys, {module}; print(*sorted(sys.modules))"
+        loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                                text=True, env=env, check=True).stdout.split()
+        assert module in loaded
+        assert not unloaded & set(loaded), module
 
 
 def test_parser_built_once_answers_as_a_fresh_process(capsys):
@@ -751,6 +757,28 @@ def test_row_stack_over_the_cap_exits_two_before_building(capsys):
     assert rc == 2 and out == ""
     assert err.startswith("error: kernel system (20,2): 136800 x 7980") and "cap" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,shape", [
+    (("--n", "2", "--k", "1", "--max-degree", "3000"), "column orbit keys: 1016160 x 2"),
+    (("--full", "--n", "2", "--k", "20000", "--max-degree", "20000"),
+     "kernel system (2,20000): 20000 x 20001"),
+])
+def test_sizes_refuse_before_any_table_is_built(capsys, monkeypatch, argv, shape):
+    # Key tables at every degree, an unfolded stack's columns and a stack
+    # with no rows are sized without a table: a system with no rows refused
+    # at its degree-143 key table, and a full one refused at its degree-0
+    # stack, build none first.
+    def unbuilt(*args):
+        raise AssertionError("a column table was built before the cap refused")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(tautops, "_columns", unbuilt)
+    monkeypatch.setattr(tautops, "_upper_half", unbuilt)
+    rc, out, err = run(capsys, "kernel", *argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {shape} matrix exceeds the entry cap 2000000; "
+                   "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
 
 
 def test_five_point_invariant_stack_under_the_cap_answers(capsys, monkeypatch):

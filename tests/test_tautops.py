@@ -34,6 +34,7 @@ from hilbtaut.tautops import (
     _difference_support,
     _free_point_counts,
     _jet_count,
+    _key_count,
     _match_constant,
     _nullities,
     _nullity_profile,
@@ -859,15 +860,20 @@ def test_filtration_resource_cap(monkeypatch):
         verify_filtration(2, 3, 3)
 
 
+# The key table is checked by _key_count, from sizes, where _nullities sizes
+# each degree; _columns only builds.
 def test_column_orbit_keys_are_capped(monkeypatch):
     # 6 compositions x 6 monomials of degree 1, keyed by 3 triples each
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
     ring = PolyRing(3, 1)
     comps = enumerate_compositions(3, 2)
     assert _columns(comps, ring, 0, True)[0] == 2
-    with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
-        _columns(comps, ring, 1, True)
+    for check in (lambda: _key_count(comps, ring, 1, True),
+                  lambda: _nullities([], comps, ring, True, "stack")):
+        with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
+            check()
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
+    assert _key_count(comps, ring, 1, True) == 36
     assert _columns(comps, ring, 1, True)[0] > 0
 
 
@@ -877,9 +883,12 @@ def test_unfolded_column_keys_are_capped(monkeypatch):
     ring = PolyRing(3, 1)
     comps = enumerate_compositions(3, 2)
     assert _columns(comps, ring, 0, False)[0] == 6
-    with pytest.raises(EntryCapError, match="column keys: 36 x 3"):
-        _columns(comps, ring, 1, False)
+    for check in (lambda: _key_count(comps, ring, 1, False),
+                  lambda: _nullities([], comps, ring, False, "stack")):
+        with pytest.raises(EntryCapError, match="column keys: 36 x 3"):
+            check()
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
+    assert _key_count(comps, ring, 1, False) == 36
     assert _columns(comps, ring, 1, False)[0] == 36
 
 
