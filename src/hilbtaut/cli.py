@@ -55,7 +55,7 @@ from .rroch import (
     get_surface,
     load_surface,
 )
-from .symrep import _INVARIANT_LINE, _poly_quotient, antiinv_dims_R, antiinv_dims_rho
+from .symrep import antiinv_dims_R, antiinv_dims_rho, rho_from_R
 from .symrep import verify_omega, verify_sym_map
 from .tautops import (
     EXPONENT_RULES,
@@ -134,6 +134,9 @@ def _load(cfg):
         return get_surface(cfg.surface)
     try:
         return load_surface(cfg.surface)
+    except FileNotFoundError as exc:
+        raise UsageError(f"cannot read surface model: {exc}; "
+                         f"builtins: {sorted(BUILTIN_SURFACES)}")
     except OSError as exc:
         raise UsageError(f"cannot read surface model: {exc}")
     except (ValueError, KeyError) as exc:  # a JSONDecodeError is a ValueError
@@ -338,7 +341,7 @@ def cmd_reps(cfg) -> int:
     # one class polynomial per cycle type: a partition of k, at most k wide
     _check_partitions(cfg.k, cfg.k)
     full = antiinv_dims_R(cfg.k)
-    rho = tuple(_poly_quotient(full, _INVARIANT_LINE))  # antiinv_dims_rho, from full
+    rho = rho_from_R(full)
     payload = {
         "command": "reps",
         "k": cfg.k,

@@ -13,10 +13,13 @@ S^k of a tautological bundle, twisted by the natural line bundle of a
 class A (numerically: A tensored into every factor):
 
 * a two-point formula valid for every k,
-* one-formula-per-k expressions for k <= 4 valid for every number of
-  points, with the convention that binomials with negative lower index
-  vanish (which silently drops the terms that need more points than
-  available),
+* for k <= 4 and every number of points, one sum over the j <= k
+  points a graded piece of the filtration lives on:
+  chi_{n,k} = sum_j c_j C(chi(A) + n - j - 1, n - j), where a binomial
+  with negative lower index vanishes, dropping the parts that need more
+  points than there are.  So (1 - z)^chi(A) sum_n chi_{n,k} z^n is the
+  polynomial c_0 + c_1 z + ... + c_k z^k of degree <= k, a bound that
+  is open past k = 4; per k, only the list of c_j is written out,
 * the per-partition graded pieces in the two-point case, whose sum
   telescopes to the first formula.
 
@@ -212,76 +215,69 @@ def chi_sym_power_n2(s: SurfaceModel, k: int, L, A) -> int:
     return total
 
 
+def _point_parts(om, k: int) -> list[int]:
+    """c_0 ... c_k, the j-point parts of the k <= 4 formula, read off
+    om = chi_twists(s, L, A)."""
+    chi = lambda p, q: om(0, p, q)
+    if k == 0:
+        return [1]
+    if k == 1:
+        return [0, chi(1, 1)]
+    if k == 2:
+        return [0, chi(2, 1), binom_int(chi(1, 1) + 1, 2) - chi(2, 2)]
+    if k == 3:
+        return [
+            0,
+            chi(3, 1),
+            chi(2, 1) * chi(1, 1) - chi(3, 2) - om(1, 3, 2),
+            binom_int(chi(1, 1) + 2, 3) - chi(2, 2) * chi(1, 1) + om(1, 3, 3),
+        ]
+    # k == 4: Omega (x) Omega = S^2 Omega + K, and Serre duality turns
+    # chi(K + M) into chi(-M)
+    chi_omom = om(2, 4, 3) + chi(-4, -3)
+    chi_K = chi(-4, -4)
+    return [
+        0,
+        chi(4, 1),
+        (chi(3, 1) * chi(1, 1)
+         - 2 * chi(4, 2)
+         - om(1, 4, 2)
+         + binom_int(chi(2, 1) + 1, 2)
+         - om(2, 4, 2)),
+        (chi(2, 1) * binom_int(chi(1, 1) + 1, 2)
+         - chi(3, 2) * chi(1, 1)
+         - chi(2, 2) * chi(2, 1)
+         + chi(4, 3)
+         - om(1, 3, 2) * chi(1, 1)
+         + 2 * om(1, 4, 3)
+         + chi_omom
+         + om(3, 4, 3)),
+        (binom_int(chi(1, 1) + 3, 4)
+         - chi(2, 2) * binom_int(chi(1, 1) + 1, 2)
+         + binom_int(chi(2, 2), 2)
+         + om(1, 3, 3) * chi(1, 1)
+         - om(1, 4, 4)
+         - chi_K
+         - om(3, 4, 4)),
+    ]
+
+
 def chi_sym_power_smallk(s: SurfaceModel, n: int, k: int, L, A) -> int:
     """The per-k formulas, k <= 4, any n >= 1.
 
-    Each term carries a binomial prefactor in chi(A) whose lower index
-    shrinks with the number of points the term occupies; for small n the
-    prefactor vanishes, which is exactly the right truncation.
+    chi_{n,k} = sum over j <= k of c_j C(chi(A) + n - j - 1, n - j): the
+    part c_j lives on j points, and its prefactor is chi(D_A) on the
+    other n - j.  A part that needs more than n points has a negative
+    lower index and vanishes, which is exactly the right truncation.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= k <= 4:
         raise ValueError("closed per-k formulas exist for k <= 4 only")
     om = chi_twists(s, L, A)
-    chi = lambda p, q: om(0, p, q)
-    cA = chi(0, 1)
-    if k == 0:
-        return binom_int(cA + n - 1, n)
-    if k == 1:
-        return chi(1, 1) * binom_int(cA + n - 2, n - 1)
-    if k == 2:
-        return chi(2, 1) * binom_int(cA + n - 2, n - 1) + (
-            binom_int(chi(1, 1) + 1, 2) - chi(2, 2)
-        ) * binom_int(cA + n - 3, n - 2)
-    if k == 3:
-        return (
-            binom_int(cA + n - 2, n - 1) * chi(3, 1)
-            + binom_int(cA + n - 3, n - 2)
-            * (chi(2, 1) * chi(1, 1) - chi(3, 2) - om(1, 3, 2))
-            + binom_int(cA + n - 4, n - 3)
-            * (
-                binom_int(chi(1, 1) + 2, 3)
-                - chi(2, 2) * chi(1, 1)
-                + om(1, 3, 3)
-            )
-        )
-    # k == 4: Omega (x) Omega = S^2 Omega + K, and Serre duality turns
-    # chi(K + M) into chi(-M)
-    chi_omom = om(2, 4, 3) + chi(-4, -3)
-    chi_K = chi(-4, -4)
-    return (
-        binom_int(cA + n - 2, n - 1) * chi(4, 1)
-        + binom_int(cA + n - 3, n - 2)
-        * (
-            chi(3, 1) * chi(1, 1)
-            - 2 * chi(4, 2)
-            - om(1, 4, 2)
-            + binom_int(chi(2, 1) + 1, 2)
-            - om(2, 4, 2)
-        )
-        + binom_int(cA + n - 4, n - 3)
-        * (
-            chi(2, 1) * binom_int(chi(1, 1) + 1, 2)
-            - chi(3, 2) * chi(1, 1)
-            - chi(2, 2) * chi(2, 1)
-            + chi(4, 3)
-            - om(1, 3, 2) * chi(1, 1)
-            + 2 * om(1, 4, 3)
-            + chi_omom
-            + om(3, 4, 3)
-        )
-        + binom_int(cA + n - 5, n - 4)
-        * (
-            binom_int(chi(1, 1) + 3, 4)
-            - chi(2, 2) * binom_int(chi(1, 1) + 1, 2)
-            + binom_int(chi(2, 2), 2)
-            + om(1, 3, 3) * chi(1, 1)
-            - om(1, 4, 4)
-            - chi_K
-            - om(3, 4, 4)
-        )
-    )
+    cA = om(0, 0, 1)
+    return sum(binom_int(cA + n - j - 1, n - j) * c
+               for j, c in enumerate(_point_parts(om, k)) if c)
 
 
 def chi_sym_power(s: SurfaceModel, n: int, k: int, L, A) -> int:

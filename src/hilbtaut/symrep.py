@@ -5,7 +5,9 @@ parts of Lambda^q(V (x) R_k) and Lambda^q(V (x) rho_k), where R_k is the
 permutation representation of S_k and rho_k the standard one.  These are
 plain character averages, run over cycle types with exact integer
 polynomial arithmetic; a non-integral average would mean a bug and is
-detected immediately.
+detected immediately.  The rho_k series is not averaged again: since
+R_k = rho_k + 1, it is the R_k series divided exactly by 1 + t, once
+per dimension of V.
 
 Second half: small wedge and symmetric powers are realized inside
 tensor powers with integer coefficients (wedges and symmetric products
@@ -53,30 +55,9 @@ def cycle_types(k: int):
     return out
 
 
-def _poly_quotient(p, d):
-    """Quotient of p by d in Z[t]; raises AssertionError if the division
-    leaves a remainder."""
-    p = list(p)
-    deg_d = len(d) - 1
-    quot = [0] * (len(p) - deg_d)
-    for i in range(len(quot) - 1, -1, -1):
-        c = p[i + deg_d]
-        if c % d[-1]:
-            raise AssertionError("inexact polynomial division")
-        c //= d[-1]
-        quot[i] = c
-        if c:
-            for j, b in enumerate(d):
-                p[i + j] -= c * b
-    if any(p):
-        raise AssertionError("inexact polynomial division")
-    return quot
-
-
 # V is a plane, so the invariant line of R_k gives V (x) R_k the factor
 # det(1 + t) = (1 + t)^2 in every class's characteristic polynomial
 _DIM_V = 2
-_INVARIANT_LINE = [1, 2, 1]
 
 
 def _det_one_plus_t(lam):
@@ -115,13 +96,26 @@ def antiinv_dims_R(k: int) -> tuple[int, ...]:
 
 
 def antiinv_dims_rho(k: int) -> tuple[int, ...]:
-    """Same as antiinv_dims_R but for the standard summand rho_k.
+    """Same as antiinv_dims_R but for the standard summand rho_k."""
+    return rho_from_R(antiinv_dims_R(k))
 
-    R_k = rho_k + 1, and averaging is linear, so the average for R_k is
+
+def rho_from_R(dims) -> tuple[int, ...]:
+    """The antiinv_dims_rho(k) series from antiinv_dims_R(k)'s.
+
+    R_k = rho_k + 1, and averaging is linear, so the series for R_k is
     divided exactly by (1 + t)^dim V, the contribution of the invariant
-    line.
+    line, one factor 1 + t at a time.  Raises AssertionError if a
+    division leaves a remainder.
     """
-    return tuple(_poly_quotient(antiinv_dims_R(k), _INVARIANT_LINE))
+    for _ in range(_DIM_V):
+        quot = [0]
+        for c in dims:
+            quot.append(c - quot[-1])
+        if quot.pop():
+            raise AssertionError("inexact polynomial division")
+        dims = quot[1:]
+    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------

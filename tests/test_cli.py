@@ -88,6 +88,15 @@ def test_chi_rejects_unknown_surface(capsys):
     assert rc == 2 and "error:" in err
 
 
+def test_chi_missing_surface_file_names_the_builtins(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, "chi", "--surface", "p3", "--n", "2", "--k", "2",
+                       "--L", "1", "--A", "0")
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: cannot read surface model: [Errno 2]")
+    assert f"builtins: {sorted(BUILTIN_SURFACES)}" in err
+
+
 def test_chi_loads_surface_model_from_json(capsys, tmp_path):
     model = {"name": "quadric", "rank": 2, "intersection": [[0, 1], [1, 0]],
              "K": [-2, -2], "chiO": 1, "c2": 4}

@@ -321,6 +321,27 @@ def test_routes_agree_at_two_points():
                     ), (s.name, k, L, A)
 
 
+def test_point_parts_stop_at_k_points():
+    """(1 - z)^chi(A) sum_n chi_{n,k} z^n is a polynomial of degree <= k
+    with constant term [k = 0] and, for k >= 1, linear term chi(L^k A).
+    Its z^2 coefficient comes through the two-point formula, so this also
+    ties the two routes together."""
+    rng = random.Random(31)
+    for s in MODELS:
+        for _ in range(4):
+            L, A = (tuple(rng.randint(-3, 3) for _ in range(s.rank)) for _ in "LA")
+            chi = chi_twists(s, L, A)
+            for k in range(5):
+                series = [int(k == 0)]
+                series += [chi_sym_power(s, n, k, L, A) for n in range(1, k + 5)]
+                parts = [sum((-1) ** (j - i) * binom_int(chi(0, 0, 1), j - i) * series[i]
+                             for i in range(j + 1)) for j in range(len(series))]
+                case = (s.name, L, A, k, parts)
+                assert parts[0] == int(k == 0), case
+                assert k == 0 or parts[1] == chi(0, k, 1), case
+                assert not any(parts[k + 1:]), case
+
+
 def test_section_count_identities_on_p2():
     # with trivial twist the chi of S^k stabilizes to the symmetric power
     # of the space of sections once there are at least k points

@@ -5,6 +5,7 @@ principal minors of explicit permutation-action matrices, a different
 route from the characteristic-polynomial products used in the module.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -18,6 +19,7 @@ from hilbtaut.symrep import (
     antiinv_dims_rho,
     cycle_types,
     omega_on,
+    rho_from_R,
     verify_omega,
     verify_sym_map,
 )
@@ -137,6 +139,20 @@ def test_dims_R_palindromic():
 def test_rho_total_count():
     for k in range(1, 8):
         assert sum(antiinv_dims_rho(k)) == k
+
+
+def test_rho_from_R_divides_exactly_by_one_plus_t_squared():
+    rng = random.Random(11)
+    for _ in range(200):
+        quot = [rng.randint(-50, 50) for _ in range(rng.randint(0, 9))]
+        prod = [0] * (len(quot) + 2)
+        for i, c in enumerate(quot):
+            for j, b in enumerate((1, 2, 1)):
+                prod[i + j] += c * b
+        assert rho_from_R(prod) == tuple(quot)
+    for dims in ((1, 1, 1), (1, 2, 1, 1)):
+        with pytest.raises(AssertionError, match="inexact polynomial division"):
+            rho_from_R(dims)
 
 
 def test_bad_k_rejected():
