@@ -3,8 +3,9 @@
 The package is organized by what each part computes:
 
 * :mod:`hilbtaut.combinat` -- compositions and partitions, the label sets
-  of multi-index maps, and the symmetric-group orbits and stabilizers of
-  those maps, each held as the tuple of its image bitmasks.
+  of multi-index maps, and the symmetric-group orbits (a representative
+  and a size each) and stabilizers of those maps, each map held as the
+  tuple of its image bitmasks.
 * :mod:`hilbtaut.polyjet` -- the monomials of the coordinate ring of n
   points of the affine plane, up to a degree cap, and the jet
   functionals cutting out powers of the pairwise diagonal ideals.

@@ -161,6 +161,13 @@ def _gate_range(cfg) -> None:
 # table commands
 
 
+@cache
+def _power_of_ten(limit: int) -> int:
+    """10**limit, built once per limit: the least integer with more
+    than limit digits."""
+    return 10**limit
+
+
 def _printable(value: int, name: str) -> int:
     """value, if the interpreter can convert it to a decimal string.
 
@@ -168,7 +175,7 @@ def _printable(value: int, name: str) -> int:
     means none.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and abs(value) >= 10**limit:
+    if limit and abs(value) >= _power_of_ten(limit):
         raise UsageError(
             f"{name} has more than {limit} digits, the interpreter's limit "
             "for printing an integer"
@@ -518,11 +525,11 @@ def _suite_combinatorics(cfg):
                         raise AssertionError(f"B count off at l={l}")
                     if len(quotient_A(k, l, n)) != len(gh_orbits):
                         raise AssertionError(f"A count off at l={l}")
-                    for orb in h_orbits:
-                        if stabilizer_order(n, orb[0], "H") * len(orb) != order_h:
+                    for rep, size in h_orbits:
+                        if stabilizer_order(n, rep, "H") * size != order_h:
                             raise AssertionError(f"H stabilizer off at l={l}")
-                    for orb in gh_orbits:
-                        if stabilizer_order(n, orb[0], "GxH") * len(orb) != order_gh:
+                    for rep, size in gh_orbits:
+                        if stabilizer_order(n, rep, "GxH") * size != order_gh:
                             raise AssertionError(f"GxH stabilizer off at l={l}")
                     checked += len(h_orbits) + len(gh_orbits)
                 return {"orbit_checks": checked}

@@ -13,12 +13,13 @@ with point j at bit j - 1, and every function here takes and returns
 maps in that one format.  A capped brute-force orbit enumerator is
 included, so that the tests and `verify --suite combinatorics` can
 cross-check the closed-form counts against an independent computation.
-Its cached walk builds the maps one slot layer at a time, and computes
-each map's H-key (its sorted masks) once, as one interned tuple per
-distinct key.  Orbits are then grouped by key, with no sort per map:
-the first member of an orbit hands its id to every key reached from its
-own by two relabellings that generate S_n (to its own key alone under
-H), and every later map finds its orbit by one lookup of its own key.
+It never lists a map.  Its cached walk builds one slot layer at a time
+with prefixes merged by H-key (a map's sorted masks), keeping per key
+the number of maps that reach it, and every k on n points extends the
+same layers.  Each orbit is then one (representative, size) pair: a
+key not yet reached opens it and is its representative, and its size
+is the sum of the counts of every key reached from that one by two
+relabellings that generate S_n (its own key alone under H).
 
 Points are 1-based everywhere.  A permutation of {1..m} is a tuple p of
 length m with p[i-1] = p(i).
@@ -222,53 +223,48 @@ def stabilizer_order(n: int, a: tuple[int, ...], group: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _maps_by_level(n: int, k: int) -> dict[int, tuple[tuple, tuple]]:
-    """All maps with k(a) <= 2, bucketed by l(a): per level, the maps and
-    their H-keys as two parallel tuples.
+def _layer(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The H-keys of the maps on k slots with k(a) <= 2, each with the
+    number of maps that have it, in the order of each key's first map.
 
     A map is the tuple of its image bitmasks, slot by slot, and its
     H-key is that tuple sorted.  The k(a) <= 2 condition is that the
     union of the non-singleton images stays within two points.  That
-    union, like the level, depends on the key alone, and so do the
-    images a prefix may take next.  The pool is every nonempty subset of
-    {1..n} as a mask, by size and then lexicographically.  The children
-    of each distinct key are listed once, in pool order, each with its
-    own key, interned so that equal keys are one tuple.  Every prefix of
-    a layer is extended by the children its key lists.  Prefixes stay in
-    the order of the plain product walk over the pool, restricted to the
-    survivors, and so do the maps in each bucket.
+    union depends on the key alone, and so do the images a prefix may
+    take next, so prefixes are merged by key: layer k extends each key
+    of layer k - 1, once, by every mask of the pool (every nonempty
+    subset of {1..n}, by size and then lexicographically) that keeps
+    the condition, and adds its count to the child's.  Keys are taken
+    in layer order and children in pool order, so a key first appears
+    where its first map does in the plain product walk over the pool,
+    restricted to the survivors.  Each layer is cached, and every k on
+    n points extends the same ones.
     """
+    if k == 0:
+        return {(): 1}
     pool = [sum(1 << j - 1 for j in s) for size in range(1, n + 1)
             for s in itertools.combinations(range(1, n + 1), size)]
-    known = {(): ((), 0)}  # key -> (its interned tuple, its level)
-    children: dict[tuple[int, ...], list] = {}
+    out: dict[tuple[int, ...], int] = {}
+    for key, count in _layer(n, k - 1).items():
+        union = 0
+        for m in key:
+            if m & (m - 1):
+                union |= m
+        for m in pool:
+            if (union | m if m & (m - 1) else union).bit_count() <= 2:
+                new = tuple(sorted(key + (m,)))
+                out[new] = out.get(new, 0) + count
+    return out
 
-    def kids(key):
-        out = children.get(key)
-        if out is None:
-            union = 0
-            for m in key:
-                if m & (m - 1):
-                    union |= m
-            level = known[key][1]
-            out = children[key] = []
-            for m in pool:
-                if (union | m if m & (m - 1) else union).bit_count() <= 2:
-                    new = tuple(sorted(key + (m,)))
-                    new = known.setdefault(new, (new, level + m.bit_count() - 1))[0]
-                    out.append((m, new))
-        return out
 
-    layer = [((), ())]
-    for _ in range(k):
-        layer = [(prefix + (m,), new)
-                 for prefix, key in layer for m, new in kids(key)]
-    buckets: dict[int, tuple[list, list]] = {}
-    for a, key in layer:
-        maps, keys = buckets.setdefault(known[key][1], ([], []))
-        maps.append(a)
-        keys.append(key)
-    return {lv: (tuple(maps), tuple(keys)) for lv, (maps, keys) in buckets.items()}
+@lru_cache(maxsize=None)
+def _keys_by_level(n: int, k: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """The layer of k slots bucketed by l(a), the image sizes summed
+    minus k, each bucket in layer order."""
+    buckets: dict[int, dict[tuple[int, ...], int]] = {}
+    for key, count in _layer(n, k).items():
+        buckets.setdefault(sum(map(int.bit_count, key)) - k, {})[key] = count
+    return buckets
 
 
 def _relabel_table(sigma: tuple[int, ...]):
@@ -283,21 +279,23 @@ def _relabel_table(sigma: tuple[int, ...]):
     return table.__getitem__
 
 
-def orbits(n: int, k: int, l: int, group: str) -> list[list[tuple[int, ...]]]:
-    """Brute-force orbit partition of I^l under H or G x H.
+def orbits(n: int, k: int, l: int, group: str) -> list[tuple[tuple[int, ...], int]]:
+    """Brute-force orbit partition of I^l under H or G x H, as one
+    (representative, size) pair per orbit.
 
-    Each member is a map as the tuple of its image bitmasks.  H permutes
-    slots, so a map's H-key, the sorted tuple of its masks, computed
-    once in the cached walk, names its H-orbit.  G x H also relabels
-    points, and I^l is stable under it (l(a) and k(a) are invariants),
-    so every relabelling of an enumerated map is enumerated too.  The
-    orbits are therefore closed in one walk: a map whose H-key is unseen
-    opens a new orbit, whose id goes to every key reached from its own
-    by relabelling with the transposition (1 2) and the n-cycle, which
-    generate S_n (under H, to its own key alone).  The partition comes
-    from the group action alone, entirely independent of the label-set
-    constructions above.  Orbits are listed in order of their first
-    member, members in enumeration order.
+    H permutes slots, so a map's H-key, the sorted tuple of its image
+    bitmasks, names its H-orbit, whose size is the number of maps with
+    that key, counted by the cached walk.  G x H also relabels points,
+    and I^l is stable under it (l(a) and k(a) are invariants), so every
+    relabelling of a walked key is walked too.  The orbits are therefore
+    closed in one pass over the keys: a key not yet reached opens a new
+    orbit, which takes every key reached from its own by relabelling
+    with the transposition (1 2) and the n-cycle, which generate S_n
+    (under H, its own key alone), and sums their counts.  The partition
+    comes from the group action alone, entirely independent of the
+    label-set constructions above.  Orbits are listed in order of their
+    first map in the plain product walk, each represented by that map's
+    H-key, which stabilizer_order reads as the same multiset of masks.
     Hard error when n! * k! exceeds the cap; `verify --suite
     combinatorics` and the tests run it against the closed forms.
     """
@@ -305,28 +303,29 @@ def orbits(n: int, k: int, l: int, group: str) -> list[list[tuple[int, ...]]]:
         raise ValueError("group too large for brute-force enumeration")
     if group not in ("H", "GxH"):
         raise ValueError("group must be 'H' or 'GxH'")
-    maps, keys = _maps_by_level(n, k).get(l, ((), ()))
-    if not maps:
+    counts = _keys_by_level(n, k).get(l)
+    if not counts:
         return []
     gens = []
     if group == "GxH" and n > 1:
         points = tuple(range(1, n + 1))
         gens = [_relabel_table((2, 1) + points[2:]),
                 _relabel_table(points[1:] + (1,))]
-    orbit_of: dict[tuple[int, ...], int] = {}
-    out: list[list[tuple[int, ...]]] = []
-    for a, key in zip(maps, keys):
-        i = orbit_of.get(key)
-        if i is None:
-            i = orbit_of[key] = len(out)
-            out.append([])
-            todo = [key]
-            while todo:
-                reached = todo.pop()
-                for f in gens:
-                    image = tuple(sorted(map(f, reached)))
-                    if image not in orbit_of:
-                        orbit_of[image] = i
-                        todo.append(image)
-        out[i].append(a)
+    reached: set[tuple[int, ...]] = set()
+    out = []
+    for key in counts:
+        if key in reached:
+            continue
+        reached.add(key)
+        size = 0
+        todo = [key]
+        while todo:
+            other = todo.pop()
+            size += counts[other]
+            for f in gens:
+                image = tuple(sorted(map(f, other)))
+                if image not in reached:
+                    reached.add(image)
+                    todo.append(image)
+        out.append((key, size))
     return out

@@ -17,9 +17,11 @@ program and moved here from it.
   phi, in_Ip, canonical_section and all_multiindex_maps spell out the
   group action on these maps and their labels, and check the orbits,
   stabilizer orders and label sets of combinat, whose maps are tuples
-  of image bitmasks; from_masks converts such a tuple.
-  enumerate_multiindex_maps lists the maps of one level of combinat's
-  cached walk, converted, the input the orbit oracles partition.
+  of image bitmasks; from_masks converts such a tuple and h_key sorts
+  its masks back.  maps_by_level is the pruned walk that lists every
+  map, the one combinat replaced by a walk that only counts the maps
+  of each H-key; enumerate_multiindex_maps lists one level of it,
+  converted, the input the orbit oracles partition.
 * a_label_pairs anchors every label of A(k, l) at the pair (1, 2), as
   the invariant kernel did before it kept the A0 labels alone; the
   stacked systems it gives are the reference for the A0 ones.
@@ -46,10 +48,11 @@ with the path it checks.
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, lcm
 
-from hilbtaut.combinat import _maps_by_level, quotient_A
+from hilbtaut.combinat import quotient_A
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.polyjet import PolyRing, jet_conditions
 
@@ -320,10 +323,65 @@ def all_multiindex_maps(n: int, k: int) -> list[MultiIndexMap]:
             for images in itertools.product(subsets, repeat=k)]
 
 
+def h_key(a: MultiIndexMap) -> tuple[int, ...]:
+    """The sorted tuple of a's image bitmasks (point j is bit j - 1):
+    the name of its H-orbit in combinat."""
+    return tuple(sorted(sum(1 << j - 1 for j in im) for im in a.images))
+
+
+@lru_cache(maxsize=None)
+def maps_by_level(n: int, k: int) -> dict[int, tuple[tuple, tuple]]:
+    """All maps with k(a) <= 2, as tuples of image bitmasks, bucketed by
+    l(a): per level, the maps and their H-keys as two parallel tuples.
+
+    The H-key of a map is its tuple sorted.  The k(a) <= 2 condition is
+    that the union of the non-singleton images stays within two points.
+    That union, like the level, depends on the key alone, and so do the
+    images a prefix may take next.  The pool is every nonempty subset of
+    {1..n} as a mask, by size and then lexicographically.  The children
+    of each distinct key are listed once, in pool order, each with its
+    own key, interned so that equal keys are one tuple.  Every prefix of
+    a layer is extended by the children its key lists.  Prefixes stay in
+    the order of the plain product walk over the pool, restricted to the
+    survivors, and so do the maps in each bucket.
+    """
+    pool = [sum(1 << j - 1 for j in s) for size in range(1, n + 1)
+            for s in itertools.combinations(range(1, n + 1), size)]
+    known = {(): ((), 0)}  # key -> (its interned tuple, its level)
+    children: dict[tuple[int, ...], list] = {}
+
+    def kids(key):
+        out = children.get(key)
+        if out is None:
+            union = 0
+            for m in key:
+                if m & (m - 1):
+                    union |= m
+            level = known[key][1]
+            out = children[key] = []
+            for m in pool:
+                if (union | m if m & (m - 1) else union).bit_count() <= 2:
+                    new = tuple(sorted(key + (m,)))
+                    new = known.setdefault(new, (new, level + m.bit_count() - 1))[0]
+                    out.append((m, new))
+        return out
+
+    layer = [((), ())]
+    for _ in range(k):
+        layer = [(prefix + (m,), new)
+                 for prefix, key in layer for m, new in kids(key)]
+    buckets: dict[int, tuple[list, list]] = {}
+    for a, key in layer:
+        maps, keys = buckets.setdefault(known[key][1], ([], []))
+        maps.append(a)
+        keys.append(key)
+    return {lv: (tuple(maps), tuple(keys)) for lv, (maps, keys) in buckets.items()}
+
+
 def enumerate_multiindex_maps(n: int, k: int, l: int) -> list[MultiIndexMap]:
     """Every map {1..k} -> nonempty subsets of {1..n} in I^l: l(a) = l
-    and k(a) <= 2, in the order of combinat's pruned walk."""
-    return [from_masks(n, a) for a in _maps_by_level(n, k).get(l, ((), ()))[0]]
+    and k(a) <= 2, in the order of the plain product walk."""
+    return [from_masks(n, a) for a in maps_by_level(n, k).get(l, ((), ()))[0]]
 
 
 def in_Ip(a: MultiIndexMap, p: int) -> bool:

@@ -170,10 +170,10 @@ def test_8_orbit_combinatorics():
                 gh_orbits = orbits(n, k, l, "GxH")
                 assert len(quotient_B(k, l, n)) == len(h_orbits), (n, k, l)
                 assert len(quotient_A(k, l, n)) == len(gh_orbits), (n, k, l)
-                for orb in h_orbits:
-                    assert stabilizer_order(n, orb[0], "H") * len(orb) == factorial(k)
-                for orb in gh_orbits:
-                    assert stabilizer_order(n, orb[0], "GxH") * len(orb) == (
+                for rep, size in h_orbits:
+                    assert stabilizer_order(n, rep, "H") * size == factorial(k)
+                for rep, size in gh_orbits:
+                    assert stabilizer_order(n, rep, "GxH") * size == (
                         factorial(n) * factorial(k)
                     )
     assert quotient_A0(3, 1, 4) == [((2,), ()), ((1,), (1,))]

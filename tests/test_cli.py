@@ -206,6 +206,21 @@ def test_printable_limit_is_exact():
         str(10**limit)
 
 
+@needs_str_limit
+def test_printable_follows_a_changed_limit():
+    # the bound is built once per limit, so a lowered limit must not
+    # reuse the default one
+    assert cli._printable(10**640, "det") == 10**640
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli._printable(10**640 - 1, "det") == 10**640 - 1
+        with pytest.raises(cli.UsageError, match="det has more than 640 digits"):
+            cli._printable(-(10**640), "det")
+    finally:
+        sys.set_int_max_str_digits(STR_DIGITS)
+    assert cli._printable(10**640, "det") == 10**640
+
+
 def test_chi_rejects_deeply_nested_surface_json(capsys, tmp_path):
     # the JSON decoder recurses once per bracket
     path = tmp_path / "deep.json"

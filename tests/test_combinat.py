@@ -6,6 +6,7 @@ test.
 """
 
 import itertools
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from hilbtaut import combinat
 from hilbtaut.combinat import (
-    _maps_by_level,
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
@@ -34,7 +34,9 @@ from references import (
     composition_stabilizer,
     enumerate_multiindex_maps,
     from_masks,
+    h_key,
     in_Ip,
+    maps_by_level,
     multiindex_invariants,
     nu_of_composition,
     phi,
@@ -49,10 +51,10 @@ def all_permutations(m):
     return list(itertools.permutations(range(1, m + 1)))
 
 
-def converted(n, orbs):
-    """Orbits of bitmask maps, each member converted to the oracle's
-    frozenset maps."""
-    return [[from_masks(n, a) for a in orb] for orb in orbs]
+def counted(orbs):
+    """Member-listed orbits as combinat gives them: the H-key of each
+    orbit's first member, and the orbit's size."""
+    return [(h_key(orb[0]), len(orb)) for orb in orbs]
 
 
 def stab_order_direct(a, group):
@@ -107,16 +109,24 @@ def bfs_orbits(n, k, l, group):
 
 def min_key_orbits(n, k, l, group):
     """The orbits the closure replaced: each map keyed by the least
-    sorted bitmask image tuple over all relabellings of its points."""
-    sigmas = all_permutations(n) if group == "GxH" else [tuple(range(1, n + 1))]
-    pool = [frozenset(s) for m in range(1, n + 1)
-            for s in itertools.combinations(range(1, n + 1), m)]
-    relabel = [{s: sum(1 << sigma[j - 1] for j in s) for s in pool}.__getitem__
-               for sigma in sigmas]
+    sorted bitmask image tuple over all relabellings of its points.
+
+    A relabelling moves the images as its restriction to their points
+    does, so the injections of those points into {1..n} stand in for
+    S_n; maps with one multiset of images share their least key."""
+    least = {}
     classes = {}
     for a in enumerate_multiindex_maps(n, k, l):
-        key = min(tuple(sorted(map(f, a.images))) for f in relabel)
-        classes.setdefault(key, []).append(a)
+        images = tuple(sorted(a.images, key=sorted))
+        if images not in least:
+            points = sorted(set().union(*images))
+            sigmas = (itertools.permutations(range(1, n + 1), len(points))
+                      if group == "GxH" else [points])
+            least[images] = min(
+                tuple(sorted(sum(1 << sigma[points.index(j)] - 1 for j in im)
+                             for im in images))
+                for sigma in sigmas)
+        classes.setdefault(least[images], []).append(a)
     return list(classes.values())
 
 
@@ -234,7 +244,7 @@ def test_Ip_membership():
 @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(5)]
                          + [(4, k) for k in range(4)])
 def test_maps_match_the_plain_product_walk(n, k):
-    """The layered build lists I^l exactly as filtering the product of
+    """The reference walk lists I^l exactly as filtering the product of
     the subset pool does, order included, at every level l."""
     product = all_multiindex_maps(n, k)
     for l in range(k * (n - 1) + 1):
@@ -243,17 +253,31 @@ def test_maps_match_the_plain_product_walk(n, k):
 
 
 def test_walk_keys_are_sorted_bitmask_images_and_shared():
-    """The walk's maps are plain tuples of image bitmasks, and it stores
-    each map's H-key beside it: that tuple sorted, one tuple object per
-    distinct key."""
+    """The reference walk's maps are plain tuples of image bitmasks, and
+    it stores each map's H-key beside it: that tuple sorted, one tuple
+    object per distinct key."""
     for n, k in [(2, 4), (3, 4), (4, 3)]:
-        for maps, keys in _maps_by_level(n, k).values():
+        for maps, keys in maps_by_level(n, k).values():
             assert len(maps) == len(keys)
             for a, key in zip(maps, keys):
                 assert type(a) is tuple and all(type(m) is int for m in a)
                 images = from_masks(n, a).images
                 assert key == tuple(sorted(sum(1 << j - 1 for j in im) for im in images))
             assert len({id(key) for key in keys}) == len(set(keys))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3) for k in range(5)]
+                         + [(4, k) for k in range(4)])
+def test_walk_counts_the_plain_product_maps_of_each_key(n, k):
+    """At every level, the counting walk holds each H-key once, in order
+    of its first map in the product of the subset pool, with the number
+    of product maps that have it."""
+    product = all_multiindex_maps(n, k)
+    buckets = combinat._keys_by_level(n, k)
+    assert sum(map(len, buckets.values())) == len(combinat._layer(n, k))
+    for l in range(k * (n - 1) + 1):
+        counts = Counter(h_key(a) for a in product if in_Ip(a, l))
+        assert list(buckets.get(l, {}).items()) == list(counts.items())
 
 
 @pytest.mark.parametrize("images,message", [
@@ -310,30 +334,27 @@ def test_quotients_match_orbit_counts(n, k):
         assert len(quotient_B(k, l, n)) == len(h_orbits)
         assert len(quotient_A(k, l, n)) == len(gh_orbits)
         order = factorial(n) * factorial(k)
-        for orb in gh_orbits:
-            rep = orb[0]
-            assert stabilizer_order(n, rep, "GxH") * len(orb) == order
-        for orb in h_orbits:
-            rep = orb[0]
-            assert stabilizer_order(n, rep, "H") * len(orb) == factorial(k)
+        for rep, size in gh_orbits:
+            assert stabilizer_order(n, rep, "GxH") * size == order
+        for rep, size in h_orbits:
+            assert stabilizer_order(n, rep, "H") * size == factorial(k)
 
 
-@pytest.mark.parametrize("n,kmax", [(1, 5), (2, 5), (3, 5), (4, 3)])
+@pytest.mark.parametrize("n,kmax", [(1, 5), (2, 5), (3, 5), (4, 3), (4, 5), (8, 2)])
 def test_orbits_match_bfs_search(n, kmax):
     for k in range(1, kmax + 1):
         for l in range(0, k + 1):
             for group in ("H", "GxH"):
-                assert converted(n, orbits(n, k, l, group)) == bfs_orbits(n, k, l, group)
+                assert orbits(n, k, l, group) == counted(bfs_orbits(n, k, l, group))
 
 
 def test_orbits_match_min_key_orbits():
-    # the whole grid of verify --suite combinatorics
-    for n in range(1, 5):
-        for k in range(1, 6):
-            for l in range(0, k + 1):
-                for group in ("H", "GxH"):
-                    assert (converted(n, orbits(n, k, l, group))
-                            == min_key_orbits(n, k, l, group))
+    # the whole grid of verify --suite combinatorics, and eight points
+    grid = [(n, k) for n in range(1, 5) for k in range(1, 6)] + [(8, 1), (8, 2)]
+    for n, k in grid:
+        for l in range(0, k + 1):
+            for group in ("H", "GxH"):
+                assert orbits(n, k, l, group) == counted(min_key_orbits(n, k, l, group))
 
 
 def test_empty_levels_build_no_relabel_table(monkeypatch):
@@ -367,25 +388,29 @@ def test_eight_points_build_at_most_two_relabel_tables(monkeypatch, k):
     gh_orbits = orbits(8, k, 1, "GxH")
     assert len(built) <= 2
     assert len(gh_orbits) == len(quotient_A(k, 1, 8))
-    for orb in gh_orbits:
-        assert stabilizer_order(8, orb[0], "GxH") * len(orb) == factorial(8) * factorial(k)
+    for rep, size in gh_orbits:
+        assert stabilizer_order(8, rep, "GxH") * size == factorial(8) * factorial(k)
     built.clear()
     assert len(orbits(8, k, 1, "H")) == len(quotient_B(k, 1, 8))
     assert built == []
 
 
 def test_psi_label_classifies_H_orbits():
-    for orb in converted(3, orbits(3, 4, 2, "H")):
+    h_orbits = bfs_orbits(3, 4, 2, "H")
+    assert counted(h_orbits) == orbits(3, 4, 2, "H")
+    for orb in h_orbits:
         labels = {psi(a) for a in orb}
         assert len(labels) == 1
-    all_labels = {psi(orb[0]) for orb in converted(3, orbits(3, 4, 2, "H"))}
+    all_labels = {psi(from_masks(3, rep)) for rep, _ in orbits(3, 4, 2, "H")}
     assert all_labels == set(quotient_B(4, 2, 3))
 
 
 def test_phi_label_classifies_GxH_orbits():
-    for orb in converted(3, orbits(3, 4, 1, "GxH")):
+    gh_orbits = bfs_orbits(3, 4, 1, "GxH")
+    assert counted(gh_orbits) == orbits(3, 4, 1, "GxH")
+    for orb in gh_orbits:
         assert len({phi(a) for a in orb}) == 1
-    all_labels = {phi(orb[0]) for orb in converted(3, orbits(3, 4, 1, "GxH"))}
+    all_labels = {phi(from_masks(3, rep)) for rep, _ in orbits(3, 4, 1, "GxH")}
     assert all_labels == set(quotient_A(4, 1, 3))
 
 
