@@ -29,6 +29,7 @@ scalar comes out is returned, never silently absorbed.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -145,12 +146,24 @@ def _perm_sign(pi) -> int:
     return sign
 
 
+@cache
+def _signed_permutations(m: int) -> tuple:
+    """Every permutation pi of range(m), in permutations' order, with its
+    sign: (pi, sign) pairs, tabulated once per m."""
+    return tuple((pi, _perm_sign(pi)) for pi in permutations(range(m)))
+
+
 def _alt_unnorm(d, m: int):
     """Sum over all slot permutations with sign, no normalization."""
     out: dict = {}
-    for pi in permutations(range(m)):
-        moved = {tuple(w[i] for i in pi): v for w, v in d.items()}
-        _add_into(out, moved, _perm_sign(pi))
+    for pi, sign in _signed_permutations(m):
+        for w, v in d.items():
+            moved = tuple(map(w.__getitem__, pi))
+            nv = out.get(moved, 0) + sign * v
+            if nv:
+                out[moved] = nv
+            else:
+                out.pop(moved, None)
     return out
 
 
@@ -174,19 +187,25 @@ def omega_on(letters) -> dict:
     return out
 
 
-def _map_letters(d, f):
-    return {tuple(f(x) for x in w): v for w, v in d.items()}
+def _map_letters(d, table):
+    """d with every letter of every word replaced through table, a
+    sequence or dict indexed by letter."""
+    image = table.__getitem__
+    return {tuple(map(image, w)): v for w, v in d.items()}
 
 
-def _transposition(i: int, k: int):
-    def f(j):
-        if j == i:
-            return k
-        if j == k:
-            return i
-        return j
+def _transposition(i: int, j: int, k: int) -> list:
+    """The letter table of the transposition (i j) on the letters 1..k,
+    indexed by letter (entry 0 is unused)."""
+    table = list(range(k + 1))
+    table[i], table[j] = j, i
+    return table
 
-    return f
+
+def _pair_table(table, k: int) -> dict:
+    """The letter table acting on the pair letters (v, j) of V (x) R_k
+    through their second entries."""
+    return {(v, j): (v, table[j]) for v in (0, 1) for j in range(1, k + 1)}
 
 
 def verify_omega(k: int) -> bool:
@@ -200,11 +219,11 @@ def verify_omega(k: int) -> bool:
     if k < 1:
         raise ValueError("k must be at least 1")
     omega = omega_on(range(1, k + 1))
-    signed: dict = {}
-    base = tuple(range(1, k))
-    for tau in permutations(range(1, k + 1)):
-        word = tuple(tau[x - 1] for x in base)
-        _add_into(signed, {word: 1}, _perm_sign(tau))
+    # tau = pi + 1 on the letters 1..k, with pi's sign, applied to the
+    # letters 1..k-1; those k - 1 values determine tau, so no two words
+    # collide
+    signed = {tuple(p + 1 for p in pi[: k - 1]): sign
+              for pi, sign in _signed_permutations(k)}
     if signed != omega:
         raise AssertionError(f"signed-sum expression fails at k={k}")
     if k >= 2:
@@ -213,7 +232,7 @@ def verify_omega(k: int) -> bool:
         )
         recursed: dict = {}
         for i in range(1, k + 1):
-            moved = _map_letters(inner, _transposition(i, k))
+            moved = _map_letters(inner, _transposition(i, k, k))
             _add_into(recursed, moved, 1 if i == k else -1)
         if recursed != omega:
             raise AssertionError(f"coset-sum expression fails at k={k}")
@@ -265,6 +284,8 @@ def verify_sym_map(k: int):
             raise AssertionError(f"monomial basis degenerate at k={k}")
         seen.update(target)
 
+    coset_tables = [_pair_table(_transposition(i, k, k), k) for i in range(1, k + 1)]
+    swap12_table = _pair_table(_transposition(1, 2, k), k)
     constant = None
     for ua in range(k - 2, -1, -1):
         u = (0,) * ua + (1,) * (k - 2 - ua)
@@ -274,10 +295,10 @@ def verify_sym_map(k: int):
             wedge = _alt_unnorm(appended, k - 1)
             total: dict = {}
             for i in range(1, k + 1):
-                moved = _map_pair_letters(wedge, _transposition(i, k))
+                moved = _map_letters(wedge, coset_tables[i - 1])
                 _add_into(total, moved, 1 if i == k else -1)
             # anti-invariance under the full group is a structural must
-            swap12 = _map_pair_letters(total, _transposition(1, 2))
+            swap12 = _map_letters(total, swap12_table)
             if _scale(swap12, -1) != total:
                 raise AssertionError(f"image not anti-invariant at k={k}")
             expect_at = (k - 1) - (ua + (1 if v == 0 else 0))
@@ -296,8 +317,4 @@ def verify_sym_map(k: int):
     if constant is None or constant <= 0:
         raise AssertionError(f"no positive global factor at k={k}")
     return constant / hats
-
-
-def _map_pair_letters(d, f):
-    return {tuple((vl, f(rl)) for vl, rl in w): c for w, c in d.items()}
 

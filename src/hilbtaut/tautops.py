@@ -60,6 +60,19 @@ one elimination per (degree, x-degree): it feeds the blocks in order,
 each one's rows shortest first, into that pair's pivot dict and reads
 every level's nullity on the way, eliminating each row once.
 
+The local formulas for the merged-pair operators D^l compare, on
+orbit-sum tuples, the expansion of a difference around the first slot
+of a pair with a closed form written in the summand factors, in exact
+integer polynomials.  There a monomial on n points is keyed by one
+packed int, the exponent of variable v (x_1..x_n, then y_1..y_n) in
+bits [W v, W (v + 1)), W = _FIELD: a monomial product is one int
+addition, and reading or moving one slot's exponents a shift and a
+mask.  Exponents enter only through _slot_value, which refuses one wide
+enough to overflow a field; higher_difference, _jet_coefficient and
+linalg's _add_into and scalar_multiple do not look inside a key.  Each
+orbit-sum component is built once per instance and shared by the
+operators that name it.
+
 The linear algebra is exact throughout, and in integers end to end: jet
 conditions carry integer weights, condition rows and column sums stay
 integers, and the elimination takes them as they are.  Sizes are bounded
@@ -89,7 +102,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, cycle, islice, permutations
 from math import comb
-from operator import add, ge
+from operator import ge
 
 from .combinat import enumerate_compositions, enumerate_partitions, m_mu
 from .linalg import _add_into, scalar_multiple, sparse_int_rank
@@ -513,15 +526,18 @@ def _free_point_counts(m: int, max_deg: int) -> list:
     Leaving out the monomial 1, such a multiset is one of at most
     min(m, max_deg) monomials of positive degree.  table[s][j] counts
     those of s monomials and degree j; the monomials of degree t, t + 1
-    of them, join c at a time in C(t + c, c) ways.  The cost is
-    O(max_deg^2 min(m, max_deg) log max_deg), whatever m.
+    of them, join c at a time in C(t + c, c) ways.  Once the degrees up
+    to t are admitted, s monomials reach degree s t at most, so row s
+    is filled through min(max_deg, s t) alone.  The cost is
+    O(max_deg^2 min(m, max_deg) log max_deg) at most, whatever m, and
+    linear in max_deg on one point.
     """
     size = min(m, max_deg)
     table = [[1] + [0] * max_deg] + [[0] * (max_deg + 1) for _ in range(size)]
     for t in range(1, max_deg + 1):
         for s in range(size, 0, -1):  # rows below s still lack degree t
             row = table[s]
-            for j in range(t, max_deg + 1):
+            for j in range(t, min(max_deg, s * t) + 1):
                 row[j] += sum(
                     comb(t + c, c) * table[s - c][j - c * t]
                     for c in range(1, min(s, j // t) + 1)
@@ -871,8 +887,11 @@ def verify_transition() -> dict:
                     )
             if lhs != rhs:
                 raise AssertionError(f"transition identity failed for mu={mu}, order {m}")
-            symbols = {lam: {lam: 1} for lam in enumerate_compositions(2, sum(mu) + m)}
-            spread = _product(1, [{mu: 1}] + [{(0, 1): 1, (1, 0): -1}] * m)
+            # z_1 and z_2 are the two variables of one slot
+            symbols = {lam: _slot_value(1, {lam: 1}, 1)
+                       for lam in enumerate_compositions(2, sum(mu) + m)}
+            spread = _product([_slot_value(1, {mu: 1}, 1)]
+                              + [_slot_value(1, {(0, 1): 1, (1, 0): -1}, 1)] * m)
             if higher_difference(symbols, mu, (1, 2), m) != spread:
                 raise AssertionError(f"difference signs off for mu={mu}, order {m}")
             cases += 1
@@ -883,29 +902,42 @@ def verify_transition() -> dict:
 # local formulas for the merged-pair operators
 
 
-def _product(n: int, polys) -> dict:
-    """The product of polynomials on n points, {exponent: int} dicts,
-    untruncated: the empty product is 1, and no zero coefficient is kept,
-    which scalar_multiple's comparison of supports relies on."""
-    out = {(0,) * (2 * n): 1}
+# Bits per variable of a packed monomial key.  _slot_value admits
+# exponents up to _MAX_EXPONENT alone, so a product of up to 2^8 slot
+# values, far more than any identity here multiplies, keeps every field
+# below 2^_FIELD.
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+_MAX_EXPONENT = (1 << _FIELD // 2) - 1
+
+
+def _product(polys) -> dict:
+    """The product of polynomials {packed exponent: int}, untruncated:
+    a monomial product is one int addition, the empty product is 1, key
+    0, and no zero coefficient is kept, which scalar_multiple's
+    comparison of supports relies on."""
+    out = {0: 1}
     for q in polys:
         acc: dict = {}
         for e1, c1 in out.items():
             for e2, c2 in q.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
         out = {e: c for e, c in acc.items() if c}
     return out
 
 
 def _slot_value(n: int, f: dict, slot: int) -> dict:
-    """The bivariate polynomial f in the variables of one slot of n."""
+    """The bivariate polynomial f, {(i, j): int}, in the variables of one
+    slot of n, on packed keys.  Every exponent of the local formulas
+    enters here, so one past _MAX_EXPONENT, or negative, raises
+    ValueError."""
+    sx, sy = _FIELD * (slot - 1), _FIELD * (n + slot - 1)
     out = {}
     for (i, j), c in f.items():
-        e = [0] * (2 * n)
-        e[slot - 1] = i
-        e[n + slot - 1] = j
-        out[tuple(e)] = c
+        if not (0 <= i <= _MAX_EXPONENT and 0 <= j <= _MAX_EXPONENT):
+            raise ValueError(f"exponent ({i}, {j}) outside 0..{_MAX_EXPONENT}")
+        out[i << sx | j << sy] = c
     return out
 
 
@@ -925,9 +957,9 @@ def _sym_over_slots(n: int, factors, slots) -> dict:
     factors to the slots of the product of slot values."""
     total: dict = {}
     for perm in permutations(factors):
-        _add_into(total, _product(n, (
+        _add_into(total, _product(
             _slot_value(n, f, slot) for f, slot in zip(perm, slots)
-        )))
+        ))
     return total
 
 
@@ -952,44 +984,38 @@ def _weighted_component(lam, weighted_factors) -> dict:
     }:
         return {}
     n = len(lam)
-    return _product(n, (
+    return _product(
         _sym_over_slots(n, factors_by_weight[v], slots)
         for v, slots in slots_by_value.items()
-    ))
+    )
 
 
-def _merged_pair_operator(mu0, level: int, summands) -> dict:
+def _merged_pair_operator(mu0, level: int, components: dict) -> dict:
     """Degree-level expansion buckets of the merged-pair difference.
 
     higher_difference takes the order-(level+1) difference shifted by
-    mu0 along the pair (1, 2) of the orbit sum of summands, built on the
-    components it combines only.  That polynomial is expanded around the
-    first slot, substituting the second slot's variables by first-slot
-    variables plus offsets; the returned mapping sends each offset
-    exponent (i, j) with i + j = level to its coefficient polynomial, in
-    which the second slot no longer occurs.
+    mu0 along the pair (1, 2) of the orbit sum, given by components
+    {lam: polynomial}, on the components it combines only.  That
+    polynomial is expanded around the first slot, substituting the
+    second slot's variables by first-slot variables plus offsets; the
+    returned mapping sends each offset exponent (i, j) with i + j = level
+    to its coefficient polynomial, in which the second slot no longer
+    occurs.  On packed keys the second slot's exponents p1 and q1 are
+    read off by shift and mask, and moving what the offsets leave of
+    them into the first slot is one addition.
     """
     order = level + 1
     n = len(mu0)
-    x: dict = {}
-    for lam, _ in _difference_support(mu0, 1, 2, order):
-        comp = x[lam] = {}
-        for wf in summands:
-            _add_into(comp, _weighted_component(lam, wf))
+    x = {lam: components[lam] for lam, _ in _difference_support(mu0, 1, 2, order)}
+    sx, sy, y1 = _FIELD, _FIELD * (n + 1), _FIELD * n  # x_2, y_2 and y_1
     buckets: dict = {}
     for e, c in higher_difference(x, mu0, (1, 2), order).items():
-        p1, q1 = e[1], e[n + 1]
-        for i in range(min(p1, level) + 1):
+        p1, q1 = e >> sx & _FIELD_MASK, e >> sy & _FIELD_MASK
+        rest = e - (p1 << sx) - (q1 << sy)
+        for i in range(max(level - q1, 0), min(p1, level) + 1):
             j = level - i
-            if j > q1:
-                continue
-            new = list(e)
-            new[1] = 0
-            new[n + 1] = 0
-            new[0] = e[0] + p1 - i
-            new[n] = e[n] + q1 - j
             bucket = buckets.setdefault((i, j), {})
-            key = tuple(new)
+            key = rest + (p1 - i) + (q1 - j << y1)
             bucket[key] = bucket.get(key, 0) + c * comb(p1, i) * comb(q1, j)
     return {ij: {e: c for e, c in b.items() if c} for ij, b in buckets.items()}
 
@@ -1052,7 +1078,7 @@ def _closed_form(n: int, terms, offsets) -> dict:
                 (g, family[:t] + family[t + 1 :]) for t, g in enumerate(family)
             ]
             for g, rest in split:
-                _add_into(total, _product(n, base + [
+                _add_into(total, _product(base + [
                     _slot_value(n, _jet_coefficient(g, i, j), 1),
                     _sym_over_slots(n, rest, slots),
                 ]), c)
@@ -1062,11 +1088,19 @@ def _closed_form(n: int, terms, offsets) -> dict:
 
 def _local_cases(n: int, summands, forms) -> list:
     """(label, operator buckets, closed form) for each form, given as
-    (label, mu0, level, terms), on the orbit sum of summands."""
+    (label, mu0, level, terms), on the orbit sum of summands, each of
+    whose components is built once for all the forms."""
+    components: dict = {}
+    for _, mu0, level, _ in forms:
+        for lam, _ in _difference_support(mu0, 1, 2, level + 1):
+            if lam not in components:
+                comp = components[lam] = {}
+                for wf in summands:
+                    _add_into(comp, _weighted_component(lam, wf))
     return [
         (
             label,
-            _merged_pair_operator(mu0, level, summands),
+            _merged_pair_operator(mu0, level, components),
             _closed_form(n, terms, [(i, level - i) for i in range(level, -1, -1)]),
         )
         for label, mu0, level, terms in forms

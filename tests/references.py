@@ -31,10 +31,14 @@ program and moved here from it.
   reference for the rows of a pair ending at a pinned point.
 * leading_minors_by_block takes one determinant per leading block, the
   reference for the one-pass leading minors of linalg.
+* free_point_counts_full_table fills every cell of the table of
+  multisets of monomials, the reference for the free-point counts of
+  tautops, which skip the cells that are zero.
 * weighted_component_by_assignment sums over every weight-respecting
   assignment of factors to slots, the reference for the factorized
-  orbit-sum components of the local formulas; degree is the total
-  degree of a polynomial.
+  orbit-sum components of the local formulas; expand_around_first_slot
+  is their offset expansion on exponent tuples, the reference for the
+  one on packed keys; degree is the total degree of a polynomial.
 * ChernData, chern_sym_omega and tensor_chern carry the Chern data of
   symmetric powers of the cotangent bundle and of tensor products, and
   chi_twisted_fraction is Hirzebruch-Riemann-Roch for a twisted bundle
@@ -257,6 +261,25 @@ def composition_stabilizer(c) -> list[tuple[int, ...]]:
         p for p in itertools.permutations(range(1, len(c) + 1))
         if tuple(c[v - 1] for v in p) == c
     ]
+
+
+def free_point_counts_full_table(m: int, max_deg: int) -> list:
+    """M(m, j) for j = 0..max_deg, the multisets of m monomials of total
+    degree j, from the full table: row s counts the multisets of s
+    monomials of positive degree, and every row is filled through
+    max_deg at every step t, though s monomials of degree <= t reach
+    degree s t at most."""
+    size = min(m, max_deg)
+    table = [[1] + [0] * max_deg] + [[0] * (max_deg + 1) for _ in range(size)]
+    for t in range(1, max_deg + 1):
+        for s in range(size, 0, -1):  # rows below s still lack degree t
+            row = table[s]
+            for j in range(t, max_deg + 1):
+                row[j] += sum(
+                    comb(t + c, c) * table[s - c][j - c * t]
+                    for c in range(1, min(s, j // t) + 1)
+                )
+    return [sum(column) for column in zip(*table)]
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +618,29 @@ def symmetrize(t, sigma):
 def degree(p: TruncPoly) -> int:
     """Total degree of p; -1 for the zero polynomial."""
     return max((sum(e) for e in p.coeffs), default=-1)
+
+
+def expand_around_first_slot(poly: dict, n: int, level: int) -> dict:
+    """The offset buckets of a polynomial on n points, {exponent tuple:
+    int}: the second slot's variables x_2, y_2 are replaced by
+    x_1 + a, y_1 + b, and the coefficient polynomial of each a^i b^j
+    with i + j = level is returned under (i, j), zeros dropped."""
+    buckets: dict = {}
+    for e, c in poly.items():
+        p1, q1 = e[1], e[n + 1]
+        for i in range(min(p1, level) + 1):
+            j = level - i
+            if j > q1:
+                continue
+            new = list(e)
+            new[1] = 0
+            new[n + 1] = 0
+            new[0] = e[0] + p1 - i
+            new[n] = e[n] + q1 - j
+            bucket = buckets.setdefault((i, j), {})
+            key = tuple(new)
+            bucket[key] = bucket.get(key, 0) + c * comb(p1, i) * comb(q1, j)
+    return {ij: {e: c for e, c in b.items() if c} for ij, b in buckets.items()}
 
 
 def weighted_component_by_assignment(ring: PolyRing, lam, weighted_factors) -> TruncPoly:

@@ -189,6 +189,34 @@ def test_verify_omega(k):
     assert verify_omega(k) is True
 
 
+@pytest.mark.parametrize("m,index", [(3, 0), (3, 5), (4, 1), (4, 23)])
+def test_omega_catches_a_flipped_permutation_sign(monkeypatch, m, index):
+    """One sign flipped in the signed permutations of m slots breaks the
+    alternating sums omega_4 is built from (m = 3) or its signed-sum
+    expression over S_4 (m = 4)."""
+    real = symrep._signed_permutations
+
+    def flipped(size):
+        table = list(real(size))
+        if size == m:
+            pi, sign = table[index]
+            table[index] = (pi, -sign)
+        return tuple(table)
+
+    monkeypatch.setattr(symrep, "_signed_permutations", flipped)
+    with pytest.raises(AssertionError, match="expression fails at k=4"):
+        verify_omega(4)
+
+
+def test_signed_permutations_carry_their_inversion_parity():
+    for m in range(6):
+        table = symrep._signed_permutations(m)
+        assert [pi for pi, _ in table] == list(permutations(range(m)))
+        for pi, sign in table:
+            inversions = sum(a > b for a, b in combinations(pi, 2))
+            assert sign == (-1) ** inversions
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_sym_map_normalization(k):
     # the tensors are integral and 1/(k-2)! is applied once; from k = 4

@@ -8,6 +8,7 @@ slots are validated against closed-form monomial counts, and on a grid
 of sizes against the Reynolds average of an explicit ideal-power basis.
 """
 
+import random
 import re
 from fractions import Fraction
 from itertools import accumulate, combinations, product
@@ -36,10 +37,12 @@ from hilbtaut.tautops import (
     _jet_count,
     _key_count,
     _match_constant,
+    _merged_pair_operator,
     _nullities,
     _nullity_profile,
     _orbit_pairs,
     _product,
+    _slot_value,
     _stack,
     _translation_free,
     graded_dims,
@@ -56,7 +59,9 @@ from references import (
     a_label_pairs,
     composition_stabilizer,
     degree,
+    expand_around_first_slot,
     fraction_rows_to_int,
+    free_point_counts_full_table,
     intersect_ideal_powers,
     membership,
     one,
@@ -1149,6 +1154,15 @@ def test_free_point_counts_match_folded_columns():
     assert _free_point_counts(10**9, 5) == _free_point_counts(5, 5)
 
 
+def test_free_point_counts_match_the_full_table():
+    # the rows skip only cells past s t, which the full table leaves zero
+    for m in range(7):
+        for d in range(15):
+            assert _free_point_counts(m, d) == free_point_counts_full_table(m, d), (m, d)
+    # M(1, j) = j + 1; the full table takes seconds here, the pruned one not
+    assert _free_point_counts(1, 2000) == list(range(1, 2002))
+
+
 def test_compositions_over_the_cap_are_refused_unlisted(monkeypatch):
     # C(59, 30) = 59,132,290,782,430,712 compositions of 30 into 30 slots
     def unlisted(*args):
@@ -1421,7 +1435,7 @@ def test_weighted_component_matches_assignment_sum(monkeypatch):
         out = fast(lam, weighted_factors)
         # factors have degree <= 2, so the cap 2n cuts nothing
         ring = PolyRing(len(lam), 2 * len(lam))
-        assert TruncPoly(ring, out) == weighted_component_by_assignment(
+        assert TruncPoly(ring, _unpack(out, ring.nvars)) == weighted_component_by_assignment(
             ring, lam, weighted_factors)
         seen.append((ring.n, not out))
         return out
@@ -1431,6 +1445,28 @@ def test_weighted_component_matches_assignment_sum(monkeypatch):
     verify_invariant_local_formula(4)
     assert {n for n, _ in seen} == {2, 3, 4}
     assert {zero for _, zero in seen} == {True, False}
+
+
+def test_local_formula_catches_each_flipped_closed_form_sign(monkeypatch):
+    """Flipping the sign of any one k = 4 closed-form term leaves its
+    operator no multiple of the closed form."""
+    real = tautops._local_cases
+    forms = []
+    monkeypatch.setattr(tautops, "_local_cases",
+                        lambda n, summands, fs: forms.extend(fs) or real(n, summands, fs))
+    verify_invariant_local_formula(4)
+    flips = [(f, t) for f, (*_, terms) in enumerate(forms[:3]) for t in range(len(terms))]
+    assert len(flips) == 14
+    for f, t in flips:
+        def flipped(n, summands, fs, f=f, t=t):
+            label, mu0, level, terms = fs[f]
+            c, *rest = terms[t]
+            terms = terms[:t] + [(-c, *rest)] + terms[t + 1 :]
+            return real(n, summands, fs[:f] + [(label, mu0, level, terms)] + fs[f + 1 :])
+
+        monkeypatch.setattr(tautops, "_local_cases", flipped)
+        with pytest.raises(AssertionError, match=f"coefficient mismatch in {re.escape(forms[f][0])}"):
+            verify_invariant_local_formula(4)
 
 
 def test_local_formula_unknown_k():
@@ -1452,6 +1488,50 @@ def test_match_constant_detects_mismatch():
 _DICT_RING = PolyRing(2, 4)
 
 
+def _pack(poly: dict) -> dict:
+    """poly with each exponent tuple packed as the local formulas key
+    it: entry v in field v."""
+    return {sum(x << tautops._FIELD * v for v, x in enumerate(e)): c for e, c in poly.items()}
+
+
+def _unpack(poly: dict, nvars: int) -> dict:
+    """poly with its packed keys decoded back to exponent tuples of
+    nvars entries."""
+    mask = (1 << tautops._FIELD) - 1
+    return {tuple(e >> tautops._FIELD * v & mask for v in range(nvars)): c
+            for e, c in poly.items()}
+
+
+@pytest.mark.parametrize("n,level", [(2, 1), (3, 2), (4, 3)])
+def test_merged_pair_buckets_match_the_tuple_expansion(n, level):
+    """The offset expansion on packed keys, read by shift and mask,
+    equals the one on exponent tuples, at exponents up to 40, past every
+    bit of a narrower mask."""
+    rng = random.Random(10 * n + level)
+    mu0 = (1,) + (0,) * (n - 1)
+    x = {
+        lam: {tuple(rng.randrange(41) for _ in range(2 * n)): rng.choice([-3, -1, 1, 2])
+              for _ in range(12)}
+        for lam, _ in _difference_support(mu0, 1, 2, level + 1)
+    }
+    got = _merged_pair_operator(mu0, level, {lam: _pack(p) for lam, p in x.items()})
+    want = expand_around_first_slot(higher_difference(x, mu0, (1, 2), level + 1), n, level)
+    assert len(want) == level + 1
+    assert {ij: _unpack(p, 2 * n) for ij, p in got.items()} == want
+
+
+def test_slot_value_refuses_an_exponent_too_wide_for_its_field():
+    top = tautops._MAX_EXPONENT
+    assert _unpack(_slot_value(2, {(top, 1): 3, (0, 0): -1}, 2), 4) == {
+        (0, top, 0, 1): 3, (0, 0, 0, 0): -1}
+    # a product of slot values at the widest exponent keeps its fields apart
+    widest = _slot_value(2, {(top, top): 1}, 1)
+    assert _unpack(_product([widest] * 4), 4) == {(4 * top, 0, 4 * top, 0): 1}
+    for bad in [(top + 1, 0), (0, top + 1), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match=r"exponent \(-?\d+, -?\d+\) outside"):
+            _slot_value(2, {bad: 1}, 1)
+
+
 @st.composite
 def _int_polys(draw):
     """A polynomial of degree <= 2 on two points, an {exponent: int}
@@ -1468,7 +1548,8 @@ def test_dict_product_and_add_store_no_zero(p, q):
     on a ring whose cap 4 covers every product of degree <= 2 factors,
     and keep no zero coefficient: scalar_multiple compares supports, so
     a stored zero would read as a mismatch.  (p + q) * (p - q) and p - p
-    cancel terms exactly."""
+    cancel terms exactly.  The product runs on packed keys, decoded back
+    to exponent tuples for the comparison."""
     P, Q = TruncPoly(_DICT_RING, p), TruncPoly(_DICT_RING, q)
     total, diff, none = dict(p), dict(p), dict(p)
     _add_into(total, q)
@@ -1478,9 +1559,9 @@ def test_dict_product_and_add_store_no_zero(p, q):
         (total, P + Q),
         (diff, P - Q),
         (none, P - P),
-        (_product(2, [p, q]), P * Q),
-        (_product(2, [total, diff]), (P + Q) * (P - Q)),
-        (_product(2, []), one(_DICT_RING)),
+        (_unpack(_product([_pack(p), _pack(q)]), 4), P * Q),
+        (_unpack(_product([_pack(total), _pack(diff)]), 4), (P + Q) * (P - Q)),
+        (_unpack(_product([]), 4), one(_DICT_RING)),
     ]:
         assert got == want.coeffs
     assert none == {}
