@@ -1,13 +1,15 @@
 """Command-line front end: batch chi tables, kernel and graded dimensions,
 Toeplitz and representation queries, and the verification suites.
 
-Machine-readable by default in spirit: every command renders to csv, json
-or text from the same computed payload, enumeration orders are fixed by
-the library, and randomized sweeps take an explicit seed which is echoed
-back in the output.  Verification cases run one after another in this
-process and are reported sorted by key, each with its own wall-clock
-seconds.  Identical invocations produce identical bytes, with the one
-caveat that verification reports carry those timings.
+Machine-readable by default in spirit: every handler builds its json
+payload, text lines and csv rows in one pass over its results and hands
+them to _emit, which prints the --format asked for and returns the exit
+code; enumeration orders are fixed by the library, and randomized sweeps
+take an explicit seed which is echoed back in the output.  Verification
+cases run one after another in this process and are reported sorted by
+key, each with its own wall-clock seconds.  Identical invocations
+produce identical bytes, with the one caveat that verification reports
+carry those timings.
 
 Every option and its default is declared once, in _build_parser; each
 handler and suite builder reads the parsed namespace, cfg, once
@@ -55,7 +57,7 @@ from .rroch import (
     get_surface,
     load_surface,
 )
-from .symrep import antiinv_dims_R, antiinv_dims_rho, rho_from_R
+from .symrep import antiinv_dims_R, rho_from_R
 from .symrep import verify_omega, verify_sym_map
 from .tautops import (
     EXPONENT_RULES,
@@ -118,15 +120,19 @@ def _series(dims) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _emit(cfg, payload: dict, text_lines, csv_lines) -> None:
+def _emit(cfg, payload: dict, text_lines, csv_rows) -> int:
+    """Print one result in cfg's format, json from payload, csv from
+    rows of cells or text from lines, and return the exit code: 1 when
+    payload reports ok false, else 0."""
     if cfg.fmt == "json":
         import json
 
         print(json.dumps(payload, indent=2))
     elif cfg.fmt == "csv":
-        print("\n".join(csv_lines))
+        print("\n".join(",".join(map(str, row)) for row in csv_rows))
     else:
         print("\n".join(text_lines))
+    return 0 if payload.get("ok", True) else 1
 
 
 def _load(cfg):
@@ -149,12 +155,16 @@ def _require(cfg, *names: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
-def _gate_range(cfg) -> None:
-    if not in_proven_range(cfg.n, cfg.k) and not cfg.exploratory:
+def _gate_range(cfg) -> bool:
+    """Whether (n, k) is conjectural, outside the established range,
+    which only --exploratory lets through."""
+    conjectural = not in_proven_range(cfg.n, cfg.k)
+    if conjectural and not cfg.exploratory:
         raise UsageError(
             f"(n, k) = ({cfg.n}, {cfg.k}) is outside the established range "
             "(n <= 2 or k <= 4); pass --exploratory to compute anyway"
         )
+    return conjectural
 
 
 # ---------------------------------------------------------------------------
@@ -186,118 +196,83 @@ def _printable(value: int, name: str) -> int:
 def cmd_chi(cfg) -> int:
     s = _load(cfg)
     graded = cfg.n == 2
-    half = cfg.k // 2
-    header = "surface,n,k,L,A,chi"
-    if graded:
-        header += "," + ",".join(f"gr_{j}" for j in range(half + 1))
-    rows = []
+    gr_names = [f"gr_{j}" for j in range(cfg.k // 2 + 1)] if graded else []
+    rows, text_lines = [], []
+    csv_rows = [["surface", "n", "k", "L", "A", "chi", *gr_names]]
     for L in cfg.L:
         for A in cfg.A:
             try:
                 value = chi_sym_power(s, cfg.n, cfg.k, L, A)
             except ValueError as exc:
                 raise UsageError(str(exc))
+            chi = _printable(value, "chi")
             row = {
                 "surface": s.name,
                 "n": cfg.n,
                 "k": cfg.k,
                 "L": list(L),
                 "A": list(A),
-                "chi": _printable(value, "chi"),
+                "chi": chi,
             }
+            line = (f"{s.name} n={cfg.n} k={cfg.k} "
+                    f"L={_vec_str(L)} A={_vec_str(A)} chi={chi}")
+            gr = [_printable(chi_graded_piece_n2(s, cfg.k, j, L, A), name)
+                  for j, name in enumerate(gr_names)]
             if graded:
-                row["gr"] = [
-                    _printable(chi_graded_piece_n2(s, cfg.k, j, L, A), f"gr_{j}")
-                    for j in range(half + 1)
-                ]
+                row["gr"] = gr
+                line += " gr=" + _vec_str(gr)
             rows.append(row)
-    csv_lines = [header]
-    text_lines = []
-    for row in rows:
-        cells = [
-            row["surface"],
-            str(row["n"]),
-            str(row["k"]),
-            _vec_str(row["L"]),
-            _vec_str(row["A"]),
-            str(row["chi"]),
-        ]
-        if graded:
-            cells.extend(str(g) for g in row["gr"])
-        csv_lines.append(",".join(cells))
-        line = (
-            f"{row['surface']} n={row['n']} k={row['k']} "
-            f"L={_vec_str(row['L'])} A={_vec_str(row['A'])} chi={row['chi']}"
-        )
-        if graded:
-            line += " gr=" + _vec_str(row["gr"])
-        text_lines.append(line)
-    _emit(cfg, {"command": "chi", "rows": rows}, text_lines, csv_lines)
-    return 0
+            text_lines.append(line)
+            csv_rows.append([s.name, cfg.n, cfg.k, _vec_str(L), _vec_str(A), chi, *gr])
+    return _emit(cfg, {"command": "chi", "rows": rows}, text_lines, csv_rows)
 
 
 def cmd_kernel(cfg) -> int:
-    _gate_range(cfg)
-    dims = kernel_nullity(cfg.n, cfg.k, cfg.max_degree, invariant=cfg.invariant)
-    conjectural = not in_proven_range(cfg.n, cfg.k)
+    conjectural = _gate_range(cfg)
+    dims = list(kernel_nullity(cfg.n, cfg.k, cfg.max_degree, invariant=cfg.invariant))
     payload = {
         "command": "kernel",
         "n": cfg.n,
         "k": cfg.k,
         "max_degree": cfg.max_degree,
         "invariant": cfg.invariant,
-        "cumulative": list(dims),
+        "cumulative": dims,
     }
+    mode = "invariant" if cfg.invariant else "full"
+    text = f"kernel n={cfg.n} k={cfg.k} {mode} cumulative by degree: {dims}"
     if conjectural:
         payload["conjectural"] = True
-    mode = "invariant" if cfg.invariant else "full"
-    text = (
-        f"kernel n={cfg.n} k={cfg.k} {mode} cumulative by degree: {list(dims)}"
-    )
-    if conjectural:
         text += " (conjectural)"
-    header = "n,k,invariant," + ",".join(
-        f"deg_{d}" for d in range(cfg.max_degree + 1)
-    )
-    row = ",".join(
-        [str(cfg.n), str(cfg.k), str(int(cfg.invariant))]
-        + [str(d) for d in dims]
-    )
-    _emit(cfg, payload, [text], [header, row])
-    return 0
+    header = ["n", "k", "invariant"] + [f"deg_{d}" for d in range(cfg.max_degree + 1)]
+    row = [cfg.n, cfg.k, int(cfg.invariant), *dims]
+    return _emit(cfg, payload, [text], [header, row])
 
 
 def cmd_graded(cfg) -> int:
-    _gate_range(cfg)
+    conjectural = _gate_range(cfg)
     pieces = graded_dims(cfg.n, cfg.k, cfg.max_degree, exponent_rule=cfg.rule)
     totals = list(graded_totals(pieces))
-    conjectural = not in_proven_range(cfg.n, cfg.k)
     payload = {
         "command": "graded",
         "n": cfg.n,
         "k": cfg.k,
         "max_degree": cfg.max_degree,
         "rule": cfg.rule,
-        "pieces": [
-            {"mu": list(mu), "cumulative": list(dims)}
-            for mu, dims in pieces.items()
-        ],
+        "pieces": [],
         "totals": totals,
     }
-    if conjectural:
-        payload["conjectural"] = True
-    header = "mu," + ",".join(f"deg_{d}" for d in range(cfg.max_degree + 1))
-    csv_lines = [header]
+    csv_rows = [["mu"] + [f"deg_{d}" for d in range(cfg.max_degree + 1)]]
     text_lines = [f"graded pieces n={cfg.n} k={cfg.k} rule={cfg.rule}"]
     for mu, dims in pieces.items():
-        csv_lines.append(_vec_str(mu) + "," + ",".join(str(d) for d in dims))
+        payload["pieces"].append({"mu": list(mu), "cumulative": list(dims)})
+        csv_rows.append([_vec_str(mu), *dims])
         text_lines.append(f"  mu={_vec_str(mu)}: {list(dims)}")
-    csv_lines.append("total," + ",".join(str(t) for t in totals))
+    csv_rows.append(["total", *totals])
     text_lines.append(f"  total: {totals}")
     if conjectural:
+        payload["conjectural"] = True
         text_lines.append("  (conjectural)")
-    _emit(cfg, payload, text_lines, csv_lines)
-    return 0
+    return _emit(cfg, payload, text_lines, csv_rows)
 
 
 def cmd_toeplitz(cfg) -> int:
@@ -314,12 +289,9 @@ def cmd_toeplitz(cfg) -> int:
         payload = {"command": "toeplitz", "kind": "T", "parity": cfg.parity,
                    "n": cfg.n, "m": cfg.m, cfg.show: value}
         text = [f"T_{cfg.parity}({cfg.n}, {cfg.m}): {cfg.show} = {value}"]
-        csv_lines = [
-            f"kind,parity,n,m,{cfg.show}",
-            f"T,{cfg.parity},{cfg.n},{cfg.m},{cell}",
-        ]
-        _emit(cfg, payload, text, csv_lines)
-        return 0
+        csv_rows = [["kind", "parity", "n", "m", cfg.show],
+                    ["T", cfg.parity, cfg.n, cfg.m, cell]]
+        return _emit(cfg, payload, text, csv_rows)
     _require(cfg, "l", "k", "j")
     # An empty shape passes, for r_matrix to refuse with its own message.
     rows, cols = cfg.k - cfg.l + 1, cfg.k - 2 * cfg.j + 1
@@ -339,9 +311,9 @@ def cmd_toeplitz(cfg) -> int:
         "cols": len(matrix[0]),
     }
     text = [f"R({cfg.l}, {cfg.k}, {cfg.j}): rank = {rank} of {len(matrix[0])} columns"]
-    csv_lines = ["kind,l,k,j,rank,cols", f"R,{cfg.l},{cfg.k},{cfg.j},{rank},{len(matrix[0])}"]
-    _emit(cfg, payload, text, csv_lines)
-    return 0
+    csv_rows = [["kind", "l", "k", "j", "rank", "cols"],
+                ["R", cfg.l, cfg.k, cfg.j, rank, len(matrix[0])]]
+    return _emit(cfg, payload, text, csv_rows)
 
 
 def cmd_reps(cfg) -> int:
@@ -359,13 +331,12 @@ def cmd_reps(cfg) -> int:
         f"anti-invariants of wedge^q(V x rho_{cfg.k}): {_series(rho)}",
         f"anti-invariants of wedge^q(V x R_{cfg.k}): {_series(full)}",
     ]
-    csv_lines = [
-        "summand,dims",
-        f"rho,{_vec_str(rho)}",
-        f"R,{_vec_str(full)}",
+    csv_rows = [
+        ["summand", "dims"],
+        ["rho", _vec_str(rho)],
+        ["R", _vec_str(full)],
     ]
-    _emit(cfg, payload, text, csv_lines)
-    return 0
+    return _emit(cfg, payload, text, csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +387,11 @@ def _suite_reps(cfg):
     cases = []
     for k in range(1, 8):
         def check_dims(k=k):
-            rho = antiinv_dims_rho(k)
-            for q, dim in enumerate(rho):
+            full = antiinv_dims_R(k)
+            for q, dim in enumerate(rho_from_R(full)):
                 want = k if q == k - 1 else 0
                 if dim != want:
                     raise AssertionError(f"rho_{k} dim {dim} at q={q}, want {want}")
-            full = antiinv_dims_R(k)
             for q, dim in enumerate(full):
                 want = {k - 1: k, k: 2 * k, k + 1: k}.get(q, 0)
                 if dim != want:
@@ -489,17 +459,14 @@ def _suite_chi_consistency(cfg):
 def _suite_kernel_vs_graded(cfg):
     cases = []
     for n, k in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4)):
-        degree = cfg.max_degree
-        if degree is None:
-            degree = 4 if n == 2 else 3
-        def check(n=n, k=k, degree=degree):
+        def check(n=n, k=k, degree=4 if n == 2 else 3):
             report = verify_filtration(n, k, degree)
             detail = {
                 "max_degree": degree,
                 "invariant": list(report.invariant_nullities[-1]),
                 "graded_total": list(graded_totals(report.graded)),
             }
-            if n == 2 and k == 2 and degree >= 2:
+            if n == k == 2:
                 spot = list(report.invariant_nullities[-1][:3])
                 if spot != [1, 5, 18]:
                     raise AssertionError(f"spot vector off: {spot}")
@@ -589,35 +556,30 @@ def cmd_verify(cfg) -> int:
         if cfg.suite in ("all", name):
             cases += [(f"{name}: {key}", thunk) for key, thunk in build(cfg)]
     results = _run_cases(cases)
-    passed = sum(1 for _, ok, _, _ in results if ok)
+    passed = sum(ok for _, ok, _, _ in results)
     failed = len(results) - passed
+    entries, text, csv_rows = [], [], [["key", "status", "seconds"]]
+    for key, ok, detail, sec in results:
+        status = "pass" if ok else "fail"
+        entries.append({"key": key, "status": status, "seconds": round(sec, 3), **detail})
+        line = f"{status.upper()} {key} ({sec:.3f}s)"
+        if not ok:
+            line += f" :: {detail.get('error', '')}"
+        text.append(line)
+        csv_rows.append([key.replace(",", ";"), status, f"{sec:.3f}"])
+    text.append(
+        f"suite {cfg.suite} [seed {cfg.seed}]: {passed} passed, {failed} failed"
+    )
     payload = {
         "command": "verify",
         "suite": cfg.suite,
         "seed": cfg.seed,
-        "cases": [
-            {"key": key, "status": "pass" if ok else "fail",
-             "seconds": round(sec, 3), **detail}
-            for key, ok, detail, sec in results
-        ],
+        "cases": entries,
         "passed": passed,
         "failed": failed,
         "ok": failed == 0,
     }
-    text = []
-    csv_lines = ["key,status,seconds"]
-    for key, ok, detail, sec in results:
-        status = "PASS" if ok else "FAIL"
-        line = f"{status} {key} ({sec:.3f}s)"
-        if not ok:
-            line += f" :: {detail.get('error', '')}"
-        text.append(line)
-        csv_lines.append(f"{key.replace(',', ';')},{status.lower()},{sec:.3f}")
-    text.append(
-        f"suite {cfg.suite} [seed {cfg.seed}]: {passed} passed, {failed} failed"
-    )
-    _emit(cfg, payload, text, csv_lines)
-    return 0 if failed == 0 else 1
+    return _emit(cfg, payload, text, csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -653,25 +615,23 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="twist class, same shape as --L "
                        "(repeatable; write a negative one as --A=-1:0)")
 
+    size_parent = argparse.ArgumentParser(add_help=False)
+    size_parent.add_argument("--n", type=int, required=True)
+    size_parent.add_argument("--k", type=int, required=True)
+    size_parent.add_argument("--max-degree", type=int, required=True)
+    size_parent.add_argument("--exploratory", action="store_true")
+
     p_ker = sub.add_parser("kernel", help="cumulative kernel dimensions",
-        parents=[fmt_parent])
-    p_ker.add_argument("--n", type=int, required=True)
-    p_ker.add_argument("--k", type=int, required=True)
-    p_ker.add_argument("--max-degree", type=int, required=True)
+        parents=[fmt_parent, size_parent])
     group = p_ker.add_mutually_exclusive_group()
     group.add_argument("--invariant", action="store_true", default=True,
                        help="symmetric tuples only (default)")
     group.add_argument("--full", dest="invariant", action="store_false",
                        help="all tuples, no symmetry")
-    p_ker.add_argument("--exploratory", action="store_true")
 
     p_gr = sub.add_parser("graded", help="graded piece dimensions",
-       parents=[fmt_parent])
-    p_gr.add_argument("--n", type=int, required=True)
-    p_gr.add_argument("--k", type=int, required=True)
-    p_gr.add_argument("--max-degree", type=int, required=True)
+       parents=[fmt_parent, size_parent])
     p_gr.add_argument("--rule", default="uniform_2m_mu", choices=EXPONENT_RULES)
-    p_gr.add_argument("--exploratory", action="store_true")
 
     p_toe = sub.add_parser("toeplitz", help="banded binomial matrices",
         parents=[fmt_parent])
@@ -701,8 +661,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", default="all", choices=SUITES)
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sweeps (echoed in output)")
-    p_ver.add_argument("--max-degree", type=int, default=None,
-                       help="override the per-case degree in kernel-vs-graded")
     return parser
 
 

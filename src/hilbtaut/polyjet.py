@@ -149,13 +149,7 @@ def _jet_functionals(A, degrees: range, ring: PolyRing, keys) -> list:
     keys = [key for key in keys if key[ix0] + key[iy0] in degrees]
     if a1 > n:
         return [{key: 1} for key in keys]
-    if not keys:
-        return []
     ix1, iy1 = a1 - 1, n + a1 - 1
-    # Rows share the ring's cached monomial tuples: fresh copies
-    # would each hold memory for as long as the rows live.
-    monos = ring.monomials(sum(keys[0]))
-    same = dict(zip(monos, monos))
     out = []
     for key in keys:
         r, s = key[ix0], key[iy0]
@@ -167,6 +161,6 @@ def _jet_functionals(A, degrees: range, ring: PolyRing, keys) -> list:
             old[ix0], old[ix1] = p0, P - p0
             for q0, cy in wy:
                 old[iy0], old[iy1] = q0, Q - q0
-                row[same[tuple(old)]] = cx * cy
+                row[tuple(old)] = cx * cy
         out.append(row)
     return out

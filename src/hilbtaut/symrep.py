@@ -96,13 +96,9 @@ def antiinv_dims_R(k: int) -> tuple[int, ...]:
     return tuple(c // kfac for c in total)
 
 
-def antiinv_dims_rho(k: int) -> tuple[int, ...]:
-    """Same as antiinv_dims_R but for the standard summand rho_k."""
-    return rho_from_R(antiinv_dims_R(k))
-
-
 def rho_from_R(dims) -> tuple[int, ...]:
-    """The antiinv_dims_rho(k) series from antiinv_dims_R(k)'s.
+    """The series of antiinv_dims_R for the standard summand rho_k, from
+    antiinv_dims_R(k)'s.
 
     R_k = rho_k + 1, and averaging is linear, so the series for R_k is
     divided exactly by (1 + t)^dim V, the contribution of the invariant

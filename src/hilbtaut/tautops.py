@@ -45,10 +45,12 @@ it takes blocks of conditions (pair, degrees, order, shifts), each the
 jets of one pair times the order-th difference along it at every shift
 (order 0 for a graded piece), and maps each jet functional straight
 onto its own (composition, exponent) columns, through one table
-{exponent: column} per composition, folded into relabeling orbits or
-not.  Folded orbits are keyed at the non-increasing compositions alone,
-where each first appears, and the table of any other composition a
-support names is filled on first use.  Every row is bihomogeneous in
+{exponent: column} per composition.  A key is numbered at the first
+appearance of its relabeling orbit when the columns are folded, and of
+itself when not, so the fold only picks the key.  Unfolded, every
+composition is keyed; folded, only the non-increasing ones, where each
+orbit first appears, and the table of any other composition a support
+names is filled on first use.  Every row is bihomogeneous in
 (x-degree, y-degree), so degree d splits into d + 1 blocks of x-degree
 g sharing no column, and swapping x and y, which fixes every diagonal
 ideal, gives blocks g and d - g equal rank: only the columns and rows
@@ -306,18 +308,34 @@ def _upper_half(n: int, d: int) -> tuple:
 
 
 class _OrbitTables(dict):
-    """Folded column tables, {lam: {e: column}}, over the orbit ids of
-    _columns.  The table of a composition not keyed there is filled on
-    first use, each exponent's column looked up by the orbit key of its
-    key (lam, e)."""
+    """Column tables {lam: {e: column}} over the exponents e of degree d
+    and x-degree g with 2g >= d, numbered by first appearance.
 
-    def __init__(self, ids: dict, n: int, upper: tuple):
+    A key (lam, e) is numbered by its orbit key: folded, the sorted
+    triples (lam_i, e_i, e_(n+i)) of its relabeling orbit (see
+    _columns); unfolded, the key itself.  The table of a composition is
+    filled on first use, a new orbit key taking the next column, and
+    ncols counts every column so far, an orbit of 2g > d twice for its
+    mirror."""
+
+    def __init__(self, n: int, d: int, fold: bool):
         super().__init__()
-        self.ids, self.n, self.upper = ids, n, upper
+        self.n, self.fold = n, fold
+        # each exponent with the columns its orbit counts: 2 with a mirror
+        self.upper = [(e, 1 if 2 * sum(e[:n]) == d else 2) for e in _upper_half(n, d)]
+        self.ids: dict = {}
+        self.ncols = 0
 
     def __missing__(self, lam):
-        n, ids = self.n, self.ids
-        table = self[lam] = {e: ids[tuple(sorted(zip(lam, e[:n], e[n:])))] for e in self.upper}
+        n, fold, ids = self.n, self.fold, self.ids
+        table = self[lam] = {}
+        for e, count in self.upper:
+            key = tuple(sorted(zip(lam, e[:n], e[n:]))) if fold else (lam, e)
+            col = ids.get(key)
+            if col is None:
+                col = ids[key] = len(ids)
+                self.ncols += count
+            table[e] = col
         return table
 
 
@@ -335,52 +353,36 @@ def _key_count(comps, ring: PolyRing, d: int, fold: bool) -> int:
 def _columns(comps, ring: PolyRing, d: int, fold: bool):
     """(ncols, tables): how many columns the keys (lam, e) make, lam in
     comps and e a degree-d monomial of ring, and per composition lam a
-    table {e: column} over the exponents of x-degree g with 2g >= d.
+    table {e: column} over the exponents of x-degree g with 2g >= d
+    (_OrbitTables).
 
     Columns are numbered by first appearance, lam outer and e inner.
-    Unfolded, each key is its own column, so a table is its
-    composition's offset plus each exponent's position.  Folded, keys
-    are grouped into orbits under slot relabeling, which sends the
-    coefficient of x_lam at e to that of x_(lam o sigma) at the
-    sigma-permuted exponent, with no sign; an invariant tuple is
-    constant on each orbit.  Since sigma permutes the slots of lam and
-    of both blocks of e together, the sorted triples (lam_i, e_i,
-    e_(n+i)) name the orbit.  comps is every composition of its weight,
-    in reverse lexicographic order, or one non-increasing composition,
-    whose orbits are those of its stabilizer.  Either way an orbit first
-    appears at a composition non-increasing on the ring's n points, so
-    orbits are keyed there alone, each column keeping its number, and the table of any other
-    composition is filled on first use from the orbit keys
-    (_OrbitTables): only the compositions a condition's support names
-    are ever filled.  Swapping x and y maps the keys, and so the orbits,
-    of x-degree g one-to-one onto those of d - g, so only 2g >= d is
-    keyed and ncols still counts every column: an orbit of 2g > d counts
-    twice.  The key table is checked by _key_count, which _nullities
-    calls before it builds the table of that degree.
+    Unfolded, each key is its own column, and every composition is
+    keyed, so a table is its composition's offset plus each exponent's
+    position.  Folded, keys are grouped into orbits under slot
+    relabeling, which sends the coefficient of x_lam at e to that of
+    x_(lam o sigma) at the sigma-permuted exponent, with no sign; an
+    invariant tuple is constant on each orbit.  Since sigma permutes the
+    slots of lam and of both blocks of e together, the sorted triples
+    (lam_i, e_i, e_(n+i)) name the orbit.  comps is every composition of
+    its weight, in reverse lexicographic order, or one non-increasing
+    composition, whose orbits are those of its stabilizer.  Either way
+    an orbit first appears at a composition non-increasing on the ring's
+    n points, so only those are keyed here, each column keeping its
+    number, and the table of any other composition is filled on first
+    use from the orbit keys: only the compositions a condition's support
+    names are ever filled, and they add no column.  Swapping x and y
+    maps the keys, and so the orbits, of x-degree g one-to-one onto
+    those of d - g, so only 2g >= d is keyed and ncols still counts
+    every column.  The key table is checked by _key_count, which
+    _nullities calls before it builds the table of that degree.
     """
     n = ring.n
-    upper = _upper_half(n, d)
-    if not fold:
-        width = len(upper)
-        return len(comps) * comb(ring.nvars + d - 1, d), {
-            lam: dict(zip(upper, range(i * width, (i + 1) * width)))
-            for i, lam in enumerate(comps)
-        }
-    ids: dict = {}
-    tables = _OrbitTables(ids, n, upper)
-    ncols = 0
+    tables = _OrbitTables(n, d, fold)
     for lam in comps:
-        if any(a < b for a, b in zip(lam, lam[1:n])):
-            continue
-        table = tables[lam] = {}
-        for e in upper:
-            key = tuple(sorted(zip(lam, e[:n], e[n:])))
-            col = ids.get(key)
-            if col is None:
-                col = ids[key] = len(ids)
-                ncols += 1 if 2 * sum(e[:n]) == d else 2
-            table[e] = col
-    return ncols, tables
+        if not fold or all(map(ge, lam, lam[1:n])):
+            tables[lam]  # keyed on first use
+    return tables.ncols, tables
 
 
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
@@ -530,9 +532,12 @@ def _free_point_counts(m: int, max_deg: int) -> list:
     to t are admitted, s monomials reach degree s t at most, so row s
     is filled through min(max_deg, s t) alone.  The cost is
     O(max_deg^2 min(m, max_deg) log max_deg) at most, whatever m, and
-    linear in max_deg on one point.
+    linear in max_deg on one point.  The table, (min(m, max_deg) + 1)
+    x (max_deg + 1), is checked against the entry cap before it is
+    built.
     """
     size = min(m, max_deg)
+    _check_cap(size + 1, max_deg + 1, f"symmetric polynomials on {m} free points")
     table = [[1] + [0] * max_deg] + [[0] * (max_deg + 1) for _ in range(size)]
     for t in range(1, max_deg + 1):
         for s in range(size, 0, -1):  # rows below s still lack degree t
@@ -613,7 +618,8 @@ def graded_dims(
     pair's u and v to -u and -v and fixes s, t and the other points, so
     the folded row of a key of odd u-v-degree equals its own negative
     and is zero, as for the A0 labels (_stack).  The empty
-    partition, k = 0, leaves all n points free.
+    partition, k = 0, leaves all n points free: its piece is M(n, .)
+    alone (_free_point_counts), and no engine runs.
 
     The partitions are counted against the entry cap, times their width
     min(n, k), before any is listed.  Keys appear in refined order.
@@ -627,7 +633,6 @@ def graded_dims(
     out: dict = {}
     for mu in enumerate_partitions(k, n):
         r = len(mu)
-        piece = [1] + [0] * max_deg  # no parts: every point is free
         if r:
             block = [
                 # a pair of equal parts keeps the even u-v-degrees alone
@@ -637,7 +642,10 @@ def graded_dims(
             ]
             ring = PolyRing(r, max_deg)
             piece = _nullities([block], [mu], ring, True, f"graded piece {mu} ({n},{k})")[1]
-        out[mu] = tuple(accumulate(_with_free_points(piece, n - r)))
+            piece = _with_free_points(piece, n - r)
+        else:  # no parts: every point is free
+            piece = _free_point_counts(n, max_deg)
+        out[mu] = tuple(accumulate(piece))
     return out
 
 

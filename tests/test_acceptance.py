@@ -27,7 +27,7 @@ from hilbtaut.rroch import (
 )
 from hilbtaut.symrep import (
     antiinv_dims_R,
-    antiinv_dims_rho,
+    rho_from_R,
     verify_omega,
     verify_sym_map,
 )
@@ -120,11 +120,11 @@ def test_4_toeplitz_nondegeneracy():
 def test_5_anti_invariant_dimensions():
     start = time.perf_counter()
     for k in range(1, 8):
-        rho = antiinv_dims_rho(k)
+        full = antiinv_dims_R(k)
+        rho = rho_from_R(full)
         for q in range(2 * k + 1):
             dim = rho[q] if q < len(rho) else 0
             assert dim == (k if q == k - 1 else 0), (k, q)
-        full = antiinv_dims_R(k)
         for q in range(2 * k + 1):
             want = {k - 1: k, k: 2 * k, k + 1: k}.get(q, 0)
             assert full[q] == want, (k, q)

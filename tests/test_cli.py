@@ -8,6 +8,8 @@ import ast
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -440,7 +442,8 @@ def test_reps_series(capsys):
 
 
 def test_reps_averages_the_characters_once(capsys, monkeypatch):
-    # rho is R divided by the invariant line's (1 + t)^2, not a second average
+    # rho is R divided by the invariant line's (1 + t)^2, not a second
+    # average, in the reps command and in the reps suite alike
     calls = []
     real = cli.antiinv_dims_R
 
@@ -453,8 +456,11 @@ def test_reps_averages_the_characters_once(capsys, monkeypatch):
     rc, out, _ = run(capsys, "reps", "--k", "6", "--format", "json")
     assert rc == 0 and calls == [6]
     report = json.loads(out)
-    assert tuple(report["rho"]["dims"]) == symrep.antiinv_dims_rho(6)
+    assert tuple(report["rho"]["dims"]) == symrep.rho_from_R(real(6))
     assert tuple(report["R"]["dims"]) == real(6)
+    calls.clear()
+    rc, _, _ = run(capsys, "verify", "--suite", "reps")
+    assert rc == 0 and calls == list(range(1, 8))
 
 
 # --- verify ------------------------------------------------------------
@@ -486,14 +492,19 @@ def test_verify_echoes_seed(capsys):
     assert rc == 0 and "[seed 7]" in out
 
 
-def test_verify_kernel_vs_graded_takes_max_degree(capsys):
-    rc, out, _ = run(capsys, "verify", "--suite", "kernel-vs-graded",
-                     "--max-degree", "2", "--format", "json")
+def test_verify_kernel_vs_graded_fixes_its_degrees(capsys):
+    rc, out, _ = run(capsys, "verify", "--suite", "kernel-vs-graded", "--format", "json")
     assert rc == 0
     cases = {c["key"]: c for c in json.loads(out)["cases"]}
-    assert len(cases) == 5
-    assert all(c["max_degree"] == 2 for c in cases.values())
+    assert {key: c["max_degree"] for key, c in cases.items()} == {
+        f"kernel-vs-graded: kernel=graded n={n} k={k}": 4 if n == 2 else 3
+        for n, k in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
+    }
     assert cases["kernel-vs-graded: kernel=graded n=2 k=2"]["spot"] == [1, 5, 18]
+    rc, out, err = run(capsys, "verify", "--suite", "kernel-vs-graded", "--max-degree", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--max-degree" in err
+    assert err.count("\n") == 1
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -687,6 +698,25 @@ def test_graded_column_orbit_keys_over_a_lowered_cap_exit_two(capsys, monkeypatc
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k,cap,prefix", [
+    # no parts: the piece is M(2, .) alone, a 3 x (10^21 + 1) table, refused
+    # before it or any placeholder of one slot per degree is built
+    ("0", None, "error: symmetric polynomials on 2 free points: 3 x 1" + "0" * 20 + "1"),
+    # the piece (2) on one point: its key table, d + 1 exponents, reaches a
+    # lowered cap at degree 1000 (the default cap takes 2,000,000 degrees)
+    ("2", "1000", "error: column orbit keys: 1001 x 1"),
+])
+def test_graded_at_a_huge_max_degree_exits_two(capsys, monkeypatch, k, cap, prefix):
+    if cap is None:
+        monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    else:
+        monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", cap)
+    rc, out, err = run(capsys, "graded", "--n", "2", "--k", k, "--max-degree", "1" + "0" * 21)
+    assert rc == 2 and out == ""
+    assert err.startswith(prefix) and "cap" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,prefix", [
     # C(59, 30) compositions of 30 slots
     (("kernel", "--exploratory", "--n", "30", "--k", "30", "--max-degree", "0"),
@@ -853,6 +883,33 @@ def test_identical_config_identical_bytes(capsys, argv):
     assert out1 == out2
 
 
+def _readme_examples() -> list:
+    """(command, output lines) for each `$ hilbtaut ...` line of README's
+    sh blocks: the output runs to the next blank line or the block's end."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for chunk in block.strip("\n").split("\n\n"):
+            command, *output = chunk.split("\n")
+            if command.startswith("$ hilbtaut "):
+                examples.append((command.removeprefix("$ hilbtaut "), output))
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command,output", _README_EXAMPLES,
+                         ids=[command for command, _ in _README_EXAMPLES])
+def test_readme_examples_replay(capsys, command, output):
+    # an output shown with ... is compared on its last line alone
+    rc, out, _ = run(capsys, *shlex.split(command))
+    lines = out.rstrip("\n").split("\n")
+    if "..." in output:
+        lines, output = lines[-1:], output[-1:]
+    assert rc == 0 and lines == output
+
+
 # --- argv fuzz ---------------------------------------------------------
 
 _CHEAP_SUITES = ("toeplitz", "reps", "chi-consistency", "recursion", "combinatorics")
@@ -873,7 +930,7 @@ def _argvs(draw):
         "graded": ("n", "k", "max-degree"),
         "toeplitz": ("n", "m", "l", "k", "j"),
         "reps": ("k",),
-        "verify": ("seed", "max-degree"),
+        "verify": ("seed",),
     }[command]
     groups = {
         "chi": [[f"--surface={name}" for name in sorted(BUILTIN_SURFACES) + ["enriques"]]],

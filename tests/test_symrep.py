@@ -16,7 +16,6 @@ from hilbtaut import symrep
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.symrep import (
     antiinv_dims_R,
-    antiinv_dims_rho,
     cycle_types,
     omega_on,
     rho_from_R,
@@ -98,7 +97,7 @@ def test_dims_R_match_brute_force(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_dims_rho_match_brute_force(k):
-    dims = antiinv_dims_rho(k)
+    dims = rho_from_R(antiinv_dims_R(k))
     mats = perm_matrices_rho(k)
     assert len(dims) == 2 * (k - 1) + 1
     for q in range(2 * (k - 1) + 1):
@@ -106,9 +105,9 @@ def test_dims_rho_match_brute_force(k):
 
 
 def test_dims_rho_concentrated():
-    assert antiinv_dims_rho(3) == (0, 0, 3, 0, 0)
-    assert antiinv_dims_rho(2) == (0, 2, 0)
-    dims5 = antiinv_dims_rho(5)
+    assert rho_from_R(antiinv_dims_R(3)) == (0, 0, 3, 0, 0)
+    assert rho_from_R(antiinv_dims_R(2)) == (0, 2, 0)
+    dims5 = rho_from_R(antiinv_dims_R(5))
     assert dims5[4] == 5
     assert all(d == 0 for q, d in enumerate(dims5) if q != 4)
 
@@ -138,7 +137,7 @@ def test_dims_R_palindromic():
 
 def test_rho_total_count():
     for k in range(1, 8):
-        assert sum(antiinv_dims_rho(k)) == k
+        assert sum(rho_from_R(antiinv_dims_R(k))) == k
 
 
 def test_rho_from_R_divides_exactly_by_one_plus_t_squared():
@@ -158,8 +157,6 @@ def test_rho_from_R_divides_exactly_by_one_plus_t_squared():
 def test_bad_k_rejected():
     with pytest.raises(ValueError):
         antiinv_dims_R(0)
-    with pytest.raises(ValueError):
-        antiinv_dims_rho(0)
     with pytest.raises(ValueError):
         verify_sym_map(1)
 
