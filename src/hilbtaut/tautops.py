@@ -24,8 +24,9 @@ points.  Taking Hilbert series,
 
     dim K_d = sum over j of (j + 1) * dim K0_(d - j),
 
-at every number of stacked blocks, where j + 1 = M(1, j) counts the
-degree-j polynomials on the one free point (_with_free_points).  The
+at every number of stacked blocks, where j + 1 counts the degree-j
+polynomials on the one free point.  As their Hilbert series is
+1/(1 - t)^2, tensoring with a free point is two running sums.  The
 invariant systems are solved on all n points, since pinning a point
 breaks the relabeling action their column orbits rely on, and impose
 one label per orbit, from A0(k, l): the other labels of A(k, l) are
@@ -80,21 +81,17 @@ conditions carry integer weights, condition rows and column sums stay
 integers, and the elimination takes them as they are.  Sizes are bounded
 by a cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
-fast instead of grinding.  The compositions a kernel system is keyed
-by, and the partitions graded_dims lists, are counted before either is
-listed.  Every system's column key table, keys times points, is checked
-from its size, and bounds the whole table though a folded one keys
-fewer; then each degree's stack of rows times its columns, the rows
-counted from sizes as each condition's shifts times the jets of its own
-u-v-degrees.  Both are checked in one place, _nullities, degree by
-degree, and every degree passes both before any support or row is
-built.  Every degree is sized before any table is built, except that a
-folded stack with rows builds its degree's folded columns to count
-their orbits: a key table, an unfolded stack, whose columns are its
-keys, and a stack with no rows need sizes alone.  A kernel system checks
-its degree-0 key table before it lists its pairs, and each order's
-shifts are listed only just before the first degree its jets reach is
-checked (_stack).  Exceeding any of these raises EntryCapError.
+fast instead of grinding.  Each table is checked once, from its size,
+where it is largest, before anything it sizes is listed or solved: a
+builder checks its column key table, keys times points, at max_deg
+(_check_keys) before listing (_stack, and graded_dims for its widest
+piece), and it bounds a folded table too, though that keys fewer;
+_nullities checks each degree's stack, rows times columns, before
+building rows, the rows counted as each condition's shifts times the
+jets of its own u-v-degrees; and graded_dims checks a piece's
+free-point table before solving it.  Only a folded stack with rows
+builds its degree's columns to be sized, to count their orbits.
+Exceeding any of these raises EntryCapError.
 """
 
 from __future__ import annotations
@@ -141,6 +138,29 @@ def _check_cap(nrows: int, ncols: int, context: str) -> None:
             f"{context}: {nrows} x {ncols} matrix exceeds the entry cap {cap}; "
             "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it"
         )
+
+
+def _nkeys(ncomps: int, ring: PolyRing, d: int) -> int:
+    """How many keys (lam, e) degree d has: ncomps compositions lam times
+    the C(nvars + d - 1, d) degree-d monomials e of ring."""
+    return ncomps * comb(ring.nvars + d - 1, d)
+
+
+def _check_keys(ncomps: int, ring: PolyRing, slots: int, context: str) -> None:
+    """Refuse, from sizes alone, a column key table over the entry cap at
+    some degree through ring.max_deg: the keys of degree d (_nkeys),
+    times the slots of a composition.
+
+    The table grows with d, so it is checked once, at max_deg, or at a
+    lower degree where it is already over the cap, so that no huge
+    binomial is computed or printed.  Its binomial, C(nvars + d - 1, d),
+    is at least d + 1, as a ring has nvars >= 2, and at least
+    2^min(d, nvars - 1), so it is over at degree 2^bits, bits the cap's
+    bit length, and on more variables than bits, already at degree bits.
+    """
+    bits = _max_entries().bit_length()
+    d = min(ring.max_deg, bits if ring.nvars > bits else 1 << bits)
+    _check_cap(_nkeys(ncomps, ring, d), slots, context)
 
 
 def _check_partitions(k: int, n: int) -> None:
@@ -233,8 +253,7 @@ def higher_difference(x: dict, mu, A, order: int) -> dict:
 
 def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> map:
     """The condition blocks of a kernel system, order by order, one (A,
-    degrees, order, shifts) per pair, after checking its degree-0 key
-    table.
+    degrees, order, shifts) per pair, after checking its key table.
 
     A label (mu, A) of order o asks the o-th difference along A, shifted
     by a composition mu of k - o, to lie in I_A^o; the condition of a
@@ -261,13 +280,14 @@ def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> map:
     invariant tuple: the rows of such a label fold to zero.  On one point
     there is no pair, and no shift is listed.
 
-    The degree-0 key table, the C(n + k - 1, k) compositions of k times
-    n, is checked here, and for k >= 2 it bounds the C(n, 2) pairs; with
-    no order, k < 2, no pair is listed.  Each order's shifts are listed
-    when _nullities takes its block, just before it sizes degree o - 1,
-    the first its jets reach, and before any support is built.
+    The key table, the C(n + k - 1, k) compositions of k times the
+    monomials of ring, times n slots, is checked at ring.max_deg
+    (_check_keys) before any composition or pair is listed; for k >= 2
+    it bounds the C(n, 2) pairs, and with k < 2 no pair is listed.  Each
+    order's shifts are listed when _nullities takes its block, just
+    before it sizes degree o - 1, the first its jets reach.
     """
-    _check_cap(comb(n + k - 1, k), n, "column orbit keys" if invariant else "column keys")
+    _check_keys(comb(n + k - 1, k), ring, n, "column orbit keys" if invariant else "column keys")
     orders = range(1, min(k - 1, ring.max_deg + 1) + 1)
     pairs = list(combinations(range(1, n + 1), 2))[: 1 if invariant else None] if orders else []
 
@@ -308,23 +328,44 @@ def _upper_half(n: int, d: int) -> tuple:
 
 
 class _OrbitTables(dict):
-    """Column tables {lam: {e: column}} over the exponents e of degree d
-    and x-degree g with 2g >= d, numbered by first appearance.
+    """Column tables {lam: {e: column}} for the keys (lam, e), lam in
+    comps and e a degree-d monomial on n points, over the exponents e of
+    x-degree g with 2g >= d, and ncols, how many columns the keys make.
 
-    A key (lam, e) is numbered by its orbit key: folded, the sorted
-    triples (lam_i, e_i, e_(n+i)) of its relabeling orbit (see
-    _columns); unfolded, the key itself.  The table of a composition is
-    filled on first use, a new orbit key taking the next column, and
-    ncols counts every column so far, an orbit of 2g > d twice for its
-    mirror."""
+    Columns are numbered by first appearance, lam outer and e inner.
+    Unfolded, each key is its own column, and every composition is
+    keyed, so a table is its composition's offset plus each exponent's
+    position.  Folded, keys are grouped into orbits under slot
+    relabeling, which sends the coefficient of x_lam at e to that of
+    x_(lam o sigma) at the sigma-permuted exponent, with no sign; an
+    invariant tuple is constant on each orbit.  Since sigma permutes the
+    slots of lam and of both blocks of e together, the sorted triples
+    (lam_i, e_i, e_(n+i)) name the orbit, and a key is numbered by that
+    orbit key.  comps is every composition of its weight, in reverse
+    lexicographic order, or one non-increasing composition, whose orbits
+    are those of its stabilizer.  Either way an orbit first appears at a
+    composition non-increasing on the n points, so only those are keyed
+    here, each column keeping its number, and the table of any other
+    composition is filled on first use from the orbit keys: only the
+    compositions a condition's support names are ever filled, and they
+    add no column.  Swapping x and y maps the keys, and so the orbits, of
+    x-degree g one-to-one onto those of d - g, so only 2g >= d is keyed
+    and ncols still counts every column, an orbit of 2g > d twice for its
+    mirror.  No size is checked here: the builder of a system checks its
+    key table, at its largest degree, before anything is listed (_stack,
+    graded_dims).
+    """
 
-    def __init__(self, n: int, d: int, fold: bool):
+    def __init__(self, comps, n: int, d: int, fold: bool):
         super().__init__()
         self.n, self.fold = n, fold
         # each exponent with the columns its orbit counts: 2 with a mirror
         self.upper = [(e, 1 if 2 * sum(e[:n]) == d else 2) for e in _upper_half(n, d)]
         self.ids: dict = {}
         self.ncols = 0
+        for lam in comps:
+            if not fold or all(map(ge, lam, lam[1:n])):
+                self[lam]  # keyed on first use
 
     def __missing__(self, lam):
         n, fold, ids = self.n, self.fold, self.ids
@@ -339,70 +380,24 @@ class _OrbitTables(dict):
         return table
 
 
-def _key_count(comps, ring: PolyRing, d: int, fold: bool) -> int:
-    """How many keys (lam, e) degree d has, lam in comps and e a degree-d
-    monomial of ring, after checking their table, every key times points
-    (the slots of lam), against the entry cap.  Sizes alone answer it,
-    so no monomial or key is built; it bounds a folded table too, though
-    fewer keys are built there.  Unfolded, each key is a column."""
-    keys = len(comps) * comb(ring.nvars + d - 1, d)
-    _check_cap(keys, len(comps[0]), "column orbit keys" if fold else "column keys")
-    return keys
-
-
-def _columns(comps, ring: PolyRing, d: int, fold: bool):
-    """(ncols, tables): how many columns the keys (lam, e) make, lam in
-    comps and e a degree-d monomial of ring, and per composition lam a
-    table {e: column} over the exponents of x-degree g with 2g >= d
-    (_OrbitTables).
-
-    Columns are numbered by first appearance, lam outer and e inner.
-    Unfolded, each key is its own column, and every composition is
-    keyed, so a table is its composition's offset plus each exponent's
-    position.  Folded, keys are grouped into orbits under slot
-    relabeling, which sends the coefficient of x_lam at e to that of
-    x_(lam o sigma) at the sigma-permuted exponent, with no sign; an
-    invariant tuple is constant on each orbit.  Since sigma permutes the
-    slots of lam and of both blocks of e together, the sorted triples
-    (lam_i, e_i, e_(n+i)) name the orbit.  comps is every composition of
-    its weight, in reverse lexicographic order, or one non-increasing
-    composition, whose orbits are those of its stabilizer.  Either way
-    an orbit first appears at a composition non-increasing on the ring's
-    n points, so only those are keyed here, each column keeping its
-    number, and the table of any other composition is filled on first
-    use from the orbit keys: only the compositions a condition's support
-    names are ever filled, and they add no column.  Swapping x and y
-    maps the keys, and so the orbits, of x-degree g one-to-one onto
-    those of d - g, so only 2g >= d is keyed and ncols still counts
-    every column.  The key table is checked by _key_count, which
-    _nullities calls before it builds the table of that degree.
-    """
-    n = ring.n
-    tables = _OrbitTables(n, d, fold)
-    for lam in comps:
-        if not fold or all(map(ge, lam, lam[1:n])):
-            tables[lam]  # keyed on first use
-    return tables.ncols, tables
-
-
 def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     """Per-degree nullities at every level of a stack of condition blocks.
 
     A block lists conditions (A, degrees, order, shifts): the jet
-    functionals of I_A (with a point pinned at the origin when A ends one
-    point past the ring's last) at the keys whose u-v-degree lies in the
-    range degrees, each times the order-th difference along A, shifted by
-    each composition mu in shifts; its support, _difference_support(mu,
-    *A, order), is the composition weights.  A functional maps exponents
-    e to integer weights c; its row puts cf * c on column table[e] of the
-    table _columns(comps, ring, d, fold) gives lam, for every (lam, cf)
-    in the support, and keys sharing a column add up; an entry whose sum
-    cancels is dropped, so rows hold no zeros.  Rows come pair by pair,
-    shift by shift within a pair, functional by functional.  A tuple
-    satisfies the block when every row pairs to zero against its
-    coefficients.  Level l imposes the first l blocks.  The result is
-    indexed by level, 0 through len(blocks), then by degree through
-    ring.max_deg.
+    functionals of I_A (with a point pinned at the origin when A ends
+    one point past the ring's last) at the keys whose u-v-degree lies in
+    the range degrees, each times the order-th difference along A,
+    shifted by each composition mu in shifts; its support,
+    _difference_support(mu, *A, order), is the composition weights.  A
+    functional maps exponents e to integer weights c; its row puts cf *
+    c on column table[e] of the table _OrbitTables(comps, ring.n, d,
+    fold) gives lam, for every (lam, cf) in the support, and keys
+    sharing a column add up; an entry whose sum cancels is dropped, so
+    rows hold no zeros.  Rows come pair by pair, shift by shift within a
+    pair, functional by functional.  A tuple satisfies the block when
+    every row pairs to zero against its coefficients.  Level l imposes
+    the first l blocks.  The result is indexed by level, 0 through
+    len(blocks), then by degree through ring.max_deg.
 
     A graded piece is one block of order 0, shifted by its partition
     alone, and its conditions keep every u-v-degree below its exponent
@@ -418,14 +413,15 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     key's u-v-degree, and a representative label's rows stand for those
     of its whole orbit.
 
-    This is where every system is sized.  Each degree is checked
-    against the cap, first its key table (_key_count), then its stack,
-    rows times columns, the rows counted as each condition's shifts
-    times the jets of its own u-v-degrees, degrees, over both x-degree
-    halves (_jet_count); context names the system.  The key table, the
-    columns of an unfolded stack, which are its keys, and a stack with
-    no rows need sizes alone; only a folded stack with rows builds its
-    degree's columns first, to count their orbits.  Every other table
+    The key table of comps is checked by the builder of the system, at
+    its largest degree, before comps is listed (_stack, graded_dims).
+    Here each degree's stack is checked against the cap before any row
+    is built, rows times columns, the rows counted as each condition's
+    shifts times the jets of its own u-v-degrees, degrees, over both
+    x-degree halves (_jet_count); context names the system.  The columns
+    of an unfolded stack, which are its keys, and a stack with no rows
+    need sizes alone; only a folded stack with rows builds its degree's
+    columns first, to count their orbits.  Every other table
     is built once every degree has passed, one degree at a time.
     Block l keeps no u-v-degree below l - 1, so it is taken from blocks,
     lazy as _stack's are, just before degree l - 1 is checked, and a
@@ -450,14 +446,13 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     blocks, taken = iter(blocks), []
     columns = []
     for d in range(ring.max_deg + 1):
-        nkeys = _key_count(comps, ring, d, fold)
         taken += islice(blocks, d + 1 - len(taken))
         nrows = sum(len(shifts) * _jet_count(ring, degrees, d)
                     for block in taken for _, degrees, _, shifts in block)
         # only a folded stack needs its columns built to be sized
-        built = _columns(comps, ring, d, True) if fold and nrows else None
+        built = _OrbitTables(comps, n, d, True) if fold and nrows else None
         if nrows:
-            _check_cap(nrows, built[0] if built else nkeys, context)
+            _check_cap(nrows, built.ncols if fold else _nkeys(len(comps), ring, d), context)
         columns.append(built)
     taken += blocks
     if any(degrees and degrees.start < level
@@ -466,12 +461,12 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     supported = [[(A, degrees, [_difference_support(mu, *A, order) for mu in shifts])
                   for A, degrees, order, shifts in block] for block in taken]
     profile: list = [[] for _ in range(len(taken) + 1)]
-    for d, built in enumerate(columns):
-        ncols, tables = built or _columns(comps, ring, d, fold)
+    for d, tables in enumerate(columns):
+        tables = tables or _OrbitTables(comps, n, d, fold)
         keys = _upper_half(n, d)[::-1]  # sorted, as jet_conditions orders them
         pivots: dict = {}
         rank = 0
-        profile[0].append(ncols)
+        profile[0].append(tables.ncols)
         for level, block in enumerate(supported, start=1):
             by_g: dict = {}
             for A, degrees, supports in block:
@@ -494,7 +489,7 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
                 rows.sort(key=len)
                 gained = sparse_int_rank(rows, pivots.setdefault(g, {}))
                 rank += gained if 2 * g == d else 2 * gained
-            profile[level].append(ncols - rank)
+            profile[level].append(tables.ncols - rank)
     return profile
 
 
@@ -507,8 +502,8 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     unbuilt (_stack).  The result is indexed by level, then by total
     degree.  Full systems on n > 1 points are solved with point n pinned
     at the origin, then tensored with Q[x_n, y_n] (see the module
-    docstring); on one point there are no pairs, so no rows, and the
-    whole space solves.
+    docstring); on one point there are no pairs, so no rows, and
+    the whole space solves.
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
@@ -516,7 +511,7 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     profile = _nullities(blocks, enumerate_compositions(n, k), ring, invariant,
                          f"kernel system ({n},{k})")
     if pinned:
-        profile = [_with_free_points(dims, 1) for dims in profile]
+        profile = [list(accumulate(accumulate(dims))) for dims in profile]
     return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) + 1 - len(profile))]
 
 
@@ -548,18 +543,6 @@ def _free_point_counts(m: int, max_deg: int) -> list:
                     for c in range(1, min(s, j // t) + 1)
                 )
     return [sum(column) for column in zip(*table)]
-
-
-def _with_free_points(dims, m: int) -> list:
-    """Per-degree dimensions of a space tensored with the symmetric
-    polynomials on m more points: dims convolved with M(m, .).
-
-    A space J of polynomials on some points, tensored with
-    Q[x, y of m free points]^(S_m), has the product Hilbert series, so
-    its degree-d dimension is the sum over j of M(m, j) * dims[d - j].
-    """
-    free = _free_point_counts(m, len(dims) - 1)
-    return [sum(free[j] * dims[d - j] for j in range(d + 1)) for d in range(len(dims))]
 
 
 def kernel_nullity(
@@ -603,37 +586,49 @@ def graded_dims(
 
     Each piece is solved on the r = l(mu) points its diagonals touch.
     Every ideal power imposed is extended from the ring of those points,
-    so their intersection is J tensor the ring of the other n - r points,
-    and the stabilizer of padded mu, Stab(mu) times S_(n-r), acts factor
-    by factor: the fixed part is J^Stab(mu) tensor the symmetric
-    polynomials on n - r free points (_with_free_points).  The first
-    factor is the nullity, by the kernels' engine and under their entry
-    cap, of the jet conditions over the columns (mu, exponent) folded
-    into relabeling orbits, which meet mu in its stabilizer orbits.  Both
-    rules' exponents depend only on the two parts of a pair, and a fixed
-    polynomial lies in I_A^e exactly when it lies in I_(sigma A)^e, so
-    one pair stands for each Stab(mu)-orbit of pairs, named by its two
-    parts.  A pair of equal parts imposes the even u-v-degrees below e
-    alone, range(0, e, 2): its transposition lies in Stab(mu), sends the
-    pair's u and v to -u and -v and fixes s, t and the other points, so
-    the folded row of a key of odd u-v-degree equals its own negative
-    and is zero, as for the A0 labels (_stack).  The empty
-    partition, k = 0, leaves all n points free: its piece is M(n, .)
-    alone (_free_point_counts), and no engine runs.
+    so their intersection is J tensor the ring of the other n - r
+    points, and the stabilizer of padded mu, Stab(mu) times S_(n-r),
+    acts factor by factor: the fixed part is J^Stab(mu) tensor the
+    symmetric polynomials on n - r free points, so its Hilbert series is
+    J^Stab(mu)'s times that of M(n - r, .).  With r >= 2 the first factor
+    is the nullity, by the kernels' engine, of the jet conditions over
+    the columns (mu, exponent) folded into relabeling orbits, which meet
+    mu in its stabilizer orbits.  Both rules' exponents depend only on
+    the two parts of a pair, and a fixed polynomial lies in I_A^e
+    exactly when it lies in I_(sigma A)^e, so one pair stands for each
+    Stab(mu)-orbit of pairs, named by its two parts.  A pair of equal
+    parts imposes the even u-v-degrees below e alone, range(0, e, 2):
+    its transposition lies in Stab(mu), sends the pair's u and v to -u
+    and -v and fixes s, t and the other points, so the folded row of a
+    key of odd u-v-degree equals its own negative and is zero, as for
+    the A0 labels (_stack).  A piece of fewer than two parts has no pair,
+    so no condition, and runs no engine: J is 1 for the empty partition,
+    k = 0, and Q[x, y] for one part, a free point (see the module
+    docstring).
 
-    The partitions are counted against the entry cap, times their width
-    min(n, k), before any is listed.  Keys appear in refined order.
+    Before any partition is listed, the partitions are counted, times
+    their width w = min(n, k), and the key table of the widest piece,
+    one composition on w points at max_deg, which bounds every piece's,
+    is checked (_check_keys).  Each piece's free-point table, M(n - r,
+    .), is checked before the piece is solved.  Keys appear in refined
+    order.
     """
     if exponent_rule not in EXPONENT_RULES:
         raise ValueError(f"exponent_rule must be one of {EXPONENT_RULES}")
     if n < 1 or k < 0 or max_deg < 0:
         raise ValueError("need n >= 1, k >= 0, max_deg >= 0")
     _check_partitions(k, n)
+    width = min(n, k)
+    if width:
+        _check_keys(1, PolyRing(width, max_deg), width, "column orbit keys")
     uniform = exponent_rule == "uniform_2m_mu"
     out: dict = {}
     for mu in enumerate_partitions(k, n):
         r = len(mu)
-        if r:
+        free = _free_point_counts(n - r, max_deg)
+        if r < 2:  # no pair: every polynomial on the r points
+            piece = accumulate(accumulate(free)) if r else free
+        else:
             block = [
                 # a pair of equal parts keeps the even u-v-degrees alone
                 (A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
@@ -641,10 +636,9 @@ def graded_dims(
                 for A, q in _orbit_pairs(mu)
             ]
             ring = PolyRing(r, max_deg)
-            piece = _nullities([block], [mu], ring, True, f"graded piece {mu} ({n},{k})")[1]
-            piece = _with_free_points(piece, n - r)
-        else:  # no parts: every point is free
-            piece = _free_point_counts(n, max_deg)
+            part = _nullities([block], [mu], ring, True, f"graded piece {mu} ({n},{k})")[1]
+            piece = [sum(free[j] * part[d - j] for j in range(d + 1))
+                     for d in range(max_deg + 1)]
         out[mu] = tuple(accumulate(piece))
     return out
 

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -668,8 +669,11 @@ def test_orbit_keys_over_the_cap_exit_two(capsys):
 
 @pytest.mark.parametrize("argv,prefix", [
     # 718,800 unfolded keys of 600 slots at degree 1, refused unbuilt
-    (("kernel", "--full", "--n", "600", "--k", "1", "--max-degree", "2"),
+    (("kernel", "--full", "--n", "600", "--k", "1", "--max-degree", "1"),
      "error: column keys: 718800 x 600"),
+    # the table is checked once, at max-degree, where it is largest
+    (("kernel", "--full", "--n", "600", "--k", "1", "--max-degree", "2"),
+     "error: column keys: 430920600 x 600"),
 ])
 def test_column_keys_over_the_cap_exit_two(capsys, argv, prefix):
     rc, out, err = run(capsys, *argv)
@@ -690,7 +694,8 @@ def test_graded_answers_six_hundred_points_at_degree_two(capsys, monkeypatch):
 
 
 def test_graded_column_orbit_keys_over_a_lowered_cap_exit_two(capsys, monkeypatch):
-    # the piece's degree-2 key table is its 3 monomials on one point
+    # the widest piece's key table, checked at max-degree 2 before any
+    # partition is listed, is its 3 monomials on one point
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "2")
     rc, out, err = run(capsys, *_GRADED_600)
     assert rc == 2 and out == ""
@@ -698,13 +703,20 @@ def test_graded_column_orbit_keys_over_a_lowered_cap_exit_two(capsys, monkeypatc
     assert err.count("\n") == 1
 
 
+# The key table of a piece (1, 1) at a max-degree of 2^21 or more: it is
+# checked at degree 2^21, over the default cap of 21 bits, where it is already
+# over, C(2^21 + 3, 3) exponents times 2 slots.
+_KEYS_AT_THE_CAP = f"{comb(2 ** 21 + 3, 3)} x 2"
+
+
 @pytest.mark.parametrize("k,cap,prefix", [
     # no parts: the piece is M(2, .) alone, a 3 x (10^21 + 1) table, refused
     # before it or any placeholder of one slot per degree is built
     ("0", None, "error: symmetric polynomials on 2 free points: 3 x 1" + "0" * 20 + "1"),
-    # the piece (2) on one point: its key table, d + 1 exponents, reaches a
-    # lowered cap at degree 1000 (the default cap takes 2,000,000 degrees)
-    ("2", "1000", "error: column orbit keys: 1001 x 1"),
+    # the widest piece, (1, 1) on two points: its key table, C(d + 3, 3)
+    # exponents of degree d times 2 slots, already over the cap at degree
+    # 2^21, refused before any partition is listed or any degree walked
+    ("2", None, "error: column orbit keys: " + _KEYS_AT_THE_CAP),
 ])
 def test_graded_at_a_huge_max_degree_exits_two(capsys, monkeypatch, k, cap, prefix):
     if cap is None:
@@ -724,6 +736,25 @@ def test_graded_at_a_huge_max_degree_exits_two(capsys, monkeypatch, k, cap, pref
     # 190,569,292 partitions of 100, counted until they are too many
     (("graded", "--exploratory", "--n", "100", "--k", "100", "--max-degree", "0"),
      "error: partitions of 100 into at most 100 parts: at least 46262 x 100"),
+    # 10^6 compositions times 10^6 exponents at max-degree, before any
+    # composition or shift is listed
+    (("kernel", "--full", "--n", "2", "--k", "999999", "--max-degree", "999999"),
+     "error: column keys: 1000000000000 x 2"),
+    # the widest piece's key table at max-degree, before any partition is
+    # listed or any degree walked
+    (("graded", "--n", "2", "--k", "2", "--max-degree", "1" + "0" * 21),
+     "error: column orbit keys: " + _KEYS_AT_THE_CAP),
+    # a max-degree of 1501 digits: the tables are checked at degree 2^21, so
+    # no binomial of thousands of digits is computed or printed
+    (("graded", "--n", "2", "--k", "2", "--max-degree", "1" + "0" * 1500),
+     "error: column orbit keys: " + _KEYS_AT_THE_CAP),
+    (("kernel", "--n", "2", "--k", "1", "--max-degree", "1" + "0" * 1500),
+     f"error: column orbit keys: {2 * comb(2 ** 21 + 3, 3)} x 2"),
+    # 200,000 variables: the table is refused at degree 21, the cap's bit
+    # length, where it is already over, with no binomial of 10^5 factors
+    # computed
+    (("kernel", "--n", "100000", "--k", "0", "--max-degree", "100000"),
+     f"error: column orbit keys: {comb(200020, 21)} x 100000"),
 ])
 def test_enumerations_over_the_cap_exit_two_unlisted(capsys, monkeypatch, argv, prefix):
     def unlisted(*args):
@@ -740,9 +771,9 @@ def test_enumerations_over_the_cap_exit_two_unlisted(capsys, monkeypatch, argv, 
 
 def test_full_stack_over_the_cap_exits_two_before_labels_are_listed(capsys, monkeypatch):
     # 4950 pairs times the 100 compositions of 1: 495,000 rows by the 5050
-    # compositions of 2 at degree 0, counted from sizes.  Only the columns'
-    # compositions of 2 and the shifts' compositions of 1 are listed, and no
-    # support is built.
+    # compositions of 2 at degree 0, counted from sizes, whose key table,
+    # 5050 x 100, passes.  Only the columns' compositions of 2 and the
+    # shifts' compositions of 1 are listed, and no support is built.
     real = tautops.enumerate_compositions
 
     def listed(n, k):
@@ -756,7 +787,7 @@ def test_full_stack_over_the_cap_exits_two_before_labels_are_listed(capsys, monk
     monkeypatch.setattr(tautops, "enumerate_compositions", listed)
     monkeypatch.setattr(tautops, "_difference_support", unbuilt)
     rc, out, err = run(capsys, "kernel", "--full", "--n", "100", "--k", "2",
-                       "--max-degree", "1")
+                       "--max-degree", "0")
     assert rc == 2 and out == ""
     assert err == ("error: kernel system (100,2): 495000 x 5050 matrix exceeds the entry "
                    "cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
@@ -766,7 +797,9 @@ def test_full_stack_over_the_cap_exits_two_before_labels_are_listed(capsys, monk
 def test_stack_refused_at_degree_zero_lists_no_higher_order(capsys, monkeypatch, mode, rows):
     # Degree 0 takes only order 1's shifts, the compositions of 19999; the
     # columns' compositions of 20000 are the only others listed before the
-    # stack is refused, though max_deg + 1 orders would be built.
+    # stack is refused, though max_deg + 1 = 5 orders would be built.  At
+    # max-degree 4 the key table, 20001 compositions times C(4 + 2p - 1, 4)
+    # exponents on p = 1 or 2 points, times 2 slots, passes.
     real = tautops.enumerate_compositions
 
     def listed(n, k):
@@ -780,7 +813,7 @@ def test_stack_refused_at_degree_zero_lists_no_higher_order(capsys, monkeypatch,
     monkeypatch.setattr(tautops, "enumerate_compositions", listed)
     monkeypatch.setattr(tautops, "_difference_support", unbuilt)
     rc, out, err = run(capsys, "kernel", mode, "--n", "2", "--k", "20000",
-                       "--max-degree", "20000")
+                       "--max-degree", "4")
     assert rc == 2 and out == ""
     assert err == (f"error: kernel system (2,20000): {rows} x {rows + 1} matrix exceeds the "
                    "entry cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
@@ -805,31 +838,47 @@ def test_orders_without_a_jet_are_not_built_before_the_cap_exits_two(capsys, mon
 
 
 def test_row_stack_over_the_cap_exits_two_before_building(capsys):
-    # 136,800 rows by 7,980 columns at degree 1, counted from sizes
+    # 136,800 rows by 7,980 columns at degree 1, counted from sizes, whose
+    # key table, 7,980 x 20, passes
     rc, out, err = run(capsys, "kernel", "--full", "--n", "20", "--k", "2",
-                       "--max-degree", "2")
+                       "--max-degree", "1")
     assert rc == 2 and out == ""
     assert err.startswith("error: kernel system (20,2): 136800 x 7980") and "cap" in err
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,shape", [
-    (("--n", "2", "--k", "1", "--max-degree", "3000"), "column orbit keys: 1016160 x 2"),
-    (("--full", "--n", "2", "--k", "20000", "--max-degree", "20000"),
+    (("kernel", "--n", "2", "--k", "1", "--max-degree", "143"),
+     "column orbit keys: 1016160 x 2"),
+    (("kernel", "--full", "--n", "2", "--k", "20000", "--max-degree", "4"),
      "kernel system (2,20000): 20000 x 20001"),
+    (("kernel", "--n", "2", "--k", "1", "--max-degree", "3000"),
+     "column orbit keys: 9018011002 x 2"),
+    (("graded", "--n", "3000", "--k", "1", "--max-degree", "1500"),
+     "symmetric polynomials on 2999 free points: 1501 x 1501"),
+    # a piece of one part has no pair, so no engine runs: answered, as
+    # Q[x, y] on its point times M(1, .), C(d + 3, 3) in degree d
+    (("graded", "--n", "2", "--k", "1", "--max-degree", "2000"), None),
 ])
 def test_sizes_refuse_before_any_table_is_built(capsys, monkeypatch, argv, shape):
-    # Key tables at every degree, an unfolded stack's columns and a stack
-    # with no rows are sized without a table: a system with no rows refused
-    # at its degree-143 key table, and a full one refused at its degree-0
-    # stack, build none first.
+    # Key tables, an unfolded stack's columns and a stack with no rows are
+    # sized without a table: a system with no rows refused at its key
+    # table, checked once at max-degree, a full one refused at its degree-0
+    # stack, and a graded piece of one part refused at its free-point table
+    # build none first.
     def unbuilt(*args):
         raise AssertionError("a column table was built before the cap refused")
 
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
-    monkeypatch.setattr(tautops, "_columns", unbuilt)
+    monkeypatch.setattr(tautops, "_OrbitTables", unbuilt)
     monkeypatch.setattr(tautops, "_upper_half", unbuilt)
-    rc, out, err = run(capsys, "kernel", *argv)
+    rc, out, err = run(capsys, *argv)
+    if shape is None:
+        cumulative = [comb(d + 4, 4) for d in range(2001)]
+        assert (rc, err) == (0, "")
+        assert out == ("graded pieces n=2 k=1 rule=uniform_2m_mu\n"
+                       f"  mu=1: {cumulative}\n  total: {cumulative}\n")
+        return
     assert (rc, out) == (2, "")
     assert err == (f"error: {shape} matrix exceeds the entry cap 2000000; "
                    "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")

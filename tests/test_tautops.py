@@ -31,16 +31,15 @@ from hilbtaut.tautops import (
     EXPONENT_RULES,
     EntryCapError,
     FiltrationReport,
-    _columns,
     _difference_support,
     _free_point_counts,
     _jet_count,
-    _key_count,
     _match_constant,
     _merged_pair_operator,
     _nullities,
     _nullity_profile,
     _orbit_pairs,
+    _OrbitTables,
     _product,
     _slot_value,
     _stack,
@@ -222,7 +221,7 @@ def reference_columns(comps, ring, d, fold):
 
 
 def table_index(tables, comps):
-    """The tables _columns gives, one {e: column} per composition, as one
+    """The tables _OrbitTables gives, one {e: column} per composition, as one
     index keyed (lam, e) over comps; a folded table not keyed yet is
     filled on this first use."""
     return {(lam, e): col for lam in comps for e, col in tables[lam].items()}
@@ -438,7 +437,8 @@ def test_column_orbits_match_relabeling_action():
                 lam: folded[lam] + term[lam] for lam in folded
             }
     monos = ring.monomials(2)
-    count, tables = _columns(comps, ring, 2, True)
+    tables = _OrbitTables(comps, 3, 2, True)
+    count = tables.ncols
     index = table_index(tables, comps)
     upper = [(lam, e) for lam in comps for e in monos if 2 * sum(e[:3]) >= 2]
     assert set(index) == set(upper)
@@ -470,7 +470,7 @@ def test_column_orbits_match_relabeling_action():
     stab_orbits = {
         frozenset(image(mu_bar, e, sigma)[1] for sigma in stab) for e in monos
     }
-    graded_count, _ = _columns([mu_bar], ring, 2, True)
+    graded_count = _OrbitTables([mu_bar], 3, 2, True).ncols
     assert graded_count == len(stab_orbits)
 
 
@@ -617,19 +617,19 @@ def test_row_cap_counts_the_trimmed_stack(monkeypatch, args, shape):
 
 @pytest.mark.parametrize("system", ["invariant", "full", "graded"])
 def test_nullities_build_only_the_upper_half(monkeypatch, system):
-    # Every row is looked up in the tables _columns returns, so tables
+    # Every row is looked up in the tables _OrbitTables builds, so tables
     # holding only 2g >= d keys, those filled on use too, admit no row of
     # 2g < d.
     returned = []
-    build = tautops._columns
+    build = tautops._OrbitTables
 
-    def checked(comps, ring, d, fold):
-        ncols, tables = build(comps, ring, d, fold)
-        assert ncols == reference_columns(comps, ring, d, fold)[0]
-        returned.append((ring.n, d, tables))
-        return ncols, tables
+    def checked(comps, n, d, fold):
+        tables = build(comps, n, d, fold)
+        assert tables.ncols == reference_columns(comps, PolyRing(n, d), d, fold)[0]
+        returned.append((n, d, tables))
+        return tables
 
-    monkeypatch.setattr(tautops, "_columns", checked)
+    monkeypatch.setattr(tautops, "_OrbitTables", checked)
     if system == "graded":
         graded_dims(3, 4, 4)
     else:
@@ -774,7 +774,8 @@ def test_column_count_mirrors_the_upper_half():
                         upper = {(lam, e) for lam in columns for e in ring.monomials(d)
                                  if 2 * sum(e[:points]) >= d}
                         for fold in (True, False):
-                            ncols, tables = _columns(columns, ring, d, fold)
+                            tables = _OrbitTables(columns, points, d, fold)
+                            ncols = tables.ncols
                             count, index = reference_columns(columns, ring, d, fold)
                             assert ncols == count
                             numbered = table_index(tables, columns)
@@ -792,14 +793,14 @@ def test_column_count_mirrors_the_upper_half():
 # non-increasing, and fewer at the low degrees, where fewer jets are imposed.
 def test_folded_columns_key_only_representatives_and_named_compositions(monkeypatch):
     returned = []
-    build = tautops._columns
+    build = tautops._OrbitTables
 
-    def recorded(comps, ring, d, fold):
-        ncols, tables = build(comps, ring, d, fold)
+    def recorded(comps, n, d, fold):
+        tables = build(comps, n, d, fold)
         returned.append((set(comps), tables))
-        return ncols, tables
+        return tables
 
-    monkeypatch.setattr(tautops, "_columns", recorded)
+    monkeypatch.setattr(tautops, "_OrbitTables", recorded)
     n, k = 4, 4
     kernel_nullity(n, k, 3, invariant=True)
     named = {lam for block in _stack(n, k, PolyRing(n, 3), True)
@@ -865,36 +866,64 @@ def test_filtration_resource_cap(monkeypatch):
         verify_filtration(2, 3, 3)
 
 
-# The key table is checked by _key_count, from sizes, where _nullities sizes
-# each degree; _columns only builds.
+# The key table is checked from sizes by the builder of a system, once, at
+# max_deg, where it is largest (_stack, graded_dims); _nullities checks no
+# key table, and _OrbitTables only builds.
 def test_column_orbit_keys_are_capped(monkeypatch):
-    # 6 compositions x 6 monomials of degree 1, keyed by 3 triples each
+    # the invariant (3, 2) system at degree 1: 6 compositions x 6 monomials,
+    # keyed by 3 triples each
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
     ring = PolyRing(3, 1)
     comps = enumerate_compositions(3, 2)
-    assert _columns(comps, ring, 0, True)[0] == 2
-    for check in (lambda: _key_count(comps, ring, 1, True),
-                  lambda: _nullities([], comps, ring, True, "stack")):
-        with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
-            check()
+    assert _OrbitTables(comps, 3, 0, True).ncols == 2
+    with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
+        kernel_nullity(3, 2, 1, invariant=True)
+    assert _nullities([], comps, ring, True, "stack") == [[2, 8]]
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
-    assert _key_count(comps, ring, 1, True) == 36
-    assert _columns(comps, ring, 1, True)[0] > 0
+    assert kernel_nullity(3, 2, 1, invariant=True) == (1, 5)
+    assert _OrbitTables(comps, 3, 1, True).ncols > 0
+    # the graded piece (2) on one point at degree 5: its 6 exponents, where
+    # its free-point table, M(0, .), is 1 x 6
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "5")
+    with pytest.raises(EntryCapError, match="column orbit keys: 6 x 1"):
+        graded_dims(1, 2, 5)
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "6")
+    assert graded_dims(1, 2, 5) == {(2,): (1, 3, 6, 10, 15, 21)}
+
+
+def test_key_table_refused_exactly_when_over_the_cap_at_max_degree(monkeypatch):
+    # A table is checked at degree 2^bits, bits the cap's bit length, or on
+    # more variables than bits at degree bits, when that is below max-degree:
+    # it is already over the cap there.
+    for cap in (1, 7, 100, 5000):
+        monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(cap))
+        for points in range(1, 9):
+            for max_deg in range(12):
+                for ncomps, slots in ((1, points), (3, points + 1)):
+                    ring = PolyRing(points, max_deg)
+                    keys = ncomps * comb(2 * points + max_deg - 1, max_deg)
+                    if keys * slots > cap:
+                        with pytest.raises(EntryCapError, match="^keys: "):
+                            tautops._check_keys(ncomps, ring, slots, "keys")
+                    else:
+                        tautops._check_keys(ncomps, ring, slots, "keys")
 
 
 def test_unfolded_column_keys_are_capped(monkeypatch):
-    # the same key table as above, unfolded: one rule, folded or not
-    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
+    # one rule, folded or not: the full (3, 2) system at degree 1, pinned on
+    # 2 points, keys 6 compositions x 4 monomials of 3 slots each, and its
+    # degree-1 stack is refused next, once the key table passes
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "71")
     ring = PolyRing(3, 1)
     comps = enumerate_compositions(3, 2)
-    assert _columns(comps, ring, 0, False)[0] == 6
-    for check in (lambda: _key_count(comps, ring, 1, False),
-                  lambda: _nullities([], comps, ring, False, "stack")):
-        with pytest.raises(EntryCapError, match="column keys: 36 x 3"):
-            check()
-    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
-    assert _key_count(comps, ring, 1, False) == 36
-    assert _columns(comps, ring, 1, False)[0] == 36
+    assert _OrbitTables(comps, 3, 0, False).ncols == 6
+    with pytest.raises(EntryCapError, match="column keys: 24 x 3"):
+        kernel_nullity(3, 2, 1, invariant=False)
+    assert _nullities([], comps, ring, False, "stack") == [[6, 36]]
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "72")
+    with pytest.raises(EntryCapError, match=re.escape("kernel system (3,2): 18 x 24")):
+        kernel_nullity(3, 2, 1, invariant=False)
+    assert _OrbitTables(comps, 3, 1, False).ncols == 36
 
 
 def test_full_columns_count_every_slot(monkeypatch):
@@ -1007,8 +1036,8 @@ def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
 
 
 # With k < 2 no order imposes a jet, so no pair is listed: at k = 0 the
-# degree-0 key table admits up to 2,000,000 points, whose pairs it does not
-# bound.
+# key table at max_deg 0 admits up to 2,000,000 points, whose pairs it does
+# not bound.
 def test_systems_without_an_order_list_no_pair(monkeypatch):
     def unlisted(*args):
         raise AssertionError("pairs listed with no order")
@@ -1016,7 +1045,7 @@ def test_systems_without_an_order_list_no_pair(monkeypatch):
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
     monkeypatch.setattr(tautops, "combinations", unlisted)
     for invariant in (True, False):
-        assert list(_stack(1000, 1, PolyRing(1000, 2), invariant)) == []
+        assert list(_stack(1000, 1, PolyRing(1000, 0), invariant)) == []
         assert kernel_nullity(3000, 0, 0, invariant=invariant) == (1,)
     assert kernel_nullity(1000, 1, 0, invariant=False) == (1000,)
 
@@ -1146,8 +1175,7 @@ def test_free_point_counts_match_folded_columns():
     # M(m, d) counts the S_m-orbits of degree-d monomials on m points: the
     # folded columns of the all-zero composition
     for m in range(1, 5):
-        ring = PolyRing(m, 5)
-        folded = [_columns([(0,) * m], ring, d, True)[0] for d in range(6)]
+        folded = [_OrbitTables([(0,) * m], m, d, True).ncols for d in range(6)]
         assert _free_point_counts(m, 5) == folded
     assert _free_point_counts(0, 5) == [1, 0, 0, 0, 0, 0]
     # a multiset of degree at most 5 holds at most 5 monomials other than 1
