@@ -81,29 +81,36 @@ conditions carry integer weights, condition rows and column sums stay
 integers, and the elimination takes them as they are.  Sizes are bounded
 by a cap (override with the environment variable
 ``HILBTAUT_MAX_MATRIX_ENTRIES``) so that a typo in the arguments fails
-fast instead of grinding.  Each table is checked once, from its size,
-where it is largest, before anything it sizes is listed or solved: a
-builder checks its column key table, keys times points, at max_deg
-(_check_keys) before listing (_stack, and graded_dims for its widest
-piece), and it bounds a folded table too, though that keys fewer;
-_nullities checks each degree's stack, rows times columns, before
-building rows, the rows counted as each condition's shifts times the
-jets of its own u-v-degrees; and graded_dims checks a piece's
-free-point table before solving it.  Only a folded stack with rows
-builds its degree's columns to be sized, to count their orbits.
-Exceeding any of these raises EntryCapError.
+fast instead of grinding.  Each builder, _nullity_profile and
+graded_dims, plans its whole system from counts and checks the plan
+against the cap before it lists anything else or solves: first the
+column key table, keys times points, at max_deg, where it is largest
+(_check_keys), which bounds a folded table too, though that keys fewer,
+and for graded_dims the partitions of k (_check_partitions); then every
+stack, degree by degree, rows times columns (_check_stack).  Rows are
+each condition's shifts, counted in closed form (_shift_count), times
+the jets of its own u-v-degrees (_jet_count); columns are keys
+(_nkeys), or folded, orbits (_columns, at the partitions of k or a
+graded piece's mu); and graded_dims checks every piece's free-point
+table, then its stack, before it solves the first piece.  Exceeding any
+of these raises EntryCapError, and a number too long to print is named
+by its digit count.  A system with no rows, on one point or with k < 2,
+is its columns, and runs no engine.  _nullities only solves: a degree
+whose tables key more columns than the plan counted is an internal
+fault, RuntimeError.
 """
 
 from __future__ import annotations
 
 import os
-from collections import namedtuple
-from functools import lru_cache
-from itertools import accumulate, combinations, cycle, islice, permutations
+import sys
+from collections import Counter, namedtuple
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, cycle, permutations
 from math import comb
 from operator import ge
 
-from .combinat import enumerate_compositions, enumerate_partitions, m_mu
+from .combinat import _partitions, enumerate_compositions, enumerate_partitions, m_mu
 from .linalg import _add_into, scalar_multiple, sparse_int_rank
 from .polyjet import PolyRing, _jet_functionals, jet_conditions
 
@@ -131,12 +138,23 @@ class EntryCapError(RuntimeError):
     """A condition matrix would exceed the entry cap."""
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or, past the interpreter's limit for printing an
+    integer (as cli._printable compares), its digit count: from the bit
+    length b, 10^((b - 1) log10 2) <= x, so the estimate below is at most
+    one short, and one comparison makes it exact."""
+    digits = (x.bit_length() - 1) * 3010299 // 10**7 + 1
+    digits += x >= 10**digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return f"a {digits}-digit number" if limit and digits > limit else str(x)
+
+
 def _check_cap(nrows: int, ncols: int, context: str) -> None:
     cap = _max_entries()
     if nrows * ncols > cap:
         raise EntryCapError(
-            f"{context}: {nrows} x {ncols} matrix exceeds the entry cap {cap}; "
-            "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it"
+            f"{context}: {_decimal(nrows)} x {_decimal(ncols)} matrix exceeds the entry "
+            f"cap {cap}; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it"
         )
 
 
@@ -163,29 +181,36 @@ def _check_keys(ncomps: int, ring: PolyRing, slots: int, context: str) -> None:
     _check_cap(_nkeys(ncomps, ring, d), slots, context)
 
 
+def _partition_counts(k: int, parts: int):
+    """Yield ways, where ways[s] counts the partitions of s = 0..k into
+    parts of size at most j, for j = 0, 1, ..., parts in turn: by
+    conjugation, those into at most j parts.  One list, updated in
+    place, so a caller may stop as soon as the count is too many."""
+    ways = [1] + [0] * k
+    for part in range(parts + 1):
+        for r in range(part):  # ways[s] += ways[s - part], s = r, r + part, ...
+            ways[r::part] = accumulate(ways[r::part])
+        yield ways
+
+
 def _check_partitions(k: int, n: int) -> None:
     """Refuse, before any is listed, a table of the partitions of k into
     at most n parts, each keyed by up to w = min(n, k) parts, of more
     entries than the cap.
 
-    With w >= 2 there are at least k // 2 + 1 of them, so k above the
-    cap is refused outright.  Otherwise they are counted as partitions
-    of k into parts of size at most w, admitting sizes 1, 2, ... in
-    turn, and refused as soon as the count so far is too many.
+    With w >= 2 there are at least k // 2 + 1 of them, those into parts
+    of size at most 2, so too many of those, as for any k above the cap,
+    are refused outright.  Otherwise they are counted by
+    _partition_counts, and refused as soon as the count so far is too
+    many.
     """
     width = min(n, k)
     if width < 2:
         return
     cap = _max_entries()
     count = k // 2 + 1
-    if k <= cap:
-        ways = [1] * (k + 1)  # partitions into parts of size 1
-        for part in range(2, width + 1):
-            for s in range(part, k + 1):
-                ways[s] += ways[s - part]
-            if ways[k] * width > cap:
-                break
-        count = ways[k]
+    if count * width <= cap:  # the first count too many, if any
+        count = next((ways[k] for ways in _partition_counts(k, width) if ways[k] * width > cap), 0)
     if count * width > cap:
         raise EntryCapError(
             f"partitions of {k} into at most {n} parts: at least {count} x {width} "
@@ -251,9 +276,9 @@ def higher_difference(x: dict, mu, A, order: int) -> dict:
 # stacked kernel systems
 
 
-def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> map:
-    """The condition blocks of a kernel system, order by order, one (A,
-    degrees, order, shifts) per pair, after checking its key table.
+def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> list:
+    """The condition blocks of a kernel system on n >= 2 points, order by
+    order, one (A, degrees, order, shifts) per pair.
 
     A label (mu, A) of order o asks the o-th difference along A, shifted
     by a composition mu of k - o, to lie in I_A^o; the condition of a
@@ -277,27 +302,25 @@ def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> map:
     pair's u and v to -u and -v and fixes s and t, so it multiplies the
     coefficient of a key of u-v-degree r by (-1)^r.  The jets of
     u-v-degree o - 1 thus equal their own negatives and vanish on every
-    invariant tuple: the rows of such a label fold to zero.  On one point
-    there is no pair, and no shift is listed.
-
-    The key table, the C(n + k - 1, k) compositions of k times the
-    monomials of ring, times n slots, is checked at ring.max_deg
-    (_check_keys) before any composition or pair is listed; for k >= 2
-    it bounds the C(n, 2) pairs, and with k < 2 no pair is listed.  Each
-    order's shifts are listed when _nullities takes its block, just
-    before it sizes degree o - 1, the first its jets reach.
+    invariant tuple: the rows of such a label fold to zero.
     """
-    _check_keys(comb(n + k - 1, k), ring, n, "column orbit keys" if invariant else "column keys")
+    pairs = [(1, 2)] if invariant else list(combinations(range(1, n + 1), 2))
     orders = range(1, min(k - 1, ring.max_deg + 1) + 1)
-    pairs = list(combinations(range(1, n + 1), 2))[: 1 if invariant else None] if orders else []
+    shifts = [[mu for mu in enumerate_compositions(n, k - o)
+               if not invariant or mu[0] > mu[1] and all(map(ge, mu[2:], mu[3:]))] for o in orders]
+    return [[(A, range(o - 1, o), o, s) for A in pairs] for o, s in zip(orders, shifts)]
 
-    def block(o):
-        shifts = [mu for mu in enumerate_compositions(n, k - o)
-                  if not invariant or mu[0] > mu[1] and all(map(ge, mu[2:], mu[3:]))
-                  ] if pairs else []
-        return [(A, range(o - 1, o), o, shifts) for A in pairs]
 
-    return map(block, orders)
+def _shift_count(n: int, k: int, o: int, invariant: bool) -> int:
+    """How many shifts _stack lists at order o: the compositions of
+    m = k - o on n points, or, invariant, those with mu_1 > mu_2 and
+    mu_3 >= ... >= mu_n, where mu_1 + mu_2 = s is split (s + 1) // 2
+    ways and the rest is a partition of m - s into at most n - 2 parts."""
+    m = k - o
+    if not invariant:
+        return comb(n + m - 1, m)
+    *_, ways = _partition_counts(m, n - 2)
+    return sum((s + 1) // 2 * ways[m - s] for s in range(m + 1))
 
 
 def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
@@ -319,6 +342,18 @@ def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
     )
 
 
+def _check_stack(conditions, ring: PolyRing, cols, context: str) -> None:
+    """Refuse a stack over cols[d] columns in degree d, d through
+    ring.max_deg, whose rows and columns of some degree exceed the cap.
+    A condition (degrees, count) stands for count conditions of one
+    pair each, whose rows of degree d are their jets of u-v-degree in
+    degrees (_jet_count).  Degrees are checked in turn, so a refusal
+    names the lowest one over the cap."""
+    for d, ncols in enumerate(cols):
+        _check_cap(sum(count * _jet_count(ring, degrees, d) for degrees, count in conditions),
+                   ncols, context)
+
+
 @lru_cache(maxsize=None)
 def _upper_half(n: int, d: int) -> tuple:
     """The degree-d monomials on n points of x-degree g with 2g >= d, in
@@ -327,61 +362,69 @@ def _upper_half(n: int, d: int) -> tuple:
     return tuple(e for e in PolyRing(n, d).monomials(d) if 2 * sum(e[:n]) >= d)
 
 
+def _convolve(a, b) -> list:
+    """The product of two series, through the length of a."""
+    return [sum(a[j] * b[d - j] for j in range(d + 1)) for d in range(len(a))]
+
+
+def _columns(keyed, max_deg: int) -> list:
+    """Folded column counts, d = 0..max_deg: the relabeling orbits of
+    the keys (lam, e), e a degree-d monomial on the points of lam, over
+    keyed, one composition per orbit of compositions.
+
+    The orbits at lam are those of its stabilizer, which permutes the
+    m_v points carrying each part value v, so they pick one multiset of
+    m_v monomials for each value, and count M(m_v, .) convolved over the
+    values (_free_point_counts).  That depends on the multiplicities
+    alone, so it is computed once per multiset of them.
+    """
+    total = [0] * (max_deg + 1)
+    for shape, times in Counter(tuple(sorted(map(lam.count, set(lam)))) for lam in keyed).items():
+        series = reduce(_convolve, (_free_point_counts(m, max_deg) for m in shape))
+        total = [t + times * c for t, c in zip(total, series)]
+    return total
+
+
 class _OrbitTables(dict):
-    """Column tables {lam: {e: column}} for the keys (lam, e), lam in
-    comps and e a degree-d monomial on n points, over the exponents e of
-    x-degree g with 2g >= d, and ncols, how many columns the keys make.
+    """Column tables {lam: {e: column}} for the keys (lam, e), e a
+    degree-d monomial on n points of x-degree g with 2g >= d, and ids,
+    the column of each key or orbit key.
 
     Columns are numbered by first appearance, lam outer and e inner.
-    Unfolded, each key is its own column, and every composition is
-    keyed, so a table is its composition's offset plus each exponent's
-    position.  Folded, keys are grouped into orbits under slot
-    relabeling, which sends the coefficient of x_lam at e to that of
-    x_(lam o sigma) at the sigma-permuted exponent, with no sign; an
-    invariant tuple is constant on each orbit.  Since sigma permutes the
-    slots of lam and of both blocks of e together, the sorted triples
-    (lam_i, e_i, e_(n+i)) name the orbit, and a key is numbered by that
-    orbit key.  comps is every composition of its weight, in reverse
-    lexicographic order, or one non-increasing composition, whose orbits
-    are those of its stabilizer.  Either way an orbit first appears at a
-    composition non-increasing on the n points, so only those are keyed
-    here, each column keeping its number, and the table of any other
-    composition is filled on first use from the orbit keys: only the
-    compositions a condition's support names are ever filled, and they
-    add no column.  Swapping x and y maps the keys, and so the orbits, of
-    x-degree g one-to-one onto those of d - g, so only 2g >= d is keyed
-    and ncols still counts every column, an orbit of 2g > d twice for its
-    mirror.  No size is checked here: the builder of a system checks its
-    key table, at its largest degree, before anything is listed (_stack,
-    graded_dims).
+    Unfolded, each key is its own column.  Folded, keys are grouped into
+    orbits under slot relabeling, which sends the coefficient of x_lam
+    at e to that of x_(lam o sigma) at the sigma-permuted exponent, with
+    no sign; an invariant tuple is constant on each orbit.  Since sigma
+    permutes the slots of lam and of both blocks of e together, the
+    sorted triples (lam_i, e_i, e_(n+i)) name the orbit, and a key is
+    numbered by that orbit key.  keyed lists, in order, the compositions
+    where each orbit first appears, whose tables are built here: every
+    composition unfolded, and folded, one non-increasing composition per
+    orbit of compositions (a padded partition, or a graded piece's mu).
+    The table of any other composition is filled on first use from the
+    orbit keys: only the compositions a condition's support names are
+    ever filled, and they add no column.  Swapping x and y maps the
+    keys, and so the orbits, of x-degree g one-to-one onto those of
+    d - g, so only 2g >= d is keyed.
     """
 
-    def __init__(self, comps, n: int, d: int, fold: bool):
-        super().__init__()
-        self.n, self.fold = n, fold
-        # each exponent with the columns its orbit counts: 2 with a mirror
-        self.upper = [(e, 1 if 2 * sum(e[:n]) == d else 2) for e in _upper_half(n, d)]
-        self.ids: dict = {}
-        self.ncols = 0
-        for lam in comps:
-            if not fold or all(map(ge, lam, lam[1:n])):
-                self[lam]  # keyed on first use
+    def __init__(self, keyed, n: int, d: int, fold: bool):
+        self.n, self.fold, self.upper, self.ids = n, fold, _upper_half(n, d), {}
+        for lam in keyed:
+            self[lam]  # keyed on first use
 
     def __missing__(self, lam):
         n, fold, ids = self.n, self.fold, self.ids
         table = self[lam] = {}
-        for e, count in self.upper:
+        for e in self.upper:
             key = tuple(sorted(zip(lam, e[:n], e[n:]))) if fold else (lam, e)
-            col = ids.get(key)
-            if col is None:
-                col = ids[key] = len(ids)
-                self.ncols += count
-            table[e] = col
+            table[e] = ids.setdefault(key, len(ids))
         return table
 
 
-def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
-    """Per-degree nullities at every level of a stack of condition blocks.
+def _nullities(blocks, keyed, ring: PolyRing, fold: bool, cols) -> list:
+    """Per-degree nullities at every level of a stack of condition blocks
+    over cols[d] columns in degree d, d through ring.max_deg.
 
     A block lists conditions (A, degrees, order, shifts): the jet
     functionals of I_A (with a point pinned at the origin when A ends
@@ -390,14 +433,14 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     shifted by each composition mu in shifts; its support,
     _difference_support(mu, *A, order), is the composition weights.  A
     functional maps exponents e to integer weights c; its row puts cf *
-    c on column table[e] of the table _OrbitTables(comps, ring.n, d,
+    c on column table[e] of the table _OrbitTables(keyed, ring.n, d,
     fold) gives lam, for every (lam, cf) in the support, and keys
     sharing a column add up; an entry whose sum cancels is dropped, so
     rows hold no zeros.  Rows come pair by pair, shift by shift within a
     pair, functional by functional.  A tuple satisfies the block when
     every row pairs to zero against its coefficients.  Level l imposes
     the first l blocks.  The result is indexed by level, 0 through
-    len(blocks), then by degree through ring.max_deg.
+    len(blocks), then by degree.
 
     A graded piece is one block of order 0, shifted by its partition
     alone, and its conditions keep every u-v-degree below its exponent
@@ -413,23 +456,6 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     key's u-v-degree, and a representative label's rows stand for those
     of its whole orbit.
 
-    The key table of comps is checked by the builder of the system, at
-    its largest degree, before comps is listed (_stack, graded_dims).
-    Here each degree's stack is checked against the cap before any row
-    is built, rows times columns, the rows counted as each condition's
-    shifts times the jets of its own u-v-degrees, degrees, over both
-    x-degree halves (_jet_count); context names the system.  The columns
-    of an unfolded stack, which are its keys, and a stack with no rows
-    need sizes alone; only a folded stack with rows builds its degree's
-    columns first, to count their orbits.  Every other table
-    is built once every degree has passed, one degree at a time.
-    Block l keeps no u-v-degree below l - 1, so it is taken from blocks,
-    lazy as _stack's are, just before degree l - 1 is checked, and a
-    refusal at degree d takes d + 1 blocks at most; a stack out of this
-    rule raises ValueError before any row is built.  Once every degree
-    has passed, each support is built once, then, degree by degree, each
-    condition's jet functionals once.
-
     Every row is bihomogeneous, so degree d splits into blocks of
     x-degree g = 0..d that share no column, folded or not (an orbit key
     keeps the x-degree of its triples).  A row has the d and g of its
@@ -440,33 +466,19 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
     and eliminated, and 2g > d counts twice.  Each (d, g) keeps one
     pivot dict and is fed the blocks in order, each block's rows
     shortest first, so every row is eliminated once and level l is read
-    off right after block l.
+    off right after block l.  Each support is built once, and each
+    condition's jet functionals once per degree.  Tables keying more
+    columns than cols[d] are an internal fault, and raise RuntimeError.
     """
     n = ring.n
-    blocks, taken = iter(blocks), []
-    columns = []
-    for d in range(ring.max_deg + 1):
-        taken += islice(blocks, d + 1 - len(taken))
-        nrows = sum(len(shifts) * _jet_count(ring, degrees, d)
-                    for block in taken for _, degrees, _, shifts in block)
-        # only a folded stack needs its columns built to be sized
-        built = _OrbitTables(comps, n, d, True) if fold and nrows else None
-        if nrows:
-            _check_cap(nrows, built.ncols if fold else _nkeys(len(comps), ring, d), context)
-        columns.append(built)
-    taken += blocks
-    if any(degrees and degrees.start < level
-           for level, block in enumerate(taken) for _, degrees, _, _ in block):
-        raise ValueError("block l keeps a u-v-degree below l - 1")
     supported = [[(A, degrees, [_difference_support(mu, *A, order) for mu in shifts])
-                  for A, degrees, order, shifts in block] for block in taken]
-    profile: list = [[] for _ in range(len(taken) + 1)]
-    for d, tables in enumerate(columns):
-        tables = tables or _OrbitTables(comps, n, d, fold)
+                  for A, degrees, order, shifts in block] for block in blocks]
+    profile: list = [list(cols)] + [[] for _ in supported]
+    for d, ncols in enumerate(cols):
+        tables = _OrbitTables(keyed, n, d, fold)
         keys = _upper_half(n, d)[::-1]  # sorted, as jet_conditions orders them
         pivots: dict = {}
         rank = 0
-        profile[0].append(tables.ncols)
         for level, block in enumerate(supported, start=1):
             by_g: dict = {}
             for A, degrees, supports in block:
@@ -489,7 +501,9 @@ def _nullities(blocks, comps, ring: PolyRing, fold: bool, context: str) -> list:
                 rows.sort(key=len)
                 gained = sparse_int_rank(rows, pivots.setdefault(g, {}))
                 rank += gained if 2 * g == d else 2 * gained
-            profile[level].append(tables.ncols - rank)
+            profile[level].append(ncols - rank)
+        if len(tables.ids) > ncols:
+            raise RuntimeError(f"degree {d} keys {len(tables.ids)} columns, more than the {ncols}")
     return profile
 
 
@@ -502,20 +516,32 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     unbuilt (_stack).  The result is indexed by level, then by total
     degree.  Full systems on n > 1 points are solved with point n pinned
     at the origin, then tensored with Q[x_n, y_n] (see the module
-    docstring); on one point there are no pairs, so no rows, and
-    the whole space solves.
+    docstring).  Invariant columns are keyed at the partitions of k,
+    padded to n points.  A system with no order, k < 2, or no pair,
+    n = 1, has no rows, and is its columns.
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
-    blocks = _stack(n, k, ring, invariant)
-    profile = _nullities(blocks, enumerate_compositions(n, k), ring, invariant,
-                         f"kernel system ({n},{k})")
+    ncomps = comb(n + k - 1, k)
+    _check_keys(ncomps, ring, n, "column orbit keys" if invariant else "column keys")
+    keyed = invariant and [mu + (0,) * (n - len(mu)) for mu in _partitions(k, k, n)]
+    cols = (_columns(keyed, max_deg) if keyed
+            else [_nkeys(ncomps, ring, d) for d in range(max_deg + 1)])
+    profile = [cols]
+    if n > 1 and k > 1:
+        pairs = 1 if invariant else comb(n, 2)
+        _check_stack([(range(o - 1, o), pairs * _shift_count(n, k, o, invariant))
+                      for o in range(1, min(k - 1, max_deg + 1) + 1)], ring, cols,
+                     f"kernel system ({n},{k})")
+        profile = _nullities(_stack(n, k, ring, invariant), keyed or enumerate_compositions(n, k),
+                             ring, invariant, cols)
     if pinned:
         profile = [list(accumulate(accumulate(dims))) for dims in profile]
     return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) + 1 - len(profile))]
 
 
-def _free_point_counts(m: int, max_deg: int) -> list:
+@lru_cache(maxsize=None)
+def _free_point_counts(m: int, max_deg: int) -> tuple:
     """M(m, j) for j = 0..max_deg: the multisets of m monomials x^a y^b
     of total degree j, which is the dimension of the degree-j symmetric
     polynomials on m plane points.
@@ -527,12 +553,9 @@ def _free_point_counts(m: int, max_deg: int) -> list:
     to t are admitted, s monomials reach degree s t at most, so row s
     is filled through min(max_deg, s t) alone.  The cost is
     O(max_deg^2 min(m, max_deg) log max_deg) at most, whatever m, and
-    linear in max_deg on one point.  The table, (min(m, max_deg) + 1)
-    x (max_deg + 1), is checked against the entry cap before it is
-    built.
+    linear in max_deg on one point.
     """
     size = min(m, max_deg)
-    _check_cap(size + 1, max_deg + 1, f"symmetric polynomials on {m} free points")
     table = [[1] + [0] * max_deg] + [[0] * (max_deg + 1) for _ in range(size)]
     for t in range(1, max_deg + 1):
         for s in range(size, 0, -1):  # rows below s still lack degree t
@@ -542,7 +565,7 @@ def _free_point_counts(m: int, max_deg: int) -> list:
                     comb(t + c, c) * table[s - c][j - c * t]
                     for c in range(1, min(s, j // t) + 1)
                 )
-    return [sum(column) for column in zip(*table)]
+    return tuple(sum(column) for column in zip(*table))
 
 
 def kernel_nullity(
@@ -604,14 +627,7 @@ def graded_dims(
     the A0 labels (_stack).  A piece of fewer than two parts has no pair,
     so no condition, and runs no engine: J is 1 for the empty partition,
     k = 0, and Q[x, y] for one part, a free point (see the module
-    docstring).
-
-    Before any partition is listed, the partitions are counted, times
-    their width w = min(n, k), and the key table of the widest piece,
-    one composition on w points at max_deg, which bounds every piece's,
-    is checked (_check_keys).  Each piece's free-point table, M(n - r,
-    .), is checked before the piece is solved.  Keys appear in refined
-    order.
+    docstring).  Keys appear in refined order.
     """
     if exponent_rule not in EXPONENT_RULES:
         raise ValueError(f"exponent_rule must be one of {EXPONENT_RULES}")
@@ -622,23 +638,26 @@ def graded_dims(
     if width:
         _check_keys(1, PolyRing(width, max_deg), width, "column orbit keys")
     uniform = exponent_rule == "uniform_2m_mu"
-    out: dict = {}
+    plan = []
     for mu in enumerate_partitions(k, n):
-        r = len(mu)
-        free = _free_point_counts(n - r, max_deg)
-        if r < 2:  # no pair: every polynomial on the r points
-            piece = accumulate(accumulate(free)) if r else free
+        m = n - len(mu)
+        _check_cap(min(m, max_deg) + 1, max_deg + 1, f"symmetric polynomials on {m} free points")
+        # a pair of equal parts keeps the even u-v-degrees alone
+        block = [(A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
+                  0, [mu]) for A, q in _orbit_pairs(mu)]
+        cols = block and _columns([mu], max_deg)
+        if block:
+            _check_stack([(degrees, 1) for _, degrees, _, _ in block], PolyRing(len(mu), max_deg),
+                         cols, f"graded piece {mu} ({n},{k})")
+        plan.append((mu, block, cols))
+    out: dict = {}
+    for mu, block, cols in plan:
+        free = _free_point_counts(n - len(mu), max_deg)
+        if not block:  # no pair: every polynomial on the r points
+            piece = accumulate(accumulate(free)) if mu else free
         else:
-            block = [
-                # a pair of equal parts keeps the even u-v-degrees alone
-                (A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
-                 0, [mu])
-                for A, q in _orbit_pairs(mu)
-            ]
-            ring = PolyRing(r, max_deg)
-            part = _nullities([block], [mu], ring, True, f"graded piece {mu} ({n},{k})")[1]
-            piece = [sum(free[j] * part[d - j] for j in range(d + 1))
-                     for d in range(max_deg + 1)]
+            part = _nullities([block], [mu], PolyRing(len(mu), max_deg), True, cols)[1]
+            piece = _convolve(free, part)
         out[mu] = tuple(accumulate(piece))
     return out
 

@@ -755,6 +755,10 @@ def test_graded_at_a_huge_max_degree_exits_two(capsys, monkeypatch, k, cap, pref
     # computed
     (("kernel", "--n", "100000", "--k", "0", "--max-degree", "100000"),
      f"error: column orbit keys: {comb(200020, 21)} x 100000"),
+    # C(19999, 10000) compositions, past the interpreter's limit for
+    # printing an integer, are named by their digit count
+    (("kernel", "--exploratory", "--n", "10000", "--k", "10000", "--max-degree", "0"),
+     "error: column orbit keys: a 6019-digit number x 10000"),
 ])
 def test_enumerations_over_the_cap_exit_two_unlisted(capsys, monkeypatch, argv, prefix):
     def unlisted(*args):
@@ -859,19 +863,28 @@ def test_row_stack_over_the_cap_exits_two_before_building(capsys):
     # a piece of one part has no pair, so no engine runs: answered, as
     # Q[x, y] on its point times M(1, .), C(d + 3, 3) in degree d
     (("graded", "--n", "2", "--k", "1", "--max-degree", "2000"), None),
+    # the 10^6 compositions of k fill the key table to the cap, and the
+    # degree-0 stack, 999,999 shifts by 10^6 columns, is refused from counts
+    # before any composition is listed
+    (("kernel", "--full", "--n", "2", "--k", "999999", "--max-degree", "0"),
+     "kernel system (2,999999): 999999 x 1000000"),
+    # every piece is planned before the first is solved, so the pieces
+    # before (30, 4, 3, 2, 1) are not solved and thrown away
+    (("graded", "--n", "5", "--k", "40", "--max-degree", "4", "--exploratory",
+      "--rule", "per_pair_2mu"), "graded piece (30, 4, 3, 2, 1) (5,40): 6555 x 715"),
 ])
 def test_sizes_refuse_before_any_table_is_built(capsys, monkeypatch, argv, shape):
-    # Key tables, an unfolded stack's columns and a stack with no rows are
-    # sized without a table: a system with no rows refused at its key
-    # table, checked once at max-degree, a full one refused at its degree-0
+    # Every system is planned from counts before a composition, a shift or a
+    # column table is listed or a stack solved: a system with no rows refused
+    # at its key table, checked once at max-degree, full ones refused at a
     # stack, and a graded piece of one part refused at its free-point table
-    # build none first.
+    # build none first, nor does a graded piece refused after others.
     def unbuilt(*args):
-        raise AssertionError("a column table was built before the cap refused")
+        raise AssertionError("listed, built or solved before the cap refused")
 
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
-    monkeypatch.setattr(tautops, "_OrbitTables", unbuilt)
-    monkeypatch.setattr(tautops, "_upper_half", unbuilt)
+    for name in ("_OrbitTables", "_upper_half", "enumerate_compositions", "_stack", "_nullities"):
+        monkeypatch.setattr(tautops, name, unbuilt)
     rc, out, err = run(capsys, *argv)
     if shape is None:
         cumulative = [comb(d + 4, 4) for d in range(2001)]
@@ -882,6 +895,22 @@ def test_sizes_refuse_before_any_table_is_built(capsys, monkeypatch, argv, shape
     assert (rc, out) == (2, "")
     assert err == (f"error: {shape} matrix exceeds the entry cap 2000000; "
                    "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
+
+
+@pytest.mark.parametrize("mode", ["--invariant", "--full"])
+def test_systems_without_rows_answer_from_column_counts(capsys, monkeypatch, mode):
+    # One point has no pair, so no row: the kernel is its columns, the d + 1
+    # monomials of degree d on the point, C(d + 2, 2) through degree d, and
+    # no column table is built.
+    def unbuilt(*args):
+        raise AssertionError("a column table was built for a system with no rows")
+
+    monkeypatch.setattr(tautops, "_OrbitTables", unbuilt)
+    monkeypatch.setattr(tautops, "_upper_half", unbuilt)
+    rc, out, err = run(capsys, "kernel", mode, "--n", "1", "--k", "5", "--max-degree", "2000")
+    cumulative = [comb(d + 2, 2) for d in range(2001)]
+    assert (rc, err) == (0, "")
+    assert out == f"kernel n=1 k=5 {mode[2:]} cumulative by degree: {cumulative}\n"
 
 
 def test_five_point_invariant_stack_under_the_cap_answers(capsys, monkeypatch):
@@ -1017,6 +1046,61 @@ def test_fuzzed_argv_exits_cleanly(argv):
         assert err.getvalue().startswith("error:"), argv
     else:
         assert rc == 0 or (rc == 1 and argv[0] == "verify"), (argv, err.getvalue())
+
+
+# --- sizes planned before listing --------------------------------------
+
+
+@st.composite
+def _sized_argvs(draw):
+    """A kernel or graded argv of small sizes, either mode or rule, and
+    an entry cap from 10^2 to 10^4."""
+    command = draw(st.sampled_from(["kernel", "graded"]))
+    flags = ["--exploratory"] + [f"--{name}={draw(st.integers(low, high))}"
+                                 for name, low, high in (("n", 1, 6), ("k", 0, 9),
+                                                         ("max-degree", 0, 6))]
+    choices = (["--full", "--invariant"] if command == "kernel"
+               else [f"--rule={rule}" for rule in EXPONENT_RULES])
+    return [command, draw(st.sampled_from(choices))] + flags, draw(st.integers(10**2, 10**4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sized_argvs())
+def test_small_caps_answer_or_refuse_listing_within_the_cap(case):
+    # A call is planned from counts before anything is listed, so it answers
+    # or exits 2, never 3.  Each list of compositions or partitions, and each
+    # column table, holds at most cap entries: each is bounded by the key
+    # table or the partition table, and those were checked against the cap.
+    # All of them together hold at most twice the cap (under 0.95 times it
+    # on 3,000 random calls of these sizes).
+    argv, cap = case
+    listed = []
+    tables = []
+    build = tautops._OrbitTables
+
+    def counted(listing):
+        def wrapped(*args):
+            out = listing(*args)
+            listed.append(len(out))
+            return out
+        return wrapped
+
+    def recorded(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(cap))
+        for name in ("enumerate_compositions", "enumerate_partitions", "_partitions"):
+            mp.setattr(tautops, name, counted(getattr(tautops, name)))
+        mp.setattr(tautops, "_OrbitTables", recorded)
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc in (0, 2), (argv, cap, err.getvalue())
+    listed += [sum(map(len, t.values())) for t in tables]
+    assert max(listed, default=0) <= cap, (argv, cap, listed)
+    assert sum(listed) <= 2 * cap, (argv, cap, listed)
 
 
 # --- reachability ------------------------------------------------------
