@@ -88,27 +88,33 @@ column key table, keys times points, at max_deg, where it is largest
 (_check_keys), which bounds a folded table too, though that keys fewer,
 and for graded_dims the partitions of k (_check_partitions); then every
 stack, degree by degree, rows times columns (_check_stack).  Rows are
-each condition's shifts, counted in closed form (_shift_count), times
-the jets of its own u-v-degrees (_jet_count); columns are keys
-(_nkeys), or folded, orbits (_columns, at the partitions of k or a
-graded piece's mu); and graded_dims checks every piece's free-point
-table, then its stack, before it solves the first piece.  Exceeding any
-of these raises EntryCapError, and a number too long to print is named
-by its digit count.  A system with no rows, on one point or with k < 2,
-is its columns, and runs no engine.  _nullities only solves: a degree
-whose tables key more columns than the plan counted is an internal
-fault, RuntimeError.
+each condition's shifts (_shift_count) times the jets of its own
+u-v-degrees (_jet_count); columns are keys (_nkeys), or folded, orbits.
+Every orbit the plan counts is a multiset of items (a, x^p y^q), and
+one series, from Newton's identity, counts them all (_multisets): the
+invariant columns are the multisets of n items of weight k; a graded
+piece's are, over its part values, the product of the multisets of
+weight 0 on the points of each value (_free_point_counts); and the
+invariant shifts and the partitions of k are multisets of degree 0.
+graded_dims checks every piece's free-point table, then its stack,
+before it solves the first piece, and _nullity_profile lists the
+padded partitions of k, its folded keys, only once its stack has
+passed.  Exceeding any of these raises EntryCapError, and a number too
+long to print is named by its digit count.  A system with no rows, on
+one point or with k < 2, is its columns, and runs no engine.  _nullities
+only solves: a degree whose tables key more columns than the plan
+counted is an internal fault, RuntimeError.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, cycle, permutations
 from math import comb
-from operator import ge
+from operator import add, ge
 
 from .combinat import _partitions, enumerate_compositions, enumerate_partitions, m_mu
 from .linalg import _add_into, scalar_multiple, sparse_int_rank
@@ -181,16 +187,39 @@ def _check_keys(ncomps: int, ring: PolyRing, slots: int, context: str) -> None:
     _check_cap(_nkeys(ncomps, ring, d), slots, context)
 
 
-def _partition_counts(k: int, parts: int):
-    """Yield ways, where ways[s] counts the partitions of s = 0..k into
-    parts of size at most j, for j = 0, 1, ..., parts in turn: by
-    conjugation, those into at most j parts.  One list, updated in
-    place, so a caller may stop as soon as the count is too many."""
-    ways = [1] + [0] * k
-    for part in range(parts + 1):
-        for r in range(part):  # ways[s] += ways[s - part], s = r, r + part, ...
-            ways[r::part] = accumulate(ways[r::part])
-        yield ways
+def _multisets(n: int, k: int, max_deg: int):
+    """Yield the tables H_j for j = 0..min(n, k + max_deg): H_j[d][s]
+    counts the multisets of j items (a, x^p y^q), a >= 0, whose a's sum
+    to s <= k and whose degrees p + q sum to d <= max_deg.  Past k +
+    max_deg items every further item is (0, 1), so the last table stands
+    for every larger j too.
+
+    A multiset of j items is an S_j-orbit of j-tuples of them, so this is
+    the one orbit count of the plan: H_n[d][k] counts the relabeling
+    orbits of the keys (lam, e) of degree d on n points (_OrbitTables),
+    H_j[0][s] the partitions of s into at most j parts, and at k = 0,
+    H_m[d][0] the degree-d symmetric polynomials on m points.  Newton's
+    identity (Macdonald, Symmetric Functions, I.2) gives j H_j = sum over
+    r = 1..j of P_r H_(j-r), where P_r, the sum of the r-th powers of the
+    items, is 1/((1 - z^r)(1 - u^r)^2) in z^s u^d: one running sum of
+    stride r along s, then two along d.  Rows are d-major, each one list
+    over s.
+    """
+    tables = [[[1] + [0] * k] + [[0] * (k + 1) for _ in range(max_deg)]]
+    yield tables[0]
+    for j in range(1, min(n, k + max_deg) + 1):
+        total = [[0] * (k + 1) for _ in range(max_deg + 1)]
+        for r in range(1, j + 1):
+            rows = [list(row) for row in tables[j - r]]
+            for res in range(min(r, k + 1 - r)):  # row[s] += row[s - r]
+                for row in rows:
+                    row[res::r] = accumulate(row[res::r])
+            for _ in range(2):  # rows[d] += rows[d - r]
+                for d in range(r, max_deg + 1):
+                    rows[d] = list(map(add, rows[d], rows[d - r]))
+            total = [list(map(add, t, p)) for t, p in zip(total, rows)]
+        tables.append([[c // j for c in row] for row in total])
+        yield tables[-1]
 
 
 def _check_partitions(k: int, n: int) -> None:
@@ -200,9 +229,9 @@ def _check_partitions(k: int, n: int) -> None:
 
     With w >= 2 there are at least k // 2 + 1 of them, those into parts
     of size at most 2, so too many of those, as for any k above the cap,
-    are refused outright.  Otherwise they are counted by
-    _partition_counts, and refused as soon as the count so far is too
-    many.
+    are refused outright.  Otherwise those into at most j parts,
+    H_j[0][k] of _multisets at degree 0, are counted for j = 0, 1, ... in
+    turn, and refused as soon as the count so far is too many.
     """
     width = min(n, k)
     if width < 2:
@@ -210,7 +239,7 @@ def _check_partitions(k: int, n: int) -> None:
     cap = _max_entries()
     count = k // 2 + 1
     if count * width <= cap:  # the first count too many, if any
-        count = next((ways[k] for ways in _partition_counts(k, width) if ways[k] * width > cap), 0)
+        count = next((h[0][k] for h in _multisets(width, k, 0) if h[0][k] * width > cap), 0)
     if count * width > cap:
         raise EntryCapError(
             f"partitions of {k} into at most {n} parts: at least {count} x {width} "
@@ -315,11 +344,12 @@ def _shift_count(n: int, k: int, o: int, invariant: bool) -> int:
     """How many shifts _stack lists at order o: the compositions of
     m = k - o on n points, or, invariant, those with mu_1 > mu_2 and
     mu_3 >= ... >= mu_n, where mu_1 + mu_2 = s is split (s + 1) // 2
-    ways and the rest is a partition of m - s into at most n - 2 parts."""
+    ways and the rest is a partition of m - s into at most n - 2 parts,
+    read off the last table of _multisets at degree 0."""
     m = k - o
     if not invariant:
         return comb(n + m - 1, m)
-    *_, ways = _partition_counts(m, n - 2)
+    *_, (ways,) = _multisets(n - 2, m, 0)
     return sum((s + 1) // 2 * ways[m - s] for s in range(m + 1))
 
 
@@ -365,24 +395,6 @@ def _upper_half(n: int, d: int) -> tuple:
 def _convolve(a, b) -> list:
     """The product of two series, through the length of a."""
     return [sum(a[j] * b[d - j] for j in range(d + 1)) for d in range(len(a))]
-
-
-def _columns(keyed, max_deg: int) -> list:
-    """Folded column counts, d = 0..max_deg: the relabeling orbits of
-    the keys (lam, e), e a degree-d monomial on the points of lam, over
-    keyed, one composition per orbit of compositions.
-
-    The orbits at lam are those of its stabilizer, which permutes the
-    m_v points carrying each part value v, so they pick one multiset of
-    m_v monomials for each value, and count M(m_v, .) convolved over the
-    values (_free_point_counts).  That depends on the multiplicities
-    alone, so it is computed once per multiset of them.
-    """
-    total = [0] * (max_deg + 1)
-    for shape, times in Counter(tuple(sorted(map(lam.count, set(lam)))) for lam in keyed).items():
-        series = reduce(_convolve, (_free_point_counts(m, max_deg) for m in shape))
-        total = [t + times * c for t, c in zip(total, series)]
-    return total
 
 
 class _OrbitTables(dict):
@@ -516,25 +528,29 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     unbuilt (_stack).  The result is indexed by level, then by total
     degree.  Full systems on n > 1 points are solved with point n pinned
     at the origin, then tensored with Q[x_n, y_n] (see the module
-    docstring).  Invariant columns are keyed at the partitions of k,
-    padded to n points.  A system with no order, k < 2, or no pair,
-    n = 1, has no rows, and is its columns.
+    docstring).  Invariant columns are counted as multisets of n items
+    of weight k (_multisets) and keyed at the partitions of k, padded to
+    n points, listed once the stack has passed.  A system with no order,
+    k < 2, or no pair, n = 1, has no rows, and is its columns.
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
     ncomps = comb(n + k - 1, k)
     _check_keys(ncomps, ring, n, "column orbit keys" if invariant else "column keys")
-    keyed = invariant and [mu + (0,) * (n - len(mu)) for mu in _partitions(k, k, n)]
-    cols = (_columns(keyed, max_deg) if keyed
-            else [_nkeys(ncomps, ring, d) for d in range(max_deg + 1)])
+    if invariant and n > 1:  # on one point there is no relabeling to fold
+        *_, orbits = _multisets(n, k, max_deg)
+        cols = [row[k] for row in orbits]
+    else:
+        cols = [_nkeys(ncomps, ring, d) for d in range(max_deg + 1)]
     profile = [cols]
     if n > 1 and k > 1:
         pairs = 1 if invariant else comb(n, 2)
         _check_stack([(range(o - 1, o), pairs * _shift_count(n, k, o, invariant))
                       for o in range(1, min(k - 1, max_deg + 1) + 1)], ring, cols,
                      f"kernel system ({n},{k})")
-        profile = _nullities(_stack(n, k, ring, invariant), keyed or enumerate_compositions(n, k),
-                             ring, invariant, cols)
+        keyed = ([mu + (0,) * (n - len(mu)) for mu in _partitions(k, k, n)] if invariant
+                 else enumerate_compositions(n, k))
+        profile = _nullities(_stack(n, k, ring, invariant), keyed, ring, invariant, cols)
     if pinned:
         profile = [list(accumulate(accumulate(dims))) for dims in profile]
     return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) + 1 - len(profile))]
@@ -544,28 +560,9 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
 def _free_point_counts(m: int, max_deg: int) -> tuple:
     """M(m, j) for j = 0..max_deg: the multisets of m monomials x^a y^b
     of total degree j, which is the dimension of the degree-j symmetric
-    polynomials on m plane points.
-
-    Leaving out the monomial 1, such a multiset is one of at most
-    min(m, max_deg) monomials of positive degree.  table[s][j] counts
-    those of s monomials and degree j; the monomials of degree t, t + 1
-    of them, join c at a time in C(t + c, c) ways.  Once the degrees up
-    to t are admitted, s monomials reach degree s t at most, so row s
-    is filled through min(max_deg, s t) alone.  The cost is
-    O(max_deg^2 min(m, max_deg) log max_deg) at most, whatever m, and
-    linear in max_deg on one point.
-    """
-    size = min(m, max_deg)
-    table = [[1] + [0] * max_deg] + [[0] * (max_deg + 1) for _ in range(size)]
-    for t in range(1, max_deg + 1):
-        for s in range(size, 0, -1):  # rows below s still lack degree t
-            row = table[s]
-            for j in range(t, min(max_deg, s * t) + 1):
-                row[j] += sum(
-                    comb(t + c, c) * table[s - c][j - c * t]
-                    for c in range(1, min(s, j // t) + 1)
-                )
-    return tuple(sum(column) for column in zip(*table))
+    polynomials on m plane points, read off _multisets at k = 0."""
+    *_, table = _multisets(m, 0, max_deg)
+    return tuple(row[0] for row in table)
 
 
 def kernel_nullity(
@@ -645,7 +642,9 @@ def graded_dims(
         # a pair of equal parts keeps the even u-v-degrees alone
         block = [(A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
                   0, [mu]) for A, q in _orbit_pairs(mu)]
-        cols = block and _columns([mu], max_deg)
+        # the stabilizer of mu permutes the points of each part value
+        cols = block and list(reduce(_convolve, (_free_point_counts(mu.count(p), max_deg)
+                                                 for p in set(mu))))
         if block:
             _check_stack([(degrees, 1) for _, degrees, _, _ in block], PolyRing(len(mu), max_deg),
                          cols, f"graded piece {mu} ({n},{k})")

@@ -31,9 +31,11 @@ program and moved here from it.
   reference for the rows of a pair ending at a pinned point.
 * leading_minors_by_block takes one determinant per leading block, the
   reference for the one-pass leading minors of linalg.
-* free_point_counts_full_table fills every cell of the table of
-  multisets of monomials, the reference for the free-point counts of
-  tautops, which skip the cells that are zero.
+* free_point_counts_full_table fills every cell of a table of
+  multisets of monomials, by how many of them are not 1, the reference
+  for the free-point counts of tautops, which read them off Newton's
+  identity; multisets_by_listing lists the multisets of (a, monomial)
+  items one by one, the reference for the tables of that identity.
 * weighted_component_by_assignment sums over every weight-respecting
   assignment of factors to slots, the reference for the factorized
   orbit-sum components of the local formulas; expand_around_first_slot
@@ -280,6 +282,27 @@ def free_point_counts_full_table(m: int, max_deg: int) -> list:
                     for c in range(1, min(s, j // t) + 1)
                 )
     return [sum(column) for column in zip(*table)]
+
+
+def multisets_by_listing(j: int, k: int, max_deg: int) -> list:
+    """H[d][s], d <= max_deg and s <= k: the multisets of j items
+    (a, x^p y^q) whose a's sum to s and whose degrees p + q sum to d,
+    each listed once, as a run of items in non-decreasing order."""
+    items = [(a, p, q) for a in range(k + 1) for p in range(max_deg + 1)
+             for q in range(max_deg + 1 - p)]
+    table = [[0] * (k + 1) for _ in range(max_deg + 1)]
+
+    def extend(start, left, s, d):
+        if not left:
+            table[d][s] += 1
+            return
+        for i in range(start, len(items)):
+            a, p, q = items[i]
+            if s + a <= k and d + p + q <= max_deg:
+                extend(i, left - 1, s + a, d + p + q)
+
+    extend(0, j, 0, 0)
+    return table
 
 
 # ---------------------------------------------------------------------------

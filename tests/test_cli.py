@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut import cli, symrep, tautops
+from hilbtaut import cli, combinat, symrep, tautops
 from hilbtaut.rroch import BUILTIN_SURFACES
 from hilbtaut.tautops import EXPONENT_RULES
 
@@ -895,6 +895,26 @@ def test_sizes_refuse_before_any_table_is_built(capsys, monkeypatch, argv, shape
     assert (rc, out) == (2, "")
     assert err == (f"error: {shape} matrix exceeds the entry cap 2000000; "
                    "set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
+
+
+def test_invariant_stack_over_the_cap_exits_two_before_partitions_are_listed(capsys, monkeypatch):
+    # The folded columns, the 500,000 multisets of two items of weight
+    # 999,999, and the 499,999 order-1 shifts are counted, not listed, so the
+    # degree-0 stack is refused before any partition of k is listed.
+    calls = []
+    real = combinat._partitions
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    monkeypatch.setattr(combinat, "_partitions", counted)
+    monkeypatch.setattr(tautops, "_partitions", counted)
+    rc, out, err = run(capsys, "kernel", "--n", "2", "--k", "999999", "--max-degree", "0")
+    assert (rc, out, calls) == (2, "", [])
+    assert err == ("error: kernel system (2,999999): 499999 x 500000 matrix exceeds the entry "
+                   "cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
 
 
 @pytest.mark.parametrize("mode", ["--invariant", "--full"])

@@ -11,6 +11,7 @@ of sizes against the Reynolds average of an explicit ideal-power basis.
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, combinations, product
 from math import comb
 
@@ -23,6 +24,7 @@ from hilbtaut.combinat import (
     enumerate_compositions,
     enumerate_partitions,
     m_mu,
+    quotient_A0,
     quotient_B,
 )
 from hilbtaut.linalg import _add_into, sparse_int_rank
@@ -33,11 +35,12 @@ from hilbtaut.tautops import (
     FiltrationReport,
     _difference_support,
     _check_stack,
-    _columns,
+    _convolve,
     _free_point_counts,
     _jet_count,
     _match_constant,
     _merged_pair_operator,
+    _multisets,
     _nkeys,
     _nullities,
     _nullity_profile,
@@ -67,6 +70,7 @@ from references import (
     free_point_counts_full_table,
     intersect_ideal_powers,
     membership,
+    multisets_by_listing,
     one,
     pinned_jet_conditions,
     symmetrize,
@@ -222,6 +226,20 @@ def reference_columns(comps, ring, d, fold):
     for lam, e in cols:
         index[(lam, e)] = ids.setdefault(tuple(sorted(zip(lam, e[:n], e[n:]))), len(ids))
     return len(ids), index
+
+
+def invariant_columns(n, k, max_deg):
+    """The folded columns of the invariant (n, k) system, d = 0..max_deg,
+    as _nullity_profile plans them: the multisets of n items of weight k."""
+    *_, orbits = _multisets(n, k, max_deg)
+    return [row[k] for row in orbits]
+
+
+def piece_columns(lam, max_deg):
+    """The folded columns at the one composition lam, d = 0..max_deg, as
+    graded_dims plans a piece's: its stabilizer permutes the points of
+    each part value, so one multiset of monomials per value."""
+    return list(reduce(_convolve, (_free_point_counts(lam.count(p), max_deg) for p in set(lam))))
 
 
 def table_index(tables, comps):
@@ -444,7 +462,7 @@ def test_column_orbits_match_relabeling_action():
             }
     monos = ring.monomials(2)
     tables = _OrbitTables(comps, 3, 2, True)
-    count = _columns([(2, 0, 0), (1, 1, 0)], 2)[2]
+    count = invariant_columns(3, 2, 2)[2]
     index = table_index(tables, comps)
     upper = [(lam, e) for lam in comps for e in monos if 2 * sum(e[:3]) >= 2]
     assert set(index) == set(upper)
@@ -476,7 +494,7 @@ def test_column_orbits_match_relabeling_action():
     stab_orbits = {
         frozenset(image(mu_bar, e, sigma)[1] for sigma in stab) for e in monos
     }
-    graded_count = _columns([mu_bar], 2)[2]
+    graded_count = piece_columns(mu_bar, 2)[2]
     assert graded_count == len(stab_orbits)
 
 
@@ -736,7 +754,7 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
             block = _graded_block(mu)
             kept = {A: degrees for A, degrees, *_ in block}
             assert all(degrees.stop == e for degrees in kept.values())
-            _nullities([block], [mu], PolyRing(len(mu), 4), True, _columns([mu], 4))
+            _nullities([block], [mu], PolyRing(len(mu), 4), True, piece_columns(mu, 4))
             assert {d for _, _, d, _ in calls} == set(range(5))
             for A, ring, d, built in _built_keys(calls):
                 assert built == _upper_keys(ring, A, d, kept[A])
@@ -758,8 +776,9 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
 # reference index over every key does, renumbered by first appearance over
 # the keys of 2g >= d, compositions outer and exponents in the ring's order.
 # The planned column count is the reference's over every key: unfolded
-# (_nkeys) and folded on n points (_columns, over the non-increasing
-# compositions, one per orbit).
+# (_nkeys) and folded on n points (the multisets of n items of weight k
+# over all compositions, and over one padded partition the product over its
+# part values of the free-point counts).
 def test_column_count_mirrors_the_upper_half():
     for n in range(1, 6):
         for k in range(6):
@@ -772,8 +791,8 @@ def test_column_count_mirrors_the_upper_half():
                     column_sets += [[tuple(mu) + (0,) * (n - len(mu))]
                                     for mu in enumerate_partitions(k, n)]
                 for columns in column_sets:
-                    keyed = [lam for lam in columns if list(lam) == sorted(lam, reverse=True)]
-                    folded = _columns(keyed, max_deg)
+                    folded = (invariant_columns(n, k, max_deg) if columns is comps
+                              else piece_columns(columns[0], max_deg))
                     for d in range(max_deg + 1):
                         upper = {(lam, e) for lam in columns for e in ring.monomials(d)
                                  if 2 * sum(e[:points]) >= d}
@@ -794,7 +813,7 @@ def test_column_count_mirrors_the_upper_half():
 
 
 # The plan's counts against what the engine lists, n <= 4, k <= 6, d <= 4:
-# folded columns (_columns, over the padded partitions) are the orbits a
+# folded columns (the multisets of n items of weight k) are the orbits a
 # built table keys, each of 2g > d twice for its x <-> y mirror; unfolded
 # ones (_nkeys) are its keys, pinned on n - 1 points; and each order's shifts
 # (_shift_count) are those _stack lists, in both modes.
@@ -805,7 +824,7 @@ def test_planned_counts_match_what_is_listed():
     for n in range(1, 5):
         for k in range(7):
             keyed = [mu + (0,) * (n - len(mu)) for mu in enumerate_partitions(k, n)]
-            folded = _columns(keyed, 4)
+            folded = invariant_columns(n, k, 4)
             comps = enumerate_compositions(n, k)
             pinned = PolyRing(max(n - 1, 1), 4)
             for d in range(5):
@@ -826,7 +845,7 @@ def test_planned_counts_match_what_is_listed():
 def test_tables_past_the_planned_columns_are_a_fault():
     mu = (2, 1)
     block = _graded_block(mu)
-    cols = _columns([mu], 2)
+    cols = piece_columns(mu, 2)
     assert _nullities([block], [mu], PolyRing(2, 2), True, cols)[0] == cols
     # degree 1 keys the two exponents x_1 and x_2 of x-degree 1
     with pytest.raises(RuntimeError, match="degree 1 keys 2 columns, more than the 1") as fault:
@@ -922,7 +941,7 @@ def test_column_orbit_keys_are_capped(monkeypatch):
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
     ring = PolyRing(3, 1)
     keyed = [(2, 0, 0), (1, 1, 0)]
-    assert _columns(keyed, 1) == [2, 8]
+    assert invariant_columns(3, 2, 1) == [2, 8]
     with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
         kernel_nullity(3, 2, 1, invariant=True)
     assert _nullities([], keyed, ring, True, [2, 8]) == [[2, 8]]
@@ -1233,12 +1252,45 @@ def test_free_point_counts_match_folded_columns():
 
 
 def test_free_point_counts_match_the_full_table():
-    # the rows skip only cells past s t, which the full table leaves zero
+    # Newton's identity at weight 0 against the table of multisets by how
+    # many of their monomials are not 1
     for m in range(7):
         for d in range(15):
             assert list(_free_point_counts(m, d)) == free_point_counts_full_table(m, d), (m, d)
-    # M(1, j) = j + 1; the full table takes seconds here, the pruned one not
-    assert _free_point_counts(1, 2000) == tuple(range(1, 2002))
+
+
+# Closed forms far past the full table's reach: M(1, j) = j + 1, and by
+# Burnside over S_2, M(2, j) = (C(j + 3, 3) + [j even] (j / 2 + 1)) / 2, as
+# the ordered pairs of monomials of total degree j are C(j + 3, 3), and the
+# swap fixes the j / 2 + 1 pairs of one monomial of degree j / 2.
+def test_free_point_counts_on_one_and_two_points():
+    assert _free_point_counts(1, 3000) == tuple(range(1, 3002))
+    assert _free_point_counts(2, 3000) == tuple(
+        (comb(j + 3, 3) + (j % 2 == 0) * (j // 2 + 1)) // 2 for j in range(3001))
+
+
+# Newton's identity against the multisets listed one by one, n <= 4, k <= 4,
+# d <= 4: one table per number of items j up to min(n, k + max_deg), past
+# which every further item is (0, 1), so the last one stands for j up to n.
+def test_multisets_match_the_listed_multisets():
+    for n in range(5):
+        for k in range(5):
+            for max_deg in range(5):
+                tables = list(_multisets(n, k, max_deg))
+                assert len(tables) == min(n, k + max_deg) + 1
+                for j in range(n + 1):
+                    assert tables[min(j, len(tables) - 1)] == multisets_by_listing(j, k, max_deg), (
+                        n, k, max_deg, j)
+
+
+# The planned shifts are the paper's label sets, n <= 6, k <= 8: A0(k, o) in
+# invariant mode, and B(k, o), every pair times every composition, in full.
+def test_shift_counts_are_the_label_sets():
+    for n in range(2, 7):
+        for k in range(2, 9):
+            for o in range(1, k):
+                assert _shift_count(n, k, o, True) == len(quotient_A0(k, o, n)), (n, k, o)
+                assert comb(n, 2) * _shift_count(n, k, o, False) == len(quotient_B(k, o, n))
 
 
 def test_compositions_over_the_cap_are_refused_unlisted(monkeypatch):
