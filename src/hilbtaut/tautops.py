@@ -63,6 +63,28 @@ one elimination per (degree, x-degree): it feeds the blocks in order,
 each one's rows shortest first, into that pair's pivot dict and reads
 every level's nullity on the way, eliminating each row once.
 
+A system of one pair on its own two points, the kernel at n = 2 in
+either mode or a graded piece of two parts, is not eliminated: its rows
+are independent, so each level's nullity is its columns less its rows,
+both counted by the plan (_counted).  In the coordinates u = x_1 - x_2,
+s = x_1 + x_2, v = y_1 - y_2, t = y_1 + y_2 (pinned, x_1 and y_1
+themselves) a jet functional reads one coefficient, that of its key K,
+so the columns may be taken as the pairs (lam, K).  The swap of the two
+points sends u and v to -u and -v and fixes s and t, so it sends the
+coefficient of x_lam at K to plus or minus that of x_(lam swapped) at K:
+it acts diagonally on the keys, and a folded row, like an unfolded one,
+holds the key K of its functional alone.  Rows of different keys share
+no column.  A kernel row of key K has the order o = |K|_uv + 1, the
+u-v-degree of K plus one, and its shift mu, a composition of k - o,
+gives it the columns ((mu_1 + b, mu_2 + o - b), K), b = 0..o.  The one
+of b = o has coefficient (-1)^o and the largest first part, or folded,
+as mu_1 > mu_2, the largest part, which no other of its columns reaches
+and which the column carries on invariant tuples; no row of smaller mu_1
+holds it.  Ordered by mu_1, the rows of K are triangular, so
+independent.  A graded piece has one shift, its mu, and order 0: each
+row is the one coordinate of its own key, and at a pair of equal parts
+only even u-v-degrees, which the swap fixes, are imposed.
+
 The local formulas for the merged-pair operators D^l compare, on
 orbit-sum tuples, the expansion of a difference around the first slot
 of a pair with a closed form written in the summand factors, in exact
@@ -101,7 +123,8 @@ before it solves the first piece, and _nullity_profile lists the
 padded partitions of k, its folded keys, only once its stack has
 passed.  Exceeding any of these raises EntryCapError, and a number too
 long to print is named by its digit count.  A system with no rows, on
-one point or with k < 2, is its columns, and runs no engine.  _nullities
+one point or with k < 2, is its columns, and one on two points its
+columns less its rows (above): neither runs the engine.  _nullities
 only solves: a degree whose tables key more columns than the plan
 counted is an internal fault, RuntimeError.
 """
@@ -305,6 +328,13 @@ def higher_difference(x: dict, mu, A, order: int) -> dict:
 # stacked kernel systems
 
 
+def _orders(k: int, max_deg: int) -> range:
+    """The orders a kernel system of weight k builds through max_deg: 1
+    through min(k - 1, max_deg + 1), as a higher one imposes no jet of
+    degree max_deg or less (_stack)."""
+    return range(1, min(k - 1, max_deg + 1) + 1)
+
+
 def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> list:
     """The condition blocks of a kernel system on n >= 2 points, order by
     order, one (A, degrees, order, shifts) per pair.
@@ -334,7 +364,7 @@ def _stack(n: int, k: int, ring: PolyRing, invariant: bool) -> list:
     invariant tuple: the rows of such a label fold to zero.
     """
     pairs = [(1, 2)] if invariant else list(combinations(range(1, n + 1), 2))
-    orders = range(1, min(k - 1, ring.max_deg + 1) + 1)
+    orders = _orders(k, ring.max_deg)
     shifts = [[mu for mu in enumerate_compositions(n, k - o)
                if not invariant or mu[0] > mu[1] and all(map(ge, mu[2:], mu[3:]))] for o in orders]
     return [[(A, range(o - 1, o), o, s) for A in pairs] for o, s in zip(orders, shifts)]
@@ -362,13 +392,16 @@ def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
     two variables carry degree s in s + 1 ways, and the other nvars - 2
     variables take the rest.  I_A^order is cut out by those of
     range(order); a stacked kernel block keeps one u-v-degree, and a
-    graded piece at a pair of equal parts the even ones alone.
+    graded piece at a pair of equal parts the even ones alone.  Only the
+    u-v-degrees up to d are walked, so a piece of a large exponent costs
+    no more than its degree.  The plan sizes its stacks with these counts
+    (_check_stack), and a two-point system is answered with them
+    (_counted).
     """
     rest = ring.nvars - 2
     return sum(
         (s + 1) * (comb(rest + d - s - 1, d - s) if rest else int(s == d))
-        for s in degrees
-        if s <= d
+        for s in range(degrees.start, min(degrees.stop, d + 1), degrees.step)
     )
 
 
@@ -382,6 +415,19 @@ def _check_stack(conditions, ring: PolyRing, cols, context: str) -> None:
     for d, ncols in enumerate(cols):
         _check_cap(sum(count * _jet_count(ring, degrees, d) for degrees, count in conditions),
                    ncols, context)
+
+
+def _counted(conditions, ring: PolyRing, cols) -> list:
+    """What _nullities returns for a stack of one pair on its own two
+    points, pinned or not, from the plan's conditions (degrees, count),
+    one per level: that pair's rows are independent (see the module
+    docstring), so each level's nullity is the one below less the rows
+    its condition adds (_jet_count)."""
+    profile = [list(cols)]
+    for degrees, count in conditions:
+        profile.append([c - count * _jet_count(ring, degrees, d)
+                        for d, c in enumerate(profile[-1])])
+    return profile
 
 
 @lru_cache(maxsize=None)
@@ -531,7 +577,10 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     docstring).  Invariant columns are counted as multisets of n items
     of weight k (_multisets) and keyed at the partitions of k, padded to
     n points, listed once the stack has passed.  A system with no order,
-    k < 2, or no pair, n = 1, has no rows, and is its columns.
+    k < 2, or no pair, n = 1, has no rows, and is its columns.  On n = 2
+    points the stack is one pair on its own points, pinned in full mode,
+    so each level is its columns less its rows, the plan's conditions
+    counted (_counted), and nothing is listed or eliminated.
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
@@ -545,12 +594,15 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     profile = [cols]
     if n > 1 and k > 1:
         pairs = 1 if invariant else comb(n, 2)
-        _check_stack([(range(o - 1, o), pairs * _shift_count(n, k, o, invariant))
-                      for o in range(1, min(k - 1, max_deg + 1) + 1)], ring, cols,
-                     f"kernel system ({n},{k})")
-        keyed = ([mu + (0,) * (n - len(mu)) for mu in _partitions(k, k, n)] if invariant
-                 else enumerate_compositions(n, k))
-        profile = _nullities(_stack(n, k, ring, invariant), keyed, ring, invariant, cols)
+        conditions = [(range(o - 1, o), pairs * _shift_count(n, k, o, invariant))
+                      for o in _orders(k, max_deg)]
+        _check_stack(conditions, ring, cols, f"kernel system ({n},{k})")
+        if n == 2:
+            profile = _counted(conditions, ring, cols)
+        else:
+            keyed = ([mu + (0,) * (n - len(mu)) for mu in _partitions(k, k, n)] if invariant
+                     else enumerate_compositions(n, k))
+            profile = _nullities(_stack(n, k, ring, invariant), keyed, ring, invariant, cols)
     if pinned:
         profile = [list(accumulate(accumulate(dims))) for dims in profile]
     return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) + 1 - len(profile))]
@@ -624,7 +676,9 @@ def graded_dims(
     the A0 labels (_stack).  A piece of fewer than two parts has no pair,
     so no condition, and runs no engine: J is 1 for the empty partition,
     k = 0, and Q[x, y] for one part, a free point (see the module
-    docstring).  Keys appear in refined order.
+    docstring).  A piece of two parts is one pair on its own points, so
+    its rows are independent and it runs no engine either: J^Stab(mu) is
+    its columns less its rows (_counted).  Keys appear in refined order.
     """
     if exponent_rule not in EXPONENT_RULES:
         raise ValueError(f"exponent_rule must be one of {EXPONENT_RULES}")
@@ -655,7 +709,9 @@ def graded_dims(
         if not block:  # no pair: every polynomial on the r points
             piece = accumulate(accumulate(free)) if mu else free
         else:
-            part = _nullities([block], [mu], PolyRing(len(mu), max_deg), True, cols)[1]
+            ring = PolyRing(len(mu), max_deg)
+            part = (_counted([(block[0][1], 1)], ring, cols) if len(mu) == 2  # one pair
+                    else _nullities([block], [mu], ring, True, cols))[1]
             piece = _convolve(free, part)
         out[mu] = tuple(accumulate(piece))
     return out

@@ -354,6 +354,37 @@ def restacked_profile(n, k, max_deg, invariant):
     return profile
 
 
+def engine_profile(n, k, max_deg, invariant):
+    """Every level of _nullity_profile for n >= 2 and k >= 2, solved by
+    the engine, called directly: _nullities over _stack's blocks of every
+    order through k - 1, whatever max_deg (orders above max_deg + 1 add
+    no row), over the builder's planned columns and keyed compositions,
+    pinned full systems tensored with Q[x_n, y_n].  _nullity_profile
+    takes this path on three points or more."""
+    ring = PolyRing(n if invariant else n - 1, max_deg)
+    if invariant:
+        keyed = [mu + (0,) * (n - len(mu)) for mu in enumerate_partitions(k, n)]
+        cols = invariant_columns(n, k, max_deg)
+    else:
+        keyed = enumerate_compositions(n, k)
+        cols = [_nkeys(len(keyed), ring, d) for d in range(max_deg + 1)]
+    blocks = _stack(n, k, PolyRing(ring.n, k), invariant)
+    profile = _nullities(blocks, keyed, ring, invariant, cols)
+    if not invariant:
+        profile = [list(accumulate(accumulate(dims))) for dims in profile]
+    return profile
+
+
+def two_part_piece(n, mu, max_deg):
+    """The cumulative graded piece of a two-part mu on n points, solved by
+    the engine, called directly on its block, tensored with the symmetric
+    polynomials on the n - 2 free points.  On two parts both exponent
+    rules impose twice the smaller part, as _graded_block does."""
+    part = _nullities([_graded_block(mu)], [mu], PolyRing(2, max_deg), True,
+                      piece_columns(mu, max_deg))[1]
+    return tuple(accumulate(_convolve(_free_point_counts(n - 2, max_deg), part)))
+
+
 def reynolds_graded_dims(n, k, max_deg, exponent_rule):
     """Graded pieces by averaging an explicit basis over the stabilizer.
 
@@ -676,7 +707,12 @@ def test_nullities_build_only_the_upper_half_functionals(monkeypatch, system):
     monkeypatch.setattr(tautops, "_jet_functionals", recorded)
     n, k, max_deg = 3, 4, 3
     if system == "graded":
-        graded_dims(n, k, max_deg)
+        # the two-part pieces, (3, 1) and (2, 2), are counted, not built, so
+        # their blocks go to the engine directly
+        pieces = graded_dims(n, k, max_deg)
+        for mu in pieces:
+            if len(mu) == 2:
+                assert two_part_piece(n, mu, max_deg) == pieces[mu]
         systems = [(PolyRing(len(mu), max_deg), [_graded_block(mu)])
                    for mu in enumerate_partitions(k, n)]
     else:
@@ -1081,7 +1117,9 @@ def test_full_labels_are_the_b_labels_in_their_order(monkeypatch):
 
 # An order above max_deg + 1 imposes no jet through max_deg, so neither
 # mode builds its labels or supports, and the levels above repeat the last.
-# verify_filtration's graded pieces are conditions of order 0.
+# verify_filtration's graded pieces are conditions of order 0.  On two
+# points nothing is built, so there the engine is called directly on the
+# systems verify_filtration(2, 6, 1) counts, and agrees with its report.
 def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
     orders = set()
     real = tautops._difference_support
@@ -1098,9 +1136,19 @@ def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
     assert orders == {1, 2, 3}
     orders.clear()
     report = verify_filtration(2, 6, 1)
+    assert not orders
+    ring = PolyRing(2, 1)
+    keyed = [mu + (0,) * (2 - len(mu)) for mu in enumerate_partitions(6, 2)]
+    _nullities(_stack(2, 6, ring, True), keyed, ring, True, invariant_columns(2, 6, 1))
+    _nullities(_stack(2, 6, PolyRing(1, 1), False), enumerate_compositions(2, 6),
+               PolyRing(1, 1), False, [_nkeys(7, PolyRing(1, 1), d) for d in range(2)])
+    pieces = {mu: two_part_piece(2, mu, 1) for mu in report.graded if len(mu) == 2}
     assert orders == {0, 1, 2}
     assert report.full_nullities == ((7, 35), (1, 17), (1, 7), (1, 7), (1, 7), (1, 7))
     assert report.invariant_nullities == ((4, 18), (1, 9), (1, 5), (1, 5), (1, 5), (1, 5))
+    for invariant, rows in [(True, report.invariant_nullities), (False, report.full_nullities)]:
+        assert [tuple(accumulate(dims)) for dims in engine_profile(2, 6, 1, invariant)] == list(rows)
+    assert pieces and all(report.graded[mu] == dims for mu, dims in pieces.items())
     assert report.passed and not report.exploratory
 
 
@@ -1129,9 +1177,70 @@ def test_invariant_rows_reaching_elimination_are_never_empty(monkeypatch, n, k, 
         return rank(rows, pivots)
 
     monkeypatch.setattr(tautops, "sparse_int_rank", recorded)
-    kernel_nullity(n, k, max_deg, invariant=True)
+    if n == 2:  # counted by kernel_nullity: the engine is called directly
+        engine_profile(n, k, max_deg, True)
+    else:
+        kernel_nullity(n, k, max_deg, invariant=True)
     assert received
     assert all(any(row.values()) for row in received)
+
+
+# A system of one pair on its own two points is counted, not eliminated:
+# its rows are independent, so each level is its columns less its rows.
+# The count against the engine called directly, every level: the kernel at
+# n = 2 in both modes, k <= 12, max_deg <= 8, and each two-part piece of
+# graded_dims under both rules, n <= 5, k <= 8, through degree 4.
+def test_two_point_systems_count_what_the_engine_solves():
+    for invariant in (True, False):
+        for k in range(2, 13):
+            for max_deg in range(9):
+                assert _nullity_profile(2, k, max_deg, invariant) == engine_profile(
+                    2, k, max_deg, invariant), (invariant, k, max_deg)
+    checked = 0
+    for n in range(2, 6):
+        for k in range(2, 9):
+            for rule in EXPONENT_RULES:
+                for mu, dims in graded_dims(n, k, 4, exponent_rule=rule).items():
+                    if len(mu) == 2:
+                        assert dims == two_part_piece(n, mu, 4), (n, k, rule, mu)
+                        checked += 1
+    assert checked == 2 * 4 * sum(k // 2 for k in range(2, 9))
+
+
+# ... and reaches no engine: no table, no row, no elimination.  A kernel at
+# n = 2, verify_filtration at n = 2, and graded_dims at n = 2, whose pieces
+# have at most two parts, call none of _nullities, _OrbitTables or
+# sparse_int_rank; at n = 3 to 5 graded_dims solves the pieces of three
+# parts or more alone.
+def test_two_point_systems_run_no_engine(monkeypatch):
+    solved = []
+
+    def unreached(*args):
+        raise AssertionError("a two-point system reached the engine")
+
+    def recorded(blocks, keyed, ring, fold, cols):
+        solved.append(keyed)
+        return solve(blocks, keyed, ring, fold, cols)
+
+    solve = tautops._nullities
+    for name in ("_nullities", "_OrbitTables", "sparse_int_rank"):
+        monkeypatch.setattr(tautops, name, unreached)
+    for k in range(2, 13):
+        for max_deg in (0, 4, 8):
+            for invariant in (True, False):
+                kernel_nullity(2, k, max_deg, invariant=invariant)
+            for rule in EXPONENT_RULES:
+                graded_dims(2, k, max_deg, exponent_rule=rule)
+    for k in range(1, 5):
+        verify_filtration(2, k, 4)
+    monkeypatch.setattr(tautops, "_nullities", recorded)
+    monkeypatch.setattr(tautops, "_OrbitTables", _OrbitTables)
+    monkeypatch.setattr(tautops, "sparse_int_rank", sparse_int_rank)
+    for n in range(3, 6):
+        for k in range(2, 9):
+            for rule in EXPONENT_RULES:
+                graded_dims(n, k, 4, exponent_rule=rule)
+    assert solved and all(len(mu) >= 3 for keyed in solved for mu in keyed)
 
 
 # A graded piece imposes no odd u-v-degree at a pair of equal parts, whose
