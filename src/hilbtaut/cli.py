@@ -19,9 +19,10 @@ argparse cannot.
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (a one-line message; bad arguments, a bad HILBTAUT_MAX_MATRIX_ENTRIES and
 exceeding the matrix entry cap count here, inside a verification case
-too), 3 internal fault (the traceback goes to stderr).  A verification
-case fails only by raising AssertionError; any other exception in a
-case, a ValueError included, is an internal fault.
+too), 3 internal fault (the traceback goes to stderr), 141 when stdout is
+closed early (128 + SIGPIPE, as a shell reports a reader that hung up).
+A verification case fails only by raising AssertionError; any other
+exception in a case, a ValueError included, is an internal fault.
 
 A start loads argparse and the package's modules, which every command
 needs, and nothing of the standard library that only some commands use:
@@ -278,7 +279,7 @@ def cmd_graded(cfg) -> int:
 def cmd_toeplitz(cfg) -> int:
     if cfg.kind == "T":
         _require(cfg, "n", "m")
-        _check_cap(cfg.m, cfg.m, f"toeplitz T_{cfg.parity}({cfg.n}, {cfg.m})")
+        _check_cap(cfg.m, cfg.m, _max_entries(), f"toeplitz T_{cfg.parity}({cfg.n}, {cfg.m})")
         matrix = t_even(cfg.n, cfg.m) if cfg.parity == "even" else t_odd(cfg.n, cfg.m)
         if cfg.show == "minors":
             value = [_printable(v, f"minor {i}") for i, v in
@@ -295,7 +296,7 @@ def cmd_toeplitz(cfg) -> int:
     _require(cfg, "l", "k", "j")
     # An empty shape passes, for r_matrix to refuse with its own message.
     rows, cols = cfg.k - cfg.l + 1, cfg.k - 2 * cfg.j + 1
-    _check_cap(max(rows, 0), cols, f"toeplitz R({cfg.l}, {cfg.k}, {cfg.j})")
+    _check_cap(max(rows, 0), cols, _max_entries(), f"toeplitz R({cfg.l}, {cfg.k}, {cfg.j})")
     try:
         matrix = r_matrix(cfg.l, cfg.k, cfg.j)
     except ValueError as exc:
@@ -702,10 +703,19 @@ def main(argv=None) -> int:
             _max_entries()
         except ValueError as exc:
             raise UsageError(str(exc))
-        return _HANDLERS[cfg.command](cfg)
+        code = _HANDLERS[cfg.command](cfg)
+        sys.stdout.flush()  # a reader gone by now is answered below too
+        return code
     except (UsageError, EntryCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader hung up.  Stdout now writes to nowhere, so that the
+        # interpreter's last flush of what is left cannot raise again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         # Imported only on this path: it adds to every start-up otherwise.
         import traceback

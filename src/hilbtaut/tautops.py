@@ -108,25 +108,26 @@ graded_dims, plans its whole system from counts and checks the plan
 against the cap before it lists anything else or solves: first the
 column key table, keys times points, at max_deg, where it is largest
 (_check_keys), which bounds a folded table too, though that keys fewer,
-and for graded_dims the partitions of k (_check_partitions); then every
-stack, degree by degree, rows times columns (_check_stack).  Rows are
-each condition's shifts (_shift_count) times the jets of its own
-u-v-degrees (_jet_count); columns are keys (_nkeys), or folded, orbits.
-Every orbit the plan counts is a multiset of items (a, x^p y^q), and
-one series, from Newton's identity, counts them all (_multisets): the
+and for graded_dims the partitions of k (_check_partitions) and the
+free-point table of its first piece, the largest; then every stack,
+degree by degree, rows times columns (_counted).  Rows, counted once,
+are each condition's shifts (_shift_count) times the jets of its own
+u-v-degrees (_jet_count); columns are keys (_nkeys), or folded,
+orbits.  Every orbit the plan counts is a multiset of items (a, x^p y^q), and one
+series, from Newton's identity, counts them all (_multisets): the
 invariant columns are the multisets of n items of weight k; a graded
 piece's are, over its part values, the product of the multisets of
 weight 0 on the points of each value (_free_point_counts); and the
 invariant shifts and the partitions of k are multisets of degree 0.
-graded_dims checks every piece's free-point table, then its stack,
-before it solves the first piece, and _nullity_profile lists the
-padded partitions of k, its folded keys, only once its stack has
-passed.  Exceeding any of these raises EntryCapError, and a number too
-long to print is named by its digit count.  A system with no rows, on
-one point or with k < 2, is its columns, and one on two points its
-columns less its rows (above): neither runs the engine.  _nullities
-only solves: a degree whose tables key more columns than the plan
-counted is an internal fault, RuntimeError.
+graded_dims checks every piece's stack before it solves the first, and
+_nullity_profile lists the padded partitions of k, its folded keys,
+only once its stack has passed.  Exceeding any of these raises
+EntryCapError, and a number too long to print is named by its digit
+count.  A system with no rows, on one point or with k < 2, is its
+columns, and one on two points the columns less the rows _counted
+returns (above): neither runs the engine.  _nullities only solves: a
+degree whose tables key more columns than the plan counted is an
+internal fault, RuntimeError.
 """
 
 from __future__ import annotations
@@ -178,8 +179,7 @@ def _decimal(x: int) -> str:
     return f"a {digits}-digit number" if limit and digits > limit else str(x)
 
 
-def _check_cap(nrows: int, ncols: int, context: str) -> None:
-    cap = _max_entries()
+def _check_cap(nrows: int, ncols: int, cap: int, context: str) -> None:
     if nrows * ncols > cap:
         raise EntryCapError(
             f"{context}: {_decimal(nrows)} x {_decimal(ncols)} matrix exceeds the entry "
@@ -205,9 +205,10 @@ def _check_keys(ncomps: int, ring: PolyRing, slots: int, context: str) -> None:
     2^min(d, nvars - 1), so it is over at degree 2^bits, bits the cap's
     bit length, and on more variables than bits, already at degree bits.
     """
-    bits = _max_entries().bit_length()
+    cap = _max_entries()
+    bits = cap.bit_length()
     d = min(ring.max_deg, bits if ring.nvars > bits else 1 << bits)
-    _check_cap(_nkeys(ncomps, ring, d), slots, context)
+    _check_cap(_nkeys(ncomps, ring, d), slots, cap, context)
 
 
 def _multisets(n: int, k: int, max_deg: int):
@@ -394,9 +395,8 @@ def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
     range(order); a stacked kernel block keeps one u-v-degree, and a
     graded piece at a pair of equal parts the even ones alone.  Only the
     u-v-degrees up to d are walked, so a piece of a large exponent costs
-    no more than its degree.  The plan sizes its stacks with these counts
-    (_check_stack), and a two-point system is answered with them
-    (_counted).
+    no more than its degree.  The plan sizes its stacks with these
+    counts, and answers a two-point system with them (_counted).
     """
     rest = ring.nvars - 2
     return sum(
@@ -405,28 +405,24 @@ def _jet_count(ring: PolyRing, degrees: range, d: int) -> int:
     )
 
 
-def _check_stack(conditions, ring: PolyRing, cols, context: str) -> None:
-    """Refuse a stack over cols[d] columns in degree d, d through
-    ring.max_deg, whose rows and columns of some degree exceed the cap.
-    A condition (degrees, count) stands for count conditions of one
+def _counted(conditions, ring: PolyRing, cols, context: str) -> list:
+    """Each level's columns less its rows, d through ring.max_deg, over
+    cols[d] columns in degree d, once the stack is checked against the cap.
+    A condition (degrees, count) is one level of count conditions of one
     pair each, whose rows of degree d are their jets of u-v-degree in
-    degrees (_jet_count).  Degrees are checked in turn, so a refusal
-    names the lowest one over the cap."""
+    degrees (_jet_count), counted once per degree.  Each degree's whole
+    stack is checked in turn, so a refusal names the lowest degree over
+    the cap.  For one pair on its own two points, pinned or not, this is
+    what _nullities returns, as that pair's rows are independent (see the
+    module docstring); a larger system uses level 0 alone, its columns."""
+    cap = _max_entries()
+    profile = [[] for _ in range(len(conditions) + 1)]
     for d, ncols in enumerate(cols):
-        _check_cap(sum(count * _jet_count(ring, degrees, d) for degrees, count in conditions),
-                   ncols, context)
-
-
-def _counted(conditions, ring: PolyRing, cols) -> list:
-    """What _nullities returns for a stack of one pair on its own two
-    points, pinned or not, from the plan's conditions (degrees, count),
-    one per level: that pair's rows are independent (see the module
-    docstring), so each level's nullity is the one below less the rows
-    its condition adds (_jet_count)."""
-    profile = [list(cols)]
-    for degrees, count in conditions:
-        profile.append([c - count * _jet_count(ring, degrees, d)
-                        for d, c in enumerate(profile[-1])])
+        rows = list(accumulate((count * _jet_count(ring, degrees, d)
+                                for degrees, count in conditions), initial=0))
+        _check_cap(rows[-1], ncols, cap, context)
+        for level, nrows in zip(profile, rows):
+            level.append(ncols - nrows)
     return profile
 
 
@@ -577,10 +573,10 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     docstring).  Invariant columns are counted as multisets of n items
     of weight k (_multisets) and keyed at the partitions of k, padded to
     n points, listed once the stack has passed.  A system with no order,
-    k < 2, or no pair, n = 1, has no rows, and is its columns.  On n = 2
-    points the stack is one pair on its own points, pinned in full mode,
-    so each level is its columns less its rows, the plan's conditions
-    counted (_counted), and nothing is listed or eliminated.
+    k < 2, or no pair, n = 1, has no rows, and is its columns.  Any other
+    is sized by _counted, whose answer stands on n = 2 points: the stack
+    is one pair on its own points, pinned in full mode, so each level is
+    its columns less its rows, and nothing is listed or eliminated.
     """
     pinned = not invariant and n > 1
     ring = PolyRing(n - pinned, max_deg)
@@ -596,10 +592,8 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
         pairs = 1 if invariant else comb(n, 2)
         conditions = [(range(o - 1, o), pairs * _shift_count(n, k, o, invariant))
                       for o in _orders(k, max_deg)]
-        _check_stack(conditions, ring, cols, f"kernel system ({n},{k})")
-        if n == 2:
-            profile = _counted(conditions, ring, cols)
-        else:
+        profile = _counted(conditions, ring, cols, f"kernel system ({n},{k})")
+        if n > 2:
             keyed = ([mu + (0,) * (n - len(mu)) for mu in _partitions(k, k, n)] if invariant
                      else enumerate_compositions(n, k))
             profile = _nullities(_stack(n, k, ring, invariant), keyed, ring, invariant, cols)
@@ -676,9 +670,11 @@ def graded_dims(
     the A0 labels (_stack).  A piece of fewer than two parts has no pair,
     so no condition, and runs no engine: J is 1 for the empty partition,
     k = 0, and Q[x, y] for one part, a free point (see the module
-    docstring).  A piece of two parts is one pair on its own points, so
-    its rows are independent and it runs no engine either: J^Stab(mu) is
-    its columns less its rows (_counted).  Keys appear in refined order.
+    docstring).  Every stack is sized by _counted before any is solved.
+    A piece of two parts is one pair on its own points, so its rows are
+    independent and it runs no engine either: J^Stab(mu) is its columns
+    less its rows, as _counted returned them.  Keys appear in refined
+    order.
     """
     if exponent_rule not in EXPONENT_RULES:
         raise ValueError(f"exponent_rule must be one of {EXPONENT_RULES}")
@@ -688,30 +684,29 @@ def graded_dims(
     width = min(n, k)
     if width:
         _check_keys(1, PolyRing(width, max_deg), width, "column orbit keys")
+    m = n - min(k, 1)  # the first piece, (k,) or (), has the most free points
+    _check_cap(min(m, max_deg) + 1, max_deg + 1, _max_entries(),
+               f"symmetric polynomials on {m} free points")
     uniform = exponent_rule == "uniform_2m_mu"
     plan = []
     for mu in enumerate_partitions(k, n):
-        m = n - len(mu)
-        _check_cap(min(m, max_deg) + 1, max_deg + 1, f"symmetric polynomials on {m} free points")
         # a pair of equal parts keeps the even u-v-degrees alone
         block = [(A, range(0, 2 * (m_mu(mu) if uniform else q), 2 if mu[A[0] - 1] == q else 1),
                   0, [mu]) for A, q in _orbit_pairs(mu)]
         # the stabilizer of mu permutes the points of each part value
-        cols = block and list(reduce(_convolve, (_free_point_counts(mu.count(p), max_deg)
-                                                 for p in set(mu))))
-        if block:
-            _check_stack([(degrees, 1) for _, degrees, _, _ in block], PolyRing(len(mu), max_deg),
-                         cols, f"graded piece {mu} ({n},{k})")
-        plan.append((mu, block, cols))
+        levels = block and _counted(
+            [(degrees, 1) for _, degrees, _, _ in block], PolyRing(len(mu), max_deg),
+            list(reduce(_convolve, (_free_point_counts(mu.count(p), max_deg) for p in set(mu)))),
+            f"graded piece {mu} ({n},{k})")
+        plan.append((mu, block, levels))
     out: dict = {}
-    for mu, block, cols in plan:
+    for mu, block, levels in plan:
         free = _free_point_counts(n - len(mu), max_deg)
         if not block:  # no pair: every polynomial on the r points
             piece = accumulate(accumulate(free)) if mu else free
         else:
-            ring = PolyRing(len(mu), max_deg)
-            part = (_counted([(block[0][1], 1)], ring, cols) if len(mu) == 2  # one pair
-                    else _nullities([block], [mu], ring, True, cols))[1]
+            part = (levels[1] if len(mu) == 2  # one pair, counted
+                    else _nullities([block], [mu], PolyRing(len(mu), max_deg), True, levels[0])[1])
             piece = _convolve(free, part)
         out[mu] = tuple(accumulate(piece))
     return out

@@ -567,6 +567,23 @@ def test_parser_built_once_answers_as_a_fresh_process(capsys):
         assert mine == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that hangs up early is not an internal fault: the CLI exits
+    141, 128 + SIGPIPE, and writes nothing to stderr.  The output, about
+    200 KB, is more than a pipe holds, so the CLI is still writing when the
+    pipe closes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ("graded", "--n", "2", "--k", "20000", "--max-degree", "0")
+    proc = subprocess.Popen([sys.executable, "-m", "hilbtaut.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_missing_argument_precedes_a_bad_bundle_vector(capsys):
     # argparse reports a missing option before any vector is parsed
     argv = ("chi", "--surface", "p2", "--n", "3", "--k", "3", "--L", "x")

@@ -10,6 +10,7 @@ of sizes against the Reynolds average of an explicit ideal-power basis.
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, product
@@ -34,8 +35,8 @@ from hilbtaut.tautops import (
     EntryCapError,
     FiltrationReport,
     _difference_support,
-    _check_stack,
     _convolve,
+    _counted,
     _free_point_counts,
     _jet_count,
     _match_constant,
@@ -580,7 +581,7 @@ def _graded_block(mu):
     [(2, 3, 4, True), (2, 4, 4, False), (3, 3, 3, True), (3, 4, 3, False), (4, 3, 2, True),
      (3, 4, 3, True)],
 )
-def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, invariant):
+def test_row_counts_from_sizes_match_built_rows(n, k, max_deg, invariant):
     # The plan counts, per condition and per u-v-degree s it keeps, the
     # reference rows of order s + 1 less those of order s: at order o, the
     # pairs times the shifts (_shift_count) times the jets of u-v-degree
@@ -613,14 +614,8 @@ def test_row_counts_from_sizes_match_built_rows(monkeypatch, n, k, max_deg, inva
                     implied = rows_below(A, s, order, mu)
                     for d in range(max_deg + 1):
                         expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
-    counted = []
-
-    def recorded(nrows, ncols, context):
-        counted.append(nrows)
-
-    monkeypatch.setattr(tautops, "_check_cap", recorded)
-    _check_stack(conditions, ring, [1] * (max_deg + 1), "stack")
-    assert counted == expected
+    # over no columns, the last level is minus every row of the stack
+    assert [-c for c in _counted(conditions, ring, [0] * (max_deg + 1), "stack")[-1]] == expected
     for points in (1, 2, 3):
         ring = PolyRing(points, 4)
         for order in range(1, 5):
@@ -1241,6 +1236,63 @@ def test_two_point_systems_run_no_engine(monkeypatch):
             for rule in EXPONENT_RULES:
                 graded_dims(n, k, 4, exponent_rule=rule)
     assert solved and all(len(mu) >= 3 for keyed in solved for mu in keyed)
+
+
+# The plan counts each level's rows once per degree, and answers from that
+# count: one _jet_count call per (condition, degree), for a kernel at n = 2
+# in both modes and for a graded piece of two parts.
+def test_two_point_systems_count_each_level_once(monkeypatch):
+    calls = []
+    count = tautops._jet_count
+
+    def recorded(ring, degrees, d):
+        calls.append((degrees, d))
+        return count(ring, degrees, d)
+
+    monkeypatch.setattr(tautops, "_jet_count", recorded)
+    for invariant in (True, False):
+        calls.clear()
+        kernel_nullity(2, 6, 6, invariant=invariant)
+        assert Counter(calls) == Counter((range(o - 1, o), d) for o in range(1, 6) for d in range(7))
+    calls.clear()
+    assert list(graded_dims(2, 2, 3)) == [(2,), (1, 1)]
+    assert calls == [(range(0, 2, 2), d) for d in range(4)]
+
+
+# Only the first piece, (k,) or (), the one with the most free points, can
+# have a free-point table over the cap: it is refused before any partition
+# is listed, with the same message, where it alone is over the cap.
+@pytest.mark.parametrize("n,k,shape,cap", [(3, 1, "2 free points: 3 x 5", 14),
+                                            (3, 0, "3 free points: 4 x 5", 19)])
+def test_free_point_table_refused_before_partitions_are_listed(monkeypatch, n, k, shape, cap):
+    def unlisted(*args):
+        raise AssertionError("partitions listed before the free points were checked")
+
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(cap + 1))
+    assert graded_dims(n, k, 4)
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(cap))
+    monkeypatch.setattr(tautops, "enumerate_partitions", unlisted)
+    with pytest.raises(EntryCapError) as refused:
+        graded_dims(n, k, 4)
+    assert str(refused.value) == (f"symmetric polynomials on {shape} matrix exceeds the entry "
+                                  f"cap {cap}; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it")
+
+
+# The cap is read once per system a piece sizes, plus a few reads for the
+# whole call: 1,001 pieces of 2000 into at most two parts, 1,000 of them
+# of two parts.
+def test_graded_reads_the_cap_once_per_piece(monkeypatch):
+    reads = []
+    read = tautops._max_entries
+
+    def recorded():
+        reads.append(None)
+        return read()
+
+    monkeypatch.setattr(tautops, "_max_entries", recorded)
+    pieces = graded_dims(2, 2000, 0)
+    assert len(pieces) == 1001
+    assert len(reads) <= len(pieces) + 3
 
 
 # A graded piece imposes no odd u-v-degree at a pair of equal parts, whose
