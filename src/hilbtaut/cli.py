@@ -65,6 +65,7 @@ from .tautops import (
     EntryCapError,
     _check_cap,
     _check_partitions,
+    _digits,
     _max_entries,
     graded_dims,
     graded_totals,
@@ -172,21 +173,11 @@ def _gate_range(cfg) -> bool:
 # table commands
 
 
-@cache
-def _power_of_ten(limit: int) -> int:
-    """10**limit, built once per limit: the least integer with more
-    than limit digits."""
-    return 10**limit
-
-
 def _printable(value: int, name: str) -> int:
-    """value, if the interpreter can convert it to a decimal string.
-
-    The limit came with Python 3.11 (and late 3.10 patch releases); 0
-    means none.
-    """
+    """value, if the interpreter can convert it to a decimal string
+    (tautops._digits)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and abs(value) >= _power_of_ten(limit):
+    if limit and _digits(value) > limit:
         raise UsageError(
             f"{name} has more than {limit} digits, the interpreter's limit "
             "for printing an integer"
@@ -319,7 +310,7 @@ def cmd_toeplitz(cfg) -> int:
 
 def cmd_reps(cfg) -> int:
     # one class polynomial per cycle type: a partition of k, at most k wide
-    _check_partitions(cfg.k, cfg.k)
+    _check_partitions(cfg.k, cfg.k, _max_entries())
     full = antiinv_dims_R(cfg.k)
     rho = rho_from_R(full)
     payload = {

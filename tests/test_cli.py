@@ -900,7 +900,7 @@ def test_sizes_refuse_before_any_table_is_built(capsys, monkeypatch, argv, shape
         raise AssertionError("listed, built or solved before the cap refused")
 
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
-    for name in ("_OrbitTables", "_upper_half", "enumerate_compositions", "_stack", "_nullities"):
+    for name in ("_column_tables", "_upper_half", "enumerate_compositions", "_stack", "_nullities"):
         monkeypatch.setattr(tautops, name, unbuilt)
     rc, out, err = run(capsys, *argv)
     if shape is None:
@@ -927,7 +927,7 @@ def test_invariant_stack_over_the_cap_exits_two_before_partitions_are_listed(cap
 
     monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
     monkeypatch.setattr(combinat, "_partitions", counted)
-    monkeypatch.setattr(tautops, "_partitions", counted)
+    monkeypatch.setattr(tautops, "_partitions", counted, raising=False)
     rc, out, err = run(capsys, "kernel", "--n", "2", "--k", "999999", "--max-degree", "0")
     assert (rc, out, calls) == (2, "", [])
     assert err == ("error: kernel system (2,999999): 499999 x 500000 matrix exceeds the entry "
@@ -942,7 +942,7 @@ def test_systems_without_rows_answer_from_column_counts(capsys, monkeypatch, mod
     def unbuilt(*args):
         raise AssertionError("a column table was built for a system with no rows")
 
-    monkeypatch.setattr(tautops, "_OrbitTables", unbuilt)
+    monkeypatch.setattr(tautops, "_column_tables", unbuilt)
     monkeypatch.setattr(tautops, "_upper_half", unbuilt)
     rc, out, err = run(capsys, "kernel", mode, "--n", "1", "--k", "5", "--max-degree", "2000")
     cumulative = [comb(d + 2, 2) for d in range(2001)]
@@ -1113,7 +1113,7 @@ def test_small_caps_answer_or_refuse_listing_within_the_cap(case):
     argv, cap = case
     listed = []
     tables = []
-    build = tautops._OrbitTables
+    build = tautops._column_tables
 
     def counted(listing):
         def wrapped(*args):
@@ -1123,15 +1123,16 @@ def test_small_caps_answer_or_refuse_listing_within_the_cap(case):
         return wrapped
 
     def recorded(*args):
-        tables.append(build(*args))
-        return tables[-1]
+        built = build(*args)
+        tables.append(built[0])
+        return built
 
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(cap))
-        for name in ("enumerate_compositions", "enumerate_partitions", "_partitions"):
+        for name in ("enumerate_compositions", "enumerate_partitions"):
             mp.setattr(tautops, name, counted(getattr(tautops, name)))
-        mp.setattr(tautops, "_OrbitTables", recorded)
+        mp.setattr(tautops, "_column_tables", recorded)
         with redirect_stdout(out), redirect_stderr(err):
             rc = cli.main(argv)
     assert rc in (0, 2), (argv, cap, err.getvalue())

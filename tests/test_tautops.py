@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbtaut import tautops
+from hilbtaut import combinat, tautops
 from hilbtaut.combinat import (
     enumerate_compositions,
     enumerate_partitions,
@@ -34,6 +34,7 @@ from hilbtaut.tautops import (
     EXPONENT_RULES,
     EntryCapError,
     FiltrationReport,
+    _column_tables,
     _difference_support,
     _convolve,
     _counted,
@@ -46,7 +47,6 @@ from hilbtaut.tautops import (
     _nullities,
     _nullity_profile,
     _orbit_pairs,
-    _OrbitTables,
     _product,
     _shift_count,
     _slot_value,
@@ -243,10 +243,10 @@ def piece_columns(lam, max_deg):
     return list(reduce(_convolve, (_free_point_counts(lam.count(p), max_deg) for p in set(lam))))
 
 
-def table_index(tables, comps):
-    """The tables _OrbitTables gives, one {e: column} per composition, as one
-    index keyed (lam, e) over comps; a folded table not keyed yet is
-    filled on this first use."""
+def table_index(comps, n, d, fold):
+    """The tables _column_tables builds over comps, one {e: column} per
+    composition, as one index keyed (lam, e)."""
+    tables, _ = _column_tables(comps, n, d, fold)
     return {(lam, e): col for lam in comps for e, col in tables[lam].items()}
 
 
@@ -309,7 +309,7 @@ def unpinned_full_profile(n, k, max_deg):
     comps = enumerate_compositions(n, k)
     blocks = [label_block(level, b_labels(n, k, level)) for level in range(max(k - 1, 0))]
     cols = [_nkeys(len(comps), ring, d) for d in range(max_deg + 1)]
-    return _nullities(blocks, comps, ring, False, cols)
+    return _nullities(blocks, ring, False, cols)
 
 
 def restacked_profile(n, k, max_deg, invariant):
@@ -359,18 +359,16 @@ def engine_profile(n, k, max_deg, invariant):
     """Every level of _nullity_profile for n >= 2 and k >= 2, solved by
     the engine, called directly: _nullities over _stack's blocks of every
     order through k - 1, whatever max_deg (orders above max_deg + 1 add
-    no row), over the builder's planned columns and keyed compositions,
+    no row), over the builder's planned columns,
     pinned full systems tensored with Q[x_n, y_n].  _nullity_profile
     takes this path on three points or more."""
     ring = PolyRing(n if invariant else n - 1, max_deg)
     if invariant:
-        keyed = [mu + (0,) * (n - len(mu)) for mu in enumerate_partitions(k, n)]
         cols = invariant_columns(n, k, max_deg)
     else:
-        keyed = enumerate_compositions(n, k)
-        cols = [_nkeys(len(keyed), ring, d) for d in range(max_deg + 1)]
+        cols = [_nkeys(comb(n + k - 1, k), ring, d) for d in range(max_deg + 1)]
     blocks = _stack(n, k, PolyRing(ring.n, k), invariant)
-    profile = _nullities(blocks, keyed, ring, invariant, cols)
+    profile = _nullities(blocks, ring, invariant, cols)
     if not invariant:
         profile = [list(accumulate(accumulate(dims))) for dims in profile]
     return profile
@@ -381,7 +379,7 @@ def two_part_piece(n, mu, max_deg):
     the engine, called directly on its block, tensored with the symmetric
     polynomials on the n - 2 free points.  On two parts both exponent
     rules impose twice the smaller part, as _graded_block does."""
-    part = _nullities([_graded_block(mu)], [mu], PolyRing(2, max_deg), True,
+    part = _nullities([_graded_block(mu)], PolyRing(2, max_deg), True,
                       piece_columns(mu, max_deg))[1]
     return tuple(accumulate(_convolve(_free_point_counts(n - 2, max_deg), part)))
 
@@ -470,7 +468,7 @@ def test_condition_orbit_representatives_suffice():
         comps = enumerate_compositions(n, k)
         blocks = [label_block(level, b_labels(n, k, level)) for level in range(k - 1)]
         cols = [reference_columns(comps, ring, d, True)[0] for d in range(max_deg + 1)]
-        complete = _nullities(blocks, comps, ring, True, cols)
+        complete = _nullities(blocks, ring, True, cols)
         assert _nullity_profile(n, k, max_deg, True) == complete
 
 
@@ -493,9 +491,8 @@ def test_column_orbits_match_relabeling_action():
                 lam: folded[lam] + term[lam] for lam in folded
             }
     monos = ring.monomials(2)
-    tables = _OrbitTables(comps, 3, 2, True)
     count = invariant_columns(3, 2, 2)[2]
-    index = table_index(tables, comps)
+    index = table_index(comps, 3, 2, True)
     upper = [(lam, e) for lam in comps for e in monos if 2 * sum(e[:3]) >= 2]
     assert set(index) == set(upper)
     orbit_values = {}
@@ -615,7 +612,7 @@ def test_row_counts_from_sizes_match_built_rows(n, k, max_deg, invariant):
                     for d in range(max_deg + 1):
                         expected[d] += len(kept.get(d, set()) - implied.get(d, set()))
     # over no columns, the last level is minus every row of the stack
-    assert [-c for c in _counted(conditions, ring, [0] * (max_deg + 1), "stack")[-1]] == expected
+    assert [-c for c in _counted(conditions, ring, [0] * (max_deg + 1), 1, "stack")[-1]] == expected
     for points in (1, 2, 3):
         ring = PolyRing(points, 4)
         for order in range(1, 5):
@@ -656,24 +653,26 @@ def test_row_cap_counts_the_trimmed_stack(monkeypatch, args, shape):
 
 @pytest.mark.parametrize("system", ["invariant", "full", "graded"])
 def test_nullities_build_only_the_upper_half(monkeypatch, system):
-    # Every row is looked up in the tables _OrbitTables builds, so tables
-    # holding only 2g >= d keys, those filled on use too, admit no row of
-    # 2g < d.
+    # Every row is looked up in the tables _column_tables builds, so tables
+    # holding only 2g >= d keys admit no row of 2g < d.
     returned = []
-    build, solve = tautops._OrbitTables, tautops._nullities
+    build, solve = tautops._column_tables, tautops._nullities
 
-    def checked(keyed, n, d, fold):
-        tables = build(keyed, n, d, fold)
+    def checked(comps, n, d, fold):
+        tables, ids = build(comps, n, d, fold)
         returned.append((n, d, tables))
-        return tables
+        return tables, ids
 
-    def planned(blocks, keyed, ring, fold, cols):
-        # the builder's column counts are the reference's, over every key
-        assert cols == [reference_columns(keyed, ring, d, fold)[0]
+    def planned(blocks, ring, fold, cols):
+        # the builder's column counts are the reference's, over every key:
+        # a graded piece's at its partition, a kernel's at every composition
+        (_, _, order, (mu, *_)), *_ = blocks[0]
+        comps = [mu] if order == 0 else enumerate_compositions(len(mu), sum(mu) + order)
+        assert cols == [reference_columns(comps, ring, d, fold)[0]
                         for d in range(ring.max_deg + 1)]
-        return solve(blocks, keyed, ring, fold, cols)
+        return solve(blocks, ring, fold, cols)
 
-    monkeypatch.setattr(tautops, "_OrbitTables", checked)
+    monkeypatch.setattr(tautops, "_column_tables", checked)
     monkeypatch.setattr(tautops, "_nullities", planned)
     if system == "graded":
         graded_dims(3, 4, 4)
@@ -785,7 +784,7 @@ def test_stacked_blocks_build_only_their_new_jet_degree(monkeypatch, system):
             block = _graded_block(mu)
             kept = {A: degrees for A, degrees, *_ in block}
             assert all(degrees.stop == e for degrees in kept.values())
-            _nullities([block], [mu], PolyRing(len(mu), 4), True, piece_columns(mu, 4))
+            _nullities([block], PolyRing(len(mu), 4), True, piece_columns(mu, 4))
             assert {d for _, _, d, _ in calls} == set(range(5))
             for A, ring, d, built in _built_keys(calls):
                 assert built == _upper_keys(ring, A, d, kept[A])
@@ -828,13 +827,12 @@ def test_column_count_mirrors_the_upper_half():
                         upper = {(lam, e) for lam in columns for e in ring.monomials(d)
                                  if 2 * sum(e[:points]) >= d}
                         for fold in (True, False):
-                            tables = _OrbitTables(columns, points, d, fold)
                             count, index = reference_columns(columns, ring, d, fold)
                             if not fold:
                                 assert _nkeys(len(columns), ring, d) == count
                             elif points == n:
                                 assert folded[d] == count
-                            numbered = table_index(tables, columns)
+                            numbered = table_index(columns, points, d, fold)
                             assert set(numbered) == upper
                             renumbered = {}
                             assert numbered == {
@@ -849,8 +847,8 @@ def test_column_count_mirrors_the_upper_half():
 # ones (_nkeys) are its keys, pinned on n - 1 points; and each order's shifts
 # (_shift_count) are those _stack lists, in both modes.
 def test_planned_counts_match_what_is_listed():
-    def mirrored(tables, d, xdeg):
-        return sum(1 if 2 * xdeg(key) == d else 2 for key in tables.ids)
+    def mirrored(ids, d, xdeg):
+        return sum(1 if 2 * xdeg(key) == d else 2 for key in ids)
 
     for n in range(1, 5):
         for k in range(7):
@@ -859,11 +857,11 @@ def test_planned_counts_match_what_is_listed():
             comps = enumerate_compositions(n, k)
             pinned = PolyRing(max(n - 1, 1), 4)
             for d in range(5):
-                tables = _OrbitTables(keyed, n, d, True)
-                assert folded[d] == mirrored(tables, d, lambda key: sum(t[1] for t in key))
-                tables = _OrbitTables(comps, pinned.n, d, False)
+                _, ids = _column_tables(keyed, n, d, True)
+                assert folded[d] == mirrored(ids, d, lambda key: sum(t[1] for t in key))
+                _, ids = _column_tables(comps, pinned.n, d, False)
                 assert _nkeys(len(comps), pinned, d) == mirrored(
-                    tables, d, lambda key: sum(key[1][:pinned.n]))
+                    ids, d, lambda key: sum(key[1][:pinned.n]))
             if n > 1:
                 for invariant in (True, False):
                     blocks = _stack(n, k, PolyRing(n, k), invariant)
@@ -877,27 +875,29 @@ def test_tables_past_the_planned_columns_are_a_fault():
     mu = (2, 1)
     block = _graded_block(mu)
     cols = piece_columns(mu, 2)
-    assert _nullities([block], [mu], PolyRing(2, 2), True, cols)[0] == cols
+    assert _nullities([block], PolyRing(2, 2), True, cols)[0] == cols
     # degree 1 keys the two exponents x_1 and x_2 of x-degree 1
     with pytest.raises(RuntimeError, match="degree 1 keys 2 columns, more than the 1") as fault:
-        _nullities([block], [mu], PolyRing(2, 2), True, cols[:1] + [1] + cols[2:])
+        _nullities([block], PolyRing(2, 2), True, cols[:1] + [1] + cols[2:])
     assert not isinstance(fault.value, EntryCapError)
 
 
-# Folded columns are keyed at the non-increasing compositions, and a table is
-# filled for another composition only when a row of a condition whose support
-# names it is built: at (4, 4), 11 of the 35 compositions, 5 of them
-# non-increasing, and fewer at the low degrees, where fewer jets are imposed.
+# The engine builds the tables of the compositions its supports name, and no
+# other, in reverse lexicographic order, every degree: at (4, 4), 11 of the 35
+# compositions, 5 of them non-increasing.  In that order each relabeling orbit
+# first appears at its non-increasing member, so an invariant system numbers
+# its columns at partitions of k it never lists.  A graded piece names its
+# partition alone.
 def test_folded_columns_key_only_representatives_and_named_compositions(monkeypatch):
     returned = []
-    build = tautops._OrbitTables
+    build = tautops._column_tables
 
     def recorded(comps, n, d, fold):
-        tables = build(comps, n, d, fold)
-        returned.append((set(comps), tables))
-        return tables
+        tables, ids = build(comps, n, d, fold)
+        returned.append((list(comps), n, d, ids))
+        return tables, ids
 
-    monkeypatch.setattr(tautops, "_OrbitTables", recorded)
+    monkeypatch.setattr(tautops, "_column_tables", recorded)
     n, k = 4, 4
     kernel_nullity(n, k, 3, invariant=True)
     named = {lam for block in _stack(n, k, PolyRing(n, 3), True)
@@ -906,14 +906,41 @@ def test_folded_columns_key_only_representatives_and_named_compositions(monkeypa
     comps = set(enumerate_compositions(n, k))
     sorted_comps = {lam for lam in comps if list(lam) == sorted(lam, reverse=True)}
     assert len(comps) == 35 and len(sorted_comps) == 5
-    assert len(sorted_comps | named) == 11
-    assert [len(keyed) for _, keyed in returned] == [9, 10, 11, 11]
-    for columns, keyed in returned:
-        assert columns == sorted_comps
-        assert sorted_comps <= set(keyed) <= sorted_comps | named
+    assert len(named) == 11 and sorted_comps <= named
+    assert [columns for columns, *_ in returned] == [sorted(named, reverse=True)] * 4
+    for columns, points, d, ids in returned:
+        # an orbit is named by its keys' sorted triples: each is numbered
+        # where it first appears, at a non-increasing composition
+        first = {}
+        for lam in columns:
+            for e in tautops._upper_half(points, d):
+                first.setdefault(tuple(sorted(zip(lam, e[:points], e[points:]))), lam)
+        assert list(first) == list(ids)
+        assert all(list(lam) == sorted(lam, reverse=True) for lam in first.values())
     returned.clear()
     graded_dims(n, k, 3)
-    assert returned and all(set(keyed) == columns for columns, keyed in returned)
+    assert {tuple(columns) for columns, *_ in returned} == {((2, 1, 1),), ((1, 1, 1, 1),)}
+
+
+# Neither builder lists the compositions or partitions of k to number its
+# columns: an invariant kernel lists no partition, and a full one lists the
+# compositions of k - o alone, its shifts.
+def test_kernels_list_no_column_keys(monkeypatch):
+    calls = []
+
+    def spied(listing):
+        def wrapped(*args):
+            calls.append(args)
+            return listing(*args)
+        return wrapped
+
+    monkeypatch.setattr(combinat, "_partitions", spied(combinat._partitions))
+    monkeypatch.setattr(tautops, "_partitions", spied(combinat._partitions), raising=False)
+    assert kernel_nullity(4, 4, 3, invariant=True) == (1, 5, 21, 73)
+    assert calls == []
+    monkeypatch.setattr(tautops, "enumerate_compositions", spied(enumerate_compositions))
+    kernel_nullity(3, 4, 3, invariant=False)
+    assert sorted(calls) == [(3, 4 - o) for o in (3, 2, 1)]
 
 
 # Every level ranked from rows built here, per x-degree block: invariant and
@@ -965,18 +992,17 @@ def test_filtration_resource_cap(monkeypatch):
 
 # The key table is checked from sizes by the builder of a system, once, at
 # max_deg, where it is largest (_nullity_profile, graded_dims); _nullities
-# and _OrbitTables check nothing.
+# and _column_tables check nothing.
 def test_column_orbit_keys_are_capped(monkeypatch):
     # the invariant (3, 2) system at degree 1: 6 compositions x 6 monomials,
     # keyed by 3 triples each
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "107")
     ring = PolyRing(3, 1)
-    keyed = [(2, 0, 0), (1, 1, 0)]
     assert invariant_columns(3, 2, 1) == [2, 8]
     with pytest.raises(EntryCapError, match="column orbit keys: 36 x 3"):
         kernel_nullity(3, 2, 1, invariant=True)
-    assert _nullities([], keyed, ring, True, [2, 8]) == [[2, 8]]
-    assert _OrbitTables(keyed, 3, 1, True).ids
+    assert _nullities([], ring, True, [2, 8]) == [[2, 8]]
+    assert _column_tables([(2, 0, 0), (1, 1, 0)], 3, 1, True)[1]
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "108")
     assert kernel_nullity(3, 2, 1, invariant=True) == (1, 5)
     # the graded piece (2) on one point at degree 5: its 6 exponents, where
@@ -988,12 +1014,11 @@ def test_column_orbit_keys_are_capped(monkeypatch):
     assert graded_dims(1, 2, 5) == {(2,): (1, 3, 6, 10, 15, 21)}
 
 
-def test_key_table_refused_exactly_when_over_the_cap_at_max_degree(monkeypatch):
+def test_key_table_refused_exactly_when_over_the_cap_at_max_degree():
     # A table is checked at degree 2^bits, bits the cap's bit length, or on
     # more variables than bits at degree bits, when that is below max-degree:
     # it is already over the cap there.
     for cap in (1, 7, 100, 5000):
-        monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", str(cap))
         for points in range(1, 9):
             for max_deg in range(12):
                 for ncomps, slots in ((1, points), (3, points + 1)):
@@ -1001,9 +1026,9 @@ def test_key_table_refused_exactly_when_over_the_cap_at_max_degree(monkeypatch):
                     keys = ncomps * comb(2 * points + max_deg - 1, max_deg)
                     if keys * slots > cap:
                         with pytest.raises(EntryCapError, match="^keys: "):
-                            tautops._check_keys(ncomps, ring, slots, "keys")
+                            tautops._check_keys(ncomps, ring, slots, cap, "keys")
                     else:
-                        tautops._check_keys(ncomps, ring, slots, "keys")
+                        tautops._check_keys(ncomps, ring, slots, cap, "keys")
 
 
 def test_unfolded_column_keys_are_capped(monkeypatch):
@@ -1017,9 +1042,9 @@ def test_unfolded_column_keys_are_capped(monkeypatch):
     assert cols == [6, 36]
     with pytest.raises(EntryCapError, match="column keys: 24 x 3"):
         kernel_nullity(3, 2, 1, invariant=False)
-    assert _nullities([], comps, ring, False, cols) == [[6, 36]]
+    assert _nullities([], ring, False, cols) == [[6, 36]]
     # 6 compositions times the 3 exponents of x-degree 1, the mirror unkeyed
-    assert len(_OrbitTables(comps, 3, 1, False).ids) == 18
+    assert len(_column_tables(comps, 3, 1, False)[1]) == 18
     monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "72")
     with pytest.raises(EntryCapError, match=re.escape("kernel system (3,2): 18 x 24")):
         kernel_nullity(3, 2, 1, invariant=False)
@@ -1133,10 +1158,9 @@ def test_orders_above_max_degree_plus_one_are_not_built(monkeypatch):
     report = verify_filtration(2, 6, 1)
     assert not orders
     ring = PolyRing(2, 1)
-    keyed = [mu + (0,) * (2 - len(mu)) for mu in enumerate_partitions(6, 2)]
-    _nullities(_stack(2, 6, ring, True), keyed, ring, True, invariant_columns(2, 6, 1))
-    _nullities(_stack(2, 6, PolyRing(1, 1), False), enumerate_compositions(2, 6),
-               PolyRing(1, 1), False, [_nkeys(7, PolyRing(1, 1), d) for d in range(2)])
+    _nullities(_stack(2, 6, ring, True), ring, True, invariant_columns(2, 6, 1))
+    _nullities(_stack(2, 6, PolyRing(1, 1), False), PolyRing(1, 1), False,
+               [_nkeys(7, PolyRing(1, 1), d) for d in range(2)])
     pieces = {mu: two_part_piece(2, mu, 1) for mu in report.graded if len(mu) == 2}
     assert orders == {0, 1, 2}
     assert report.full_nullities == ((7, 35), (1, 17), (1, 7), (1, 7), (1, 7), (1, 7))
@@ -1204,7 +1228,7 @@ def test_two_point_systems_count_what_the_engine_solves():
 
 # ... and reaches no engine: no table, no row, no elimination.  A kernel at
 # n = 2, verify_filtration at n = 2, and graded_dims at n = 2, whose pieces
-# have at most two parts, call none of _nullities, _OrbitTables or
+# have at most two parts, call none of _nullities, _column_tables or
 # sparse_int_rank; at n = 3 to 5 graded_dims solves the pieces of three
 # parts or more alone.
 def test_two_point_systems_run_no_engine(monkeypatch):
@@ -1213,12 +1237,12 @@ def test_two_point_systems_run_no_engine(monkeypatch):
     def unreached(*args):
         raise AssertionError("a two-point system reached the engine")
 
-    def recorded(blocks, keyed, ring, fold, cols):
-        solved.append(keyed)
-        return solve(blocks, keyed, ring, fold, cols)
+    def recorded(blocks, ring, fold, cols):
+        solved.extend(mu for block in blocks for _, _, _, shifts in block for mu in shifts)
+        return solve(blocks, ring, fold, cols)
 
     solve = tautops._nullities
-    for name in ("_nullities", "_OrbitTables", "sparse_int_rank"):
+    for name in ("_nullities", "_column_tables", "sparse_int_rank"):
         monkeypatch.setattr(tautops, name, unreached)
     for k in range(2, 13):
         for max_deg in (0, 4, 8):
@@ -1229,13 +1253,13 @@ def test_two_point_systems_run_no_engine(monkeypatch):
     for k in range(1, 5):
         verify_filtration(2, k, 4)
     monkeypatch.setattr(tautops, "_nullities", recorded)
-    monkeypatch.setattr(tautops, "_OrbitTables", _OrbitTables)
+    monkeypatch.setattr(tautops, "_column_tables", _column_tables)
     monkeypatch.setattr(tautops, "sparse_int_rank", sparse_int_rank)
     for n in range(3, 6):
         for k in range(2, 9):
             for rule in EXPONENT_RULES:
                 graded_dims(n, k, 4, exponent_rule=rule)
-    assert solved and all(len(mu) >= 3 for keyed in solved for mu in keyed)
+    assert solved and all(len(mu) >= 3 for mu in solved)
 
 
 # The plan counts each level's rows once per degree, and answers from that
@@ -1278,10 +1302,11 @@ def test_free_point_table_refused_before_partitions_are_listed(monkeypatch, n, k
                                   f"cap {cap}; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it")
 
 
-# The cap is read once per system a piece sizes, plus a few reads for the
-# whole call: 1,001 pieces of 2000 into at most two parts, 1,000 of them
-# of two parts.
-def test_graded_reads_the_cap_once_per_piece(monkeypatch):
+# The cap is read once per builder call, and each check takes it from there:
+# once for graded_dims(2, 2000, 0), 1,001 pieces, 1,000 of them of two parts,
+# and for graded_dims(4, 6, 3) and kernel_nullity(3, 4, 3); three times for
+# verify_filtration(3, 4, 3), which calls a builder three times.
+def test_builders_read_the_cap_once_per_call(monkeypatch):
     reads = []
     read = tautops._max_entries
 
@@ -1290,9 +1315,13 @@ def test_graded_reads_the_cap_once_per_piece(monkeypatch):
         return read()
 
     monkeypatch.setattr(tautops, "_max_entries", recorded)
-    pieces = graded_dims(2, 2000, 0)
-    assert len(pieces) == 1001
-    assert len(reads) <= len(pieces) + 3
+    assert len(graded_dims(2, 2000, 0)) == 1001
+    for call, args, expected in [(graded_dims, (2, 2000, 0), 1), (graded_dims, (4, 6, 3), 1),
+                                 (kernel_nullity, (3, 4, 3), 1),
+                                 (verify_filtration, (3, 4, 3), 3)]:
+        reads.clear()
+        call(*args)
+        assert len(reads) == expected, (call.__name__, args)
 
 
 # A graded piece imposes no odd u-v-degree at a pair of equal parts, whose
