@@ -12,9 +12,11 @@ produce identical bytes, with the one caveat that verification reports
 carry those timings.
 
 Every option and its default is declared once, in _build_parser; each
-handler and suite builder reads the parsed namespace, cfg, once
-_validate has parsed the bundle vectors and made the range checks
-argparse cannot.
+handler reads the parsed namespace, cfg, once _validate has parsed the
+bundle vectors and made the range checks argparse cannot.  The
+verification cases are the rows of one registry, _cases, which takes
+the only option a case reads, --seed; the suite names --suite accepts
+are read off its rows.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
 (a one-line message; bad arguments, a bad HILBTAUT_MAX_MATRIX_ENTRIES and
@@ -65,8 +67,8 @@ from .tautops import (
     EntryCapError,
     _check_cap,
     _check_partitions,
-    _digits,
     _max_entries,
+    _print_limit,
     graded_dims,
     graded_totals,
     in_proven_range,
@@ -175,9 +177,9 @@ def _gate_range(cfg) -> bool:
 
 def _printable(value: int, name: str) -> int:
     """value, if the interpreter can convert it to a decimal string
-    (tautops._digits)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and _digits(value) > limit:
+    (tautops._print_limit)."""
+    limit = _print_limit(value)
+    if limit:
         raise UsageError(
             f"{name} has more than {limit} digits, the interpreter's limit "
             "for printing an integer"
@@ -334,205 +336,156 @@ def cmd_reps(cfg) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-# each case is (key, thunk); thunks return a detail dict and raise
-# AssertionError on failure, so a suite result is reproducible and
-# sortable by key
+# Every case is one row (suite, key, check, args) of _cases; check(*args)
+# returns a detail dict and raises AssertionError on failure, so a suite
+# result is reproducible and sortable by key.
 
 
-def _suite_toeplitz(cfg):
-    cases = []
+def _minors(family, n):
+    # Entries depend on r - c alone, so family(n, m) is the leading m x m
+    # block of family(n, 12) and its determinant is the m-th minor below.
+    for m, d in enumerate(leading_principal_minors(family(n, 12)), 1):
+        if d <= 0:
+            raise AssertionError(f"nonpositive minor at n={n}, m={m}")
+    return {"m_max": 12}
+
+
+def _r_ranks(k):
+    count = 0
+    for j in range(1, k // 2 + 1):
+        for l in range(0, 2 * j + 1):
+            rank = int_rank(r_matrix(l, k, j))
+            if rank != k - 2 * j + 1:
+                raise AssertionError(f"rank drop at (l,k,j)=({l},{k},{j})")
+            count += 1
+        if r_matrix(2 * j, k, j) != t_even(j, k + 1 - 2 * j):
+            raise AssertionError(f"R(2j,k,j) != T_even at (k,j)=({k},{j})")
+    return {"rank_checks": count}
+
+
+def _antiinv_dims(k):
+    full = antiinv_dims_R(k)
+    for name, dims, wants in (("rho", rho_from_R(full), {k - 1: k}),
+                              ("R", full, {k - 1: k, k: 2 * k, k + 1: k})):
+        for q, dim in enumerate(dims):
+            if dim != wants.get(q, 0):
+                raise AssertionError(f"{name}_{k} dim {dim} at q={q}, want {wants.get(q, 0)}")
+    return {"q_max": 2 * k}
+
+
+def _omega(k):
+    verify_omega(k)
+    return {}
+
+
+def _sym_map(k):
+    return {"constant": str(verify_sym_map(k))}
+
+
+def _local(k):
+    constants = verify_invariant_local_formula(k)
+    values = set(constants.values())
+    if len(values) != 1:
+        raise AssertionError(f"local constants disagree at k={k}: {constants}")
+    return {"constant": str(values.pop()), "operators": sorted(constants)}
+
+
+def _chi_routes(seed, name, k):
+    import random
+
+    s = get_surface(name)
+    rng = random.Random(f"{seed}:{name}:{k}")
+    checks = 0
+    for _ in range(25):
+        L = tuple(rng.randrange(-4, 5) for _ in range(s.rank))
+        A = tuple(rng.randrange(-4, 5) for _ in range(s.rank))
+        two_point = chi_sym_power_n2(s, k, L, A)
+        general = chi_sym_power_smallk(s, 2, k, L, A)
+        if two_point != general:
+            raise AssertionError(f"chi mismatch on {name}, k={k}, L={L}, A={A}: "
+                                 f"{two_point} != {general}")
+        checks += 1
+    return {"checks": checks}
+
+
+def _kernel_vs_graded(n, k, degree):
+    report = verify_filtration(n, k, degree)
+    kernel = list(report.invariant_nullities[-1])
+    detail = {"max_degree": degree, "invariant": kernel,
+              "graded_total": list(graded_totals(report.graded))}
+    if n == k == 2:
+        if kernel[:3] != [1, 5, 18]:
+            raise AssertionError(f"spot vector off: {kernel[:3]}")
+        detail["spot"] = kernel[:3]
+    return detail
+
+
+def _orbit_counts(n, k):
+    order_h = factorial(k)
+    order_gh = factorial(n) * order_h
+    checked = 0
+    for l in range(0, k + 1):
+        found = {group: orbits(n, k, l, group) for group in ("H", "GxH")}
+        for name, quotient, group in (("B", quotient_B, "H"), ("A", quotient_A, "GxH")):
+            if len(quotient(k, l, n)) != len(found[group]):
+                raise AssertionError(f"{name} count off at l={l}")
+        for group, order in (("H", order_h), ("GxH", order_gh)):
+            for rep, size in found[group]:
+                if stabilizer_order(n, rep, group) * size != order:
+                    raise AssertionError(f"{group} stabilizer off at l={l}")
+        checked += len(found["H"]) + len(found["GxH"])
+    return {"orbit_checks": checked}
+
+
+def _listed():
+    for k, want in ((3, [((2,), ()), ((1,), (1,))]),
+                    (4, [((3,), ()), ((2, 1), ()), ((2,), (1,)), ((1,), (2,)), ((1,), (1, 1))])):
+        if quotient_A0(k, 1, k + 1) != want:
+            raise AssertionError(f"A0({k},1) summands off")
+    return {"sets": 2}
+
+
+def _cases(seed):
+    """Every verification case, in the order they run: suite by suite,
+    one row (suite, key, check, args) each.  Only the rows are built
+    here; _run_cases calls the checks."""
     for n in range(1, 7):
-        # Entries depend on r - c alone, so t_*(n, m) is the leading m x m
-        # block of t_*(n, 12) and its determinant is the m-th minor below.
-        def check_even(n=n):
-            for m, d in enumerate(leading_principal_minors(t_even(n, 12)), 1):
-                if d <= 0:
-                    raise AssertionError(f"nonpositive minor at n={n}, m={m}")
-            return {"m_max": 12}
-
-        def check_odd(n=n):
-            for m, d in enumerate(leading_principal_minors(t_odd(n, 12)), 1):
-                if d == 0:
-                    raise AssertionError(f"singular odd matrix at n={n}, m={m}")
-            return {"m_max": 12}
-
-        cases.append((f"even minors n={n}", check_even))
-        cases.append((f"odd dets n={n}", check_odd))
+        yield "toeplitz", f"even minors n={n}", _minors, (t_even, n)
+        yield "toeplitz", f"odd dets n={n}", _minors, (t_odd, n)
     for k in range(2, 13):
-        def check_ranks(k=k):
-            count = 0
-            for j in range(1, k // 2 + 1):
-                for l in range(0, 2 * j + 1):
-                    rank = int_rank(r_matrix(l, k, j))
-                    if rank != k - 2 * j + 1:
-                        raise AssertionError(f"rank drop at (l,k,j)=({l},{k},{j})")
-                    count += 1
-                if r_matrix(2 * j, k, j) != t_even(j, k + 1 - 2 * j):
-                    raise AssertionError(f"R(2j,k,j) != T_even at (k,j)=({k},{j})")
-            return {"rank_checks": count}
-
-        cases.append((f"R ranks k={k}", check_ranks))
-    return cases
-
-
-def _suite_reps(cfg):
-    cases = []
+        yield "toeplitz", f"R ranks k={k}", _r_ranks, (k,)
     for k in range(1, 8):
-        def check_dims(k=k):
-            full = antiinv_dims_R(k)
-            for q, dim in enumerate(rho_from_R(full)):
-                want = k if q == k - 1 else 0
-                if dim != want:
-                    raise AssertionError(f"rho_{k} dim {dim} at q={q}, want {want}")
-            for q, dim in enumerate(full):
-                want = {k - 1: k, k: 2 * k, k + 1: k}.get(q, 0)
-                if dim != want:
-                    raise AssertionError(f"R_{k} dim {dim} at q={q}, want {want}")
-            return {"q_max": 2 * k}
-
-        cases.append((f"anti-invariant dims k={k}", check_dims))
+        yield "reps", f"anti-invariant dims k={k}", _antiinv_dims, (k,)
     for k in range(2, 7):
-        def check_omega(k=k):
-            verify_omega(k)
-            return {}
-
-        cases.append((f"omega recursion k={k}", check_omega))
+        yield "reps", f"omega recursion k={k}", _omega, (k,)
     for k in (2, 3, 4):
-        def check_sym(k=k):
-            return {"constant": str(verify_sym_map(k))}
-
-        cases.append((f"sym map k={k}", check_sym))
-    return cases
-
-
-def _suite_recursion(cfg):
-    def check_local(k):
-        constants = verify_invariant_local_formula(k)
-        values = set(constants.values())
-        if len(values) != 1:
-            raise AssertionError(f"local constants disagree at k={k}: {constants}")
-        return {"constant": str(values.pop()), "operators": sorted(constants)}
-
-    return [
-        ("difference recursion l<=8", verify_recursion),
-        ("rescaling transition l<=4", verify_transition),
-        ("local formulas k=3", lambda: check_local(3)),
-        ("local formulas k=4", lambda: check_local(4)),
-    ]
-
-
-def _suite_chi_consistency(cfg):
-    cases = []
+        yield "reps", f"sym map k={k}", _sym_map, (k,)
+    yield "recursion", "difference recursion l<=8", verify_recursion, ()
+    yield "recursion", "rescaling transition l<=4", verify_transition, ()
+    for k in (3, 4):
+        yield "recursion", f"local formulas k={k}", _local, (k,)
     for name in sorted(BUILTIN_SURFACES):
         for k in (3, 4):
-            def check(name=name, k=k):
-                import random
-
-                s = get_surface(name)
-                rng = random.Random(f"{cfg.seed}:{name}:{k}")
-                checks = 0
-                for _ in range(25):
-                    L = tuple(rng.randrange(-4, 5) for _ in range(s.rank))
-                    A = tuple(rng.randrange(-4, 5) for _ in range(s.rank))
-                    two_point = chi_sym_power_n2(s, k, L, A)
-                    general = chi_sym_power_smallk(s, 2, k, L, A)
-                    if two_point != general:
-                        raise AssertionError(
-                            f"chi mismatch on {name}, k={k}, L={L}, A={A}: "
-                            f"{two_point} != {general}"
-                        )
-                    checks += 1
-                return {"checks": checks}
-
-            cases.append((f"chi routes {name} k={k}", check))
-    return cases
-
-
-def _suite_kernel_vs_graded(cfg):
-    cases = []
-    for n, k in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4)):
-        def check(n=n, k=k, degree=4 if n == 2 else 3):
-            report = verify_filtration(n, k, degree)
-            detail = {
-                "max_degree": degree,
-                "invariant": list(report.invariant_nullities[-1]),
-                "graded_total": list(graded_totals(report.graded)),
-            }
-            if n == k == 2:
-                spot = list(report.invariant_nullities[-1][:3])
-                if spot != [1, 5, 18]:
-                    raise AssertionError(f"spot vector off: {spot}")
-                detail["spot"] = spot
-            return detail
-
-        cases.append((f"kernel=graded n={n} k={k}", check))
-    return cases
-
-
-def _suite_combinatorics(cfg):
-    cases = []
+            yield "chi-consistency", f"chi routes {name} k={k}", _chi_routes, (seed, name, k)
+    for n, k, degree in ((2, 2, 4), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 4, 3)):
+        yield "kernel-vs-graded", f"kernel=graded n={n} k={k}", _kernel_vs_graded, (n, k, degree)
     for n in range(1, 5):
         for k in range(1, 6):
-            def check(n=n, k=k):
-                order_h = factorial(k)
-                order_gh = factorial(n) * order_h
-                checked = 0
-                for l in range(0, k + 1):
-                    h_orbits = orbits(n, k, l, "H")
-                    gh_orbits = orbits(n, k, l, "GxH")
-                    if len(quotient_B(k, l, n)) != len(h_orbits):
-                        raise AssertionError(f"B count off at l={l}")
-                    if len(quotient_A(k, l, n)) != len(gh_orbits):
-                        raise AssertionError(f"A count off at l={l}")
-                    for rep, size in h_orbits:
-                        if stabilizer_order(n, rep, "H") * size != order_h:
-                            raise AssertionError(f"H stabilizer off at l={l}")
-                    for rep, size in gh_orbits:
-                        if stabilizer_order(n, rep, "GxH") * size != order_gh:
-                            raise AssertionError(f"GxH stabilizer off at l={l}")
-                    checked += len(h_orbits) + len(gh_orbits)
-                return {"orbit_checks": checked}
-
-            cases.append((f"orbit counts n={n} k={k}", check))
-
-    def check_listed():
-        if quotient_A0(3, 1, 4) != [((2,), ()), ((1,), (1,))]:
-            raise AssertionError("A0(3,1) summands off")
-        if quotient_A0(4, 1, 5) != [
-            ((3,), ()),
-            ((2, 1), ()),
-            ((2,), (1,)),
-            ((1,), (2,)),
-            ((1,), (1, 1)),
-        ]:
-            raise AssertionError("A0(4,1) summands off")
-        return {"sets": 2}
-
-    cases.append(("listed summand sets", check_listed))
-    return cases
-
-
-_SUITE_BUILDERS = {
-    "toeplitz": _suite_toeplitz,
-    "reps": _suite_reps,
-    "recursion": _suite_recursion,
-    "chi-consistency": _suite_chi_consistency,
-    "kernel-vs-graded": _suite_kernel_vs_graded,
-    "combinatorics": _suite_combinatorics,
-}
-SUITES = ("all", *_SUITE_BUILDERS)
+            yield "combinatorics", f"orbit counts n={n} k={k}", _orbit_counts, (n, k)
+    yield "combinatorics", "listed summand sets", _listed, ()
 
 
 def _run_cases(cases):
-    """Run every case in turn, timing each, and report sorted by case key.
+    """Run every (key, check, args) case in turn, timing each, and report
+    sorted by case key.
 
     A case fails by raising AssertionError; the entry cap and internal
     faults propagate to main."""
     results = []
-    for key, thunk in cases:
+    for key, check, args in cases:
         start = time.perf_counter()
         try:
-            detail = thunk() or {}
+            detail = check(*args)
             ok = True
         except AssertionError as exc:
             detail = {"error": str(exc)}
@@ -543,11 +496,9 @@ def _run_cases(cases):
 
 
 def cmd_verify(cfg) -> int:
-    cases = []
-    for name, build in _SUITE_BUILDERS.items():
-        if cfg.suite in ("all", name):
-            cases += [(f"{name}: {key}", thunk) for key, thunk in build(cfg)]
-    results = _run_cases(cases)
+    results = _run_cases((f"{suite}: {key}", check, args)
+                         for suite, key, check, args in _cases(cfg.seed)
+                         if cfg.suite in ("all", suite))
     passed = sum(ok for _, ok, _, _ in results)
     failed = len(results) - passed
     entries, text, csv_rows = [], [], [["key", "status", "seconds"]]
@@ -650,7 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite",
         parents=[fmt_parent])
-    p_ver.add_argument("--suite", default="all", choices=SUITES)
+    suites = dict.fromkeys(suite for suite, *_ in _cases(0))
+    p_ver.add_argument("--suite", default="all", choices=("all", *suites))
     p_ver.add_argument("--seed", type=int, default=0,
                        help="seed for randomized sweeps (echoed in output)")
     return parser

@@ -169,9 +169,7 @@ class EntryCapError(RuntimeError):
 
 
 def _digits(x: int) -> int:
-    """The decimal digits of |x|, which _decimal and cli._printable hold
-    against sys.get_int_max_str_digits(), the limit for printing an
-    integer (Python 3.11 on; 0 means none): from the bit length b,
+    """The decimal digits of |x|: from the bit length b,
     10^((b - 1) log10 2) <= |x|, so the estimate below is at most one
     short, and one comparison makes it exact."""
     x = max(abs(x), 1)
@@ -179,11 +177,17 @@ def _digits(x: int) -> int:
     return digits + (x >= 10**digits)
 
 
-def _decimal(x: int) -> str:
-    """x in decimal, or, too long to print (_digits), its digit count."""
-    digits = _digits(x)
+def _print_limit(x: int) -> int:
+    """The interpreter's limit for printing an integer,
+    sys.get_int_max_str_digits() (Python 3.11 on), if |x| has more
+    digits (_digits), else 0; _decimal and cli._printable read it."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return f"a {digits}-digit number" if limit and digits > limit else str(x)
+    return limit if limit and _digits(x) > limit else 0
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or, too long to print (_print_limit), its digit count."""
+    return f"a {_digits(x)}-digit number" if _print_limit(x) else str(x)
 
 
 def _check_cap(nrows: int, ncols: int, cap: int, context: str) -> None:
@@ -563,8 +567,8 @@ def _nullities(blocks, ring: PolyRing, fold: bool, cols) -> list:
 def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     """Per-degree nullities of the stacked kernel systems, at every level.
 
-    Level l imposes the condition blocks of orders 1 through l, for l up
-    to max(k - 1, 0); l = 0 means no conditions.  A level above
+    Level l imposes the condition blocks of orders 1 through l, for l = 0,
+    no conditions, and each order of _orders(k, k).  A level above
     max_deg + 1 adds no row through max_deg and repeats the one below,
     unbuilt (_stack).  The result is indexed by level, then by total
     degree.  Full systems on n > 1 points are solved with point n pinned
@@ -587,7 +591,7 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
     else:
         cols = [_nkeys(ncomps, ring, d) for d in range(max_deg + 1)]
     profile = [cols]
-    if n > 1 and k > 1:
+    if n > 1 and _orders(k, max_deg):
         pairs = 1 if invariant else comb(n, 2)
         conditions = [(range(o - 1, o), pairs * _shift_count(n, k, o, invariant))
                       for o in _orders(k, max_deg)]
@@ -596,7 +600,7 @@ def _nullity_profile(n: int, k: int, max_deg: int, invariant: bool) -> list:
             profile = _nullities(_stack(n, k, ring, invariant), ring, invariant, cols)
     if pinned:
         profile = [list(accumulate(accumulate(dims))) for dims in profile]
-    return profile + [list(profile[-1]) for _ in range(max(k - 1, 0) + 1 - len(profile))]
+    return profile + [list(profile[-1]) for _ in range(len(_orders(k, k)) + 1 - len(profile))]
 
 
 @lru_cache(maxsize=None)
@@ -796,15 +800,16 @@ def verify_filtration(n: int, k: int, max_deg: int) -> FiltrationReport:
     full_rows = tuple(
         tuple(accumulate(dims)) for dims in _nullity_profile(n, k, max_deg, False)
     )
-    for l in range(1, k):
+    levels = tuple(zip(inv_rows, full_rows))
+    for l, ((inv0, full0), (inv, full)) in enumerate(zip(levels, levels[1:]), 1):
         for d in range(max_deg + 1):
-            if inv_rows[l][d] > inv_rows[l - 1][d] or full_rows[l][d] > full_rows[l - 1][d]:
+            if inv[d] > inv0[d] or full[d] > full0[d]:
                 raise AssertionError(
                     f"nullity grew from block {l - 1} to {l} at degree {d}"
                 )
-    for l in range(k):
+    for l, (inv, full) in enumerate(levels):
         for d in range(max_deg + 1):
-            if inv_rows[l][d] > full_rows[l][d]:
+            if inv[d] > full[d]:
                 raise AssertionError(
                     f"invariant nullity exceeds the full one at block {l}, degree {d}"
                 )
@@ -817,7 +822,7 @@ def verify_filtration(n: int, k: int, max_deg: int) -> FiltrationReport:
                 )
     graded = graded_dims(n, k, max_deg)
     totals = graded_totals(graded)
-    kernel = inv_rows[k - 1]
+    kernel = inv_rows[-1]
     mismatches = tuple(
         (d, kernel[d], totals[d])
         for d in range(max_deg + 1)

@@ -483,8 +483,35 @@ def test_verify_all_runs_every_suite(capsys):
     assert rc == 0
     report = json.loads(out)
     assert report["ok"] is True and report["failed"] == 0
-    suites = {c["key"].split(": ")[0] for c in report["cases"]}
-    assert suites == set(cli._SUITE_BUILDERS) and len(suites) == 6
+    keys = [f"{suite}: {key}" for suite, key, _, _ in cli._cases(0)]
+    assert [c["key"] for c in report["cases"]] == sorted(keys)
+    assert len({c["key"].split(": ")[0] for c in report["cases"]}) == 6
+
+
+def test_verify_case_keys_are_pinned():
+    # each suite's keys, from its own ranges, in the order the cases run
+    expected = {
+        "toeplitz": [f"{family} n={n}" for n in range(1, 7)
+                     for family in ("even minors", "odd dets")]
+        + [f"R ranks k={k}" for k in range(2, 13)],
+        "reps": [f"anti-invariant dims k={k}" for k in range(1, 8)]
+        + [f"omega recursion k={k}" for k in range(2, 7)]
+        + [f"sym map k={k}" for k in (2, 3, 4)],
+        "recursion": ["difference recursion l<=8", "rescaling transition l<=4",
+                      "local formulas k=3", "local formulas k=4"],
+        "chi-consistency": [f"chi routes {name} k={k}"
+                            for name in sorted(BUILTIN_SURFACES) for k in (3, 4)],
+        "kernel-vs-graded": [f"kernel=graded n={n} k={k}"
+                             for n, k in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))],
+        "combinatorics": [f"orbit counts n={n} k={k}" for n in range(1, 5) for k in range(1, 6)]
+        + ["listed summand sets"],
+    }
+    rows = [(suite, key) for suite, key, _, _ in cli._cases(0)]
+    assert rows == [(suite, key) for suite, keys in expected.items() for key in keys]
+    assert {suite: len(keys) for suite, keys in expected.items()} == {
+        "toeplitz": 23, "reps": 15, "recursion": 4, "chi-consistency": 8,
+        "kernel-vs-graded": 5, "combinatorics": 21,
+    }
 
 
 def test_verify_echoes_seed(capsys):
@@ -509,12 +536,10 @@ def test_verify_kernel_vs_graded_fixes_its_degrees(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    def broken(cfg):
-        def boom():
-            raise AssertionError("forced failure")
-        return [("forced case", boom)]
+    def boom(*args):
+        raise AssertionError("forced failure")
 
-    monkeypatch.setitem(cli._SUITE_BUILDERS, "toeplitz", broken)
+    monkeypatch.setattr(cli, "_minors", boom)
     rc, out, _ = run(capsys, "verify", "--suite", "toeplitz")
     assert rc == 1 and "FAIL" in out and "forced failure" in out
 
@@ -621,12 +646,10 @@ def test_verify_entry_cap_exits_two_with_one_line(capsys, monkeypatch):
 @pytest.mark.parametrize("fault", [TypeError, ValueError, ArithmeticError])
 def test_verify_internal_fault_exits_three_with_traceback(capsys, monkeypatch, fault):
     # a case fails only by AssertionError: any other exception is a fault
-    def broken(cfg):
-        def boom():
-            raise fault("internal fault")
-        return [("broken case", boom)]
+    def boom(*args):
+        raise fault("internal fault")
 
-    monkeypatch.setitem(cli._SUITE_BUILDERS, "toeplitz", broken)
+    monkeypatch.setattr(cli, "_minors", boom)
     rc, out, err = run(capsys, "verify", "--suite", "toeplitz")
     assert rc == 3 and out == ""
     assert "Traceback" in err and f"{fault.__name__}: internal fault" in err

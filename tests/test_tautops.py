@@ -1557,6 +1557,22 @@ def test_filtration_rejects_invariant_series_not_over_the_plane(monkeypatch):
         verify_filtration(2, 2, 2)
 
 
+@pytest.mark.parametrize("grown", [True, False])
+def test_filtration_rejects_a_profile_grown_at_its_last_level(monkeypatch, grown):
+    # the last level is the kernel; the walk over adjacent levels reaches it
+    real = tautops._nullity_profile
+
+    def profile(n, k, max_deg, invariant):
+        levels = list(real(n, k, max_deg, invariant))
+        if invariant == grown:
+            levels[-1] = [levels[0][0] + 1, *levels[0][1:]]
+        return levels
+
+    monkeypatch.setattr(tautops, "_nullity_profile", profile)
+    with pytest.raises(AssertionError, match="nullity grew from block 2 to 3 at degree 0"):
+        verify_filtration(2, 4, 3)
+
+
 def test_filtration_exploratory_mode():
     report = verify_filtration(3, 5, 1)
     assert isinstance(report, FiltrationReport)
