@@ -53,7 +53,7 @@ from .combinat import (
 from .linalg import bareiss_det, int_rank, leading_principal_minors
 from .rroch import (
     BUILTIN_SURFACES,
-    chi_graded_piece_n2,
+    chi_graded_pieces_n2,
     chi_sym_power,
     chi_sym_power_n2,
     chi_sym_power_smallk,
@@ -190,6 +190,8 @@ def _printable(value: int, name: str) -> int:
 def cmd_chi(cfg) -> int:
     s = _load(cfg)
     graded = cfg.n == 2
+    if graded:  # the gr row, one piece per partition (k - j, j), is a table too
+        _check_cap(1, cfg.k // 2 + 1, _max_entries(), f"chi gr row (2,{cfg.k})")
     gr_names = [f"gr_{j}" for j in range(cfg.k // 2 + 1)] if graded else []
     rows, text_lines = [], []
     csv_rows = [["surface", "n", "k", "L", "A", "chi", *gr_names]]
@@ -210,9 +212,10 @@ def cmd_chi(cfg) -> int:
             }
             line = (f"{s.name} n={cfg.n} k={cfg.k} "
                     f"L={_vec_str(L)} A={_vec_str(A)} chi={chi}")
-            gr = [_printable(chi_graded_piece_n2(s, cfg.k, j, L, A), name)
-                  for j, name in enumerate(gr_names)]
+            gr = []
             if graded:
+                gr = [_printable(piece, name) for name, piece in
+                      zip(gr_names, chi_graded_pieces_n2(s, cfg.k, L, A))]
                 row["gr"] = gr
                 line += " gr=" + _vec_str(gr)
             rows.append(row)

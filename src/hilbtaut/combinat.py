@@ -4,9 +4,10 @@ Two symmetric groups act throughout: G = S_n permutes the n points and
 H = S_k permutes the k tensor factors, with (sigma, tau).a = sigma a tau^-1
 on maps a from factor slots to point subsets.  This module fixes the
 enumeration orders once (reverse lexicographic for compositions, refined
-order for partitions), builds the label sets B(k,l), A(k,l), A0(k,l) that
-index every direct-sum decomposition downstream, and evaluates stabilizer
-orders in closed form.
+order for partitions), builds the label sets B(k,l), A(k,l), A0(k,l),
+and evaluates stabilizer orders in closed form.  The label sets are read
+by the combinatorics suite and the tests alone: the stacked kernel
+systems of tautops list their labels as compositions.
 
 A multi-index map is the tuple of its image bitmasks, slot by slot,
 with point j at bit j - 1, and every function here takes and returns

@@ -12,16 +12,16 @@ On top of that sit the closed formulas for chi of the symmetric powers
 S^k of a tautological bundle, twisted by the natural line bundle of a
 class A (numerically: A tensored into every factor):
 
-* a two-point formula valid for every k,
+* a two-point formula valid for every k: the sum of the graded pieces
+  of the filtration, one per partition (k - j, j), all read off one
+  pass over j,
 * for k <= 4 and every number of points, one sum over the j <= k
   points a graded piece of the filtration lives on:
   chi_{n,k} = sum_j c_j C(chi(A) + n - j - 1, n - j), where a binomial
   with negative lower index vanishes, dropping the parts that need more
   points than there are.  So (1 - z)^chi(A) sum_n chi_{n,k} z^n is the
   polynomial c_0 + c_1 z + ... + c_k z^k of degree <= k, a bound that
-  is open past k = 4; per k, only the list of c_j is written out,
-* the per-partition graded pieces in the two-point case, whose sum
-  telescopes to the first formula.
+  is open past k = 4; per k, only the list of c_j is written out.
 
 The k = 2 any-n formula is *derived* (two-step filtration plus the sign
 of the flip on the conormal ideal), not quoted; it specializes to the
@@ -200,19 +200,33 @@ def chi_twists(s: SurfaceModel, L, A):
 
 
 def chi_sym_power_n2(s: SurfaceModel, k: int, L, A) -> int:
-    """The two-point formula, any k >= 0."""
+    """The two-point formula, any k >= 0: the sum of the graded pieces."""
+    return sum(chi_graded_pieces_n2(s, k, L, A))
+
+
+def chi_graded_pieces_n2(s: SurfaceModel, k: int, L, A) -> list[int]:
+    """chi of the graded pieces labeled (k-j, j), j = 0 .. k // 2, of the
+    two-point filtration.
+
+    Distinct parts pair the two line-bundle factors and subtract the full
+    string chi(S^l Omega otimes L^k otimes A^2), l < 2j, of cotangent
+    corrections; equal parts take the symmetric square, and only the even
+    half of the string survives the flip.  One pass over j keeps the even
+    and the odd half as running sums, each advanced only when a piece
+    needs the next term.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     om = chi_twists(s, L, A)
-    chi = lambda p, q: om(0, p, q)
-    total = 0
-    if k % 2 == 0:
-        total += binom_int(chi(k // 2, 1) + 1, 2)
-    for i in range((k - 1) // 2 + 1):
-        total += chi(k - i, 1) * chi(i, 1)
-    for j in range(k - 1):
-        total -= ((k - j) // 2) * om(j, k, 2)
-    return total
+    pieces, even, odd = [], 0, 0
+    for j in range(k // 2 + 1):
+        even += om(2 * j - 2, k, 2) if j else 0
+        if 2 * j == k:
+            pieces.append(binom_int(om(0, j, 1) + 1, 2) - even)
+        else:
+            odd += om(2 * j - 1, k, 2) if j else 0
+            pieces.append(om(0, k - j, 1) * om(0, j, 1) - even - odd)
+    return pieces
 
 
 def _point_parts(om, k: int) -> list[int]:
@@ -291,27 +305,3 @@ def chi_sym_power(s: SurfaceModel, n: int, k: int, L, A) -> int:
     if n >= 1 and 0 <= k <= 4:
         return chi_sym_power_smallk(s, n, k, L, A)
     raise ValueError(f"unsupported (n, k) = ({n}, {k}): need n = 2 or k <= 4")
-
-
-def chi_graded_piece_n2(s: SurfaceModel, k: int, j: int, L, A) -> int:
-    """chi of the graded piece labeled (k-j, j) in the two-point filtration.
-
-    Distinct parts pair the two line-bundle factors and subtract the full
-    string of cotangent corrections below 2j; equal parts take the
-    symmetric square and only the even half of the string survives the
-    flip.
-    """
-    if not 0 <= 2 * j <= k:
-        raise ValueError("need 0 <= j <= k/2")
-    om = chi_twists(s, L, A)
-    a, b = k - j, j
-    if a > b:
-        total = om(0, a, 1) * om(0, b, 1)
-        for l in range(2 * j):
-            total -= om(l, k, 2)
-        return total
-    total = binom_int(om(0, a, 1) + 1, 2)
-    for l in range(0, 2 * j, 2):
-        total -= om(l, k, 2)
-    return total
-

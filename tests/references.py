@@ -46,6 +46,13 @@ program and moved here from it.
   chi_twisted_fraction is Hirzebruch-Riemann-Roch for a twisted bundle
   summed over Fraction: together the reference for the closed integer
   quadratic chi_twists of rroch.
+* chi_graded_piece_n2 gives one graded piece of the two-point
+  filtration per call, its string of corrections summed from the start,
+  the reference for the one-pass list of rroch; chi_sym_power_n2_telescoped
+  is the two-point formula as one closed sum, the same sum rearranged,
+  the reference for the sum of that list.  Both read chi(S^l Omega
+  otimes L^p otimes A^q) off chi_twists, which chi_twisted_fraction
+  checks on its own.
 
 They are kept here, with their own tests, so that no oracle shares code
 with the path it checks.
@@ -61,6 +68,7 @@ from math import comb, lcm
 from hilbtaut.combinat import quotient_A
 from hilbtaut.linalg import bareiss_det
 from hilbtaut.polyjet import PolyRing, jet_conditions
+from hilbtaut.rroch import binom_int, chi_twists
 
 
 def _exact(c):
@@ -754,3 +762,45 @@ def chi_twisted_fraction(s, E, M) -> int:
     if val.denominator != 1:
         raise ValueError("non-integral chi; inconsistent input")
     return int(val)
+
+
+def chi_graded_piece_n2(s, k: int, j: int, L, A) -> int:
+    """chi of the graded piece labeled (k-j, j) in the two-point filtration,
+    one piece per call, its string of corrections summed from l = 0.
+
+    Distinct parts pair the two line-bundle factors and subtract the full
+    string of cotangent corrections below 2j; equal parts take the
+    symmetric square and only the even half of the string survives the
+    flip.
+    """
+    if not 0 <= 2 * j <= k:
+        raise ValueError("need 0 <= j <= k/2")
+    om = chi_twists(s, L, A)
+    a, b = k - j, j
+    if a > b:
+        total = om(0, a, 1) * om(0, b, 1)
+        for l in range(2 * j):
+            total -= om(l, k, 2)
+        return total
+    total = binom_int(om(0, a, 1) + 1, 2)
+    for l in range(0, 2 * j, 2):
+        total -= om(l, k, 2)
+    return total
+
+
+def chi_sym_power_n2_telescoped(s, k: int, L, A) -> int:
+    """The two-point formula as one closed sum: the products of the pieces,
+    less chi(S^j Omega otimes L^k otimes A^2) counted (k - j) // 2 times,
+    as often as a piece's string of corrections reaches it."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    om = chi_twists(s, L, A)
+    chi = lambda p, q: om(0, p, q)
+    total = 0
+    if k % 2 == 0:
+        total += binom_int(chi(k // 2, 1) + 1, 2)
+    for i in range((k - 1) // 2 + 1):
+        total += chi(k - i, 1) * chi(i, 1)
+    for j in range(k - 1):
+        total -= ((k - j) // 2) * om(j, k, 2)
+    return total

@@ -177,6 +177,33 @@ def test_chi_too_long_to_print_is_a_usage_error(capsys, fmt):
     assert err.count("\n") == 1 and "more than 4300 digits" in err
 
 
+@pytest.mark.parametrize("k,L", [("4000000", "1"), ("5000000", "1:2")])
+def test_chi_gr_row_over_the_cap_exits_two_before_any_piece(capsys, monkeypatch, k, L):
+    # the cap comes before the class is read, so a class of the wrong
+    # shape is refused for the size of its row
+    def uncomputed(*args):
+        raise AssertionError("chi computed before the gr row was sized")
+
+    monkeypatch.delenv("HILBTAUT_MAX_MATRIX_ENTRIES", raising=False)
+    for name in ("chi_sym_power", "chi_graded_pieces_n2"):
+        monkeypatch.setattr(cli, name, uncomputed)
+    rc, out, err = run(capsys, "chi", "--surface", "p2", "--n", "2", "--k", k,
+                       "--L", L, "--A", "0")
+    assert rc == 2 and out == ""
+    assert err == (f"error: chi gr row (2,{k}): 1 x {int(k) // 2 + 1} matrix exceeds the "
+                   "entry cap 2000000; set HILBTAUT_MAX_MATRIX_ENTRIES to raise it\n")
+
+
+def test_chi_gr_row_refused_exactly_when_over_the_cap(capsys, monkeypatch):
+    # k = 4 and 5 have 3 pieces, k = 6 has 4; no other n has a gr row
+    monkeypatch.setenv("HILBTAUT_MAX_MATRIX_ENTRIES", "3")
+    for n, k, rc_want in [(2, 4, 0), (2, 5, 0), (2, 6, 2), (1, 4, 0), (3, 4, 0)]:
+        rc, out, err = run(capsys, "chi", "--surface", "p2", "--n", str(n), "--k", str(k),
+                           "--L", "1", "--A", "0")
+        assert rc == rc_want, (n, k, err)
+        assert ("gr=" in out) == (rc == 0 and n == 2), (n, k, out)
+
+
 @needs_str_limit
 def test_chi_too_long_to_print_from_surface_json(capsys, tmp_path):
     model = {"name": "huge", "rank": 1, "intersection": [[2 * (10**4000 - 1)]],

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbtaut import rroch
 from hilbtaut.rroch import (
     BUILTIN_SURFACES,
     SurfaceModel,
     binom_int,
-    chi_graded_piece_n2,
+    chi_graded_pieces_n2,
     chi_sym_power,
     chi_sym_power_n2,
     chi_sym_power_smallk,
@@ -28,7 +29,14 @@ from hilbtaut.rroch import (
     get_surface,
     load_surface,
 )
-from references import ChernData, chern_sym_omega, chi_twisted_fraction, tensor_chern
+from references import (
+    ChernData,
+    chern_sym_omega,
+    chi_graded_piece_n2,
+    chi_sym_power_n2_telescoped,
+    chi_twisted_fraction,
+    tensor_chern,
+)
 
 P2 = get_surface("p2")
 P1P1 = get_surface("p1xp1")
@@ -386,22 +394,49 @@ def test_graded_pieces_sum_to_total():
     for s in MODELS:
         L = (2,) * s.rank
         for A in ((0,) * s.rank, (1,) * s.rank):
-            for k in range(7):
-                total = sum(
-                    chi_graded_piece_n2(s, k, j, L, A) for j in range(k // 2 + 1)
-                )
-                assert total == chi_sym_power_n2(s, k, L, A), (s.name, k, A)
+            for k in range(61):
+                total = sum(chi_graded_pieces_n2(s, k, L, A))
+                assert total == chi_sym_power_n2_telescoped(s, k, L, A), (s.name, k, A)
 
 
-def test_graded_piece_bounds():
-    with pytest.raises(ValueError):
-        chi_graded_piece_n2(P2, 4, 3, (1,), (0,))
-    with pytest.raises(ValueError):
-        chi_graded_piece_n2(P2, 4, -1, (1,), (0,))
+def test_graded_pieces_match_one_piece_at_a_time():
+    rng = random.Random(42)
+    for s in MODELS:
+        for _ in range(3):
+            L, A = (tuple(rng.randint(-9, 9) for _ in range(s.rank)) for _ in "LA")
+            for k in range(61):
+                want = [chi_graded_piece_n2(s, k, j, L, A) for j in range(k // 2 + 1)]
+                assert chi_graded_pieces_n2(s, k, L, A) == want, (s.name, L, A, k)
+
+
+def test_graded_pieces_one_per_partition_into_two_parts():
+    for k in range(9):
+        assert len(chi_graded_pieces_n2(P2, k, (1,), (0,))) == k // 2 + 1, k
+    for f in (chi_graded_pieces_n2, chi_sym_power_n2):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            f(P2, -1, (1,), (0,))
+
+
+def test_graded_pieces_take_two_evaluations_per_step_of_k(monkeypatch):
+    # one pass: a piece reads its product's factors, and each piece after
+    # the first adds one term to the even sum and, if its parts differ, one
+    # to the odd; none is read past the last piece, so k = 2 and k = 3 take
+    # the 4 and 6 evaluations that summing each piece on its own takes
+    calls = []
+
+    def counted(s, L, A):
+        om = chi_twists(s, L, A)
+        return lambda *args: calls.append(args) or om(*args)
+
+    monkeypatch.setattr(rroch, "chi_twists", counted)
+    for k in range(41):
+        calls.clear()
+        chi_graded_pieces_n2(P1P1, k, (2, 1), (1, -1))
+        assert len(calls) == max(2 * k, 1), k
 
 
 def test_graded_piece_top_is_product():
-    assert chi_graded_piece_n2(P2, 3, 0, (1,), (0,)) == chi_line(
+    assert chi_graded_pieces_n2(P2, 3, (1,), (0,))[0] == chi_line(
         P2, (3,)
     ) * chi_line(P2, (0,))
 
