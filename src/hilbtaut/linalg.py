@@ -9,11 +9,16 @@ vector is a rational multiple of another, which the verification
 identities use together with the in-place sparse add _add_into.  No
 floating point anywhere.  The sparse elimination keeps its pivots
 primitive with a positive leading entry and reduces each row in place,
-one gcd-scaled step per pivot.
+one gcd-scaled step per pivot.  It reads a row's leading column off a
+sorted list of the row's columns instead of rescanning the row: a step
+only adds columns past the one it clears, so the list's tail past that
+column holds every live column in order, and its first live entry is
+the row's minimum.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from math import gcd
 
 
@@ -108,14 +113,27 @@ def sparse_int_rank(rows, pivots: dict | None = None) -> int:
     Rows fed in chunks into one dict are eliminated once each, and the
     increments sum to the rank of all of them; with no dict given, a
     fresh one is used and the result is the plain rank of rows.
+
+    The leading column comes from cols, the row's columns sorted, and an
+    index i into it: the next cols[i] still in the row, skipping columns
+    that cancelled.  A pivot keyed at c has no column below c, so a step
+    cancels c and inserts the columns it fills in past c.  cols[i:]
+    thus holds every live column in order, and each step picks the
+    row's least column: the pivots of taking the minimum of the row,
+    without rescanning it.
     """
     if pivots is None:
         pivots = {}
     before = len(pivots)
     for raw in rows:
         row = {c: v for c, v in raw.items() if v}
+        cols = sorted(row)
+        i = 0
         while row:
-            c = min(row)
+            c = cols[i]
+            i += 1
+            if c not in row:
+                continue
             p = pivots.get(c)
             if p is None:
                 _divide_content(row, -1 if row[c] < 0 else 1)
@@ -128,11 +146,15 @@ def sparse_int_rank(rows, pivots: dict | None = None) -> int:
                 for col, v in row.items():
                     row[col] = v * a
             for col, v in p.items():
-                w = row.get(col, 0) - b * v
-                if w:
-                    row[col] = w
+                if col in row:
+                    w = row[col] - b * v
+                    if w:
+                        row[col] = w
+                    else:
+                        del row[col]
                 else:
-                    del row[col]
+                    row[col] = -b * v
+                    insort(cols, col, i)
             if a != 1 and row:
                 _divide_content(row)
     return len(pivots) - before

@@ -522,8 +522,10 @@ def _nullities(blocks, ring: PolyRing, fold: bool, cols) -> list:
     each orbit is numbered there.  The order sets the column numbering,
     so the pivots, not the answer.  Numbered in the order the supports
     first name them, the columns gave the same nullities, but the
-    kernel benchmark's pass took 2.2 % longer at the median, and longer
-    in 5 of 6 alternating pairs (Python 3.11, 2-core VM).
+    kernel benchmark's pass took 1.7 % longer at the median, and longer
+    in 6 of 8 alternating pairs, with linalg's sorted column list (2.2 %
+    and 5 of 6 under the min-led elimination before it; Python 3.11,
+    2-core VM).
     """
     n = ring.n
     supported = [[(A, degrees, [_difference_support(mu, *A, order) for mu in shifts])

@@ -31,6 +31,11 @@ program and moved here from it.
   reference for the rows of a pair ending at a pinned point.
 * leading_minors_by_block takes one determinant per leading block, the
   reference for the one-pass leading minors of linalg.
+* min_led_rank is the sparse elimination of linalg as it found each
+  row's leading column before, by rescanning the row with min; the
+  reference for the sorted column list, which must pick the same
+  pivots.  It shares linalg's division of a row by its content, and
+  differs only in how it finds the leading column.
 * free_point_counts_full_table fills every cell of a table of
   multisets of monomials, by how many of them are not 1, the reference
   for the free-point counts of tautops, which read them off Newton's
@@ -63,10 +68,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from hilbtaut.combinat import quotient_A
-from hilbtaut.linalg import bareiss_det
+from hilbtaut.linalg import _divide_content, bareiss_det
 from hilbtaut.polyjet import PolyRing, jet_conditions
 from hilbtaut.rroch import binom_int, chi_twists
 
@@ -258,6 +263,38 @@ def leading_minors_by_block(matrix) -> list[int]:
     return [
         bareiss_det([row[:t] for row in matrix[:t]]) for t in range(1, size + 1)
     ]
+
+
+def min_led_rank(rows, pivots: dict | None = None) -> int:
+    """Rank that rows add to a pivot dict, by the elimination of linalg
+    with each leading column found as min(row)."""
+    if pivots is None:
+        pivots = {}
+    before = len(pivots)
+    for raw in rows:
+        row = {c: v for c, v in raw.items() if v}
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                _divide_content(row, -1 if row[c] < 0 else 1)
+                pivots[c] = row
+                break
+            pc, rc = p[c], row[c]
+            g = gcd(pc, rc)
+            a, b = pc // g, rc // g
+            if a != 1:
+                for col, v in row.items():
+                    row[col] = v * a
+            for col, v in p.items():
+                w = row.get(col, 0) - b * v
+                if w:
+                    row[col] = w
+                else:
+                    del row[col]
+            if a != 1 and row:
+                _divide_content(row)
+    return len(pivots) - before
 
 
 def composition_stabilizer(c) -> list[tuple[int, ...]]:

@@ -591,10 +591,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     -S keeps site's own imports out of the count.  Nor does it load what
     only some commands use: fractions with the decimal and numbers it
     pulls in, json and random, which load on first use; importing
-    tautops alone loads none of them either."""
+    tautops alone loads none of them either.  Nor heapq, which a heap
+    of leading columns in the sparse elimination would add to every
+    start-up: it keeps them in a sorted list with bisect instead."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     unloaded = {"dataclasses", "inspect", "ast", "dis", "tokenize",
-                "fractions", "decimal", "numbers", "json", "random"}
+                "fractions", "decimal", "numbers", "json", "random", "heapq"}
     for module in ("hilbtaut.cli", "hilbtaut.tautops"):
         code = f"import sys, {module}; print(*sorted(sys.modules))"
         loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,

@@ -6,7 +6,10 @@ a Gauss-Jordan pass over Fraction that shares no code with it, on small
 random integer matrices, whole and fed in chunks into one pivot dict.
 The elimination it replaced, which cross-multiplied every row with its
 pivot and gcd-reduced the result, is kept here as a reference for the
-nullity engine's per-level nullities.
+nullity engine's per-level nullities.  The same elimination with each
+leading column found by rescanning the row, min_led_rank of
+tests/references.py, must give the very pivots of the sorted column
+list, on random matrices and on every call the nullity engine makes.
 """
 
 import copy
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from hilbtaut import tautops
 from hilbtaut.linalg import scalar_multiple, sparse_int_rank
 from hilbtaut.tautops import _nullity_profile
-from references import fraction_rows_to_int, nullspace
+from references import fraction_rows_to_int, min_led_rank, nullspace
 
 
 # --- reference -----------------------------------------------------------
@@ -197,3 +200,62 @@ def test_engine_matches_cross_multiplied_elimination(
     profile = _nullity_profile(n, k, max_deg, invariant)
     monkeypatch.setattr(tautops, "sparse_int_rank", cross_multiplied_rank)
     assert profile == _nullity_profile(n, k, max_deg, invariant)
+
+
+# --- the sorted column list against the min-led elimination ---------------
+
+
+def _twinned(rows, pivots=None):
+    """sparse_int_rank on rows and pivots, with min_led_rank run on copies
+    of both: the increments and the pivot dicts must be equal."""
+    rows = list(rows)
+    if pivots is None:
+        pivots = {}
+    twin = copy.deepcopy(pivots)
+    expected = min_led_rank(copy.deepcopy(rows), twin)
+    gained = sparse_int_rank(rows, pivots)
+    assert gained == expected
+    assert pivots == twin
+    return gained
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Rows over up to 12 columns, mostly zeros, so that pivots fill in
+    columns a row lacked and cancel columns it had."""
+    ncols = draw(st.integers(1, 12), label="ncols")
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-4, 4))
+    return draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols).map(
+            lambda vals: dict(enumerate(vals))), max_size=14),
+        label="rows",
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_matrices(), st.integers(1, 5))
+def test_sorted_column_list_picks_the_min_led_pivots(rows, chunk):
+    pivots = {}
+    for i in range(0, len(rows), chunk):
+        _twinned(rows[i : i + chunk], pivots)
+    _twinned(rows)
+
+
+@pytest.mark.parametrize(
+    "n,k,max_deg,invariant",
+    [(n, k, d, inv) for n, k, d in _VERIFY_GRID for inv in (True, False)]
+    + [(3, 5, 4, True), (4, 4, 3, True), (3, 5, 5, False), (4, 3, 3, False)],
+)
+def test_engine_pivots_match_min_led_elimination(monkeypatch, n, k, max_deg, invariant):
+    """After every call the nullity engine makes, including those at
+    exploratory sizes, the pivot dicts equal min_led_rank's.  Two-point
+    systems are counted, not eliminated, and make no call."""
+    calls = []
+
+    def checked(rows, pivots=None):
+        calls.append(None)
+        return _twinned(rows, pivots)
+
+    monkeypatch.setattr(tautops, "sparse_int_rank", checked)
+    _nullity_profile(n, k, max_deg, invariant)
+    assert bool(calls) == (n > 2)
